@@ -33,10 +33,9 @@ from .catalog import (
     srtof3_ccix,
     srts3,
     toffoli3,
-    tof4_clean,
+    tofn,
     tof4_dirty,
     tof4_dirty_spec,
-    tof5_clean,
     tof5_dirty,
     tof5_dirty_spec,
     tofn_clean,
@@ -64,7 +63,6 @@ from .simulate import (
     MarkerInSimulation,
     NotAPhasePermutation,
     PhasePermutation,
-    StateVector,
     unitary_columns,
 )
 from .verify import (

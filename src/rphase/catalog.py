@@ -26,8 +26,9 @@ Building blocks (3 qubits unless noted):
 * Margolus-style variants: a T/CNOT phase circuit and two R_Y circuits
   (see ``margolus_variants``).
 
-Constructions: ``tof4_clean`` .. ``tofn_dirty`` realize a multiple-control
-Toffoli over Clifford+T with one clean or dirty helper chain;
+Constructions: ``tofn_clean``, ``tof4_dirty`` and ``tofn_dirty`` realize
+a multiple-control Toffoli over Clifford+T with one clean or dirty helper
+chain, and ``tofn(n, ancilla)`` picks among them;
 ``ladder_tofn``, ``two_block_tofn`` and the two ``cnu_*`` generators emit
 marker-level skeletons whose pairs of identical high-level gates are the
 raw material for the rewrite engine.
@@ -71,12 +72,6 @@ class CatalogEntry:
     claimed: ResourceReport
     marker_kind: str | None = None  # emitted by the rewrite engine, if any
     description: str = ""
-
-    def __post_init__(self):
-        actual = self.circuit.count_resources()
-        if actual != self.claimed:
-            raise ConstructionError(
-                f"{self.name}: claimed resources {self.claimed} != counted {actual}")
 
 
 # -- elementary building blocks -------------------------------------------
@@ -197,21 +192,9 @@ def margolus_variants() -> list[Circuit]:
 
 # -- clean-ancilla multiple-control Toffolis --------------------------------
 
-def tof4_clean() -> Circuit:
-    """TOF(a,b,c;d) over (a, b, |0>, c, d): rtof3_long onto the ancilla,
-    toffoli3, inverse rtof3_long. 15 T, 12 CNOT, 6 H."""
-    return tofn_clean(4)
+def _tofn_clean(n: int) -> tuple[Circuit, TargetSpec]:
+    """Circuit and spec of tofn_clean from one gadget plan.
 
-
-def tof5_clean() -> Circuit:
-    """TOF(a,b,c,d;e) over (a, b, c, |0>, d, e) via rtof4_long."""
-    return tofn_clean(5)
-
-
-def _clean_plan(n: int):
-    """Gadget chain for tofn_clean.
-
-    Returns (width, gadget list, middle tof qubits, roles, controls, target).
     ceil((n-3)/2) gadgets fold controls into fresh ancillae: all rtof4l
     except an innermost rtof3l when n is even (the parity leftover). Qubit
     order interleaves each ancilla right after the controls its gadget
@@ -236,7 +219,7 @@ def _clean_plan(n: int):
         controls.append(q)
         return q
 
-    gadgets = []  # (kind, control qubits, ancilla qubit)
+    forward = []
     prev_anc = None
     for i, kind in enumerate(kinds):
         fresh = 3 if kind == "rtof4l" else 2
@@ -245,12 +228,14 @@ def _clean_plan(n: int):
         got = [take_control() for _ in range(fresh)]
         anc = alloc(ROLE_CLEAN)
         ctl = tuple(got) if i == 0 else (prev_anc, *got)
-        gadgets.append((kind, ctl, anc))
+        forward.extend(MARKER_GATES[kind](*ctl, anc))
         prev_anc = anc
     last_ctl = take_control()
     target = alloc(ROLE_PRIMARY)
-    middle = ((prev_anc, last_ctl), target)
-    return len(roles), gadgets, middle, roles, controls, target
+    gates = list(forward)
+    gates.extend(_toffoli3_gates(prev_anc, last_ctl, target))
+    gates.extend(g.inverse() for g in reversed(forward))
+    return Circuit(len(roles), gates, roles), TargetSpec("tof", tuple(controls), target)
 
 
 def tofn_clean(n: int) -> Circuit:
@@ -261,19 +246,11 @@ def tofn_clean(n: int) -> Circuit:
     and the inverse chain restores every ancilla. Totals: 8n-17 T,
     6n-12 CNOT, 4n-10 H.
     """
-    width, gadgets, (mid_ctl, mid_tgt), roles, _, _ = _clean_plan(n)
-    forward = []
-    for kind, ctl, anc in gadgets:
-        forward.extend(MARKER_GATES[kind](*ctl, anc))
-    gates = list(forward)
-    gates.extend(_toffoli3_gates(mid_ctl[0], mid_ctl[1], mid_tgt))
-    gates.extend(g.inverse() for g in reversed(forward))
-    return Circuit(width, gates, roles)
+    return _tofn_clean(n)[0]
 
 
 def tofn_clean_spec(n: int) -> TargetSpec:
-    _, _, _, roles, controls, target = _clean_plan(n)
-    return TargetSpec("tof", tuple(controls), target)
+    return _tofn_clean(n)[1]
 
 
 # -- dirty-ancilla multiple-control Toffolis --------------------------------
@@ -295,7 +272,10 @@ def tof4_dirty_spec() -> TargetSpec:
 
 
 def tof5_dirty() -> Circuit:
-    """TOF(a,b,c,d;e) over (a, b, c, x, d, e), x dirty: rtof4_long / srts3."""
+    """TOF(a,b,c,d;e) over (a, b, c, x, d, e), x dirty: rtof4_long / srts3.
+
+    A reference circuit, not what ``tofn(5, "dirty")`` builds: the tests
+    check that ``tofn_dirty(5)`` matches its counts and ancilla use."""
     gates = []
     gates += _rtof4_long_gates(0, 1, 2, 3)
     gates += _srts3_gates(4, 3, 5)
@@ -352,9 +332,8 @@ def _dirty_markers(n: int):
     return seq
 
 
-def tofn_dirty(n: int) -> Circuit:
-    """TOF with n-1 controls using ceil((n-3)/2) borrowed (dirty) ancillae,
-    returned unchanged. Totals: 8n-16 T, 8n-20 CNOT, 4n-10 H."""
+def _tofn_dirty(n: int) -> tuple[Circuit, TargetSpec]:
+    """Circuit and spec of tofn_dirty from one marker sequence."""
     seq = _dirty_markers(n)
     used = sorted({q for g in seq for q in g.support})
     remap = {q: i for i, q in enumerate(used)}
@@ -363,15 +342,36 @@ def tofn_dirty(n: int) -> Circuit:
     gates = []
     for g in seq:
         gates.extend(gg.remap(remap) for gg in marker_definition(g))
-    return Circuit(len(used), gates, roles)
+    controls = tuple(remap[q] for q in range(1, n))
+    return Circuit(len(used), gates, roles), TargetSpec("tof", controls, remap[2 * n - 3])
+
+
+def tofn_dirty(n: int) -> Circuit:
+    """TOF with n-1 controls using ceil((n-3)/2) borrowed (dirty) ancillae,
+    returned unchanged. Totals: 8n-16 T, 8n-20 CNOT, 4n-10 H."""
+    return _tofn_dirty(n)[0]
 
 
 def tofn_dirty_spec(n: int) -> TargetSpec:
-    seq = _dirty_markers(n)
-    used = sorted({q for g in seq for q in g.support})
-    remap = {q: i for i, q in enumerate(used)}
-    controls = tuple(remap[q] for q in range(1, n))
-    return TargetSpec("tof", controls, remap[2 * n - 3])
+    return _tofn_dirty(n)[1]
+
+
+def tofn(n: int, ancilla: str) -> tuple[Circuit, TargetSpec]:
+    """The construction of TOF with n-1 controls over ``ancilla`` ("clean"
+    or "dirty") helpers, and the spec it implements: toffoli3 for n = 3
+    (no helper), else tofn_clean, or tof4_dirty for n = 4 and tofn_dirty
+    above. Every request for a multiple-control Toffoli comes here."""
+    if ancilla not in ("clean", "dirty"):
+        raise ConstructionError(f"ancilla must be 'clean' or 'dirty', got {ancilla!r}")
+    if n < 3:
+        raise ConstructionError(f"TOF needs n >= 3 qubits, got {n}")
+    if n == 3:
+        return toffoli3(), TargetSpec("tof", (0, 1), 2)
+    if ancilla == "clean":
+        return _tofn_clean(n)
+    if n == 4:
+        return tof4_dirty(), tof4_dirty_spec()
+    return _tofn_dirty(n)
 
 
 # -- marker-level skeletons --------------------------------------------------

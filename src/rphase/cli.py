@@ -1,7 +1,8 @@
 """Command-line surface: synthesize, count, verify, rewrite, table.
 
-Exit codes: 0 success / verified, 1 verification failed, 2 usage error,
-3 internal invariant violation. RPHASE_BACKEND=ring|float overrides the
+Exit codes: 0 success / verified, 1 verification failed, 2 usage or
+input error (including a circuit too wide to simulate), 3 internal
+invariant violation. RPHASE_BACKEND=ring|float overrides the
 automatic backend choice.
 """
 
@@ -10,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import ceil
 
 from . import catalog as cat
 from .circuit import Circuit, TargetSpec, ROLE_CLEAN, ROLE_DIRTY, ROLE_PRIMARY
@@ -43,18 +43,7 @@ def _synth_build(args):
     if name == "tof":
         if args.n is None:
             raise UsageError("--gate tof requires --n")
-        n = args.n
-        if n == 3:
-            return cat.toffoli3(), TargetSpec("tof", (0, 1), 2)
-        if args.ancilla == "dirty":
-            if n < 4:
-                raise UsageError("dirty constructions require --n >= 4")
-            if n == 4:
-                return cat.tof4_dirty(), cat.tof4_dirty_spec()
-            return cat.tofn_dirty(n), cat.tofn_dirty_spec(n)
-        if n < 4:
-            raise UsageError("--n must be >= 3")
-        return cat.tofn_clean(n), cat.tofn_clean_spec(n)
+        return cat.tofn(args.n, args.ancilla)
     if name == "ladder":
         if args.n is None:
             raise UsageError("--gate ladder requires --n")
@@ -143,6 +132,8 @@ def _roles_from_layout(layout: str, width: int):
 
 
 def cmd_verify(args) -> int:
+    if args.processes is not None and args.processes < 1:
+        raise UsageError(f"--processes must be >= 1, got {args.processes}")
     with open(args.input) as fh:
         circuit = parse_qasm(fh.read())
     if not circuit.is_lowered():
@@ -243,15 +234,14 @@ def _table_rows(n_list):
     for n in n_list:
         for flavour in ("clean", "dirty"):
             if flavour == "clean":
-                circuit = cat.toffoli3() if n == 3 else cat.tofn_clean(n)
                 formula = (8 * n - 17, 6 * n - 12, 4 * n - 10)
             else:
                 if n < 4:
                     continue
-                circuit = cat.tof4_dirty() if n == 4 else cat.tofn_dirty(n)
                 # the dirty closed form starts at n = 5; the explicit
                 # 4-control borrowed-ancilla circuit costs 16/14/6
                 formula = (16, 14, 6) if n == 4 else (8 * n - 16, 8 * n - 20, 4 * n - 10)
+            circuit, _ = cat.tofn(n, flavour)
             r = circuit.count_resources()
             if n >= 4 and (r.t, r.cnot, r.h) != formula:
                 raise AssertionError(
@@ -306,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--target", default="tof")
     p.add_argument("--n", type=int)
-    p.add_argument("--ancilla", choices=("clean", "dirty"))
     p.add_argument("--layout", help="comma list of ctrl,target,clean,dirty per qubit")
     p.add_argument("--class", dest="cls", default="exact",
                    choices=("exact", "global_phase", "relative_phase", "special_form"))
@@ -337,10 +326,11 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (UsageError, QasmError, cat.ConstructionError, LoweringError,
-            AncillaBudgetExceeded, RewriteError, FileNotFoundError) as exc:
+            AncillaBudgetExceeded, RewriteError, FileNotFoundError,
+            WidthLimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NotAPhasePermutation, WidthLimitExceeded) as exc:
+    except NotAPhasePermutation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
     except (SimulationError, AssertionError) as exc:

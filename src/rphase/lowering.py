@@ -42,13 +42,10 @@ class LoweringPolicy:
     """Construction choices for ``lower``.
 
     ``marker_impls`` maps a marker kind to the catalog entry used for it;
-    kinds not listed use their defining circuits. ``tof_strategy`` picks
-    the helper-chain flavour for 3+ control tof gates: "clean", "dirty",
-    or "auto" (clean ancillae if declared, else dirty).
+    kinds not listed use their defining circuits.
     """
 
     marker_impls: dict = field(default_factory=dict)
-    tof_strategy: str = "auto"
 
     def gates_for_marker(self, g: Gate) -> list[Gate]:
         name = self.marker_impls.get(g.kind)
@@ -103,7 +100,7 @@ def _lower_gate(g: Gate, circuit: Circuit, policy: LoweringPolicy, out: list[Gat
     elif nc == 2:
         out.extend(cat._toffoli3_gates(g.controls[0], g.controls[1], g.target))
     else:
-        out.extend(_expand_big_tof(g, circuit, policy))
+        out.extend(_expand_big_tof(g, circuit))
 
 
 def _free_ancillae(g: Gate, circuit: Circuit, role: str) -> list[int]:
@@ -113,25 +110,19 @@ def _free_ancillae(g: Gate, circuit: Circuit, role: str) -> list[int]:
     ]
 
 
-def _expand_big_tof(g: Gate, circuit: Circuit, policy: LoweringPolicy) -> list[Gate]:
+def _expand_big_tof(g: Gate, circuit: Circuit) -> list[Gate]:
+    """The helper chain over free clean ancillae if there are enough of
+    them, else over free dirty ones."""
     n = len(g.controls) + 1
-    strategy = policy.tof_strategy
-    clean = _free_ancillae(g, circuit, ROLE_CLEAN)
-    dirty = _free_ancillae(g, circuit, ROLE_DIRTY)
     need = ceil((n - 3) / 2)
-    if strategy == "auto":
-        strategy = "clean" if len(clean) >= need else "dirty"
-    pool = clean if strategy == "clean" else dirty
+    flavour, pool = "clean", _free_ancillae(g, circuit, ROLE_CLEAN)
+    if len(pool) < need:
+        flavour, pool = "dirty", _free_ancillae(g, circuit, ROLE_DIRTY)
     if len(pool) < need:
         raise AncillaBudgetExceeded(
             f"ancilla budget exceeded: lowering a {n - 1}-control tof needs "
-            f"{need} {strategy} ancillae, circuit offers {len(pool)}")
-    if strategy == "clean":
-        template, tspec = cat.tofn_clean(n), cat.tofn_clean_spec(n)
-    elif n == 4:
-        template, tspec = cat.tof4_dirty(), cat.tof4_dirty_spec()
-    else:
-        template, tspec = cat.tofn_dirty(n), cat.tofn_dirty_spec(n)
+            f"{need} {flavour} ancillae, circuit offers {len(pool)}")
+    template, tspec = cat.tofn(n, flavour)
     mapping = {}
     for i, q in enumerate(tspec.controls):
         mapping[q] = g.controls[i]

@@ -100,10 +100,6 @@ class RingElement:
         """Complex conjugate; conj(w) = w^-1 = -w^3."""
         return RingElement(self.a0, -self.a3, -self.a2, -self.a1, self.k)
 
-    def normalize(self) -> "RingElement":
-        """Return the canonical form (the constructor already enforces it)."""
-        return self
-
     # -- predicates and conversion -------------------------------------
 
     def is_zero(self) -> bool:

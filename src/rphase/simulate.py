@@ -8,10 +8,14 @@ circuits simulate with zero rounding error. The float backend stores
 complex amplitudes and is required for ry gates, whose cos(pi/8) entries
 live outside the ring. Backend choice is automatic from the gate set.
 
-``unitary_columns`` applies a circuit to every basis state. If every
-column collapses to a single basis state carrying a unit-magnitude phase
-the result is a ``PhasePermutation`` -- the shape of every (relative
-phase) multiple-control Toffoli -- else a column-sparse ``DenseMatrix``.
+``unitary_columns`` is the one column driver: it applies a circuit to
+every basis state, or to a requested subset, which is how
+``verify.check_implements`` runs. If every column collapses to a single
+basis state carrying a unit-magnitude phase the result is a
+``PhasePermutation`` (a ``ColumnSet`` for a subset) -- the shape of every
+(relative phase) multiple-control Toffoli -- else a column-sparse
+``DenseMatrix``, or ``NotAPhasePermutation`` naming the first column
+that does not collapse.
 
 Columns are independent; ``processes > 1`` fans them out over a process
 pool with a deterministic merge.
@@ -24,8 +28,8 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .circuit import Circuit, Gate
-from .ring import ONE, RingElement
+from .circuit import ROLE_CLEAN, Circuit, Gate
+from .ring import RingElement
 
 FLOAT_TOL = 1e-9
 DENSE_WIDTH_LIMIT = 12
@@ -130,68 +134,6 @@ def run_column_ring(ops, start: int):
 def run_column_float(ops, start: int):
     amps, max_support = _run_float_from(ops, {start: 1.0 + 0.0j})
     return amps, max_support
-
-
-# -- user-facing state ----------------------------------------------------
-
-class StateVector:
-    """Sparse pure state over ``width`` qubits, immutable in use.
-
-    Ring backend: amplitudes are RingElement values reconstructed from the
-    shared denominator on access. Squared norm is checked exactly.
-    """
-
-    def __init__(self, width: int, amps, k: int = 0, backend: str = "ring"):
-        self.width = width
-        self.backend = backend
-        self._amps = dict(amps)
-        self._k = k
-
-    @classmethod
-    def basis(cls, width: int, index: int, backend: str = "ring") -> "StateVector":
-        if backend == "ring":
-            return cls(width, {index: (1, 0, 0, 0)}, 0, backend)
-        return cls(width, {index: 1.0 + 0j}, 0, backend)
-
-    def apply(self, gate: Gate) -> "StateVector":
-        op = compile_gate(gate, self.width)
-        if self.backend == "ring":
-            amps, k, _ = _run_ring_from((op,), dict(self._amps), self._k)
-            return StateVector(self.width, amps, k, "ring")
-        amps, _ = _run_float_from((op,), dict(self._amps))
-        return StateVector(self.width, amps, 0, "float")
-
-    def apply_circuit(self, circuit: Circuit) -> "StateVector":
-        state = self
-        for g in circuit.gates:
-            state = state.apply(g)
-        return state
-
-    def amplitude(self, index: int):
-        if self.backend == "ring":
-            c = self._amps.get(index, _ZERO4)
-            return RingElement(*c, self._k)
-        return self._amps.get(index, 0.0 + 0j)
-
-    def amplitudes(self):
-        return {i: self.amplitude(i) for i in self._amps}
-
-    def support_size(self) -> int:
-        return len(self._amps)
-
-    def norm_squared(self):
-        if self.backend == "ring":
-            total = RingElement(0, 0, 0, 0)
-            for i in self._amps:
-                a = self.amplitude(i)
-                total = total + a.conj() * a
-            return total
-        return sum(abs(a) ** 2 for a in self._amps.values())
-
-    def is_normalized(self) -> bool:
-        if self.backend == "ring":
-            return self.norm_squared() == ONE
-        return abs(self.norm_squared() - 1.0) < FLOAT_TOL
 
 
 def _run_ring_from(ops, amps, k):
@@ -391,26 +333,16 @@ def pick_backend(circuit: Circuit, backend: str | None = None) -> str:
 
 
 def _column_batch(args):
-    ops, width, backend, indices = args
-    out = []
-    for s in indices:
-        if backend == "ring":
-            amps, k, ms = run_column_ring(ops, s)
-            out.append((s, amps, k, ms))
-        else:
-            amps, ms = run_column_float(ops, s)
-            out.append((s, amps, 0, ms))
-    return out
-
-
-def _ring_column_entries(amps, k):
-    return {i: RingElement(*c, k) for i, c in amps.items()}
+    """(amplitudes, k, max_support) of each listed column, in order."""
+    ops, backend, indices = args
+    if backend == "ring":
+        return [run_column_ring(ops, s) for s in indices]
+    return [(amps, 0, ms) for amps, ms in (run_column_float(ops, s) for s in indices)]
 
 
 def unitary_columns(
     circuit: Circuit,
     backend: str | None = None,
-    width_limit: int = WIDTH_LIMIT,
     processes: int | None = None,
     column_indices=None,
 ):
@@ -418,77 +350,61 @@ def unitary_columns(
 
     Returns a PhasePermutation when every column collapses to one basis
     state with a unit-magnitude phase, else a DenseMatrix (full-column set
-    only, width <= 12).
+    only, width <= 12). A requested subset returns a ColumnSet, and a
+    column of it that does not collapse raises NotAPhasePermutation.
+
+    One width guard runs before ``column_indices`` (which may be lazy) is
+    consumed: a subset is taken to lie in the clean-ancilla-0 subspace, as
+    check_implements requests, so it counts 2^(width - clean ancillae)
+    columns; the full set counts 2^width. Either must be at most
+    2^WIDTH_LIMIT.
     """
-    if circuit.width > width_limit:
+    full = column_indices is None
+    free = circuit.width - (0 if full else circuit.roles.count(ROLE_CLEAN))
+    if free > WIDTH_LIMIT:
         raise WidthLimitExceeded(
-            f"width limit exceeded: {circuit.width} > {width_limit}")
+            f"width limit exceeded: 2^{free} columns to simulate, limit 2^{WIDTH_LIMIT}")
     backend = pick_backend(circuit, backend)
     ops = compile_circuit(circuit)
-    dim = 1 << circuit.width
-    full = column_indices is None
-    indices = range(dim) if full else list(column_indices)
+    indices = range(1 << circuit.width) if full else list(column_indices)
 
-    results = {}
-    max_support = 1
     if processes and processes > 1:
         chunk = max(1, len(indices) // (processes * 4))
         batches = [
-            (ops, circuit.width, backend, list(indices[i:i + chunk]))
+            (ops, backend, indices[i:i + chunk])
             for i in range(0, len(indices), chunk)
         ]
         with ProcessPoolExecutor(max_workers=processes) as pool:
-            for batch in pool.map(_column_batch, batches):
-                for s, amps, k, ms in batch:
-                    results[s] = (amps, k)
-                    max_support = max(max_support, ms)
+            results = [r for batch in pool.map(_column_batch, batches) for r in batch]
     else:
-        for s in indices:
-            if backend == "ring":
-                amps, k, ms = run_column_ring(ops, s)
-            else:
-                amps, ms = run_column_float(ops, s)
-                k = 0
-            results[s] = (amps, k)
-            max_support = max(max_support, ms)
+        results = _column_batch((ops, backend, indices))
+    max_support = max((ms for _, _, ms in results), default=1)
 
-    perm = {}
-    phases = {}
-    collapses = True
-    for s in indices:
-        amps, k = results[s]
+    perm = []
+    phases = []
+    for s, (amps, k, _) in zip(indices, results):
         entry = _collapse(amps, k, backend)
         if entry is None:
-            collapses = False
-            break
-        perm[s], phases[s] = entry
+            if full and circuit.width <= DENSE_WIDTH_LIMIT:
+                return _dense(circuit.width, results, backend, max_support)
+            raise NotAPhasePermutation(
+                f"not a phase permutation: column {s:0{circuit.width}b} "
+                f"does not collapse to one basis state")
+        perm.append(entry[0])
+        phases.append(entry[1])
 
-    if collapses:
-        if full:
-            pp = PhasePermutation(
-                circuit.width,
-                tuple(perm[s] for s in range(dim)),
-                tuple(phases[s] for s in range(dim)),
-                backend,
-                max_support,
-            )
-            return pp
-        return ColumnSet(circuit.width, dict(perm), dict(phases), backend, max_support)
+    if full:
+        return PhasePermutation(circuit.width, tuple(perm), tuple(phases), backend, max_support)
+    return ColumnSet(circuit.width, dict(zip(indices, perm)),
+                     dict(zip(indices, phases)), backend, max_support)
 
-    if not full:
-        raise NotAPhasePermutation("not a phase permutation on the requested columns")
-    if circuit.width > DENSE_WIDTH_LIMIT:
-        raise NotAPhasePermutation(
-            f"not a phase permutation and width {circuit.width} exceeds the "
-            f"dense fallback limit {DENSE_WIDTH_LIMIT}")
-    columns = []
-    for s in range(dim):
-        amps, k = results[s]
-        if backend == "ring":
-            columns.append(_ring_column_entries(amps, k))
-        else:
-            columns.append(dict(amps))
-    return DenseMatrix(circuit.width, tuple(columns), backend, max_support)
+
+def _dense(width, results, backend, max_support) -> DenseMatrix:
+    if backend == "ring":
+        columns = [{i: RingElement(*c, k) for i, c in amps.items()} for amps, k, _ in results]
+    else:
+        columns = [dict(amps) for amps, _, _ in results]
+    return DenseMatrix(width, tuple(columns), backend, max_support)
 
 
 @dataclass(frozen=True)
@@ -503,6 +419,8 @@ class ColumnSet:
 
 
 def _collapse(amps, k, backend):
+    """(output index, phase) of a column holding one unit-magnitude
+    amplitude, else None."""
     if backend == "ring":
         if len(amps) != 1:
             return None

@@ -18,12 +18,10 @@ from rphase.catalog import (
     rtof4_long,
     srtof3_ccix,
     toffoli3,
-    tof4_dirty,
-    tof4_dirty_spec,
+    tofn,
     tofn_clean,
     tofn_clean_spec,
     tofn_dirty,
-    tofn_dirty_spec,
 )
 from rphase.circuit import Circuit, Gate, TargetSpec, cx, h, tof
 from rphase.lowering import lower
@@ -64,9 +62,7 @@ TABLE_ROWS = {
 
 
 def _build(n: int, flavour: str) -> Circuit:
-    if flavour == "clean":
-        return tofn_clean(n)
-    return tof4_dirty() if n == 4 else tofn_dirty(n)
+    return tofn(n, flavour)[0]
 
 
 def test_criterion_1_table_reproduction():
@@ -123,9 +119,7 @@ def test_criterion_4_exhaustive_functional_verification():
         rep = check_implements(tofn_clean(n), tofn_clean_spec(n))
         ok &= rep.exact and rep.ancilla_ok
         max_support = max(max_support, rep.max_support)
-        circ = _build(n, "dirty")
-        spec = tof4_dirty_spec() if n == 4 else tofn_dirty_spec(n)
-        rep = check_implements(circ, spec)
+        rep = check_implements(*tofn(n, "dirty"))
         ok &= rep.exact and rep.ancilla_ok
         max_support = max(max_support, rep.max_support)
         if not ok:

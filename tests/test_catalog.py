@@ -1,5 +1,6 @@
 """Construction generators: matrices, counts, and functional verification."""
 
+import hashlib
 from math import ceil
 
 import numpy as np
@@ -25,12 +26,11 @@ from rphase.catalog import (
     srtof3_ccix,
     srts3,
     toffoli3,
-    tof4_clean,
     tof4_dirty,
     tof4_dirty_spec,
-    tof5_clean,
     tof5_dirty,
     tof5_dirty_spec,
+    tofn,
     tofn_clean,
     tofn_clean_spec,
     tofn_dirty,
@@ -209,7 +209,7 @@ def test_margolus_variants_list():
 # -- explicit 4- and 5-control constructions ---------------------------------
 
 def test_tof4_clean():
-    c = tof4_clean()
+    c = tofn_clean(4)
     r = c.count_resources()
     assert (r.t, r.cnot, r.h, r.pz) == (15, 12, 6, 0)
     assert r.ancilla_count == 1 and r.ancilla_type == "clean"
@@ -230,7 +230,7 @@ def test_tof4_dirty():
 
 
 def test_tof5_clean():
-    c = tof5_clean()
+    c = tofn_clean(5)
     r = c.count_resources()
     assert (r.t, r.cnot, r.h) == (23, 18, 10)
     assert r.ancilla_count == 1
@@ -267,8 +267,36 @@ def test_tofn_dirty_closed_forms():
         assert r.ancilla_type == "dirty"
 
 
-def test_tofn_clean_base_case_is_tof4_clean():
-    assert tofn_clean(4) == tof4_clean()
+def _digest(circuit, spec):
+    items = [circuit.width, circuit.roles]
+    items += [(g.kind, g.controls, g.target, sorted(g.neg), g.param, g.dagger)
+              for g in circuit.gates]
+    items.append((spec.kind, spec.controls, spec.target))
+    return hashlib.sha256(repr(items).encode()).hexdigest()[:16]
+
+
+def test_tofn_matches_per_site_builders():
+    """tofn(n, ancilla) is the circuit and spec each call site used to pick
+    for itself; the digest pins every (n, ancilla) pair to the circuits
+    built before the dispatch moved into the catalog."""
+    whole = hashlib.sha256()
+    for n in range(3, 17):
+        for ancilla in ("clean", "dirty"):
+            if n == 3:
+                want = toffoli3(), TargetSpec("tof", (0, 1), 2)
+            elif ancilla == "clean":
+                want = tofn_clean(n), tofn_clean_spec(n)
+            elif n == 4:
+                want = tof4_dirty(), tof4_dirty_spec()
+            else:
+                want = tofn_dirty(n), tofn_dirty_spec(n)
+            got = tofn(n, ancilla)
+            assert got == want, (n, ancilla)
+            whole.update(_digest(*got).encode())
+    assert whole.hexdigest()[:16] == "018cee853981c78f"
+    for bad in ((2, "clean"), (2, "dirty"), (5, "borrowed")):
+        with pytest.raises(ConstructionError):
+            tofn(*bad)
 
 
 def test_tofn_dirty_5_matches_tof5_dirty_counts():

@@ -1,6 +1,7 @@
 """Command-line driver: verbs, exit codes, output formats."""
 
 import json
+import time
 
 from rphase.cli import main
 from rphase.qasm import emit_qasm, parse_qasm
@@ -98,6 +99,44 @@ def test_verify_exit_codes(capsys, tmp_path):
     code, _, _ = run(capsys, "verify", str(rt), "--target", "tof", "--n", "3",
                      "--layout", "ctrl,ctrl,target", "--class", "relative_phase")
     assert code == 0
+
+
+def test_verify_too_wide_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "wide.qasm"
+    path.write_text("OPENQASM 2.0;\nqreg q[17];\ncx q[0],q[16];\n")
+    start = time.monotonic()
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 2 and "width limit exceeded" in err
+    assert time.monotonic() - start < 1.0  # refused before any column runs
+
+
+def test_verify_width_guard_skips_clean_columns(capsys, tmp_path):
+    # 17 qubits, one clean ancilla: 2^16 columns, within the limit
+    path = tmp_path / "wide_clean.qasm"
+    path.write_text("OPENQASM 2.0;\nqreg q[17];\n"
+                    "cx q[0],q[2];\ncx q[2],q[1];\ncx q[0],q[2];\n")
+    layout = ",".join(["ctrl", "target", "clean"] + ["dirty"] * 14)
+    code, out, _ = run(capsys, "verify", str(path), "--layout", layout)
+    assert code == 0
+    assert json.loads(out)["exact"] is True
+
+
+def test_verify_rejects_bad_flags(capsys, tmp_path):
+    path = tmp_path / "t3.qasm"
+    run(capsys, "synth", "--gate", "tof", "--n", "3", "--out", str(path))
+    for processes in ("0", "-1"):
+        code, _, err = run(capsys, "verify", str(path), "--processes", processes)
+        assert code == 2 and "--processes" in err
+    assert run(capsys, "verify", str(path), "--ancilla", "clean")[0] == 2
+    assert run(capsys, "verify", str(path), "--processes", "1")[0] == 0
+
+
+def test_verify_names_the_column_that_does_not_collapse(capsys, tmp_path):
+    path = tmp_path / "hsh.qasm"
+    path.write_text("OPENQASM 2.0;\nqreg q[2];\nh q[1];\nt q[1];\ncx q[0],q[1];\n"
+                    "tdg q[1];\ncx q[0],q[1];\nh q[1];\n")
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 1 and "column 10 " in err
 
 
 def test_verify_identity(capsys, tmp_path):

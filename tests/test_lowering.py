@@ -1,11 +1,14 @@
 """Lowering policies: marker expansion, tof chains, ancilla budgets."""
 
+import hashlib
+
 import pytest
 
-from rphase.catalog import rtof3_long, toffoli3, two_block_tofn
+from rphase.catalog import cnu_parallel, ladder_tofn, rtof3_long, toffoli3, two_block_tofn
 from rphase.circuit import (
     Circuit,
     ROLE_CLEAN,
+    ROLE_PRIMARY,
     ROLE_DIRTY,
     TargetSpec,
     cx,
@@ -116,3 +119,26 @@ def test_policy_unknown_impl_name():
 def test_lower_preserves_pz_and_other_kinds():
     c = Circuit(2, [p(0), pdg(1), z(0), y(1)])
     assert lower(c).gates == c.gates
+
+
+def _digest(circuit):
+    items = [circuit.width, circuit.roles]
+    items += [(g.kind, g.controls, g.target, sorted(g.neg), g.param, g.dagger)
+              for g in circuit.gates]
+    return hashlib.sha256(repr(items).encode()).hexdigest()[:16]
+
+
+def test_lower_output_is_pinned():
+    """Gate count and digest of the lowered circuits, recorded before the
+    clean/dirty choice moved into catalog.tofn; lowering must not drift."""
+    cases = [
+        (ladder_tofn(12), 324, "e81f757de1650a1d"),
+        (cnu_parallel(8), 127, "d7b87533f3660e56"),
+        (Circuit(7, [tof((0, 1, 2, 3), 4)], (ROLE_PRIMARY,) * 5 + (ROLE_CLEAN,) * 2),
+         51, "b38cc22e484205d3"),
+        (Circuit(6, [tof((0, 1, 2, 3), 4)], (ROLE_PRIMARY,) * 5 + (ROLE_DIRTY,)),
+         54, "05f60a0f56b32b6d"),
+    ]
+    for circuit, length, digest in cases:
+        low = lower(circuit)
+        assert (len(low.gates), _digest(low)) == (length, digest)

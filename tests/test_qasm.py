@@ -5,9 +5,9 @@ import pytest
 from rphase.catalog import (
     catalog_entries,
     margolus_ry,
-    tof4_clean,
     tof4_dirty,
     toffoli3,
+    tofn_clean,
 )
 from rphase.circuit import Circuit, cx, h, marker, ry, t, tof
 from rphase.qasm import QasmError, UnsupportedGate, emit_qasm, parse_qasm
@@ -37,7 +37,7 @@ def test_round_trip_all_lowered_catalog():
 
 
 def test_round_trip_roles():
-    for c in (tof4_clean(), tof4_dirty()):
+    for c in (tofn_clean(4), tof4_dirty()):
         back = parse_qasm(emit_qasm(c))
         assert back.roles == c.roles
 
@@ -121,6 +121,6 @@ def test_truncated_expansion():
 
 
 def test_round_trip_is_identity_on_emitted_text():
-    c = tof4_clean()
+    c = tofn_clean(4)
     text = emit_qasm(c)
     assert emit_qasm(parse_qasm(text)) == text

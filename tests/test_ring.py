@@ -81,8 +81,8 @@ def test_conj_times_self_is_real_nonnegative():
 def test_normalize_examples():
     assert RingElement(2, 0, 0, 0, 2) == ONE
     assert RingElement(0, 1, 0, -1, 1) == ONE  # (w - w^3)/sqrt2
-    x = RingElement(1, 0, 0, 0)
-    assert x.normalize() == x and x.k == 0
+    x = RingElement(1, 0, 0, 0, 0)
+    assert x == ONE and x.k == 0
 
 
 def test_normalize_preserves_value():

@@ -4,44 +4,48 @@ import pytest
 
 from rphase.catalog import catalog_entries, rtof4_long, toffoli3
 from rphase.circuit import Circuit, cx, h, marker, t, x
-from rphase.ring import IMAG, INV_SQRT2, OMEGA, ONE
+from rphase.ring import IMAG, INV_SQRT2, OMEGA, ONE, ZERO, RingElement
 from rphase.simulate import (
     DenseMatrix,
     MarkerInSimulation,
     PhasePermutation,
-    StateVector,
     WidthLimitExceeded,
+    compile_circuit,
+    run_column_ring,
     unitary_columns,
 )
 
 
 def test_h_on_zero():
-    s = StateVector.basis(1, 0).apply(h(0))
-    assert s.amplitude(0) == INV_SQRT2
-    assert s.amplitude(1) == INV_SQRT2
+    u = unitary_columns(Circuit(1, [h(0)]))
+    assert u.entry(0, 0) == INV_SQRT2
+    assert u.entry(1, 0) == INV_SQRT2
 
 
 def test_t_on_one():
-    s = StateVector.basis(1, 1).apply(t(0))
-    assert s.amplitude(1) == OMEGA
+    u = unitary_columns(Circuit(1, [t(0)]), column_indices=[1])
+    assert u.perm[1] == 1 and u.phases[1] == OMEGA
 
 
 def test_cnot_basis():
-    s = StateVector.basis(2, 0b10).apply(cx(0, 1))
-    assert s.amplitude(0b11) == ONE
+    u = unitary_columns(Circuit(2, [cx(0, 1)]), column_indices=[0b10])
+    assert u.perm[0b10] == 0b11 and u.phases[0b10] == ONE
 
 
 def test_marker_gate_rejected():
     with pytest.raises(MarkerInSimulation):
-        StateVector.basis(3, 0).apply(marker("rtof3l", (0, 1), 2))
+        unitary_columns(Circuit(3, [marker("rtof3l", (0, 1), 2)]), column_indices=[0])
 
 
 def test_exact_unit_norm():
-    s = StateVector.basis(2, 0)
-    for g in [h(0), t(0), cx(0, 1), h(1), t(1), cx(1, 0), h(0)]:
-        s = s.apply(g)
-        assert s.norm_squared() == ONE  # no tolerance
-    assert s.is_normalized()
+    gates = [h(0), t(0), cx(0, 1), h(1), t(1), cx(1, 0), h(0)]
+    for i in range(1, len(gates) + 1):
+        amps, k, _ = run_column_ring(compile_circuit(Circuit(2, gates[:i])), 0)
+        norm = ZERO
+        for c in amps.values():
+            a = RingElement(*c, k)
+            norm = norm + a.conj() * a
+        assert norm == ONE  # no tolerance
 
 
 def test_unitary_columns_toffoli_permutation():

@@ -8,8 +8,10 @@ from rphase.catalog import (
     rtof4_long,
     srtof3_ccix,
     toffoli3,
-    tof4_clean,
+    tofn_clean,
     tofn_clean_spec,
+    tofn_dirty,
+    tofn_dirty_spec,
 )
 from rphase.circuit import Circuit, TargetSpec, cx, x, z
 from rphase.simulate import NotAPhasePermutation, unitary_columns
@@ -25,7 +27,7 @@ from rphase.verify import (
 
 
 def test_check_tof4_clean_exact():
-    rep = check_implements(tof4_clean(), tofn_clean_spec(4))
+    rep = check_implements(tofn_clean(4), tofn_clean_spec(4))
     assert rep.exact and rep.global_phase and rep.relative_phase and rep.ancilla_ok
     assert rep.backend == "ring"
 
@@ -48,8 +50,10 @@ def test_check_report_schema():
     rep = check_implements(toffoli3(), TargetSpec("tof", (0, 1), 2))
     d = rep.as_dict()
     assert set(d) == {"exact", "global_phase", "relative_phase", "special_form",
-                      "ancilla_ok", "backend"}
+                      "ancilla_ok", "backend", "max_support"}
     assert d["special_form"] == {"xprime": [], "holds": True}
+    # toffoli3's two Hadamards act on the target in turn: support 2 at most
+    assert d["max_support"] == rep.max_support == 2
 
 
 def test_check_non_phase_permutation():
@@ -57,6 +61,23 @@ def test_check_non_phase_permutation():
 
     with pytest.raises(NotAPhasePermutation):
         check_implements(Circuit(1, [h(0)]), TargetSpec("tof", (), 0))
+
+
+def test_check_names_the_column_that_does_not_collapse():
+    from rphase.circuit import h, t, tdg
+
+    # H T (X Tdg X) H on qubit 1: the identity when qubit 0 is 0, and
+    # H S H up to a phase (two outputs) when it is 1
+    c = Circuit(2, [h(1), t(1), cx(0, 1), tdg(1), cx(0, 1), h(1)])
+    with pytest.raises(NotAPhasePermutation, match="column 10 "):
+        check_implements(c, TargetSpec("tof", (0,), 1))
+
+
+def test_check_parallel_equals_serial():
+    c, spec = tofn_dirty(6), tofn_dirty_spec(6)
+    serial = check_implements(c, spec)
+    assert serial.exact and serial.ancilla_ok
+    assert check_implements(c, spec, processes=2) == serial
 
 
 def test_is_relative_phase_of():
