@@ -193,13 +193,6 @@ class Circuit:
     def inverse(self) -> "Circuit":
         return Circuit(self.width, tuple(g.inverse() for g in reversed(self.gates)), self.roles)
 
-    def extended(self, gates) -> "Circuit":
-        return Circuit(self.width, self.gates + tuple(gates), self.roles)
-
-    def replaced(self, start: int, stop: int, gates) -> "Circuit":
-        """New circuit with gates[start:stop] substituted."""
-        return Circuit(self.width, self.gates[:start] + tuple(gates) + self.gates[stop:], self.roles)
-
     def is_lowered(self) -> bool:
         return all(g.kind in LOWERED_KINDS for g in self.gates)
 

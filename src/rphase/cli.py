@@ -151,6 +151,9 @@ def cmd_verify(args) -> int:
     if args.n is not None and args.n != len(controls) + 1:
         raise UsageError(
             f"--n {args.n} does not match layout with {len(controls)} controls")
+    stray = set(args.xprime or ()) - set(controls) - {target}
+    if stray:
+        raise UsageError(f"--xprime names qubits {sorted(stray)} outside the gate")
     kind = {"exact": "tof", "global_phase": "tof",
             "relative_phase": "rtof", "special_form": "srtof"}[args.cls]
     spec = TargetSpec(kind, tuple(controls), target,
@@ -174,20 +177,17 @@ def cmd_rewrite(args) -> int:
 
     enabled = {r for r in rules if r != "cancel"}
     if enabled:
-        while True:
-            matches = [
-                m for m in find_conjugations(circuit) if m.classification in enabled
-            ]
-            applied = False
-            for m in matches:
-                impl = _pick_impl(m)
-                if impl is None:
-                    continue
-                circuit = apply_replacement(circuit, m, impl)
-                applied = changed = True
-                break
-            if not applied:
-                break
+        # one match list suffices: a replacement leaves markers on the same qubits
+        used: set[int] = set()
+        for m in find_conjugations(circuit):
+            if m.classification not in enabled or {m.left_index, m.right_index} & used:
+                continue
+            impl = _pick_impl(m)
+            if impl is None:
+                continue
+            circuit = apply_replacement(circuit, m, impl)
+            used |= {m.left_index, m.right_index}
+            changed = True
     if "cancel" in rules:
         if not circuit.is_lowered():
             circuit = lower(circuit)
@@ -212,9 +212,9 @@ def _pick_impl(m) -> str | None:
     """Smallest CNOT count, then smallest T count, then catalog order."""
     best = None
     for name in REPLACEMENT_IMPLS:
-        entry = cat.get_entry(name)
-        if entry.circuit.width != m.arity or not admissible(name, m):
+        if not admissible(name, m):
             continue
+        entry = cat.get_entry(name)
         key = (entry.claimed.cnot, entry.claimed.t)
         if best is None or key < best[0]:
             best = (key, name)
@@ -252,7 +252,10 @@ def _table_rows(n_list):
 
 
 def cmd_table(args) -> int:
-    n_list = [int(x) for x in args.n_list.split(",")] if args.n_list else [4, 5, 6, 11]
+    try:
+        n_list = [int(x) for x in args.n_list.split(",")] if args.n_list else [4, 5, 6, 11]
+    except ValueError:
+        raise UsageError(f"--n-list takes comma-separated integers, got {args.n_list!r}") from None
     rows = _table_rows(n_list)
     if args.csv:
         print(",".join(_TABLE_COLUMNS))
@@ -326,7 +329,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (UsageError, QasmError, cat.ConstructionError, LoweringError,
-            AncillaBudgetExceeded, RewriteError, FileNotFoundError,
+            AncillaBudgetExceeded, RewriteError, OSError,
             WidthLimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -181,20 +181,27 @@ def parse_qasm(text: str, strict: bool = False) -> Circuit:
                 continue
             if strict:
                 raise QasmError("rphase directive rejected in strict mode", lineno, 1)
-            info = json.loads(payload[len("rphase:"):].strip())
-            if "roles" in info:
-                roles = tuple(info["roles"])
-                for r in roles:
-                    if r not in ROLES:
-                        raise QasmError(f"unknown ancilla role {r!r}", lineno, 1)
-                continue
-            if "marker" in info:
-                g = marker(info["marker"], tuple(info["controls"]), info["target"],
-                           dagger=bool(info.get("dagger")))
-            else:
-                g = Gate(info["gate"], tuple(info["controls"]), info["target"],
-                         frozenset(info.get("neg", ())))
-            pending = (g, int(info["gates"]))
+            try:
+                info = json.loads(payload[len("rphase:"):].strip())
+                if "roles" in info:
+                    roles = tuple(info["roles"])
+                    for r in roles:
+                        if r not in ROLES:
+                            raise QasmError(f"unknown ancilla role {r!r}", lineno, 1)
+                    continue
+                if "marker" in info:
+                    g = marker(info["marker"], tuple(info["controls"]), info["target"],
+                               dagger=bool(info.get("dagger")))
+                else:
+                    g = Gate(info["gate"], tuple(info["controls"]), info["target"],
+                             frozenset(info.get("neg", ())))
+                pending = (g, int(info["gates"]))
+            except (ValueError, KeyError, TypeError) as exc:
+                what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+                raise QasmError(f"bad rphase directive: {what}", lineno, 1) from None
+            if reg is None:
+                raise QasmError("gate before qreg declaration", lineno, 1)
+            _check_register(g, width, lineno)
             if pending[1] == 0:
                 gates.append(g)
                 pending = None
@@ -218,7 +225,11 @@ def parse_qasm(text: str, strict: bool = False) -> Circuit:
             continue
         if reg is None:
             raise QasmError("gate before qreg declaration", lineno, 1)
-        g = _parse_gate(name, param, rest, reg, lineno)
+        try:
+            g = _parse_gate(name, param, rest, reg, lineno)
+        except ValueError as exc:
+            raise QasmError(str(exc), lineno, 1) from None
+        _check_register(g, width, lineno)
         if pending is not None:
             high, remaining = pending
             remaining -= 1
@@ -237,6 +248,12 @@ def parse_qasm(text: str, strict: bool = False) -> Circuit:
     if roles is not None and len(roles) != width:
         raise QasmError("roles directive does not match register size", None, None)
     return Circuit(width, gates, roles)
+
+
+def _check_register(g: Gate, width: int, lineno: int) -> None:
+    for q in g.support:
+        if not (isinstance(q, int) and 0 <= q < width):
+            raise QasmError(f"qubit {q!r} outside register of {width}", lineno, 1)
 
 
 def _parse_gate(name: str, param: str | None, rest: str, reg: str, lineno: int) -> Gate:

@@ -24,6 +24,10 @@ Soundness in all three cases reduces to the same commutation fact: the
 implementation's canonic phase diagonal must commute with the middle
 block, which holds exactly when the diagonal is flip-invariant on every
 qubit the middle acts on.
+
+Cancellation is one forward pass over a per-qubit stack of kept gates:
+each gate cancels the latest kept gate on its qubits when the two are
+inverse, and is kept otherwise. No cancellable pair is left.
 """
 
 from __future__ import annotations
@@ -75,11 +79,10 @@ class ConjugationMatch:
 
     left_index: int
     right_index: int
-    classification: str          # "prop1" | "prop2" | "prop3" | "none"
+    classification: str          # "prop1" | "prop2" | "prop3"
     controls: tuple[int, ...]    # the pair's controls
     target: int
     touched: frozenset[int]      # pair controls the middle acts on
-    middle_support: frozenset[int]
     neg: frozenset[int] = frozenset()
 
     @property
@@ -119,11 +122,7 @@ def classify_pair(circ: Circuit, i: int, j: int) -> ConjugationMatch | None:
         cls = "prop2"
     else:
         cls = "prop3"
-    return ConjugationMatch(
-        i, j, cls, gi.controls, target, touched,
-        frozenset().union(*(g.support for g in circ.gates[i + 1:j])) if j > i + 1 else frozenset(),
-        gi.neg,
-    )
+    return ConjugationMatch(i, j, cls, gi.controls, target, touched, gi.neg)
 
 
 def find_conjugations(circ: Circuit) -> list[ConjugationMatch]:
@@ -239,19 +238,13 @@ def admissible(impl_name: str, m: ConjugationMatch) -> bool:
     return next(_wire_maps(info, m), None) is not None
 
 
-def apply_replacement(
-    circ: Circuit, m: ConjugationMatch, impl_name: str, unchecked: bool = False
-) -> Circuit:
+def apply_replacement(circ: Circuit, m: ConjugationMatch, impl_name: str) -> Circuit:
     """Replace the matched tof pair with ``impl_name`` and its inverse.
 
-    The pair's gates become markers (or stay exact tofs); everything
-    between them is untouched, so gate counts change only at the two
-    replaced positions. ``unchecked=True`` skips the special-form and junk
-    admissibility tests (the resulting circuit is then generally wrong --
-    useful only to demonstrate that the checks are necessary).
+    The pair's gates become markers (or stay exact tofs) on the same
+    qubits; everything between them is untouched, so gate counts change
+    only at the two replaced positions.
     """
-    if m.classification == "none":
-        raise RewriteError("match is unclassified")
     if m.neg:
         raise RewriteError(
             "pair has negative controls; no catalog implementation carries them")
@@ -260,11 +253,7 @@ def apply_replacement(
         raise ArityMismatch(
             f"arity mismatch: {impl_name} has {info.arity} qubits, "
             f"pair has {m.arity}")
-    if unchecked:
-        mapping = {pos: q for pos, q in enumerate(m.controls)}
-        mapping[info.arity - 1] = m.target
-    else:
-        mapping = next(_wire_maps(info, m), None)
+    mapping = next(_wire_maps(info, m), None)
     if mapping is None:
         raise SpecialFormViolated(
             f"special-form type violated: {impl_name} does not provide a "
@@ -327,32 +316,26 @@ def _cancels(a: Gate, b: Gate) -> bool:
 
 
 def cancel_adjacent_inverses(circ: Circuit) -> Circuit:
-    """Repeatedly remove gate pairs g, g^-1 on identical qubits that are
-    adjacent up to commuting through gates on disjoint qubits. Reaches a
-    fixed point; the unitary is unchanged."""
-    gates = list(circ.gates)
-    dirty = True
-    while dirty:  # repeat sweeps: a removal can expose pairs far behind it
-        dirty = False
-        i = 0
-        while i < len(gates):
-            gi = gates[i]
-            sup = gi.support
-            removed = False
-            j = i + 1
-            while j < len(gates):
-                gj = gates[j]
-                if _cancels(gi, gj):
-                    del gates[j]
-                    del gates[i]
-                    removed = True
-                    dirty = True
-                    break
-                if gj.support & sup:
-                    break
-                j += 1
-            if removed:
-                i = max(i - 1, 0)
-            else:
-                i += 1
-    return Circuit(circ.width, gates, circ.roles)
+    """Remove gate pairs g, g^-1 on identical qubits that are adjacent up
+    to commuting through gates on disjoint qubits; the unitary is unchanged.
+
+    One forward pass keeps, per qubit, a stack of the kept gates on it. A
+    gate cancels the latest kept gate on any of its qubits when the two
+    are inverse (that gate then tops every one of their shared stacks) and
+    is kept otherwise. A removal exposes the gates below it to every later
+    gate, so the result holds no cancellable pair.
+    """
+    gates = circ.gates
+    kept = [True] * len(gates)
+    wires: list[list[int]] = [[] for _ in range(circ.width)]
+    for i, g in enumerate(gates):
+        sup = g.support
+        last = max((wires[q][-1] for q in sup if wires[q]), default=-1)
+        if last >= 0 and _cancels(gates[last], g):
+            kept[last] = kept[i] = False
+            for q in sup:
+                wires[q].pop()
+        else:
+            for q in sup:
+                wires[q].append(i)
+    return Circuit(circ.width, [g for g, k in zip(gates, kept) if k], circ.roles)

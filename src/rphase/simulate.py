@@ -271,9 +271,6 @@ class PhasePermutation:
             for a, b in zip(self.phases, other.phases)
         )
 
-    def to_columns(self) -> list[dict]:
-        return [{self.perm[s]: self.phases[s]} for s in range(self.dim)]
-
 
 @dataclass(frozen=True)
 class DenseMatrix:

@@ -23,7 +23,7 @@ from rphase.catalog import (
     tofn_clean_spec,
     tofn_dirty,
 )
-from rphase.circuit import Circuit, Gate, TargetSpec, cx, h, tof
+from rphase.circuit import Circuit, Gate, TargetSpec, cx, h, marker, tof
 from rphase.lowering import lower
 from rphase.rewrite import (
     REPLACEMENT_IMPLS,
@@ -250,7 +250,9 @@ def test_criterion_8_special_form_necessity():
     m = find_conjugations(circ)[0]
     ok = m.classification == "prop2"
     ok &= not admissible("rtof3_long", m)
-    forced = apply_replacement(circ, m, "rtof3_long", unchecked=True)
+    # the rtof3_long pair that admissible refuses, built by hand
+    forced = Circuit(4, [marker("rtof3l", (0, 1), 2), cx(3, 1),
+                         marker("rtof3l", (0, 1), 2, dagger=True)])
     base = unitary_columns(lower(circ))
     got = unitary_columns(lower(forced))
     ok &= not _unitaries_equal(base, got)

@@ -1,12 +1,19 @@
 """Command-line driver: verbs, exit codes, output formats."""
 
+import hashlib
 import json
+import os
+import random
 import time
 
-from rphase.cli import main
+import pytest
+
+import rphase.cli as cli
+from rphase.cli import _pick_impl, main
 from rphase.qasm import emit_qasm, parse_qasm
 from rphase.catalog import toffoli3
-from rphase.circuit import Circuit, cx, tof
+from rphase.circuit import Circuit, cx, cz, h, t, tof, x
+from rphase.rewrite import apply_replacement, find_conjugations
 
 
 def run(capsys, *argv):
@@ -210,6 +217,87 @@ def test_rewrite_prop3_requires_flag(capsys, tmp_path):
     assert rewritten.gates[0].kind == "srtof3"  # doubly-controlled iX pair
 
 
+def _conjugation_circuit(rng, length):
+    """Random 6-qubit circuit of repeated tofs (one with a negative control)
+    and middle gates, so pairs of every class, nested and overlapping pairs
+    and triples of equal tofs all occur."""
+    tofs = [tof((0, 1), 2), tof((1, 3), 4), tof((2, 5), 0), tof((3, 4), 5),
+            tof((1, 2), 3, neg=(2,))]
+    middle = [cx(0, 1), cx(2, 4), cx(5, 3), cx(1, 0), cz(1, 4), t(0), t(2), h(4), x(5)]
+    return Circuit(6, [rng.choice(tofs if rng.random() < 0.4 else middle)
+                       for _ in range(length)])
+
+
+def _rewrite_by_restarts(circuit, enabled):
+    """The loop the one-pass rewrite replaced, kept as a reference: apply the
+    first usable match, then search the new circuit again from scratch."""
+    while True:
+        for m in find_conjugations(circuit):
+            impl = _pick_impl(m) if m.classification in enabled else None
+            if impl is not None:
+                circuit = apply_replacement(circuit, m, impl)
+                break
+        else:
+            return circuit
+
+
+@pytest.mark.parametrize("rules", ["prop1,prop2", "prop1,prop2,prop3", "prop3"])
+def test_rewrite_equals_restart_reference(capsys, tmp_path, rules):
+    rng = random.Random(rules)
+    src, dst = tmp_path / "in.qasm", tmp_path / "out.qasm"
+    rewritten = 0
+    for _ in range(100):
+        circuit = _conjugation_circuit(rng, rng.randint(4, 30))
+        src.write_text(emit_qasm(circuit))
+        code, _, _ = run(capsys, "rewrite", str(src), "--rules", rules, "--out", str(dst))
+        assert code == 0
+        want = _rewrite_by_restarts(circuit, set(rules.split(",")))
+        rewritten += want != circuit
+        assert dst.read_text() == (src.read_text() if want == circuit else emit_qasm(want))
+    assert rewritten >= 5
+
+
+def test_rewrite_finds_conjugations_once(capsys, tmp_path, monkeypatch):
+    calls = []
+    real = cli.find_conjugations
+    monkeypatch.setattr(cli, "find_conjugations", lambda c: calls.append(c) or real(c))
+    src = tmp_path / "pairs.qasm"
+    src.write_text(emit_qasm(Circuit(7, [
+        tof((0, 1), 2), tof((3, 4), 5), cx(2, 6), t(4), tof((3, 4), 5), tof((0, 1), 2)])))
+    code, out, _ = run(capsys, "rewrite", str(src), "--rules", "prop1,prop2")
+    assert code == 0 and len(calls) == 1
+    rewritten = parse_qasm("\n".join(out.splitlines()[:-1]) + "\n")
+    assert sum(g.is_marker for g in rewritten.gates) == 4
+
+
+def _rewrite_digest(capsys, tmp_path, src, rules):
+    dst = tmp_path / "pinned_out.qasm"
+    assert run(capsys, "rewrite", str(src), "--rules", rules, "--out", str(dst))[0] == 0
+    data = dst.read_bytes()
+    return len(parse_qasm(data.decode()).gates), hashlib.sha256(data).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("n, length, digest", [(12, 260, "a43ac3e9ebede8d6"),
+                                               (90, 2444, "018b859d6e2650d1")])
+def test_rewrite_ladder_cancel_is_pinned(capsys, tmp_path, n, length, digest):
+    """Gate count and digest recorded before cancellation became one pass."""
+    src = tmp_path / "ladder.qasm"
+    run(capsys, "synth", "--gate", "ladder", "--n", str(n), "--out", str(src))
+    assert _rewrite_digest(capsys, tmp_path, src, "cancel") == (length, digest)
+
+
+def test_rewrite_chain_is_pinned(capsys, tmp_path, monkeypatch):
+    """A chain of the benchmark's rewrite workload (perfbench/workloads.py):
+    gate count and digest recorded before the rewrite became one pass."""
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+    from workloads import tof_chain
+
+    src = tmp_path / "chain.qasm"
+    src.write_text(tof_chain(random.Random(5), primaries=13, ancillae=6, blocks=120))
+    got = _rewrite_digest(capsys, tmp_path, src, "prop1,prop2,cancel")
+    assert got == (1846, "60bdcc149938fe2c")
+
+
 def test_table_default_rows(capsys):
     code, out, _ = run(capsys, "table", "--csv")
     assert code == 0
@@ -241,3 +329,42 @@ def test_table_text_mode_has_general_row(capsys):
 
 def test_missing_file(capsys):
     assert run(capsys, "count", "/nonexistent/file.qasm")[0] == 2
+
+
+_HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\n'
+_BAD_FILES = {
+    "invalid directive JSON": "// rphase: {bad json\nccx q[0],q[1],q[2];\n",
+    "unknown marker kind":
+        '// rphase: {"marker": "nosuch", "controls": [0, 1], "target": 2, "gates": 0}\n',
+    "qubit outside the register": "cx q[0],q[5];\n",
+    "same qubit twice": "cx q[1],q[1];\n",
+    "directive without gates":
+        '// rphase: {"gate": "tof", "controls": [0, 1], "target": 2, "neg": []}\n',
+}
+
+
+@pytest.mark.parametrize("command", ["count", "verify", "rewrite"])
+@pytest.mark.parametrize("problem", sorted(_BAD_FILES))
+def test_bad_file_is_an_input_error_naming_the_line(capsys, tmp_path, command, problem):
+    path = tmp_path / "bad.qasm"
+    path.write_text(_HEADER + _BAD_FILES[problem])
+    code, _, err = run(capsys, command, str(path))
+    assert code == 2 and err.startswith("error:") and "line 4" in err
+
+
+@pytest.mark.parametrize("command", ["count", "verify", "rewrite"])
+def test_directory_input_is_an_input_error(capsys, tmp_path, command):
+    code, _, err = run(capsys, command, str(tmp_path))
+    assert code == 2 and err.startswith("error:")
+
+
+def test_xprime_outside_the_gate_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "t3.qasm"
+    path.write_text(emit_qasm(toffoli3()))
+    code, _, err = run(capsys, "verify", str(path), "--xprime", "7")
+    assert code == 2 and err.startswith("error:") and "--xprime" in err
+
+
+def test_table_bad_n_list_is_a_usage_error(capsys):
+    code, _, err = run(capsys, "table", "--n-list", "4,x")
+    assert code == 2 and err.startswith("error:") and "--n-list" in err

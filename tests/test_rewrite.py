@@ -5,12 +5,13 @@ import random
 import pytest
 
 from rphase.catalog import rtof3_long, srtof3_ccix, toffoli3
-from rphase.circuit import Circuit, Gate, cx, h, t, tdg, tof, x
+from rphase.circuit import Circuit, Gate, cx, cz, h, marker, p, pdg, t, tdg, tof, x
 from rphase.lowering import lower
 from rphase.rewrite import (
     ArityMismatch,
     NotRelativePhaseToffoli,
     SpecialFormViolated,
+    _cancels,
     apply_replacement,
     cancel_adjacent_inverses,
     canonic_decompose,
@@ -128,9 +129,11 @@ def test_junk_marker_middle_still_sound():
 
 
 def test_forced_bad_replacement_changes_unitary():
+    """The replacement the special-form check refuses, built by hand: an
+    rtof3_long pair around a middle that touches control 1."""
     on_control = Circuit(4, [tof((0, 1), 2), cx(3, 1), tof((0, 1), 2)])
-    m = find_conjugations(on_control)[0]
-    forced = apply_replacement(on_control, m, "rtof3_long", unchecked=True)
+    forced = Circuit(4, [marker("rtof3l", (0, 1), 2), cx(3, 1),
+                         marker("rtof3l", (0, 1), 2, dagger=True)])
     assert not same_unitary(on_control, forced)
 
 
@@ -242,6 +245,46 @@ def test_cancel_idempotent_and_sound_random():
             assert ua.perm == ub.perm and list(ua.phases) == list(ub.phases)
         else:
             assert ua == ub
+
+
+def _cancel_by_sweeps(circ):
+    """The sweep-and-backtrack cancellation the one-pass version replaced,
+    kept as a reference: it repeats whole sweeps until nothing changes."""
+    gates = list(circ.gates)
+    dirty = True
+    while dirty:
+        dirty = False
+        i = 0
+        while i < len(gates):
+            sup = gates[i].support
+            removed = False
+            for j in range(i + 1, len(gates)):
+                if _cancels(gates[i], gates[j]):
+                    del gates[j]
+                    del gates[i]
+                    removed = dirty = True
+                    break
+                if gates[j].support & sup:
+                    break
+            i = max(i - 1, 0) if removed else i + 1
+    return Circuit(circ.width, gates, circ.roles)
+
+
+def test_cancel_one_pass_matches_sweep_reference():
+    """On 2000 seeded random 4-qubit circuits the one-pass cancellation
+    leaves a fixed point of the sweep reference, as short as the reference
+    leaves it, with the input's ring unitary."""
+    rng = random.Random(2024)
+    pool = [t(0), tdg(0), p(1), pdg(1), h(2), x(3), t(3), tdg(3),
+            cx(0, 1), cx(1, 0), cx(2, 3), cz(0, 2), cz(2, 0), cz(1, 3),
+            tof((0, 1), 2), tof((1, 3), 0),
+            marker("rtof3l", (0, 1), 3), marker("rtof3l", (0, 1), 3, dagger=True)]
+    for _ in range(2000):
+        c = Circuit(4, [rng.choice(pool) for _ in range(rng.randint(0, 24))])
+        once = cancel_adjacent_inverses(c)
+        assert _cancel_by_sweeps(once).gates == once.gates
+        assert len(once.gates) == len(_cancel_by_sweeps(c).gates)
+        assert once.gates == c.gates or same_unitary(c, once)
 
 
 def test_cancel_ladder_t_count():
