@@ -45,7 +45,7 @@ from .catalog import (
     two_block_tofn,
     two_block_tofn_spec,
 )
-from .lowering import AncillaBudgetExceeded, LoweringPolicy, lower
+from .lowering import AncillaBudgetExceeded, lower
 from .qasm import QasmError, emit_qasm, parse_qasm
 from .rewrite import (
     ArityMismatch,

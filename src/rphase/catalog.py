@@ -5,26 +5,10 @@ Each catalog entry pairs a concrete circuit with the TargetSpec it claims
 to implement and the resource report of that circuit; the report is
 recomputed at construction time, so a stale claim fails immediately.
 
-Building blocks (3 qubits unless noted):
-
-* ``toffoli3``      exact Toffoli, 15 gates: 7 T, 6 CNOT, 2 H. The gate
-  order keeps every late gate on qubits (a, c), which is what makes the
-  truncation below useful.
-* ``srtof3_ccix``   doubly-controlled iX: CZ followed by the 9-gate block.
-  diag{1,1,1,1,1,1,[[0,i],[i,0]]}; special form on the target.
-* ``rtof3_long``    the 9-gate block alone (RTL): relative-phase Toffoli
-  diag{1,1,1,1,1,-1,[[0,-i],[i,0]]}; self-inverse.
-* ``rts3``          RTL truncated after gate 5 (RTS): RTL followed by an
-  undo of its last four gates, all on (second control, target).
-* ``srts3``         toffoli3 truncated after gate 9 (SRTS): the Toffoli
-  followed by an undo of its last six gates, all on (first control,
-  target).
-* ``rtof4_long``    18-gate relative-phase Toffoli-4 (RT4L), built by
-  widening RTL's middle CNOT into a ccix block:
-  diag{1 x 12, i, -i, [[0,1],[-1,0]]}.
-* ``rt4s``          RT4L truncated after gate 10 (RT4S).
-* Margolus-style variants: a T/CNOT phase circuit and two R_Y circuits
-  (see ``margolus_variants``).
+Building blocks: one entry per row of ``circuit.BLOCKS`` (toffoli3,
+srtof3_ccix, rtof3_long, rts3, srts3, rtof4_long, rt4s), built at import
+time, plus the Margolus-style variants: a T/CNOT phase circuit and two
+R_Y circuits (see ``margolus_variants``).
 
 Constructions: ``tofn_clean``, ``tof4_dirty`` and ``tofn_dirty`` realize
 a multiple-control Toffoli over Clifford+T with one clean or dirty helper
@@ -40,6 +24,8 @@ from dataclasses import dataclass
 from math import ceil
 
 from .circuit import (
+    BLOCKS,
+    Block,
     Circuit,
     Gate,
     ResourceReport,
@@ -47,10 +33,11 @@ from .circuit import (
     ROLE_DIRTY,
     ROLE_PRIMARY,
     TargetSpec,
+    block_gates,
     cx,
     cz,
-    h,
     marker,
+    marker_definition,
     ry,
     t,
     tdg,
@@ -74,94 +61,34 @@ class CatalogEntry:
     description: str = ""
 
 
-# -- elementary building blocks -------------------------------------------
-
-def _toffoli3_gates(a, b, c):
-    """Exact TOF(a,b;c): 7 T, 6 CNOT, 2 H. Gates 10-15 act on (a, c) only."""
-    return [
-        h(c), cx(c, b), tdg(b), cx(a, b), t(b), cx(c, b), tdg(b), cx(a, b), t(b),
-        cx(a, c), tdg(c), cx(a, c), t(a), t(c), h(c),
-    ]
-
-
-def _rtof3_long_gates(a, b, c):
-    """Relative-phase TOF(a,b;c), 9 gates, self-inverse."""
-    return [h(c), t(c), cx(b, c), tdg(c), cx(a, c), t(c), cx(b, c), tdg(c), h(c)]
-
-
-def _srtof3_ccix_gates(a, b, c):
-    """Doubly-controlled iX on (a,b;c)."""
-    return [cz(a, c)] + _rtof3_long_gates(a, b, c)
-
-
-def _rts3_gates(a, b, c):
-    """First five gates of rtof3_long; the dropped tail acts on (b, c)."""
-    return _rtof3_long_gates(a, b, c)[:5]
-
-
-def _srts3_gates(a, b, c):
-    """First nine gates of toffoli3; the dropped tail acts on (a, c)."""
-    return _toffoli3_gates(a, b, c)[:9]
-
-
-def _rtof4_long_gates(a, b, c, d):
-    """Relative-phase TOF(a,b,c;d), 18 gates."""
-    return [
-        h(d), t(d), cx(c, d), tdg(d), h(d),
-        cx(a, d), t(d), cx(b, d), tdg(d), cx(a, d), t(d), cx(b, d), tdg(d),
-        h(d), t(d), cx(c, d), tdg(d), h(d),
-    ]
-
-
-def _rt4s_gates(a, b, c, d):
-    """First ten gates of rtof4_long; the dropped tail acts on (b, c, d)."""
-    return _rtof4_long_gates(a, b, c, d)[:10]
-
-
-MARKER_GATES = {
-    "rtof3l": _rtof3_long_gates,
-    "rtof3s": _rts3_gates,
-    "srtof3": _srtof3_ccix_gates,
-    "srts3": _srts3_gates,
-    "rtof4l": _rtof4_long_gates,
-    "rt4s": _rt4s_gates,
-}
-
-
-def marker_definition(g: Gate) -> list[Gate]:
-    """The defining gate list of a marker (inverted when dagger is set)."""
-    gates = MARKER_GATES[g.kind](*g.controls, g.target)
-    if g.dagger:
-        gates = [gg.inverse() for gg in reversed(gates)]
-    return gates
-
+# -- building blocks ---------------------------------------------------------
 
 def toffoli3() -> Circuit:
-    return Circuit(3, _toffoli3_gates(0, 1, 2))
+    return get_entry("toffoli3").circuit
 
 
 def srtof3_ccix() -> Circuit:
-    return Circuit(3, _srtof3_ccix_gates(0, 1, 2))
+    return get_entry("srtof3_ccix").circuit
 
 
 def rtof3_long() -> Circuit:
-    return Circuit(3, _rtof3_long_gates(0, 1, 2))
+    return get_entry("rtof3_long").circuit
 
 
 def rts3() -> Circuit:
-    return Circuit(3, _rts3_gates(0, 1, 2))
+    return get_entry("rts3").circuit
 
 
 def srts3() -> Circuit:
-    return Circuit(3, _srts3_gates(0, 1, 2))
+    return get_entry("srts3").circuit
 
 
 def rtof4_long() -> Circuit:
-    return Circuit(4, _rtof4_long_gates(0, 1, 2, 3))
+    return get_entry("rtof4_long").circuit
 
 
 def rt4s() -> Circuit:
-    return Circuit(4, _rt4s_gates(0, 1, 2, 3))
+    return get_entry("rt4s").circuit
 
 
 def margolus_t_variant() -> Circuit:
@@ -228,12 +155,12 @@ def _tofn_clean(n: int) -> tuple[Circuit, TargetSpec]:
         got = [take_control() for _ in range(fresh)]
         anc = alloc(ROLE_CLEAN)
         ctl = tuple(got) if i == 0 else (prev_anc, *got)
-        forward.extend(MARKER_GATES[kind](*ctl, anc))
+        forward.extend(marker_definition(marker(kind, ctl, anc)))
         prev_anc = anc
     last_ctl = take_control()
     target = alloc(ROLE_PRIMARY)
     gates = list(forward)
-    gates.extend(_toffoli3_gates(prev_anc, last_ctl, target))
+    gates.extend(block_gates("toffoli3", (prev_anc, last_ctl, target)))
     gates.extend(g.inverse() for g in reversed(forward))
     return Circuit(len(roles), gates, roles), TargetSpec("tof", tuple(controls), target)
 
@@ -255,14 +182,16 @@ def tofn_clean_spec(n: int) -> TargetSpec:
 
 # -- dirty-ancilla multiple-control Toffolis --------------------------------
 
+def _conjugation_pair(fold: Gate, blk: Gate) -> list[Gate]:
+    """fold, blk, fold^-1, blk^-1, each expanded into its block's gates."""
+    return [gg for g in (fold, blk, fold.inverse(), blk.inverse())
+            for gg in marker_definition(g)]
+
+
 def tof4_dirty() -> Circuit:
     """TOF(a,b,c;d) over (a, b, x, c, d) with x a borrowed qubit in an
     unknown state: rtof3_long / srts3 conjugation pair. 16 T, 14 CNOT, 6 H."""
-    gates = []
-    gates += _rtof3_long_gates(0, 1, 2)
-    gates += _srts3_gates(3, 2, 4)
-    gates += [g.inverse() for g in reversed(_rtof3_long_gates(0, 1, 2))]
-    gates += [g.inverse() for g in reversed(_srts3_gates(3, 2, 4))]
+    gates = _conjugation_pair(marker("rtof3l", (0, 1), 2), marker("srts3", (3, 2), 4))
     roles = (ROLE_PRIMARY, ROLE_PRIMARY, ROLE_DIRTY, ROLE_PRIMARY, ROLE_PRIMARY)
     return Circuit(5, gates, roles)
 
@@ -276,11 +205,7 @@ def tof5_dirty() -> Circuit:
 
     A reference circuit, not what ``tofn(5, "dirty")`` builds: the tests
     check that ``tofn_dirty(5)`` matches its counts and ancilla use."""
-    gates = []
-    gates += _rtof4_long_gates(0, 1, 2, 3)
-    gates += _srts3_gates(4, 3, 5)
-    gates += [g.inverse() for g in reversed(_rtof4_long_gates(0, 1, 2, 3))]
-    gates += [g.inverse() for g in reversed(_srts3_gates(4, 3, 5))]
+    gates = _conjugation_pair(marker("rtof4l", (0, 1, 2), 3), marker("srts3", (4, 3), 5))
     roles = (ROLE_PRIMARY,) * 3 + (ROLE_DIRTY,) + (ROLE_PRIMARY,) * 2
     return Circuit(6, gates, roles)
 
@@ -520,73 +445,21 @@ def _claim(circuit: Circuit, t: int, cnot: int, h_: int, pz: int = 0) -> Resourc
     return r
 
 
-def _entries() -> list[CatalogEntry]:
-    c_tof3 = toffoli3()
-    c_ccix = srtof3_ccix()
-    c_rtl = rtof3_long()
-    c_rts = rts3()
-    c_srts = srts3()
-    c_rt4l = rtof4_long()
-    c_rt4s = rt4s()
-    return [
-        CatalogEntry(
-            "toffoli3", c_tof3, TargetSpec("tof", (0, 1), 2),
-            _claim(c_tof3, 7, 6, 2), marker_kind=None,
-            description="exact 3-qubit Toffoli, minimal T and CNOT counts",
-        ),
-        CatalogEntry(
-            "srtof3_ccix", c_ccix,
-            TargetSpec("srtof", (0, 1), 2, xprime=frozenset({2}),
-                       equivalence="special_form"),
-            _claim(c_ccix, 4, 4, 2), marker_kind="srtof3",
-            description="doubly-controlled iX; phases constant across the target",
-        ),
-        CatalogEntry(
-            "rtof3_long", c_rtl,
-            TargetSpec("rtof", (0, 1), 2, equivalence="relative_phase"),
-            _claim(c_rtl, 4, 3, 2), marker_kind="rtof3l",
-            description="9-gate relative-phase Toffoli, self-inverse",
-        ),
-        CatalogEntry(
-            "rts3", c_rts,
-            TargetSpec("rtof", (0, 1), 2, equivalence="relative_phase"),
-            _claim(c_rts, 2, 2, 1), marker_kind="rtof3s",
-            description="truncated rtof3_long; undo of the tail acts on (b, target)",
-        ),
-        CatalogEntry(
-            "srts3", c_srts,
-            TargetSpec("srtof", (0, 1), 2, xprime=frozenset({0, 1, 2}),
-                       equivalence="special_form"),
-            _claim(c_srts, 4, 4, 1), marker_kind="srts3",
-            description="truncated toffoli3; undo of the tail acts on (a, target)",
-        ),
-        CatalogEntry(
-            "rtof4_long", c_rt4l,
-            TargetSpec("rtof", (0, 1, 2), 3, equivalence="relative_phase"),
-            _claim(c_rt4l, 8, 6, 4), marker_kind="rtof4l",
-            description="18-gate relative-phase Toffoli-4",
-        ),
-        CatalogEntry(
-            "rt4s", c_rt4s,
-            TargetSpec("rtof", (0, 1, 2), 3, equivalence="relative_phase"),
-            _claim(c_rt4s, 4, 4, 2), marker_kind="rt4s",
-            description="truncated rtof4_long; undo of the tail acts on (b, c, target)",
-        ),
-    ]
+def _entry(b: Block) -> CatalogEntry:
+    circuit = Circuit(b.arity, b.gates)
+    return CatalogEntry(b.name, circuit, b.spec, _claim(circuit, *b.stated),
+                        b.kind, b.description)
 
 
-_CATALOG: dict[str, CatalogEntry] | None = None
+_CATALOG = {name: _entry(b) for name, b in BLOCKS.items()}
 
 
 def catalog_entries() -> dict[str, CatalogEntry]:
-    global _CATALOG
-    if _CATALOG is None:
-        _CATALOG = {e.name: e for e in _entries()}
     return _CATALOG
 
 
 def get_entry(name: str) -> CatalogEntry:
     try:
-        return catalog_entries()[name]
+        return _CATALOG[name]
     except KeyError:
         raise ConstructionError(f"no construction for gate {name!r}") from None

@@ -11,19 +11,33 @@ there are two families of high-level gates:
 * ``tof`` -- a multiple-control Toffoli with any number of controls
   (0 controls = X, 1 = CNOT), each control positive or negative;
 * six relative-phase Toffoli building blocks, kept as opaque markers so
-  rewrite rules can recognize them before lowering:
+  rewrite rules can recognize them before lowering.
 
-  ==========  ======  =====================================================
-  kind        qubits  circuit it stands for
-  ==========  ======  =====================================================
-  rtof3l      3       9-gate relative-phase Toffoli (self-inverse)
-  rtof3s      3       its 5-gate truncation (trailing 4 gates dropped)
-  srtof3      3       10-gate doubly-controlled iX (special form on target)
-  srts3       3       9-gate truncated Toffoli (trailing 6 gates dropped)
-  rtof4l      4       18-gate relative-phase Toffoli-4
-  rt4s        4       its 10-gate truncation (trailing 8 gates dropped)
-  ==========  ======  =====================================================
+``BLOCKS`` is the one table of building blocks; a marker kind names the
+block it stands for, and everything else about a block (its marker's
+control count, lowered counts and gate definition, the catalog entry,
+the tail a truncation drops) is derived from its row at import time:
 
+  ===========  ======  ======  ============================================
+  block        marker  qubits  gates
+  ===========  ======  ======  ============================================
+  toffoli3     --      3       15-gate exact Toffoli; gates 10-15 act on
+                               (a, target) only
+  srtof3_ccix  srtof3  3       CZ(a, target) + rtof3_long: doubly-controlled
+                               iX, special form on the target
+  rtof3_long   rtof3l  3       9-gate relative-phase Toffoli (self-inverse)
+  rts3         rtof3s  3       rtof3_long[:5]; the tail acts on (b, target)
+  srts3        srts3   3       toffoli3[:9]; the tail acts on (a, target)
+  rtof4_long   rtof4l  4       18-gate relative-phase Toffoli-4
+  rt4s         rt4s    4       rtof4_long[:10]; the tail acts on
+                               (b, c, target)
+  ===========  ======  ======  ============================================
+
+toffoli3 has no marker: the rewrite emits it as the exact ``tof``. As
+unitaries, rtof3_long is diag{1,1,1,1,1,-1,[[0,-i],[i,0]]}, srtof3_ccix
+is diag{1,1,1,1,1,1,[[0,i],[i,0]]}, and rtof4_long (rtof3_long with its
+middle CNOT widened into a ccix block) is diag{1 x 12, i, -i,
+[[0,1],[-1,0]]}.
 Markers carry an ordered control tuple because the truncated blocks are
 not symmetric in their controls, plus a ``dagger`` flag for inverses.
 ``ry`` angles are integer multiples of pi/4 stored in ``param``.
@@ -35,25 +49,10 @@ import json
 from dataclasses import dataclass, field
 
 ONE_QUBIT_KINDS = frozenset({"x", "y", "z", "p", "pdg", "t", "tdg", "h", "ry"})
-MARKER_KINDS = frozenset({"rtof3l", "rtof3s", "srtof3", "srts3", "rtof4l", "rt4s"})
-MARKER_NUM_CONTROLS = {
-    "rtof3l": 2, "rtof3s": 2, "srtof3": 2, "srts3": 2, "rtof4l": 3, "rt4s": 3,
-}
 LOWERED_KINDS = ONE_QUBIT_KINDS | {"cnot", "cz"}
+_PLAIN_KINDS = LOWERED_KINDS | {"tof"}
 _SELF_INVERSE = frozenset({"x", "y", "z", "h", "cnot", "cz", "tof"})
 _INVERSE_KIND = {"t": "tdg", "tdg": "t", "p": "pdg", "pdg": "p"}
-
-# Lowered (t, cnot, h, pz, other) totals of each marker's defining circuit;
-# kept in sync with the catalog by a test.
-MARKER_COUNTS = {
-    "rtof3l": (4, 3, 2, 0, 0),
-    "rtof3s": (2, 2, 1, 0, 0),
-    "srtof3": (4, 4, 2, 0, 0),
-    "srts3": (4, 4, 1, 0, 0),
-    "rtof4l": (8, 6, 4, 0, 0),
-    "rt4s": (4, 4, 2, 0, 0),
-}
-_TOF3_COUNTS = (7, 6, 2, 0, 0)
 
 ROLE_PRIMARY = "primary"
 ROLE_CLEAN = "clean_ancilla"
@@ -71,20 +70,24 @@ class Gate:
     dagger: bool = False
 
     def __post_init__(self):
-        if self.kind not in ONE_QUBIT_KINDS | {"cnot", "cz", "tof"} | MARKER_KINDS:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        if self.kind in ONE_QUBIT_KINDS and self.controls:
-            raise ValueError(f"{self.kind} takes no controls")
-        if self.kind in ("cnot", "cz") and len(self.controls) != 1:
-            raise ValueError(f"{self.kind} takes exactly one control")
-        if self.kind in MARKER_KINDS:
-            if len(self.controls) != MARKER_NUM_CONTROLS[self.kind]:
-                raise ValueError(f"{self.kind} takes {MARKER_NUM_CONTROLS[self.kind]} controls")
+        # plain gates are checked without the block table, which is built
+        # from plain gates at import time
+        kind = self.kind
+        if kind in ONE_QUBIT_KINDS and self.controls:
+            raise ValueError(f"{kind} takes no controls")
+        if kind in ("cnot", "cz") and len(self.controls) != 1:
+            raise ValueError(f"{kind} takes exactly one control")
+        if kind not in _PLAIN_KINDS:
+            if kind not in MARKER_BLOCKS:
+                raise ValueError(f"unknown gate kind {kind!r}")
+            num_controls = MARKER_BLOCKS[kind].arity - 1
+            if len(self.controls) != num_controls:
+                raise ValueError(f"{kind} takes {num_controls} controls")
             if self.neg:
                 raise ValueError("markers do not support negative controls")
-        if self.dagger and self.kind not in MARKER_KINDS:
+        elif self.dagger:
             raise ValueError("dagger flag is reserved for marker kinds")
-        if self.param and self.kind != "ry":
+        if self.param and kind != "ry":
             raise ValueError("param is only meaningful for ry")
         qubits = self.controls + (self.target,)
         if len(set(qubits)) != len(qubits):
@@ -98,7 +101,7 @@ class Gate:
 
     @property
     def is_marker(self) -> bool:
-        return self.kind in MARKER_KINDS
+        return self.kind in MARKER_BLOCKS
 
     def inverse(self) -> "Gate":
         if self.kind in _SELF_INVERSE:
@@ -110,7 +113,9 @@ class Gate:
         # marker: flip the dagger flag
         return Gate(self.kind, self.controls, self.target, dagger=not self.dagger)
 
-    def remap(self, mapping: dict[int, int]) -> "Gate":
+    def remap(self, mapping) -> "Gate":
+        """The gate with each qubit q moved to ``mapping[q]`` (a dict or a
+        sequence indexed by qubit)."""
         return Gate(
             self.kind,
             tuple(mapping[q] for q in self.controls),
@@ -244,6 +249,10 @@ class TargetSpec:
         return frozenset(self.controls) | {self.target}
 
 
+class UncountableGate(ValueError):
+    """A tof with three or more controls: its cost depends on the lowering."""
+
+
 @dataclass(frozen=True)
 class ResourceReport:
     t: int = 0
@@ -285,9 +294,8 @@ def _gate_counts(g: Gate) -> tuple[int, int, int, int, int]:
         return (0, 0, 0, 1, 0)
     if g.kind in ("x", "y", "ry"):
         return (0, 0, 0, 0, 1)
-    if g.kind in MARKER_KINDS:
-        c = MARKER_COUNTS[g.kind]
-        return (c[0], c[1], c[2], c[3], c[4])
+    if g.kind in MARKER_BLOCKS:
+        return MARKER_BLOCKS[g.kind].counts
     if g.kind == "tof":
         nc = len(g.controls)
         if nc == 0:
@@ -295,10 +303,10 @@ def _gate_counts(g: Gate) -> tuple[int, int, int, int, int]:
         if nc == 1:
             return (0, 1, 0, 0, extra_x)
         if nc == 2:
-            c = _TOF3_COUNTS
-            return (c[0], c[1], c[2], c[3], c[4] + extra_x)
-        raise ValueError(
-            f"resource count of a {nc}-control tof depends on the lowering; lower first")
+            t_, cnot, h_, pz, other = BLOCKS["toffoli3"].counts
+            return (t_, cnot, h_, pz, other + extra_x)
+        raise UncountableGate(
+            f"resource count of {g} depends on the lowering; lower first")
     raise AssertionError(g.kind)
 
 
@@ -332,3 +340,91 @@ def count_resources(circuit: Circuit) -> ResourceReport:
         t_depth=max(frontier, default=0),
         ancilla_count=len(ancillae), ancilla_type=atype,
     )
+
+
+# -- the building blocks --------------------------------------------------
+
+_RTOF3_LONG = (h(2), t(2), cx(1, 2), tdg(2), cx(0, 2), t(2), cx(1, 2), tdg(2), h(2))
+
+# One row per block: catalog name, marker kind (None: the rewrite emits the
+# exact tof), gates on qubits 0..n-1 with the target last (a truncation as
+# (base, kept prefix)), the spec it claims, the paper's (T, CNOT, H), and a
+# description.
+_BLOCK_ROWS = (
+    ("toffoli3", None,
+     (h(2), cx(2, 1), tdg(1), cx(0, 1), t(1), cx(2, 1), tdg(1), cx(0, 1), t(1),
+      cx(0, 2), tdg(2), cx(0, 2), t(0), t(2), h(2)),
+     TargetSpec("tof", (0, 1), 2), (7, 6, 2),
+     "exact 3-qubit Toffoli, minimal T and CNOT counts"),
+    ("srtof3_ccix", "srtof3", (cz(0, 2),) + _RTOF3_LONG,
+     TargetSpec("srtof", (0, 1), 2, xprime=frozenset({2}), equivalence="special_form"),
+     (4, 4, 2), "doubly-controlled iX; phases constant across the target"),
+    ("rtof3_long", "rtof3l", _RTOF3_LONG,
+     TargetSpec("rtof", (0, 1), 2, equivalence="relative_phase"),
+     (4, 3, 2), "9-gate relative-phase Toffoli, self-inverse"),
+    ("rts3", "rtof3s", ("rtof3_long", 5),
+     TargetSpec("rtof", (0, 1), 2, equivalence="relative_phase"),
+     (2, 2, 1), "truncated rtof3_long; undo of the tail acts on (b, target)"),
+    ("srts3", "srts3", ("toffoli3", 9),
+     TargetSpec("srtof", (0, 1), 2, xprime=frozenset({0, 1, 2}), equivalence="special_form"),
+     (4, 4, 1), "truncated toffoli3; undo of the tail acts on (a, target)"),
+    ("rtof4_long", "rtof4l",
+     (h(3), t(3), cx(2, 3), tdg(3), h(3),
+      cx(0, 3), t(3), cx(1, 3), tdg(3), cx(0, 3), t(3), cx(1, 3), tdg(3),
+      h(3), t(3), cx(2, 3), tdg(3), h(3)),
+     TargetSpec("rtof", (0, 1, 2), 3, equivalence="relative_phase"),
+     (8, 6, 4), "18-gate relative-phase Toffoli-4"),
+    ("rt4s", "rt4s", ("rtof4_long", 10),
+     TargetSpec("rtof", (0, 1, 2), 3, equivalence="relative_phase"),
+     (4, 4, 2), "truncated rtof4_long; undo of the tail acts on (b, c, target)"),
+)
+
+
+@dataclass(frozen=True)
+class Block:
+    """One row of the block table plus what is derived from it."""
+
+    name: str
+    kind: str | None
+    gates: tuple[Gate, ...]
+    spec: TargetSpec
+    stated: tuple[int, int, int]
+    description: str
+    base: str                              # the untruncated block
+    junk: frozenset[int]                   # qubits the dropped tail acts on
+    counts: tuple[int, int, int, int, int]  # lowered (t, cnot, h, pz, other)
+
+    @property
+    def arity(self) -> int:
+        return len(self.spec.controls) + 1
+
+
+def _blocks() -> dict[str, Block]:
+    out: dict[str, Block] = {}
+    for name, kind, gates, spec, stated, description in _BLOCK_ROWS:
+        base, junk = name, frozenset()
+        if isinstance(gates[0], str):
+            base, keep = gates
+            whole = out[base].gates
+            gates = whole[:keep]
+            junk = frozenset().union(*(g.support for g in whole[keep:]))
+        counts = tuple(map(sum, zip(*map(_gate_counts, gates))))
+        out[name] = Block(name, kind, gates, spec, stated, description, base, junk, counts)
+    return out
+
+
+BLOCKS = _blocks()
+MARKER_BLOCKS = {b.kind: b for b in BLOCKS.values() if b.kind}
+
+
+def block_gates(name: str, wires) -> list[Gate]:
+    """The gates of block ``name`` with its qubit i on ``wires[i]``."""
+    return [g.remap(wires) for g in BLOCKS[name].gates]
+
+
+def marker_definition(g: Gate) -> list[Gate]:
+    """The defining gate list of a marker (inverted when dagger is set)."""
+    gates = block_gates(MARKER_BLOCKS[g.kind].name, g.controls + (g.target,))
+    if g.dagger:
+        gates = [gg.inverse() for gg in reversed(gates)]
+    return gates

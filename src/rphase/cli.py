@@ -2,8 +2,7 @@
 
 Exit codes: 0 success / verified, 1 verification failed, 2 usage or
 input error (including a circuit too wide to simulate), 3 internal
-invariant violation. RPHASE_BACKEND=ring|float overrides the
-automatic backend choice.
+invariant violation.
 """
 
 from __future__ import annotations
@@ -13,8 +12,9 @@ import json
 import sys
 
 from . import catalog as cat
-from .circuit import Circuit, TargetSpec, ROLE_CLEAN, ROLE_DIRTY, ROLE_PRIMARY
-from .lowering import AncillaBudgetExceeded, LoweringError, lower
+from .circuit import (
+    Circuit, TargetSpec, ROLE_CLEAN, ROLE_DIRTY, ROLE_PRIMARY, UncountableGate)
+from .lowering import LoweringError, lower
 from .qasm import QasmError, emit_qasm, parse_qasm
 from .rewrite import (
     RewriteError,
@@ -25,7 +25,7 @@ from .rewrite import (
     REPLACEMENT_IMPLS,
 )
 from .simulate import NotAPhasePermutation, SimulationError, WidthLimitExceeded
-from .verify import check_implements, env_backend
+from .verify import check_implements
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -158,8 +158,7 @@ def cmd_verify(args) -> int:
             "relative_phase": "rtof", "special_form": "srtof"}[args.cls]
     spec = TargetSpec(kind, tuple(controls), target,
                       xprime=frozenset(args.xprime or ()), equivalence=args.cls)
-    report = check_implements(circuit, spec, backend=env_backend(),
-                              processes=args.processes)
+    report = check_implements(circuit, spec, processes=args.processes)
     print(report.as_json())
     return EXIT_OK if report.satisfies(args.cls) else EXIT_VERIFY_FAILED
 
@@ -209,21 +208,10 @@ def cmd_rewrite(args) -> int:
 
 
 def _pick_impl(m) -> str | None:
-    """Smallest CNOT count, then smallest T count, then catalog order."""
-    best = None
-    for name in REPLACEMENT_IMPLS:
-        if not admissible(name, m):
-            continue
-        entry = cat.get_entry(name)
-        key = (entry.claimed.cnot, entry.claimed.t)
-        if best is None or key < best[0]:
-            best = (key, name)
-    if best is None:
-        return None
-    # replacing a tof pair with exact tofs is a no-op; skip those matches
-    if best[1] == "toffoli3":
-        return None
-    return best[1]
+    """The first admissible implementation in cost order, or None when
+    that is toffoli3: replacing a tof pair with exact tofs is a no-op."""
+    name = next((name for name in REPLACEMENT_IMPLS if admissible(name, m)), None)
+    return None if name == "toffoli3" else name
 
 
 _TABLE_COLUMNS = ("gate", "ancilla", "t", "cnot", "h", "pz", "ancillae")
@@ -329,8 +317,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (UsageError, QasmError, cat.ConstructionError, LoweringError,
-            AncillaBudgetExceeded, RewriteError, OSError,
-            WidthLimitExceeded) as exc:
+            RewriteError, OSError, WidthLimitExceeded, UncountableGate) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NotAPhasePermutation as exc:

@@ -1,12 +1,9 @@
 """Lowering: expand marker gates and multi-control tof gates into the
 elementary set {x, y, z, p, pdg, t, tdg, h, ry, cnot, cz}.
 
-A policy names the expansion for every high-level kind present:
-
-* each marker kind lowers through its defining circuit (the default) or
-  any catalog entry of the same arity named in ``marker_impls``;
+* each marker lowers through its block's gates (``marker_definition``);
 * ``tof`` with 0/1 controls becomes x/cnot, with 2 controls the 15-gate
-  Toffoli circuit, and with 3+ controls a clean- or dirty-helper chain
+  toffoli3 block, and with 3+ controls a clean- or dirty-helper chain
   built over ancilla qubits the circuit declares but the gate does not
   touch ("ancilla budget exceeded" otherwise);
 * negative controls are wrapped in X gates on the spot.
@@ -14,17 +11,17 @@ A policy names the expansion for every high-level kind present:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import ceil
 
 from . import catalog as cat
 from .circuit import (
     Circuit,
     Gate,
-    MARKER_KINDS,
     ROLE_CLEAN,
     ROLE_DIRTY,
+    block_gates,
     cx,
+    marker_definition,
     x,
 )
 
@@ -37,55 +34,24 @@ class AncillaBudgetExceeded(LoweringError):
     pass
 
 
-@dataclass(frozen=True)
-class LoweringPolicy:
-    """Construction choices for ``lower``.
-
-    ``marker_impls`` maps a marker kind to the catalog entry used for it;
-    kinds not listed use their defining circuits.
-    """
-
-    marker_impls: dict = field(default_factory=dict)
-
-    def gates_for_marker(self, g: Gate) -> list[Gate]:
-        name = self.marker_impls.get(g.kind)
-        if name is None:
-            return cat.marker_definition(g)
-        entry = cat.get_entry(name)
-        impl = entry.circuit
-        if impl.width != len(g.controls) + 1:
-            raise LoweringError(
-                f"arity mismatch: {name} cannot lower {g.kind}")
-        mapping = {i: q for i, q in enumerate(g.controls + (g.target,))}
-        gates = [gg.remap(mapping) for gg in impl.gates]
-        if g.dagger:
-            gates = [gg.inverse() for gg in reversed(gates)]
-        return gates
-
-
-DEFAULT_POLICY = LoweringPolicy()
-
-
-def lower(circuit: Circuit, policy: LoweringPolicy | None = None) -> Circuit:
+def lower(circuit: Circuit) -> Circuit:
     """Expand every marker and tof gate; unitary semantics preserved per
     the chosen constructions' verified contracts."""
-    policy = policy or DEFAULT_POLICY
     out: list[Gate] = []
     for g in circuit.gates:
-        _lower_gate(g, circuit, policy, out)
+        _lower_gate(g, circuit, out)
     return Circuit(circuit.width, out, circuit.roles)
 
 
-def _lower_gate(g: Gate, circuit: Circuit, policy: LoweringPolicy, out: list[Gate]):
-    if g.kind in MARKER_KINDS:
-        for gg in policy.gates_for_marker(g):
-            _lower_gate(gg, circuit, policy, out)
+def _lower_gate(g: Gate, circuit: Circuit, out: list[Gate]):
+    if g.is_marker:
+        out.extend(marker_definition(g))
         return
     if g.neg:
         wraps = sorted(g.neg)
         for q in wraps:
             out.append(x(q))
-        _lower_gate(Gate(g.kind, g.controls, g.target, frozenset(), g.param), circuit, policy, out)
+        _lower_gate(Gate(g.kind, g.controls, g.target, frozenset(), g.param), circuit, out)
         for q in reversed(wraps):
             out.append(x(q))
         return
@@ -98,7 +64,7 @@ def _lower_gate(g: Gate, circuit: Circuit, policy: LoweringPolicy, out: list[Gat
     elif nc == 1:
         out.append(cx(g.controls[0], g.target))
     elif nc == 2:
-        out.extend(cat._toffoli3_gates(g.controls[0], g.controls[1], g.target))
+        out.extend(block_gates("toffoli3", g.controls + (g.target,)))
     else:
         out.extend(_expand_big_tof(g, circuit))
 

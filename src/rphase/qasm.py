@@ -26,7 +26,6 @@ import json
 import re
 from math import gcd
 
-from .catalog import marker_definition
 from .circuit import (
     Circuit,
     Gate,
@@ -35,6 +34,7 @@ from .circuit import (
     cx,
     cz,
     marker,
+    marker_definition,
     ry,
     tof,
 )

@@ -34,9 +34,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations, permutations
 
-from . import catalog as cat
-from .circuit import Circuit, Gate, TargetSpec, marker, tof
+from .circuit import BLOCKS, Circuit, Gate, TargetSpec, marker, tof
 from .simulate import PhasePermutation, unitary_columns
 
 
@@ -153,44 +153,25 @@ class _ImplInfo:
 
 @lru_cache(maxsize=None)
 def _impl_info(name: str) -> _ImplInfo:
-    entry = cat.get_entry(name)
-    arity = entry.circuit.width
-    junk_map = {
-        "toffoli3": frozenset(),
-        "rtof3_long": frozenset(),
-        "srtof3_ccix": frozenset(),
-        "rtof4_long": frozenset(),
-        "rts3": frozenset({1, 2}),
-        "srts3": frozenset({0, 2}),
-        "rt4s": frozenset({1, 2, 3}),
-    }
-    if name not in junk_map:
+    """The block's arity, marker kind and truncation junk, and the qubits
+    whose flips leave its untruncated base's phase diagonal fixed."""
+    block = BLOCKS.get(name)
+    if block is None:
         raise RewriteError(f"{name} is not usable as a conjugation replacement")
-    base_map = {  # junk-free circuit whose phases define the diagonal
-        "rts3": "rtof3_long",
-        "srts3": "toffoli3",
-        "rt4s": "rtof4_long",
-    }
-    base = cat.get_entry(base_map.get(name, name))
-    u = unitary_columns(base.circuit)
+    base = BLOCKS[block.base]
+    u = unitary_columns(Circuit(base.arity, base.gates))
     assert isinstance(u, PhasePermutation)
     z = u.row_phases()
     invariant = frozenset(
-        pos for pos in range(arity)
-        if _flip_invariant(z, arity, pos)
+        pos for pos in range(block.arity)
+        if _flip_invariant(z, block.arity, pos)
     )
-    emit = entry.marker_kind if entry.name != "toffoli3" else None
-    return _ImplInfo(name, arity, invariant, junk_map[name], emit)
+    return _ImplInfo(name, block.arity, invariant, block.junk, block.kind)
 
 
 def _flip_invariant(z, arity: int, pos: int) -> bool:
     mask = 1 << (arity - 1 - pos)
     return all(z[s] == z[s ^ mask] for s in range(1 << arity))
-
-
-REPLACEMENT_IMPLS = (
-    "rtof3_long", "srts3", "srtof3_ccix", "toffoli3", "rtof4_long",
-)
 
 
 def _junk_region(cls: str, touched: frozenset, controls, target) -> frozenset:
@@ -205,8 +186,6 @@ def _junk_region(cls: str, touched: frozenset, controls, target) -> frozenset:
 def _wire_maps(info: _ImplInfo, m: ConjugationMatch):
     """Yield role-position -> circuit-qubit maps satisfying the type and
     junk constraints, cheapest-first by the natural control order."""
-    from itertools import permutations
-
     need_invariant = m.touched if m.classification == "prop2" else (
         frozenset() if m.classification == "prop1" else m.touched | {m.target})
     junk_allowed = _junk_region(m.classification, m.touched, m.controls, m.target)
@@ -236,6 +215,25 @@ def admissible(impl_name: str, m: ConjugationMatch) -> bool:
     if info.arity != m.arity:
         return False
     return next(_wire_maps(info, m), None) is not None
+
+
+def _admits_some_match(info: _ImplInfo) -> bool:
+    """Whether any match can take the implementation. prop1 touches no
+    control and prop2 at least one; prop3 may touch any number."""
+    controls = tuple(range(info.arity - 1))
+    for r in range(info.arity):
+        for touched in combinations(controls, r):
+            for cls in ("prop2" if r else "prop1", "prop3"):
+                m = ConjugationMatch(0, 1, cls, controls, info.arity - 1, frozenset(touched))
+                if next(_wire_maps(info, m), None) is not None:
+                    return True
+    return False
+
+
+# Blocks some match can take, cheapest first: by CNOT, then T, then H count.
+REPLACEMENT_IMPLS = tuple(b.name for b in sorted(
+    (b for b in BLOCKS.values() if _admits_some_match(_impl_info(b.name))),
+    key=lambda b: (b.counts[1], b.counts[0], b.counts[2])))
 
 
 def apply_replacement(circ: Circuit, m: ConjugationMatch, impl_name: str) -> Circuit:

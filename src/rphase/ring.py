@@ -202,3 +202,25 @@ OMEGA = RingElement(0, 1, 0, 0)
 IMAG = RingElement(0, 0, 1, 0)
 SQRT2 = RingElement(0, 1, 0, -1)
 INV_SQRT2 = RingElement(1, 0, 0, 0, 1)
+
+
+_OMEGA_POWERS = {
+    (e.a0, e.a1, e.a2, e.a3): e for e in map(RingElement.omega_power, range(8))
+}
+
+
+def as_omega_power(c: tuple[int, int, int, int], k: int) -> RingElement | None:
+    """The shared w^j equal to numerator ``c`` over sqrt(2)^k, or None when
+    that number does not have unit magnitude.
+
+    Exact without computing |x|^2. Let x = c / sqrt(2)^k be canonical with
+    |x| = 1, so c * conj(c) = 2^k. Over 2, Z[w] has the one prime
+    lambda = 1 - w, with (2) = (lambda)^4 and (sqrt(2)) = (lambda)^2, and
+    conjugation fixes it; so c and conj(c) have the same lambda-adic
+    valuation, 2k, and sqrt(2)^k divides c. Canonical form forbids that
+    for k > 0, so k = 0. Then x lies in Z[w] and every Galois conjugate of
+    it has modulus 1 (conjugation commutes with the abelian Galois group),
+    so x is a root of unity by Kronecker's theorem: some w^j.
+    """
+    c, k = _reduce(c, k)
+    return _OMEGA_POWERS.get(c) if k == 0 else None

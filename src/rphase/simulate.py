@@ -29,7 +29,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .circuit import ROLE_CLEAN, Circuit, Gate
-from .ring import RingElement
+from .ring import RingElement, as_omega_power
 
 FLOAT_TOL = 1e-9
 DENSE_WIDTH_LIMIT = 12
@@ -422,10 +422,8 @@ def _collapse(amps, k, backend):
         if len(amps) != 1:
             return None
         (i, c), = amps.items()
-        phase = RingElement(*c, k)
-        if not phase.is_unit_magnitude():
-            return None
-        return i, phase
+        phase = as_omega_power(c, k)
+        return None if phase is None else (i, phase)
     significant = {i: a for i, a in amps.items() if abs(a) > FLOAT_TOL}
     if len(significant) != 1:
         return None

@@ -18,7 +18,6 @@ enumerated and must factor out exactly.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 
 from .circuit import Circuit, ROLE_CLEAN, ROLE_DIRTY, TargetSpec
@@ -26,16 +25,6 @@ from .ring import RingElement
 from .simulate import FLOAT_TOL, PhasePermutation, unitary_columns
 # perfbench/tracer.py binds its simulate spans to these names in this module
 from .simulate import compile_circuit, run_column_float, run_column_ring  # noqa: F401
-
-
-def env_backend() -> str | None:
-    """Backend override from RPHASE_BACKEND, if set."""
-    value = os.environ.get("RPHASE_BACKEND")
-    if value is None or value == "":
-        return None
-    if value not in ("ring", "float"):
-        raise ValueError(f"RPHASE_BACKEND must be 'ring' or 'float', got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -104,7 +93,6 @@ def _phases_equal(a, b, backend: str) -> bool:
 def check_implements(
     circuit: Circuit,
     spec: TargetSpec,
-    backend: str | None = None,
     processes: int | None = None,
 ) -> VerificationReport:
     """Exhaustive basis simulation of ``circuit`` against ``spec``."""
@@ -113,7 +101,7 @@ def check_implements(
     clean_mask = sum(bit(q) for q, r in enumerate(circuit.roles) if r == ROLE_CLEAN)
     dirty_mask = sum(bit(q) for q, r in enumerate(circuit.roles) if r == ROLE_DIRTY)
     cols = unitary_columns(
-        circuit, backend, processes=processes,
+        circuit, processes=processes,
         column_indices=(s for s in range(1 << width) if not s & clean_mask))
     perm, phase, backend = cols.perm, cols.phases, cols.backend
     columns = list(perm)

@@ -1,0 +1,91 @@
+"""The block table: facts derived from it, pinned, and import order."""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+import rphase
+from rphase.catalog import catalog_entries
+from rphase.circuit import BLOCKS, MARKER_BLOCKS, Circuit, marker
+from rphase.rewrite import REPLACEMENT_IMPLS, _impl_info
+
+# Recorded before the block facts moved into one table: per block, the
+# rewrite's (arity, junk positions, flip-invariant positions, emitted kind).
+IMPL_INFO = {
+    "toffoli3": (3, (), (0, 1, 2), None),
+    "srtof3_ccix": (3, (), (2,), "srtof3"),
+    "rtof3_long": (3, (), (), "rtof3l"),
+    "rts3": (3, (1, 2), (), "rtof3s"),
+    "srts3": (3, (0, 2), (0, 1, 2), "srts3"),
+    "rtof4_long": (4, (), (), "rtof4l"),
+    "rt4s": (4, (1, 2, 3), (), "rt4s"),
+}
+COST_ORDER = ("rtof3_long", "srts3", "srtof3_ccix", "toffoli3", "rtof4_long")
+# marker kind -> (control count, lowered (t, cnot, h, pz, other))
+MARKERS = {
+    "rt4s": (3, (4, 4, 2, 0, 0)),
+    "rtof3l": (2, (4, 3, 2, 0, 0)),
+    "rtof3s": (2, (2, 2, 1, 0, 0)),
+    "rtof4l": (3, (8, 6, 4, 0, 0)),
+    "srtof3": (2, (4, 4, 2, 0, 0)),
+    "srts3": (2, (4, 4, 1, 0, 0)),
+}
+TOF3_COUNTS = (7, 6, 2, 0, 0)
+
+
+@pytest.mark.parametrize("name", sorted(IMPL_INFO))
+def test_impl_info_is_pinned(name):
+    info = _impl_info(name)
+    got = (info.arity, tuple(sorted(info.junk)), tuple(sorted(info.invariant)), info.emit_kind)
+    assert got == IMPL_INFO[name]
+
+
+def test_cost_order_is_pinned():
+    assert REPLACEMENT_IMPLS == COST_ORDER
+
+
+def test_marker_facts_are_pinned():
+    assert set(MARKER_BLOCKS) == set(MARKERS)
+    for kind, (nc, counts) in MARKERS.items():
+        assert MARKER_BLOCKS[kind].arity - 1 == nc
+        assert MARKER_BLOCKS[kind].counts == counts
+        g = marker(kind, tuple(range(nc)), nc)
+        assert Circuit(nc + 1, [g]).count_resources().counts() == counts[:4]
+        with pytest.raises(ValueError, match=f"takes {nc} controls"):
+            marker(kind, tuple(range(nc + 1)), nc + 1)
+    assert BLOCKS["toffoli3"].counts == TOF3_COUNTS
+
+
+def test_catalog_has_one_entry_per_block():
+    entries = catalog_entries()
+    assert list(entries) == list(BLOCKS)
+    for name, b in BLOCKS.items():
+        e = entries[name]
+        assert e.circuit.gates == b.gates and e.spec == b.spec
+        assert e.marker_kind == b.kind and e.description == b.description
+        assert (e.claimed.t, e.claimed.cnot, e.claimed.h) == b.stated
+
+
+def test_truncations_are_prefixes_of_their_base():
+    for b in BLOCKS.values():
+        base = BLOCKS[b.base]
+        assert base.base == base.name and b.gates == base.gates[:len(b.gates)]
+        tail = base.gates[len(b.gates):]
+        assert b.junk == frozenset(q for g in tail for q in g.support)
+        assert bool(b.junk) == (b.name != b.base)
+
+
+MODULES = ["rphase"] + sorted(
+    "rphase." + f[:-3]
+    for f in os.listdir(os.path.dirname(rphase.__file__))
+    if f.endswith(".py") and f != "__init__.py")
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_each_module_imports_first(module):
+    """No import cycle that only some import orders hit."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", f"import {module}"], env=env, check=True)
+

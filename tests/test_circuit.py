@@ -13,7 +13,7 @@ from rphase.catalog import (
 from rphase.circuit import (
     Circuit,
     Gate,
-    MARKER_KINDS,
+    MARKER_BLOCKS,
     ROLE_CLEAN,
     ROLE_DIRTY,
     cx,
@@ -101,7 +101,7 @@ def test_count_rtof4():
 
 
 def test_marker_counts_match_their_definitions():
-    for kind in sorted(MARKER_KINDS):
+    for kind in sorted(MARKER_BLOCKS):
         n_ctl = 2 if kind not in ("rtof4l", "rt4s") else 3
         g = marker(kind, tuple(range(n_ctl)), n_ctl)
         direct = Circuit(n_ctl + 1, [g]).count_resources()

@@ -365,6 +365,26 @@ def test_xprime_outside_the_gate_is_a_usage_error(capsys, tmp_path):
     assert code == 2 and err.startswith("error:") and "--xprime" in err
 
 
+@pytest.mark.parametrize("command", ["count", "rewrite"])
+def test_wide_tof_is_an_input_error_naming_the_gate(capsys, tmp_path, command):
+    path = tmp_path / "wide_tof.qasm"
+    path.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[5];\n// rphase: '
+                    '{"gate": "tof", "controls": [0, 1, 2], "target": 3, "neg": [], "gates": 0}\n')
+    code, _, err = run(capsys, command, str(path))
+    assert code == 2 and err.startswith("error:") and "tof(0,1,2;3)" in err
+
+
+@pytest.mark.parametrize("value", ["ring", "bogus"])
+def test_verify_picks_the_backend_from_the_circuit(capsys, tmp_path, monkeypatch, value):
+    # RPHASE_BACKEND is no longer read: an ry circuit always runs on floats
+    path = tmp_path / "margolus_ry.qasm"
+    assert run(capsys, "synth", "--gate", "margolus-ry", "--out", str(path))[0] == 0
+    monkeypatch.setenv("RPHASE_BACKEND", value)
+    code, out, _ = run(capsys, "verify", str(path), "--layout", "ctrl,ctrl,target",
+                       "--class", "relative_phase")
+    assert code == 0 and json.loads(out)["backend"] == "float"
+
+
 def test_table_bad_n_list_is_a_usage_error(capsys):
     code, _, err = run(capsys, "table", "--n-list", "4,x")
     assert code == 2 and err.startswith("error:") and "--n-list" in err

@@ -1,4 +1,4 @@
-"""Lowering policies: marker expansion, tof chains, ancilla budgets."""
+"""Lowering: marker expansion, tof chains, ancilla budgets."""
 
 import hashlib
 
@@ -19,12 +19,7 @@ from rphase.circuit import (
     y,
     z,
 )
-from rphase.lowering import (
-    AncillaBudgetExceeded,
-    LoweringError,
-    LoweringPolicy,
-    lower,
-)
+from rphase.lowering import AncillaBudgetExceeded, lower
 from rphase.verify import check_implements
 
 
@@ -98,22 +93,6 @@ def test_ancilla_budget_exceeded():
     tb = two_block_tofn(5, 3)
     with pytest.raises(AncillaBudgetExceeded):
         lower(tb)
-
-
-def test_policy_marker_impl_override():
-    c = Circuit(3, [marker("rtof3l", (0, 1), 2)])
-    same = lower(c, LoweringPolicy(marker_impls={"rtof3l": "rtof3_long"}))
-    assert same.gates == lower(c).gates
-    with pytest.raises(LoweringError):
-        lower(c, LoweringPolicy(marker_impls={"rtof3l": "rtof4_long"}))
-
-
-def test_policy_unknown_impl_name():
-    c = Circuit(3, [marker("rtof3l", (0, 1), 2)])
-    from rphase.catalog import ConstructionError
-
-    with pytest.raises(ConstructionError, match="no construction for gate"):
-        lower(c, LoweringPolicy(marker_impls={"rtof3l": "nope"}))
 
 
 def test_lower_preserves_pz_and_other_kinds():

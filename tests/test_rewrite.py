@@ -306,12 +306,11 @@ def test_every_marker_is_block_diagonal_in_its_controls():
     """Load-bearing for prop1 matching: a marker in the middle block may be
     treated as controlled on each of its control qubits, i.e. its unitary
     never mixes the control's 0- and 1-subspaces."""
-    from rphase.circuit import MARKER_KINDS, MARKER_NUM_CONTROLS, marker
-    from rphase.catalog import marker_definition
+    from rphase.circuit import MARKER_BLOCKS, marker, marker_definition
     from rphase.simulate import DenseMatrix
 
-    for kind in sorted(MARKER_KINDS):
-        nc = MARKER_NUM_CONTROLS[kind]
+    for kind in sorted(MARKER_BLOCKS):
+        nc = MARKER_BLOCKS[kind].arity - 1
         width = nc + 1
         g = marker(kind, tuple(range(nc)), nc)
         u = unitary_columns(Circuit(width, marker_definition(g)))

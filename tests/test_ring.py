@@ -5,12 +5,13 @@ complex floating point, independently of the RingElement code paths.
 """
 
 import cmath
+import itertools
 import math
 import random
 
 import pytest
 
-from rphase.ring import IMAG, INV_SQRT2, OMEGA, ONE, SQRT2, ZERO, RingElement
+from rphase.ring import IMAG, INV_SQRT2, OMEGA, ONE, SQRT2, ZERO, RingElement, as_omega_power
 
 W = cmath.exp(1j * math.pi / 4)
 
@@ -132,6 +133,31 @@ def test_unit_magnitude_implies_conj_product_one():
         x = rand_elem(rng, span=3, kmax=2)
         if x.is_unit_magnitude():
             assert x * x.conj() == ONE
+
+
+def test_omega_power_lookup_agrees_with_unit_magnitude():
+    cases = units = 0
+    for c in itertools.product(range(-3, 4), repeat=4):
+        for k in range(5):
+            x = RingElement(*c, k)
+            found = as_omega_power(c, k)
+            assert (found is not None) == x.is_unit_magnitude(), (c, k)
+            if found is not None:
+                assert found == x, (c, k)
+                units += 1
+            cases += 1
+    # the units in the box: numerator sqrt(2)^k w^j over sqrt(2)^k for
+    # k = 0..3, 8 each; at k = 4 the numerator 4 w^j leaves the box
+    assert cases == 12005 and units == 32
+
+
+def test_omega_power_lookup_shares_one_element_per_power():
+    for j in range(8):
+        w = RingElement.omega_power(j)
+        s = SQRT2 * w  # the same number as numerator s over sqrt(2)^1
+        found = as_omega_power((w.a0, w.a1, w.a2, w.a3), 0)
+        assert found == w
+        assert as_omega_power((s.a0, s.a1, s.a2, s.a3), 1) is found
 
 
 def test_to_float_examples():

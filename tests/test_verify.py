@@ -17,7 +17,6 @@ from rphase.circuit import Circuit, TargetSpec, cx, x, z
 from rphase.simulate import NotAPhasePermutation, unitary_columns
 from rphase.verify import (
     check_implements,
-    env_backend,
     global_phase_equal,
     is_relative_phase_of,
     is_special_form,
@@ -144,13 +143,3 @@ def test_target_permutation_negative_controls():
     spec = TargetSpec("tof", (0, 1), 2, neg=frozenset({1}))
     perm = target_permutation(spec, 3)
     assert perm[0b100] == 0b101 and perm[0b110] == 0b110
-
-
-def test_env_backend(monkeypatch):
-    monkeypatch.delenv("RPHASE_BACKEND", raising=False)
-    assert env_backend() is None
-    monkeypatch.setenv("RPHASE_BACKEND", "float")
-    assert env_backend() == "float"
-    monkeypatch.setenv("RPHASE_BACKEND", "nonsense")
-    with pytest.raises(ValueError):
-        env_backend()
