@@ -230,7 +230,6 @@ def _dirty_markers(n: int):
         marker("rtof3s", (2 * n - 4 - k, n - 1 - k), 2 * n - 3 - k)
         for k in range(1, n - 3)
     ]
-    bottom = marker("rtof3l", (1, 2), n)
 
     # collapse [last rung, bottom, inverse last rung] -> rtof4l(1,2,3; n+1)
     assert not rungs or rungs[-1] == marker("rtof3s", (n, 3), n + 1)
@@ -266,7 +265,7 @@ def _tofn_dirty(n: int) -> tuple[Circuit, TargetSpec]:
     roles = [ROLE_PRIMARY if q in primaries else ROLE_DIRTY for q in used]
     gates = []
     for g in seq:
-        gates.extend(gg.remap(remap) for gg in marker_definition(g))
+        gates.extend(marker_definition(g.remap(remap)))
     controls = tuple(remap[q] for q in range(1, n))
     return Circuit(len(used), gates, roles), TargetSpec("tof", controls, remap[2 * n - 3])
 

@@ -177,6 +177,7 @@ def cmd_rewrite(args) -> int:
     enabled = {r for r in rules if r != "cancel"}
     if enabled:
         # one match list suffices: a replacement leaves markers on the same qubits
+        gates = list(circuit.gates)
         used: set[int] = set()
         for m in find_conjugations(circuit):
             if m.classification not in enabled or {m.left_index, m.right_index} & used:
@@ -184,9 +185,10 @@ def cmd_rewrite(args) -> int:
             impl = _pick_impl(m)
             if impl is None:
                 continue
-            circuit = apply_replacement(circuit, m, impl)
+            gates[m.left_index], gates[m.right_index] = apply_replacement(m, impl)
             used |= {m.left_index, m.right_index}
             changed = True
+        circuit = Circuit(circuit.width, gates, circuit.roles)
     if "cancel" in rules:
         if not circuit.is_lowered():
             circuit = lower(circuit)

@@ -13,11 +13,12 @@ Constructs QASM has no word for ride along in structured comments::
                                                      negative controls / wide tof
 
 A directive with ``"gates": N`` is followed by its N-statement expansion;
-the parser swallows the expansion and restores the high-level gate, so
-other QASM consumers still see a runnable program. A tof with three or
-more controls cannot be expanded without ancillae and is emitted with an
-empty expansion. ``parse_qasm(..., strict=True)`` rejects all rphase
-directives.
+the parser checks that the N statements are exactly the expansion the
+emitter writes for the gate, swallows them and restores the high-level
+gate, so other QASM consumers still see a runnable program of the same
+unitary. A tof with three or more controls cannot be expanded without
+ancillae and is emitted with an empty expansion (``"gates": 0``).
+``parse_qasm(..., strict=True)`` rejects all rphase directives.
 """
 
 from __future__ import annotations
@@ -112,12 +113,14 @@ def _expansion(g: Gate) -> list[Gate]:
     """Plain-gate expansion of a high-level gate, [] when impossible."""
     if g.is_marker:
         return marker_definition(g)
-    base = Gate(g.kind, g.controls, g.target, frozenset(), g.param)
-    wraps = [Gate("x", (), q) for q in sorted(g.neg)]
     if g.kind == "tof" and len(g.controls) > 2:
         return []  # would need ancillae; directive-only
-    inner = [base]
-    return wraps + inner + list(reversed(wraps))
+    if g.kind == "tof" and len(g.controls) < 2:
+        base = Gate("cnot" if g.controls else "x", g.controls, g.target)
+    else:
+        base = Gate(g.kind, g.controls, g.target, frozenset(), g.param)
+    wraps = [Gate("x", (), q) for q in sorted(g.neg)]
+    return wraps + [base] + list(reversed(wraps))
 
 
 def emit_qasm(circuit: Circuit) -> str:
@@ -169,7 +172,7 @@ def parse_qasm(text: str, strict: bool = False) -> Circuit:
     width = 0
     roles = None
     gates: list[Gate] = []
-    pending = None  # (high-level Gate, expansion statements to swallow)
+    pending = None  # (high-level Gate, directive line, statement count, statements so far)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -195,16 +198,20 @@ def parse_qasm(text: str, strict: bool = False) -> Circuit:
                 else:
                     g = Gate(info["gate"], tuple(info["controls"]), info["target"],
                              frozenset(info.get("neg", ())))
-                pending = (g, int(info["gates"]))
+                count = int(info["gates"])
             except (ValueError, KeyError, TypeError) as exc:
                 what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
                 raise QasmError(f"bad rphase directive: {what}", lineno, 1) from None
             if reg is None:
                 raise QasmError("gate before qreg declaration", lineno, 1)
             _check_register(g, width, lineno)
-            if pending[1] == 0:
+            if pending is not None:
+                raise QasmError("rphase directive inside the expansion of the "
+                                f"directive on line {pending[1]}", lineno, 1)
+            if count == 0:
                 gates.append(g)
-                pending = None
+            else:
+                pending = (g, lineno, count, [])
             continue
         if line.startswith("OPENQASM") or line.startswith("include"):
             continue
@@ -231,18 +238,19 @@ def parse_qasm(text: str, strict: bool = False) -> Circuit:
             raise QasmError(str(exc), lineno, 1) from None
         _check_register(g, width, lineno)
         if pending is not None:
-            high, remaining = pending
-            remaining -= 1
-            if remaining == 0:
+            high, at, count, body = pending
+            body.append(g)
+            if len(body) == count:
+                if body != _expansion(high):
+                    raise QasmError(
+                        f"expansion does not match the rphase directive's {high}", at, 1)
                 gates.append(high)
                 pending = None
-            else:
-                pending = (high, remaining)
             continue
         gates.append(g)
 
     if pending is not None:
-        raise QasmError("rphase directive expansion truncated", None, None)
+        raise QasmError("rphase directive expansion truncated", pending[1], 1)
     if reg is None:
         raise QasmError("no qreg declaration found", None, None)
     if roles is not None and len(roles) != width:

@@ -106,10 +106,9 @@ def _blocks_prop1(g: Gate, target: int, controls: frozenset) -> bool:
     return target in _block_diagonal_controls(g)
 
 
-def classify_pair(circ: Circuit, i: int, j: int) -> ConjugationMatch | None:
-    gi, gj = circ.gates[i], circ.gates[j]
-    if gi.kind != "tof" or gi != gj:
-        return None
+def classify_pair(circ: Circuit, i: int, j: int) -> ConjugationMatch:
+    """Classify the equal tofs at i < j by the block between them."""
+    gi = circ.gates[i]
     controls = frozenset(gi.controls)
     target = gi.target
     pair_qubits = controls | {target}
@@ -126,18 +125,15 @@ def classify_pair(circ: Circuit, i: int, j: int) -> ConjugationMatch | None:
 
 
 def find_conjugations(circ: Circuit) -> list[ConjugationMatch]:
-    """All classified pairs (i, j), i < j, of equal tof gates."""
-    out = []
-    gates = circ.gates
-    for i, gi in enumerate(gates):
-        if gi.kind != "tof":
-            continue
-        for j in range(i + 1, len(gates)):
-            if gates[j] == gi:
-                m = classify_pair(circ, i, j)
-                if m is not None:
-                    out.append(m)
-    return out
+    """All classified pairs (i, j), i < j, of equal tof gates, ordered by
+    i then j. Equal tofs meet in one index list per gate."""
+    at: dict[Gate, list[int]] = {}
+    for i, g in enumerate(circ.gates):
+        if g.kind == "tof":
+            at.setdefault(g, []).append(i)
+    pairs = sorted((i, j) for idx in at.values()
+                   for k, i in enumerate(idx) for j in idx[k + 1:])
+    return [classify_pair(circ, i, j) for i, j in pairs]
 
 
 # -- implementation admissibility ------------------------------------------
@@ -174,47 +170,31 @@ def _flip_invariant(z, arity: int, pos: int) -> bool:
     return all(z[s] == z[s ^ mask] for s in range(1 << arity))
 
 
-def _junk_region(cls: str, touched: frozenset, controls, target) -> frozenset:
-    untouched = frozenset(controls) - touched
-    if cls == "prop1":
-        return frozenset(controls)
-    if cls == "prop2":
-        return untouched | {target}
-    return untouched
-
-
 def _wire_maps(info: _ImplInfo, m: ConjugationMatch):
-    """Yield role-position -> circuit-qubit maps satisfying the type and
-    junk constraints, cheapest-first by the natural control order."""
-    need_invariant = m.touched if m.classification == "prop2" else (
-        frozenset() if m.classification == "prop1" else m.touched | {m.target})
-    junk_allowed = _junk_region(m.classification, m.touched, m.controls, m.target)
-    tgt_pos = info.arity - 1
+    """Yield wires tuples (role position -> circuit qubit, target last)
+    satisfying the type and junk constraints, cheapest-first by the
+    natural control order."""
+    if m.classification == "prop1":
+        need_invariant, junk_allowed = frozenset(), frozenset(m.controls)
+    elif m.classification == "prop2":
+        need_invariant, junk_allowed = m.touched, m.untouched | {m.target}
+    else:
+        need_invariant, junk_allowed = m.touched | {m.target}, m.untouched
     for perm in permutations(m.controls):
-        mapping = {pos: q for pos, q in enumerate(perm)}
-        mapping[tgt_pos] = m.target
-        ok = True
-        for q in need_invariant:
-            pos = next(p for p, qq in mapping.items() if qq == q)
-            if pos not in info.invariant:
-                ok = False
-                break
-        if ok:
-            for pos in info.junk:
-                if mapping[pos] not in junk_allowed:
-                    ok = False
-                    break
-        if ok:
-            yield mapping
+        wires = perm + (m.target,)
+        if all((q not in need_invariant or pos in info.invariant)
+               and (pos not in info.junk or q in junk_allowed)
+               for pos, q in enumerate(wires)):
+            yield wires
 
 
 def admissible(impl_name: str, m: ConjugationMatch) -> bool:
-    if m.neg:
-        return False  # the catalog holds no negative-control implementations
-    info = _impl_info(impl_name)
-    if info.arity != m.arity:
+    """Whether ``apply_replacement`` accepts ``impl_name`` for the match."""
+    try:
+        apply_replacement(m, impl_name)
+    except RewriteError:
         return False
-    return next(_wire_maps(info, m), None) is not None
+    return True
 
 
 def _admits_some_match(info: _ImplInfo) -> bool:
@@ -236,12 +216,12 @@ REPLACEMENT_IMPLS = tuple(b.name for b in sorted(
     key=lambda b: (b.counts[1], b.counts[0], b.counts[2])))
 
 
-def apply_replacement(circ: Circuit, m: ConjugationMatch, impl_name: str) -> Circuit:
-    """Replace the matched tof pair with ``impl_name`` and its inverse.
+def apply_replacement(m: ConjugationMatch, impl_name: str) -> tuple[Gate, Gate]:
+    """The gates that replace the matched tof pair: ``impl_name`` and its
+    inverse, as markers (or exact tofs) on the pair's qubits.
 
-    The pair's gates become markers (or stay exact tofs) on the same
-    qubits; everything between them is untouched, so gate counts change
-    only at the two replaced positions.
+    Writing them at ``m.left_index`` and ``m.right_index`` leaves everything
+    between untouched, so gate counts change only at those two positions.
     """
     if m.neg:
         raise RewriteError(
@@ -251,22 +231,16 @@ def apply_replacement(circ: Circuit, m: ConjugationMatch, impl_name: str) -> Cir
         raise ArityMismatch(
             f"arity mismatch: {impl_name} has {info.arity} qubits, "
             f"pair has {m.arity}")
-    mapping = next(_wire_maps(info, m), None)
-    if mapping is None:
+    wires = next(_wire_maps(info, m), None)
+    if wires is None:
         raise SpecialFormViolated(
             f"special-form type violated: {impl_name} does not provide a "
             f"type-{sorted(m.touched)} special form for this {m.classification} match")
     if info.emit_kind is None:
         left = tof(m.controls, m.target)
-        right = left
-    else:
-        wires = tuple(mapping[pos] for pos in range(info.arity - 1))
-        left = marker(info.emit_kind, wires, m.target)
-        right = left.inverse()
-    gates = list(circ.gates)
-    gates[m.left_index] = left
-    gates[m.right_index] = right
-    return Circuit(circ.width, gates, circ.roles)
+        return left, left
+    left = marker(info.emit_kind, wires[:-1], m.target)
+    return left, left.inverse()
 
 
 # -- canonic decomposition ---------------------------------------------------

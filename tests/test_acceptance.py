@@ -42,6 +42,13 @@ from rphase.verify import (
 )
 
 
+def _replaced(circ, m, name):
+    """``circ`` with the matched pair replaced by ``name`` and its inverse."""
+    gates = list(circ.gates)
+    gates[m.left_index], gates[m.right_index] = apply_replacement(m, name)
+    return Circuit(circ.width, gates, circ.roles)
+
+
 def report(number: int, ok: bool, label: str, detail: str = ""):
     verdict = "PASS" if ok else "FAIL"
     suffix = f"  ({detail})" if detail else ""
@@ -199,7 +206,7 @@ def test_criterion_5_rewrite_soundness():
             for name in REPLACEMENT_IMPLS:
                 if not admissible(name, m):
                     continue
-                out = _expand_markers(apply_replacement(circ, m, name))
+                out = _expand_markers(_replaced(circ, m, name))
                 if not _unitaries_equal(base, unitary_columns(out)):
                     ok = False
                     break
@@ -210,7 +217,9 @@ def test_criterion_5_rewrite_soundness():
         cancelled = cancel_adjacent_inverses(expanded)
         ok &= _unitaries_equal(base, unitary_columns(cancelled))
         ok &= cancel_adjacent_inverses(cancelled).gates == cancelled.gates
-    report(5, ok and circuits >= 100,
+    # pinned: a stricter admissible would lower the count without failing
+    # the soundness check
+    report(5, ok and circuits >= 100 and replacements == 156,
            "replacement and cancellation soundness on random conjugation circuits",
            f"{circuits} circuits, {replacements} exact replacements")
 
@@ -256,7 +265,7 @@ def test_criterion_8_special_form_necessity():
     base = unitary_columns(lower(circ))
     got = unitary_columns(lower(forced))
     ok &= not _unitaries_equal(base, got)
-    good = apply_replacement(circ, m, "srts3")
+    good = _replaced(circ, m, "srts3")
     ok &= _unitaries_equal(base, unitary_columns(lower(good)))
     report(8, ok, "non-special-form substitution in a prop2 match is detected")
 

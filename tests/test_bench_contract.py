@@ -7,11 +7,13 @@ there would break the traced benchmark run without failing any other test.
 
 import importlib.util
 import os
+from collections import Counter
 
 import rphase.catalog
 import rphase.cli
 import rphase.verify
-from rphase.circuit import Circuit
+from rphase.circuit import Circuit, cx, t, tof
+from rphase.qasm import emit_qasm
 from rphase.ring import RingElement
 
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
@@ -47,3 +49,27 @@ def test_tracer_binds_every_name():
     finally:
         t.uninstall()
     assert all(vars(m)[a] is fn for (m, a), fn in before.items())
+
+
+def test_rewrite_goes_through_the_cli_bound_rewrite_names(tmp_path, monkeypatch, capsys):
+    """The tracer's rewrite spans and ``rewrite.match_yield`` count calls of
+    these names in ``rphase.cli``: one match search, one admissibility test
+    per candidate and one replacement per rewritten pair."""
+    calls = Counter()
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in ("find_conjugations", "admissible", "apply_replacement"):
+        monkeypatch.setattr(rphase.cli, name, counted(name, vars(rphase.cli)[name]))
+    src = tmp_path / "two_pairs.qasm"
+    src.write_text(emit_qasm(Circuit(7, [
+        tof((0, 1), 2), tof((3, 4), 5), cx(2, 6), t(4), tof((3, 4), 5), tof((0, 1), 2)])))
+    assert rphase.cli.main(["rewrite", str(src), "--rules", "prop1,prop2"]) == 0
+    capsys.readouterr()
+    assert calls["find_conjugations"] == 1
+    assert calls["apply_replacement"] == 2
+    assert calls["admissible"] >= 2

@@ -12,8 +12,15 @@ import rphase.cli as cli
 from rphase.cli import _pick_impl, main
 from rphase.qasm import emit_qasm, parse_qasm
 from rphase.catalog import toffoli3
-from rphase.circuit import Circuit, cx, cz, h, t, tof, x
+from rphase.circuit import Circuit, cx, cz, h, marker, t, tof, x
 from rphase.rewrite import apply_replacement, find_conjugations
+
+
+def _replaced(circ, m, name):
+    """``circ`` with the matched pair replaced by ``name`` and its inverse."""
+    gates = list(circ.gates)
+    gates[m.left_index], gates[m.right_index] = apply_replacement(m, name)
+    return Circuit(circ.width, gates, circ.roles)
 
 
 def run(capsys, *argv):
@@ -235,7 +242,7 @@ def _rewrite_by_restarts(circuit, enabled):
         for m in find_conjugations(circuit):
             impl = _pick_impl(m) if m.classification in enabled else None
             if impl is not None:
-                circuit = apply_replacement(circuit, m, impl)
+                circuit = _replaced(circuit, m, impl)
                 break
         else:
             return circuit
@@ -286,16 +293,36 @@ def test_rewrite_ladder_cancel_is_pinned(capsys, tmp_path, n, length, digest):
     assert _rewrite_digest(capsys, tmp_path, src, "cancel") == (length, digest)
 
 
-def test_rewrite_chain_is_pinned(capsys, tmp_path, monkeypatch):
+@pytest.mark.parametrize("rules, length, digest", [
+    ("prop1,prop2,cancel", 1846, "60bdcc149938fe2c"),
+    ("prop1,prop2,prop3", 360, "0789bec51ba93c10"),
+    ("prop3,cancel", 3372, "53b80b0ba714c06c"),
+])
+def test_rewrite_chain_is_pinned(capsys, tmp_path, monkeypatch, rules, length, digest):
     """A chain of the benchmark's rewrite workload (perfbench/workloads.py):
-    gate count and digest recorded before the rewrite became one pass."""
+    gate count and digest recorded before the rewrite became one pass
+    (prop1,prop2,cancel) and before it wrote its replacements into one
+    gate list (the other two)."""
     monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
     from workloads import tof_chain
 
     src = tmp_path / "chain.qasm"
     src.write_text(tof_chain(random.Random(5), primaries=13, ancillae=6, blocks=120))
-    got = _rewrite_digest(capsys, tmp_path, src, "prop1,prop2,cancel")
-    assert got == (1846, "60bdcc149938fe2c")
+    assert _rewrite_digest(capsys, tmp_path, src, rules) == (length, digest)
+
+
+def test_rewrite_keeps_a_one_control_tof(capsys, tmp_path):
+    """A tof with fewer than two controls in the middle of a pair is
+    written back under its directive with its cx expansion."""
+    src = tmp_path / "small_tof.qasm"
+    src.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[4];\n'
+                   'ccx q[0],q[1],q[2];\n// rphase: {"gate": "tof", "controls": [0], '
+                   '"target": 3, "neg": [], "gates": 0}\nccx q[0],q[1],q[2];\n')
+    code, out, _ = run(capsys, "rewrite", str(src), "--rules", "prop1,prop2")
+    assert code == 0
+    rewritten = parse_qasm("\n".join(out.splitlines()[:-1]) + "\n")
+    assert rewritten.gates[1] == tof((0,), 3) and rewritten.gates[0].is_marker
+    assert "\ncx q[0],q[3];\n" in out
 
 
 def test_table_default_rows(capsys):
@@ -332,6 +359,9 @@ def test_missing_file(capsys):
 
 
 _HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\n'
+_RTOF3L = emit_qasm(Circuit(3, [marker("rtof3l", (0, 1), 2)])).removeprefix(_HEADER)
+# the rtof3l directive with the first t of its expansion turned into tdg
+_TAMPERED_RTOF3L = _RTOF3L.replace("\nt q[2];\n", "\ntdg q[2];\n", 1)
 _BAD_FILES = {
     "invalid directive JSON": "// rphase: {bad json\nccx q[0],q[1],q[2];\n",
     "unknown marker kind":
@@ -340,6 +370,9 @@ _BAD_FILES = {
     "same qubit twice": "cx q[1],q[1];\n",
     "directive without gates":
         '// rphase: {"gate": "tof", "controls": [0, 1], "target": 2, "neg": []}\n',
+    "expansion that does not match its directive": _TAMPERED_RTOF3L,
+    "directive inside an expansion": _RTOF3L.replace("\n", (
+        '\n// rphase: {"gate": "tof", "controls": [0, 1], "target": 2, "neg": [], "gates": 0}\n'), 1),
 }
 
 
@@ -350,6 +383,18 @@ def test_bad_file_is_an_input_error_naming_the_line(capsys, tmp_path, command, p
     path.write_text(_HEADER + _BAD_FILES[problem])
     code, _, err = run(capsys, command, str(path))
     assert code == 2 and err.startswith("error:") and "line 4" in err
+
+
+def test_tampered_expansion_fails_verify_without_its_directive(capsys, tmp_path):
+    """The directive check is what stops the tampered file: read as plain
+    QASM, its body is not even a phase permutation."""
+    path = tmp_path / "tampered.qasm"
+    layout = ("--layout", "ctrl,ctrl,target", "--class", "relative_phase")
+    path.write_text(_HEADER + _TAMPERED_RTOF3L)
+    code, _, err = run(capsys, "verify", str(path), *layout)
+    assert code == 2 and err.startswith("error:") and "line 4" in err
+    path.write_text(_HEADER + _TAMPERED_RTOF3L.split("\n", 1)[1])
+    assert run(capsys, "verify", str(path), *layout)[0] == 1
 
 
 @pytest.mark.parametrize("command", ["count", "verify", "rewrite"])

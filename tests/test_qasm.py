@@ -9,7 +9,7 @@ from rphase.catalog import (
     toffoli3,
     tofn_clean,
 )
-from rphase.circuit import Circuit, cx, h, marker, ry, t, tof
+from rphase.circuit import MARKER_BLOCKS, Circuit, cx, h, marker, ry, tof
 from rphase.qasm import QasmError, UnsupportedGate, emit_qasm, parse_qasm
 
 
@@ -66,6 +66,30 @@ def test_negative_control_round_trip():
     assert '"neg": [1]' in text
     assert text.count("x q[1];") == 2  # the wrap is emitted as the expansion
     assert parse_qasm(text) == c
+
+
+def test_small_tofs_round_trip_with_their_expansion():
+    """tofs with 0, 1 and 2 controls, with and without negative controls,
+    are written under a directive (or as ccx) with a runnable expansion."""
+    c = Circuit(4, [tof((), 3), tof((0,), 3), tof((0, 1), 3),
+                    tof((0,), 3, neg=(0,)), tof((1, 2), 3, neg=(2,)),
+                    tof((1, 2), 3, neg=(1, 2))])
+    text = emit_qasm(c)
+    assert parse_qasm(text) == c
+    assert emit_qasm(parse_qasm(text)) == text
+    body = [line for line in text.splitlines()[3:] if not line.startswith("//")]
+    assert body == ["x q[3];", "cx q[0],q[3];", "ccx q[0],q[1],q[3];",
+                    "x q[0];", "cx q[0],q[3];", "x q[0];",
+                    "x q[2];", "ccx q[1],q[2],q[3];", "x q[2];",
+                    "x q[1];", "x q[2];", "ccx q[1],q[2],q[3];", "x q[2];", "x q[1];"]
+
+
+@pytest.mark.parametrize("dagger", [False, True])
+@pytest.mark.parametrize("kind", sorted(MARKER_BLOCKS))
+def test_every_marker_round_trips_through_its_checked_expansion(kind, dagger):
+    nc = MARKER_BLOCKS[kind].arity - 1
+    c = Circuit(nc + 2, [marker(kind, tuple(range(1, nc + 1)), 0, dagger=dagger)])
+    assert parse_qasm(emit_qasm(c)) == c
 
 
 def test_wide_tof_round_trips_without_expansion():

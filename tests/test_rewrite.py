@@ -15,6 +15,7 @@ from rphase.rewrite import (
     apply_replacement,
     cancel_adjacent_inverses,
     canonic_decompose,
+    classify_pair,
     find_conjugations,
 )
 from rphase.ring import IMAG, ONE
@@ -33,6 +34,13 @@ def same_unitary(a, b):
     return type(ua) is type(ub) and ua == ub
 
 
+def _replaced(circ, m, name):
+    """``circ`` with the matched pair replaced by ``name`` and its inverse."""
+    gates = list(circ.gates)
+    gates[m.left_index], gates[m.right_index] = apply_replacement(m, name)
+    return Circuit(circ.width, gates, circ.roles)
+
+
 CLEAN5 = ("primary", "primary", "clean_ancilla", "primary", "primary")
 
 
@@ -47,6 +55,30 @@ def test_find_prop1_in_fold_pattern():
 def test_find_no_matches():
     c = Circuit(3, [tof((0, 1), 2), cx(0, 1)])
     assert find_conjugations(c) == []
+
+
+def _find_conjugations_by_scan(circ):
+    """The all-pairs scan the per-gate index replaced, kept as a reference:
+    every tof against every later gate."""
+    gates = circ.gates
+    return [classify_pair(circ, i, j) for i, gi in enumerate(gates) if gi.kind == "tof"
+            for j in range(i + 1, len(gates)) if gates[j] == gi]
+
+
+def test_find_conjugations_matches_the_scan_reference():
+    """Same matches in the same order on 300 seeded random circuits, with
+    triples of equal tofs and negative-control pairs among them."""
+    from test_cli import _conjugation_circuit
+
+    rng = random.Random(1710)
+    triples = negs = 0
+    for _ in range(300):
+        c = _conjugation_circuit(rng, rng.randint(0, 40))
+        ms = find_conjugations(c)
+        assert ms == _find_conjugations_by_scan(c)
+        triples += len({m.left_index for m in ms}) < len(ms)
+        negs += any(m.neg for m in ms)
+    assert triples >= 100 and negs >= 100
 
 
 def test_classification_prop2_and_prop3():
@@ -67,7 +99,7 @@ def test_disjoint_middle_gates_are_ignored():
 def test_apply_prop1_reproduces_fold_counts():
     c = Circuit(5, [tof((0, 1), 2), tof((2, 3), 4), tof((0, 1), 2)], CLEAN5)
     m = find_conjugations(c)[0]
-    out = apply_replacement(c, m, "rtof3_long")
+    out = _replaced(c, m, "rtof3_long")
     assert out.gates[0].kind == "rtof3l" and out.gates[2].kind == "rtof3l"
     assert out.gates[2].dagger
     low = lower(out)
@@ -79,7 +111,7 @@ def test_apply_prop1_reproduces_fold_counts():
 def test_apply_toffoli3_is_identity_replacement():
     c = Circuit(5, [tof((0, 1), 2), tof((2, 3), 4), tof((0, 1), 2)], CLEAN5)
     m = find_conjugations(c)[0]
-    out = apply_replacement(c, m, "toffoli3")
+    out = _replaced(c, m, "toffoli3")
     assert out.gates == c.gates
     assert out.count_resources() == c.count_resources()
 
@@ -88,11 +120,11 @@ def test_apply_errors():
     c = Circuit(5, [tof((0, 1), 2), tof((2, 3), 4), tof((0, 1), 2)], CLEAN5)
     m = find_conjugations(c)[0]
     with pytest.raises(ArityMismatch):
-        apply_replacement(c, m, "rtof4_long")
+        _replaced(c, m, "rtof4_long")
     on_control = Circuit(4, [tof((0, 1), 2), cx(3, 1), tof((0, 1), 2)])
     m2 = find_conjugations(on_control)[0]
     with pytest.raises(SpecialFormViolated):
-        apply_replacement(c_pair := on_control, m2, "rtof3_long")
+        _replaced(on_control, m2, "rtof3_long")
 
 
 def test_negative_control_pairs_are_refused():
@@ -103,7 +135,7 @@ def test_negative_control_pairs_are_refused():
     assert m.neg == frozenset({1})
     assert not admissible("rtof3_long", m)
     with pytest.raises(RewriteError):
-        apply_replacement(c, m, "rtof3_long")
+        _replaced(c, m, "rtof3_long")
 
 
 def test_junk_marker_middle_still_sound():
@@ -117,7 +149,7 @@ def test_junk_marker_middle_still_sound():
     c = Circuit(5, [tof((0, 1), 2), mid, tof((0, 1), 2)])
     m = find_conjugations(c)[0]
     assert m.classification == "prop1"
-    out = apply_replacement(c, m, "rtof3_long")
+    out = _replaced(c, m, "rtof3_long")
 
     def expand(circ):
         gates = []
@@ -141,7 +173,7 @@ def test_replacement_leaves_middle_untouched():
     mid = [cx(3, 1), h(3)]
     c = Circuit(4, [tof((0, 1), 2)] + mid + [tof((0, 1), 2)])
     m = find_conjugations(c)[0]
-    out = apply_replacement(c, m, "srts3")
+    out = _replaced(c, m, "srts3")
     assert list(out.gates[1:3]) == mid
     assert same_unitary(c, out)
 
@@ -359,7 +391,7 @@ def test_engine_rewrites_full_borrowed_ancilla_ladder():
         m = next((m for m in matches if pick(m)), None)
         if m is None:
             break
-        work = apply_replacement(work, m, pick(m))
+        work = _replaced(work, m, pick(m))
         steps += 1
         assert steps <= 6
     assert steps == 6
