@@ -171,7 +171,15 @@ def cmd_rewrite(args) -> int:
     bad = [r for r in rules if r not in ("prop1", "prop2", "prop3", "cancel")]
     if bad:
         raise UsageError(f"unknown rules {bad}")
-    before = circuit.count_resources()
+    counted = circuit
+    if "cancel" in rules and any(g.kind == "tof" and len(g.controls) > 2 for g in circuit.gates):
+        # cancel lowers wide tofs, so count them lowered; when lower cannot,
+        # count_resources rejects the input naming a wide tof
+        try:
+            counted = lower(circuit)
+        except LoweringError:
+            pass
+    before = counted.count_resources()
     changed = False
 
     enabled = {r for r in rules if r != "cancel"}

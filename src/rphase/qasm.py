@@ -17,7 +17,8 @@ the parser checks that the N statements are exactly the expansion the
 emitter writes for the gate, swallows them and restores the high-level
 gate, so other QASM consumers still see a runnable program of the same
 unitary. A tof with three or more controls cannot be expanded without
-ancillae and is emitted with an empty expansion (``"gates": 0``).
+ancillae and is emitted with an empty expansion (``"gates": 0``); any
+other directive with ``"gates": 0`` is an error.
 ``parse_qasm(..., strict=True)`` rejects all rphase directives.
 """
 
@@ -209,6 +210,8 @@ def parse_qasm(text: str, strict: bool = False) -> Circuit:
                 raise QasmError("rphase directive inside the expansion of the "
                                 f"directive on line {pending[1]}", lineno, 1)
             if count == 0:
+                if _expansion(g):
+                    raise QasmError(f"rphase directive for {g} without its expansion", lineno, 1)
                 gates.append(g)
             else:
                 pending = (g, lineno, count, [])

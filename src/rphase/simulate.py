@@ -7,6 +7,13 @@ Hadamard only bumps the shared exponent and adds integers: Clifford+T
 circuits simulate with zero rounding error. The float backend stores
 complex amplitudes and is required for ry gates, whose cos(pi/8) entries
 live outside the ring. Backend choice is automatic from the gate set.
+Both column kernels return one shape, (amplitudes, k, max_support), with
+k = 0 for floats.
+
+Amplitudes compare through ``same_phase``, the one rule: exactly for two
+ring elements, within FLOAT_TOL = 1e-9 as complex numbers otherwise. It
+decides ``PhasePermutation`` and ``DenseMatrix`` equality, so a ring
+result equals a float one when they agree within the tolerance.
 
 ``unitary_columns`` is the one column driver: it applies a circuit to
 every basis state, or to a requested subset, which is how
@@ -127,17 +134,9 @@ _ZERO4 = (0, 0, 0, 0)
 
 
 def run_column_ring(ops, start: int):
-    """Propagate one basis state; returns (amplitudes, k, max_support)."""
-    return _run_ring_from(ops, {start: (1, 0, 0, 0)}, 0)
-
-
-def run_column_float(ops, start: int):
-    amps, max_support = _run_float_from(ops, {start: 1.0 + 0.0j})
-    return amps, max_support
-
-
-def _run_ring_from(ops, amps, k):
-    max_support = len(amps)
+    """Propagate one basis state; returns (amplitudes, k, max_support)
+    with each amplitude a coefficient 4-tuple over sqrt(2)^k."""
+    amps, k, max_support = {start: (1, 0, 0, 0)}, 0, 1
     for op in ops:
         code = op[0]
         if code == "perm":
@@ -171,8 +170,10 @@ def _run_ring_from(ops, amps, k):
     return amps, k, max_support
 
 
-def _run_float_from(ops, amps):
-    max_support = len(amps)
+def run_column_float(ops, start: int):
+    """Propagate one basis state; returns (amplitudes, 0, max_support)
+    with complex amplitudes, the shape of ``run_column_ring``."""
+    amps, max_support = {start: 1.0 + 0.0j}, 1
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     omega = cmath.exp(1j * math.pi / 4)
     for op in ops:
@@ -214,10 +215,18 @@ def _run_float_from(ops, amps):
             amps = {i: a for i, a in new.items() if abs(a) > 1e-14}
         if len(amps) > max_support:
             max_support = len(amps)
-    return amps, max_support
+    return amps, 0, max_support
 
 
 # -- whole-circuit unitaries ----------------------------------------------
+
+def same_phase(a, b) -> bool:
+    """The one rule for comparing two amplitudes: two ring elements are
+    equal exactly, any other pair within FLOAT_TOL as complex numbers."""
+    if isinstance(a, RingElement) and isinstance(b, RingElement):
+        return a == b
+    return abs(complex(a) - complex(b)) < FLOAT_TOL
+
 
 @dataclass(frozen=True)
 class PhasePermutation:
@@ -262,14 +271,8 @@ class PhasePermutation:
     def __eq__(self, other):
         if not isinstance(other, PhasePermutation):
             return NotImplemented
-        if self.width != other.width or self.perm != other.perm:
-            return False
-        if self.backend == "ring" and other.backend == "ring":
-            return self.phases == other.phases
-        return all(
-            abs(complex(a) - complex(b)) < FLOAT_TOL
-            for a, b in zip(self.phases, other.phases)
-        )
+        return (self.width, self.perm) == (other.width, other.perm) and all(
+            map(same_phase, self.phases, other.phases))
 
 
 @dataclass(frozen=True)
@@ -304,21 +307,10 @@ class DenseMatrix:
     def __eq__(self, other):
         if not isinstance(other, DenseMatrix):
             return NotImplemented
-        if self.width != other.width:
-            return False
-        if self.backend == "ring" and other.backend == "ring":
-            return all(
-                {r: a for r, a in c.items() if not a.is_zero()}
-                == {r: a for r, a in d.items() if not a.is_zero()}
-                for c, d in zip(self.columns, other.columns)
-            )
-        for c, d in zip(self.columns, other.columns):
-            for r in set(c) | set(d):
-                if abs(complex(c.get(r, 0))) <= FLOAT_TOL and abs(complex(d.get(r, 0))) <= FLOAT_TOL:
-                    continue
-                if abs(complex(c.get(r, 0)) - complex(d.get(r, 0))) > FLOAT_TOL:
-                    return False
-        return True
+        return self.width == other.width and all(
+            same_phase(self.entry(r, s), other.entry(r, s))
+            for s, (c, d) in enumerate(zip(self.columns, other.columns))
+            for r in c.keys() | d.keys())
 
 
 def pick_backend(circuit: Circuit, backend: str | None = None) -> str:
@@ -332,9 +324,8 @@ def pick_backend(circuit: Circuit, backend: str | None = None) -> str:
 def _column_batch(args):
     """(amplitudes, k, max_support) of each listed column, in order."""
     ops, backend, indices = args
-    if backend == "ring":
-        return [run_column_ring(ops, s) for s in indices]
-    return [(amps, 0, ms) for amps, ms in (run_column_float(ops, s) for s in indices)]
+    run = run_column_ring if backend == "ring" else run_column_float
+    return [run(ops, s) for s in indices]
 
 
 def unitary_columns(

@@ -6,7 +6,10 @@ TargetSpec and reports every verdict at once: exact equality, equality up
 to a global phase, relative-phase equality (permutation matches, every
 phase unit-magnitude), the special-form phase-class condition, and the
 ancilla contract (clean helpers enter and leave |0>, dirty helpers factor
-out). In the ring backend every verdict is tolerance-free.
+out). Every phase comparison goes through ``simulate.same_phase``: exact
+for two ring elements, within 1e-9 otherwise, so in the ring backend every
+verdict is tolerance-free. The backend is never read here except to report
+it.
 
 The columns come from ``simulate.unitary_columns``, the one column
 driver. Clean ancillae restrict the checked subspace: only columns whose
@@ -21,8 +24,8 @@ import json
 from dataclasses import dataclass
 
 from .circuit import Circuit, ROLE_CLEAN, ROLE_DIRTY, TargetSpec
-from .ring import RingElement
-from .simulate import FLOAT_TOL, PhasePermutation, unitary_columns
+from .ring import ONE, RingElement
+from .simulate import PhasePermutation, same_phase, unitary_columns
 # perfbench/tracer.py binds its simulate spans to these names in this module
 from .simulate import compile_circuit, run_column_float, run_column_ring  # noqa: F401
 
@@ -68,26 +71,9 @@ class VerificationReport:
 def target_permutation(spec: TargetSpec, width: int) -> list[int]:
     """The permutation of ``spec`` acting on ``width`` qubits (identity on
     qubits the spec does not mention)."""
-    cm = cv = 0
-    for q in spec.controls:
-        b = 1 << (width - 1 - q)
-        cm |= b
-        if q not in spec.neg:
-            cv |= b
-    tb = 1 << (width - 1 - spec.target)
+    cm, cv = _mask(spec.controls, width), _mask(set(spec.controls) - spec.neg, width)
+    tb = _mask((spec.target,), width)
     return [(s ^ tb) if (s & cm) == cv else s for s in range(1 << width)]
-
-
-def _phase_one(phase, backend: str) -> bool:
-    if backend == "ring":
-        return phase == RingElement.from_int(1)
-    return abs(phase - 1.0) < FLOAT_TOL
-
-
-def _phases_equal(a, b, backend: str) -> bool:
-    if backend == "ring":
-        return a == b
-    return abs(a - b) < FLOAT_TOL
 
 
 def check_implements(
@@ -97,13 +83,12 @@ def check_implements(
 ) -> VerificationReport:
     """Exhaustive basis simulation of ``circuit`` against ``spec``."""
     width = circuit.width
-    bit = lambda q: 1 << (width - 1 - q)
-    clean_mask = sum(bit(q) for q, r in enumerate(circuit.roles) if r == ROLE_CLEAN)
-    dirty_mask = sum(bit(q) for q, r in enumerate(circuit.roles) if r == ROLE_DIRTY)
+    clean_mask = _mask([q for q, r in enumerate(circuit.roles) if r == ROLE_CLEAN], width)
+    dirty_mask = _mask([q for q, r in enumerate(circuit.roles) if r == ROLE_DIRTY], width)
     cols = unitary_columns(
         circuit, processes=processes,
         column_indices=(s for s in range(1 << width) if not s & clean_mask))
-    perm, phase, backend = cols.perm, cols.phases, cols.backend
+    perm, phase = cols.perm, cols.phases
     columns = list(perm)
     expected = target_permutation(spec, width)
 
@@ -112,25 +97,14 @@ def check_implements(
     perm_ok = all(perm[s] == expected[s] for s in columns)
 
     # dirty factorization: action and phase independent of the dirty bits
-    factor_ok = True
-    if dirty_mask:
-        base = {}
-        for s in columns:
-            key = s & ~dirty_mask
-            if key in base:
-                b = base[key]
-                if (perm[s] ^ s) != (perm[b] ^ b) or not _phases_equal(
-                    phase[s], phase[b], backend
-                ):
-                    factor_ok = False
-                    break
-            else:
-                base[key] = s
+    factor_ok = not dirty_mask or _constant_on_classes(
+        {s: (perm[s] ^ s, phase[s]) for s in columns}, dirty_mask,
+        lambda a, b: a[0] == b[0] and same_phase(a[1], b[1]))
     ancilla_ok = clean_ok and dirty_preserved and factor_ok
 
-    all_one = all(_phase_one(phase[s], backend) for s in columns)
+    all_one = all(same_phase(phase[s], ONE) for s in columns)
     first = phase[columns[0]]
-    constant = all(_phases_equal(phase[s], first, backend) for s in columns)
+    constant = all(same_phase(phase[s], first) for s in columns)
 
     # every collapsed phase is unit-magnitude, so relative phase needs
     # only the permutation and the ancilla contract
@@ -138,11 +112,10 @@ def check_implements(
     global_phase = perm_ok and constant and ancilla_ok
     relative = perm_ok and ancilla_ok
 
+    # special form is read on the canonic row-indexed diagonal
     xprime = tuple(sorted(spec.xprime))
-    sf_holds = False
-    if perm_ok:
-        row_phase = {perm[s]: phase[s] for s in columns}
-        sf_holds = _classes_equal(row_phase, xprime, width, backend)
+    sf_holds = perm_ok and _constant_on_classes(
+        {perm[s]: phase[s] for s in columns}, _mask(xprime, width))
 
     return VerificationReport(
         exact=exact,
@@ -151,24 +124,21 @@ def check_implements(
         special_form_xprime=xprime,
         special_form_holds=sf_holds,
         ancilla_ok=ancilla_ok,
-        backend=backend,
+        backend=cols.backend,
         max_support=cols.max_support,
     )
 
 
-def _classes_equal(row_phase: dict, xprime, width: int, backend: str) -> bool:
-    """Phases equal within every class of indices differing only in the
-    xprime digits (evaluated on the canonic row-indexed diagonal)."""
-    xmask = sum(1 << (width - 1 - q) for q in xprime)
-    reps = {}
-    for idx, ph in row_phase.items():
-        rep = idx & ~xmask
-        if rep in reps:
-            if not _phases_equal(ph, reps[rep], backend):
-                return False
-        else:
-            reps[rep] = ph
-    return True
+def _mask(qubits, width: int) -> int:
+    """Basis-index bits of ``qubits``; qubit 0 is the most significant."""
+    return sum(1 << (width - 1 - q) for q in qubits)
+
+
+def _constant_on_classes(values: dict, mask: int, same=same_phase) -> bool:
+    """True iff ``values`` agree under ``same`` within every class of
+    indices that differ only in the ``mask`` bits."""
+    first = {}
+    return all(same(v, first.setdefault(i & ~mask, v)) for i, v in values.items())
 
 
 # -- phase-permutation level predicates -------------------------------------
@@ -181,26 +151,20 @@ def is_relative_phase_of(u: PhasePermutation, spec: TargetSpec) -> bool:
 def is_special_form(u: PhasePermutation, xprime, spec: TargetSpec) -> bool:
     """True iff the canonic row phases are constant on every class of
     basis states differing only in the ``xprime`` digits."""
-    if not is_relative_phase_of(u, spec):
-        return False
-    row = {i: ph for i, ph in enumerate(u.row_phases())}
-    return _classes_equal(row, tuple(xprime), u.width, u.backend)
+    return is_relative_phase_of(u, spec) and _constant_on_classes(
+        dict(enumerate(u.row_phases())), _mask(xprime, u.width))
 
 
 def global_phase_equal(u: PhasePermutation, v: PhasePermutation) -> bool:
-    """Same permutation and columnwise phase ratio constant."""
+    """Same permutation and columnwise phase ratio constant: z * w0 and
+    w * z0 are the same phase in every column (compared as complex
+    numbers unless both sides are ring elements)."""
     if u.width != v.width or u.perm != v.perm:
         return False
-    if u.backend == "ring" and v.backend == "ring":
-        z0, w0 = u.phases[0], v.phases[0]
-        return all(
-            z * w0 == w * z0 for z, w in zip(u.phases, v.phases)
-        )
-    ratio0 = complex(u.phases[0]) / complex(v.phases[0])
-    return all(
-        abs(complex(z) / complex(w) - ratio0) < FLOAT_TOL
-        for z, w in zip(u.phases, v.phases)
-    )
+    zs, ws = u.phases, v.phases
+    if not (isinstance(zs[0], RingElement) and isinstance(ws[0], RingElement)):
+        zs, ws = [complex(z) for z in zs], [complex(w) for w in ws]
+    return all(same_phase(z * ws[0], w * zs[0]) for z, w in zip(zs, ws))
 
 
 def permutation_parity(obj, width: int | None = None) -> int:
@@ -232,21 +196,6 @@ def permutation_parity(obj, width: int | None = None) -> int:
     return sign
 
 
-def backends_agree(circuit: Circuit, tol: float = FLOAT_TOL) -> bool:
-    """Float and ring backends produce the same unitary within ``tol``."""
-    u_ring = unitary_columns(circuit, backend="ring")
-    u_float = unitary_columns(circuit, backend="float")
-    if isinstance(u_ring, PhasePermutation) != isinstance(u_float, PhasePermutation):
-        return False
-    if isinstance(u_ring, PhasePermutation):
-        if u_ring.perm != u_float.perm:
-            return False
-        return all(
-            abs(complex(a) - b) < tol
-            for a, b in zip(u_ring.phases, u_float.phases)
-        )
-    for c, d in zip(u_ring.columns, u_float.columns):
-        for r in set(c) | set(d):
-            if abs(complex(c.get(r, 0)) - complex(d.get(r, 0))) > tol:
-                return False
-    return True
+def backends_agree(circuit: Circuit) -> bool:
+    """Float and ring backends produce the same unitary under ``same_phase``."""
+    return unitary_columns(circuit, backend="ring") == unitary_columns(circuit, backend="float")

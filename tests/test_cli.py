@@ -12,7 +12,7 @@ import rphase.cli as cli
 from rphase.cli import _pick_impl, main
 from rphase.qasm import emit_qasm, parse_qasm
 from rphase.catalog import toffoli3
-from rphase.circuit import Circuit, cx, cz, h, marker, t, tof, x
+from rphase.circuit import ROLE_CLEAN, ROLE_PRIMARY, Circuit, cx, cz, h, marker, t, tof, x
 from rphase.rewrite import apply_replacement, find_conjugations
 
 
@@ -317,12 +317,28 @@ def test_rewrite_keeps_a_one_control_tof(capsys, tmp_path):
     src = tmp_path / "small_tof.qasm"
     src.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[4];\n'
                    'ccx q[0],q[1],q[2];\n// rphase: {"gate": "tof", "controls": [0], '
-                   '"target": 3, "neg": [], "gates": 0}\nccx q[0],q[1],q[2];\n')
+                   '"target": 3, "neg": [], "gates": 1}\ncx q[0],q[3];\nccx q[0],q[1],q[2];\n')
     code, out, _ = run(capsys, "rewrite", str(src), "--rules", "prop1,prop2")
     assert code == 0
     rewritten = parse_qasm("\n".join(out.splitlines()[:-1]) + "\n")
     assert rewritten.gates[1] == tof((0,), 3) and rewritten.gates[0].is_marker
     assert "\ncx q[0],q[3];\n" in out
+
+
+@pytest.mark.parametrize("rules", ["cancel", "prop1,prop2,cancel"])
+def test_rewrite_lowers_a_wide_tof_it_can_expand(capsys, tmp_path, rules):
+    """Under cancel, the before count of a wide tof is taken on its lowering,
+    so a file holding one with a clean ancilla to spare rewrites."""
+    src = tmp_path / "wide_tof.qasm"
+    roles = (ROLE_PRIMARY,) * 5 + (ROLE_CLEAN,)
+    src.write_text(emit_qasm(Circuit(6, [tof((0, 1, 2, 3), 4)], roles)))
+    dst = tmp_path / "out.qasm"
+    code, out, _ = run(capsys, "rewrite", str(src), "--rules", rules, "--out", str(dst))
+    assert code == 0
+    report = json.loads(out)
+    assert report["before"]["t"] == 23 and report["after"]["t"] <= 23
+    code, out, _ = run(capsys, "verify", str(dst), "--layout", "ctrl,ctrl,ctrl,ctrl,target,clean")
+    assert code == 0 and json.loads(out)["exact"]
 
 
 def test_table_default_rows(capsys):
@@ -371,6 +387,8 @@ _BAD_FILES = {
     "directive without gates":
         '// rphase: {"gate": "tof", "controls": [0, 1], "target": 2, "neg": []}\n',
     "expansion that does not match its directive": _TAMPERED_RTOF3L,
+    "marker directive without its expansion":
+        '// rphase: {"marker": "rtof3l", "controls": [0, 1], "target": 2, "dagger": false, "gates": 0}\n',
     "directive inside an expansion": _RTOF3L.replace("\n", (
         '\n// rphase: {"gate": "tof", "controls": [0, 1], "target": 2, "neg": [], "gates": 0}\n'), 1),
 }

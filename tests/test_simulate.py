@@ -1,9 +1,10 @@
 """Sparse simulator: gate semantics, exact norms, whole-circuit unitaries."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rphase.catalog import catalog_entries, rtof4_long, toffoli3
-from rphase.circuit import Circuit, cx, h, marker, t, x
+from rphase.circuit import Circuit, cx, cz, h, marker, p, pdg, t, tdg, x, y, z
 from rphase.ring import IMAG, INV_SQRT2, OMEGA, ONE, ZERO, RingElement
 from rphase.simulate import (
     DenseMatrix,
@@ -109,6 +110,31 @@ def test_float_and_ring_backends_agree():
 
     for name, entry in catalog_entries().items():
         assert backends_agree(entry.circuit), name
+
+
+@st.composite
+def clifford_t_circuits(draw):
+    """Circuits of 1-4 qubits and at most 20 Clifford+T gates."""
+    width = draw(st.integers(1, 4))
+    qubit = st.integers(0, width - 1)
+    gates = []
+    for _ in range(draw(st.integers(0, 20))):
+        if width > 1 and draw(st.booleans()):
+            a, b = draw(st.lists(qubit, min_size=2, max_size=2, unique=True))
+            gates.append(draw(st.sampled_from((cx, cz)))(a, b))
+        else:
+            gates.append(draw(st.sampled_from((h, t, tdg, p, pdg, x, y, z)))(draw(qubit)))
+    return Circuit(width, gates)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(clifford_t_circuits(), st.integers(0, 3))
+def test_ring_and_float_unitaries_compare_equal(c, q):
+    """``==`` holds across backends, and one more t on any qubit breaks it."""
+    ring = unitary_columns(c, backend="ring")
+    assert ring == unitary_columns(c, backend="float")
+    extended = Circuit(c.width, list(c.gates) + [t(q % c.width)])
+    assert ring != unitary_columns(extended, backend="float")
 
 
 def test_column_subset():

@@ -4,6 +4,7 @@ import pytest
 
 from rphase.catalog import (
     catalog_entries,
+    margolus_ry,
     rtof3_long,
     rtof4_long,
     srtof3_ccix,
@@ -13,7 +14,7 @@ from rphase.catalog import (
     tofn_dirty,
     tofn_dirty_spec,
 )
-from rphase.circuit import Circuit, TargetSpec, cx, x, z
+from rphase.circuit import Circuit, TargetSpec, cx, h, x, z
 from rphase.simulate import NotAPhasePermutation, unitary_columns
 from rphase.verify import (
     check_implements,
@@ -56,14 +57,12 @@ def test_check_report_schema():
 
 
 def test_check_non_phase_permutation():
-    from rphase.circuit import h
-
     with pytest.raises(NotAPhasePermutation):
         check_implements(Circuit(1, [h(0)]), TargetSpec("tof", (), 0))
 
 
 def test_check_names_the_column_that_does_not_collapse():
-    from rphase.circuit import h, t, tdg
+    from rphase.circuit import t, tdg
 
     # H T (X Tdg X) H on qubit 1: the identity when qubit 0 is 0, and
     # H S H up to a phase (two outputs) when it is 1
@@ -114,6 +113,23 @@ def test_global_phase_equal():
     v = unitary_columns(minus)
     assert global_phase_equal(u, v)
     assert not global_phase_equal(u, unitary_columns(rtof3_long()))
+
+
+def test_global_phase_equal_on_float_and_mixed_pairs():
+    """Margolus's R_Y circuit is TOF then -1 on row 101, in floats; a
+    Z X Z X tail turns every phase to its negative."""
+    u = unitary_columns(margolus_ry())
+    v = unitary_columns(Circuit(3, list(margolus_ry().gates) + [z(0), x(0), z(0), x(0)]))
+    assert u.backend == v.backend == "float"
+    assert global_phase_equal(u, v) and u != v
+    assert not global_phase_equal(u, unitary_columns(toffoli3(), backend="float"))
+    # the same unitary over the ring: TOF, then X(1) CCZ X(1) with CCZ = H(2) TOF H(2)
+    tof3 = list(toffoli3().gates)
+    ring = unitary_columns(Circuit(3, tof3 + [x(1), h(2)] + tof3 + [h(2), x(1)]))
+    assert ring.backend == "ring" and ring == u
+    assert global_phase_equal(ring, u) and global_phase_equal(v, ring)
+    assert not global_phase_equal(unitary_columns(toffoli3()), u)
+    assert not global_phase_equal(v, unitary_columns(rtof3_long()))
 
 
 def test_permutation_parity():
