@@ -371,9 +371,6 @@ def two_block_tofn_spec(n: int, k: int) -> TargetSpec:
     return TargetSpec("tof", tuple(range(n - 1)), n)
 
 
-_CU_GATES = ("x", "z", "p")
-
-
 def _cu_gates(u: str, control: int, target: int) -> list[Gate]:
     """Controlled-U for the ring-friendly choices of U."""
     if u == "x":

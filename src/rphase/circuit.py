@@ -152,8 +152,8 @@ def ry(q, units: int):
     return Gate("ry", (), q, param=units)
 
 
-def cx(c, tgt, negated: bool = False):
-    return Gate("cnot", (c,), tgt, frozenset({c} if negated else ()))
+def cx(c, tgt):
+    return Gate("cnot", (c,), tgt)
 
 
 def cz(a, b):

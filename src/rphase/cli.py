@@ -2,7 +2,8 @@
 
 Exit codes: 0 success / verified, 1 verification failed, 2 usage or
 input error (including a circuit too wide to simulate), 3 internal
-invariant violation.
+invariant violation. ``verify`` has no pool option: the column driver
+picks its own (see ``simulate``).
 """
 
 from __future__ import annotations
@@ -132,8 +133,6 @@ def _roles_from_layout(layout: str, width: int):
 
 
 def cmd_verify(args) -> int:
-    if args.processes is not None and args.processes < 1:
-        raise UsageError(f"--processes must be >= 1, got {args.processes}")
     with open(args.input) as fh:
         circuit = parse_qasm(fh.read())
     if not circuit.is_lowered():
@@ -158,7 +157,7 @@ def cmd_verify(args) -> int:
             "relative_phase": "rtof", "special_form": "srtof"}[args.cls]
     spec = TargetSpec(kind, tuple(controls), target,
                       xprime=frozenset(args.xprime or ()), equivalence=args.cls)
-    report = check_implements(circuit, spec, processes=args.processes)
+    report = check_implements(circuit, spec)
     print(report.as_json())
     return EXIT_OK if report.satisfies(args.cls) else EXIT_VERIFY_FAILED
 
@@ -301,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class", dest="cls", default="exact",
                    choices=("exact", "global_phase", "relative_phase", "special_form"))
     p.add_argument("--xprime", type=int, nargs="*")
-    p.add_argument("--processes", type=int)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("rewrite", help="apply conjugation replacements / cancellation")

@@ -86,7 +86,7 @@ def _expand_big_tof(g: Gate, circuit: Circuit) -> list[Gate]:
         flavour, pool = "dirty", _free_ancillae(g, circuit, ROLE_DIRTY)
     if len(pool) < need:
         raise AncillaBudgetExceeded(
-            f"ancilla budget exceeded: lowering a {n - 1}-control tof needs "
+            f"ancilla budget exceeded: lowering {g} needs "
             f"{need} {flavour} ancillae, circuit offers {len(pool)}")
     template, tspec = cat.tofn(n, flavour)
     mapping = {}

@@ -19,7 +19,6 @@ gate, so other QASM consumers still see a runnable program of the same
 unitary. A tof with three or more controls cannot be expanded without
 ancillae and is emitted with an empty expansion (``"gates": 0``); any
 other directive with ``"gates": 0`` is an error.
-``parse_qasm(..., strict=True)`` rejects all rphase directives.
 """
 
 from __future__ import annotations
@@ -164,11 +163,8 @@ def _parse_args(text: str, reg: str, line: int) -> list[int]:
     return out
 
 
-def parse_qasm(text: str, strict: bool = False) -> Circuit:
-    """Parse the supported subset back into a circuit.
-
-    ``strict=True`` rejects rphase directives (plain OpenQASM only).
-    """
+def parse_qasm(text: str) -> Circuit:
+    """Parse the supported subset back into a circuit."""
     reg = None
     width = 0
     roles = None
@@ -183,8 +179,6 @@ def parse_qasm(text: str, strict: bool = False) -> Circuit:
             payload = line[2:].strip()
             if not payload.startswith("rphase:"):
                 continue
-            if strict:
-                raise QasmError("rphase directive rejected in strict mode", lineno, 1)
             try:
                 info = json.loads(payload[len("rphase:"):].strip())
                 if "roles" in info:

@@ -38,6 +38,7 @@ from itertools import combinations, permutations
 
 from .circuit import BLOCKS, Circuit, Gate, TargetSpec, marker, tof
 from .simulate import PhasePermutation, unitary_columns
+from .verify import is_special_form
 
 
 class RewriteError(Exception):
@@ -157,17 +158,9 @@ def _impl_info(name: str) -> _ImplInfo:
     base = BLOCKS[block.base]
     u = unitary_columns(Circuit(base.arity, base.gates))
     assert isinstance(u, PhasePermutation)
-    z = u.row_phases()
     invariant = frozenset(
-        pos for pos in range(block.arity)
-        if _flip_invariant(z, block.arity, pos)
-    )
+        pos for pos in range(block.arity) if is_special_form(u, {pos}, base.spec))
     return _ImplInfo(name, block.arity, invariant, block.junk, block.kind)
-
-
-def _flip_invariant(z, arity: int, pos: int) -> bool:
-    mask = 1 << (arity - 1 - pos)
-    return all(z[s] == z[s ^ mask] for s in range(1 << arity))
 
 
 def _wire_maps(info: _ImplInfo, m: ConjugationMatch):

@@ -24,15 +24,17 @@ basis state carrying a unit-magnitude phase the result is a
 ``DenseMatrix``, or ``NotAPhasePermutation`` naming the first column
 that does not collapse.
 
-Columns are independent; ``processes > 1`` fans them out over a process
-pool with a deterministic merge.
+Columns are independent, and the driver picks its own pool: from
+POOL_MIN_WORK column-ops (columns x compiled ops) on, they run over one
+worker process per usable CPU with an ordered merge, so a pooled result
+equals a serial one; below it, or when no pool can start, they run here.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
 from dataclasses import dataclass
 
 from .circuit import ROLE_CLEAN, Circuit, Gate
@@ -41,6 +43,13 @@ from .ring import RingElement, as_omega_power
 FLOAT_TOL = 1e-9
 DENSE_WIDTH_LIMIT = 12
 WIDTH_LIMIT = 16
+# Column work (columns x compiled ops) from which a process pool beats one
+# process. TOF constructions break even near 20k-30k on two CPUs, but a
+# circuit of few gates pays per-column costs the pool does not share (its
+# results cross a pipe, and the merge and collapse stay serial): the
+# 3-gate, 2^16-column verify (196,608) only breaks even. The constant sits
+# above both; the measured table is in CHANGES.md.
+POOL_MIN_WORK = 200_000
 
 
 class SimulationError(Exception):
@@ -328,12 +337,37 @@ def _column_batch(args):
     return [run(ops, s) for s in indices]
 
 
-def unitary_columns(
-    circuit: Circuit,
-    backend: str | None = None,
-    processes: int | None = None,
-    column_indices=None,
-):
+def _workers(columns: int, ops: int) -> int:
+    """1 (run serially) below POOL_MIN_WORK column-ops, else one per CPU
+    this process may run on, and never more than there are columns."""
+    if columns * ops < POOL_MIN_WORK:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, columns)
+
+
+def _run_columns(ops, backend: str, indices):
+    """(amplitudes, k, max_support) of each column, in order."""
+    workers = _workers(len(indices), len(ops))
+    if workers > 1:
+        chunk = max(1, len(indices) // (workers * 4))
+        batches = [(ops, backend, indices[i:i + chunk])
+                   for i in range(0, len(indices), chunk)]
+        from concurrent.futures import ProcessPoolExecutor
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                return [r for batch in pool.map(_column_batch, batches) for r in batch]
+        except OSError:
+            # no pool could start (fork failed, say); cli reads an OSError
+            # as an input error, so run the columns here instead
+            pass
+    return _column_batch((ops, backend, indices))
+
+
+def unitary_columns(circuit: Circuit, backend: str | None = None, column_indices=None):
     """Apply the circuit to each basis state (or to ``column_indices``).
 
     Returns a PhasePermutation when every column collapses to one basis
@@ -356,16 +390,7 @@ def unitary_columns(
     ops = compile_circuit(circuit)
     indices = range(1 << circuit.width) if full else list(column_indices)
 
-    if processes and processes > 1:
-        chunk = max(1, len(indices) // (processes * 4))
-        batches = [
-            (ops, backend, indices[i:i + chunk])
-            for i in range(0, len(indices), chunk)
-        ]
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            results = [r for batch in pool.map(_column_batch, batches) for r in batch]
-    else:
-        results = _column_batch((ops, backend, indices))
+    results = _run_columns(ops, backend, indices)
     max_support = max((ms for _, _, ms in results), default=1)
 
     perm = []

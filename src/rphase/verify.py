@@ -15,7 +15,8 @@ The columns come from ``simulate.unitary_columns``, the one column
 driver. Clean ancillae restrict the checked subspace: only columns whose
 clean bits are 0 are simulated, which is the whole contract for such
 circuits, and the width guard counts only those. Dirty ancillae are
-enumerated and must factor out exactly.
+enumerated and must factor out exactly. The driver alone decides whether
+a process pool runs the columns; the report is the same either way.
 """
 
 from __future__ import annotations
@@ -76,18 +77,13 @@ def target_permutation(spec: TargetSpec, width: int) -> list[int]:
     return [(s ^ tb) if (s & cm) == cv else s for s in range(1 << width)]
 
 
-def check_implements(
-    circuit: Circuit,
-    spec: TargetSpec,
-    processes: int | None = None,
-) -> VerificationReport:
+def check_implements(circuit: Circuit, spec: TargetSpec) -> VerificationReport:
     """Exhaustive basis simulation of ``circuit`` against ``spec``."""
     width = circuit.width
     clean_mask = _mask([q for q, r in enumerate(circuit.roles) if r == ROLE_CLEAN], width)
     dirty_mask = _mask([q for q, r in enumerate(circuit.roles) if r == ROLE_DIRTY], width)
     cols = unitary_columns(
-        circuit, processes=processes,
-        column_indices=(s for s in range(1 << width) if not s & clean_mask))
+        circuit, column_indices=(s for s in range(1 << width) if not s & clean_mask))
     perm, phase = cols.perm, cols.phases
     columns = list(perm)
     expected = target_permutation(spec, width)

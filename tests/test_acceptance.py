@@ -135,7 +135,7 @@ def test_criterion_4_exhaustive_functional_verification():
     elapsed = time.monotonic() - start
     report(4, ok and elapsed < 300.0,
            "exhaustive basis simulation, clean and dirty, n = 4..11",
-           f"{elapsed:.1f}s single-threaded, largest 15 qubits, "
+           f"{elapsed:.1f}s, largest 15 qubits, "
            f"max sparse support {max_support}")
 
 

@@ -89,3 +89,11 @@ def test_each_module_imports_first(module):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     subprocess.run([sys.executable, "-c", f"import {module}"], env=env, check=True)
 
+
+def test_cli_import_leaves_the_process_pool_out():
+    """The pool is imported only when a verify uses it."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    code = "import sys, rphase.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -142,7 +142,9 @@ def test_verify_rejects_bad_flags(capsys, tmp_path):
         code, _, err = run(capsys, "verify", str(path), "--processes", processes)
         assert code == 2 and "--processes" in err
     assert run(capsys, "verify", str(path), "--ancilla", "clean")[0] == 2
-    assert run(capsys, "verify", str(path), "--processes", "1")[0] == 0
+    # the column driver picks its own pool: --processes is no flag at all
+    code, _, err = run(capsys, "verify", str(path), "--processes", "1")
+    assert code == 2 and "unrecognized arguments: --processes" in err
 
 
 def test_verify_names_the_column_that_does_not_collapse(capsys, tmp_path):
@@ -428,7 +430,7 @@ def test_xprime_outside_the_gate_is_a_usage_error(capsys, tmp_path):
     assert code == 2 and err.startswith("error:") and "--xprime" in err
 
 
-@pytest.mark.parametrize("command", ["count", "rewrite"])
+@pytest.mark.parametrize("command", ["count", "rewrite", "verify"])
 def test_wide_tof_is_an_input_error_naming_the_gate(capsys, tmp_path, command):
     path = tmp_path / "wide_tof.qasm"
     path.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[5];\n// rphase: '

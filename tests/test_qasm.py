@@ -99,14 +99,6 @@ def test_wide_tof_round_trips_without_expansion():
     assert parse_qasm(text) == c
 
 
-def test_strict_mode_rejects_directives():
-    text = emit_qasm(Circuit(3, [marker("rtof3l", (0, 1), 2)]))
-    with pytest.raises(QasmError):
-        parse_qasm(text, strict=True)
-    plain = emit_qasm(toffoli3())
-    assert parse_qasm(plain, strict=True) == toffoli3()
-
-
 def test_plain_comments_are_ignored():
     text = 'OPENQASM 2.0;\nqreg q[1];\n// a note\nh q[0];\n'
     assert parse_qasm(text).gates == (h(0),)

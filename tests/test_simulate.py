@@ -1,10 +1,13 @@
 """Sparse simulator: gate semantics, exact norms, whole-circuit unitaries."""
 
+import concurrent.futures
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rphase.catalog import catalog_entries, rtof4_long, toffoli3
 from rphase.circuit import Circuit, cx, cz, h, marker, p, pdg, t, tdg, x, y, z
+from rphase import simulate
 from rphase.ring import IMAG, INV_SQRT2, OMEGA, ONE, ZERO, RingElement
 from rphase.simulate import (
     DenseMatrix,
@@ -149,9 +152,32 @@ def test_float_backend_collapse():
     assert all(abs(p - 1) < 1e-9 for p in u.phases)
 
 
-def test_parallel_columns_match_serial():
+def test_parallel_columns_match_serial(monkeypatch):
     c = toffoli3()
-    assert unitary_columns(c, processes=2) == unitary_columns(c)
+    serial = unitary_columns(c)
+    pools = []
+
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "_workers", lambda columns, ops: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    assert unitary_columns(c) == serial
+    assert pools == [2]
+
+
+def test_workers_follow_the_column_work(monkeypatch):
+    work = simulate.POOL_MIN_WORK
+    monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
+    assert simulate._workers(8, 15) == 1
+    assert simulate._workers(1024, work) == 4
+    assert simulate._workers(2, work) == 2  # never more workers than columns
+    monkeypatch.delattr(simulate.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
+    assert simulate._workers(1024, work) == 3
 
 
 def test_sparse_support_stays_small():

@@ -1,7 +1,10 @@
 """Verification predicates and reports."""
 
+import concurrent.futures
+
 import pytest
 
+from rphase import simulate
 from rphase.catalog import (
     catalog_entries,
     margolus_ry,
@@ -71,11 +74,35 @@ def test_check_names_the_column_that_does_not_collapse():
         check_implements(c, TargetSpec("tof", (0,), 1))
 
 
-def test_check_parallel_equals_serial():
+def test_check_parallel_equals_serial(monkeypatch):
     c, spec = tofn_dirty(6), tofn_dirty_spec(6)
     serial = check_implements(c, spec)
     assert serial.exact and serial.ancilla_ok
-    assert check_implements(c, spec, processes=2) == serial
+    monkeypatch.setattr(simulate, "_workers", lambda columns, ops: 2)
+    assert check_implements(c, spec) == serial
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a process pool was built")
+
+
+def test_check_below_the_pool_constant_builds_no_pool(monkeypatch):
+    c, spec = tofn_dirty(6), tofn_dirty_spec(6)
+    assert (1 << c.width) * len(simulate.compile_circuit(c)) < simulate.POOL_MIN_WORK
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    assert check_implements(c, spec).exact
+
+
+def test_check_runs_serially_when_no_pool_can_start(monkeypatch):
+    c, spec = tofn_dirty(6), tofn_dirty_spec(6)
+    serial = check_implements(c, spec)
+
+    def fork_fails(*args, **kwargs):
+        raise OSError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(simulate, "_workers", lambda columns, ops: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", fork_fails)
+    assert check_implements(c, spec) == serial
 
 
 def test_is_relative_phase_of():
