@@ -1,9 +1,10 @@
 """Command-line surface: synthesize, count, verify, rewrite, table.
 
 Exit codes: 0 success / verified, 1 verification failed, 2 usage or
-input error (including a circuit too wide to simulate), 3 internal
-invariant violation. ``verify`` has no pool option: the column driver
-picks its own (see ``simulate``).
+input error (including a circuit too wide to simulate or a qreg wider
+than ``qasm.QREG_LIMIT``), 3 internal error: any other exception,
+reported on one line without a traceback. ``verify`` has no pool
+option: the column driver picks its own (see ``simulate``).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .rewrite import (
     find_conjugations,
     REPLACEMENT_IMPLS,
 )
-from .simulate import NotAPhasePermutation, SimulationError, WidthLimitExceeded
+from .simulate import NotAPhasePermutation, WidthLimitExceeded
 from .verify import check_implements
 
 EXIT_OK = 0
@@ -331,8 +332,8 @@ def main(argv=None) -> int:
     except NotAPhasePermutation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
-    except (SimulationError, AssertionError) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:  # a bug, never an input: no traceback, exit 3
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

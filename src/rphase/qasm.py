@@ -41,6 +41,10 @@ from .circuit import (
 )
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
+# Widest qreg the parser accepts, far above the widest circuit synth
+# writes (TOF310, 464 qubits), so that a huge declared width is an input
+# error rather than a circuit the process cannot hold.
+QREG_LIMIT = 1 << 16
 
 _KIND_TO_QASM = {
     "x": "x", "y": "y", "z": "z", "p": "s", "pdg": "sdg",
@@ -225,7 +229,11 @@ def parse_qasm(text: str) -> Circuit:
                 raise QasmError("cannot parse qreg declaration", lineno, 1)
             if reg is not None:
                 raise QasmError("multiple qreg declarations are not supported", lineno, 1)
-            reg, width = mm.group(1), int(mm.group(2))
+            size = mm.group(2).lstrip("0") or "0"
+            if len(size) > len(str(QREG_LIMIT)) or int(size) > QREG_LIMIT:
+                raise QasmError(
+                    f"qreg of {size} qubits is wider than the limit of {QREG_LIMIT}", lineno, 1)
+            reg, width = mm.group(1), int(size)
             continue
         if reg is None:
             raise QasmError("gate before qreg declaration", lineno, 1)

@@ -18,6 +18,7 @@ Elements are immutable and hashable; all operations return new values.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -204,16 +205,24 @@ SQRT2 = RingElement(0, 1, 0, -1)
 INV_SQRT2 = RingElement(1, 0, 0, 0, 1)
 
 
-_OMEGA_POWERS = {
-    (e.a0, e.a1, e.a2, e.a3): e for e in map(RingElement.omega_power, range(8))
-}
+_OMEGA_POWERS = tuple(map(RingElement.omega_power, range(8)))
+
+
+@functools.cache
+def _omega_numerators(k: int) -> dict:
+    """{numerator of w^j over sqrt(2)^k: w^j} for j = 0..7."""
+    return {_scale_up((e.a0, e.a1, e.a2, e.a3), k): e for e in _OMEGA_POWERS}
 
 
 def as_omega_power(c: tuple[int, int, int, int], k: int) -> RingElement | None:
     """The shared w^j equal to numerator ``c`` over sqrt(2)^k, or None when
     that number does not have unit magnitude.
 
-    Exact without computing |x|^2. Let x = c / sqrt(2)^k be canonical with
+    One lookup: a number has exactly one numerator over a given
+    sqrt(2)^k, so ``c`` over sqrt(2)^k equals w^j iff ``c`` is w^j's
+    numerator w^j * sqrt(2)^k, and that table holds all eight.
+
+    No unit misses the table. Let x = c / sqrt(2)^k be canonical with
     |x| = 1, so c * conj(c) = 2^k. Over 2, Z[w] has the one prime
     lambda = 1 - w, with (2) = (lambda)^4 and (sqrt(2)) = (lambda)^2, and
     conjugation fixes it; so c and conj(c) have the same lambda-adic
@@ -222,5 +231,4 @@ def as_omega_power(c: tuple[int, int, int, int], k: int) -> RingElement | None:
     it has modulus 1 (conjugation commutes with the abelian Galois group),
     so x is a root of unity by Kronecker's theorem: some w^j.
     """
-    c, k = _reduce(c, k)
-    return _OMEGA_POWERS.get(c) if k == 0 else None
+    return _omega_numerators(k).get(c)

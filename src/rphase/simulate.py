@@ -10,6 +10,12 @@ live outside the ring. Backend choice is automatic from the gate set.
 Both column kernels return one shape, (amplitudes, k, max_support), with
 k = 0 for floats.
 
+The ring backend runs a fused op list: ``fuse_ops`` folds each run of
+permutation and phase gates between Hadamards, on at most FUSE_QUBITS
+qubits, into one table lookup per amplitude. Such a run never changes
+the number of amplitudes, so a fused column returns exactly what the
+gate-level one does, max_support included.
+
 Amplitudes compare through ``same_phase``, the one rule: exactly for two
 ring elements, within FLOAT_TOL = 1e-9 as complex numbers otherwise. It
 decides ``PhasePermutation`` and ``DenseMatrix`` equality, so a ring
@@ -25,9 +31,10 @@ basis state carrying a unit-magnitude phase the result is a
 that does not collapse.
 
 Columns are independent, and the driver picks its own pool: from
-POOL_MIN_WORK column-ops (columns x compiled ops) on, they run over one
-worker process per usable CPU with an ordered merge, so a pooled result
-equals a serial one; below it, or when no pool can start, they run here.
+POOL_MIN_WORK column-ops (columns x gate-level compiled ops, counted
+before fusion) on, they run over one worker process per usable CPU with
+an ordered merge, so a pooled result equals a serial one; below it, or
+when no pool can start, they run here.
 """
 
 from __future__ import annotations
@@ -43,13 +50,16 @@ from .ring import RingElement, as_omega_power
 FLOAT_TOL = 1e-9
 DENSE_WIDTH_LIMIT = 12
 WIDTH_LIMIT = 16
-# Column work (columns x compiled ops) from which a process pool beats one
-# process. TOF constructions break even near 20k-30k on two CPUs, but a
-# circuit of few gates pays per-column costs the pool does not share (its
-# results cross a pipe, and the merge and collapse stay serial): the
-# 3-gate, 2^16-column verify (196,608) only breaks even. The constant sits
-# above both; the measured table is in CHANGES.md.
+# Column work (columns x gate-level compiled ops) from which a process
+# pool beats one process. With the fused kernel, TOF constructions break
+# even near 20k-60k on two CPUs, but a circuit of few gates pays
+# per-column costs the pool does not share (its results cross a pipe, and
+# the merge and collapse stay serial): the 3-gate, 2^16-column verify
+# (196,608) runs 1.2x as long pooled. The constant sits above both; the
+# measured table is in CHANGES.md.
 POOL_MIN_WORK = 200_000
+# Most qubits one fused perm/phase run may touch: its table has 2^4 rows.
+FUSE_QUBITS = 4
 
 
 class SimulationError(Exception):
@@ -76,9 +86,13 @@ class NotAPhasePermutation(SimulationError):
 #   ("phase", ctl_mask, ctl_value, omega_exponent)    z/p/pdg/t/tdg/cz
 #   ("y", bit_mask)
 #   ("ry", bit_mask, units)                           float backend only
+#   ("pp", qubit_mask, table)                         fused run, ring only
 #
 # A gate fires on index i iff (i & ctl_mask) == ctl_value, which encodes
-# positive and negative controls uniformly.
+# positive and negative controls uniformly. ``fuse_ops`` folds each run of
+# perm/phase/y ops between Hadamards into one "pp" op: ``table`` maps the
+# run's bits of an index, i & qubit_mask, to its output bits and the
+# omega exponent (mod 8) the run multiplies the amplitude by.
 
 def _bit(width: int, q: int) -> int:
     return 1 << (width - 1 - q)  # qubit 0 is the most significant bit
@@ -118,10 +132,65 @@ def compile_circuit(circuit: Circuit):
     return tuple(compile_gate(g, circuit.width) for g in circuit.gates)
 
 
+def fuse_ops(ops):
+    """The ring kernel's op list with each maximal run of perm, phase and
+    y ops touching at most FUSE_QUBITS qubits folded into one pp op. A run
+    ends at an h op or where one more op would pass the cap; a run of one
+    op stays that op. No op in a run changes the support, so a column
+    through the fused list returns what it returns through ``ops``."""
+    groups = []  # [touched mask, ops] per run; mask None for h and ry
+    for op in ops:
+        code = op[0]
+        if code == "perm":
+            touched = op[1] | op[3]
+        elif code in ("phase", "y"):
+            touched = op[1]
+        else:
+            touched = None
+        last = groups[-1][0] if groups else None
+        if touched is not None and last is not None and (last | touched).bit_count() <= FUSE_QUBITS:
+            groups[-1][0] |= touched
+            groups[-1][1].append(op)
+        else:
+            groups.append([touched, [op]])
+    return tuple(run[0] if len(run) == 1 else ("pp", mask, _run_table(run, mask))
+                 for mask, run in groups)
+
+
+def _run_table(run, mask):
+    """{local input bits: (local output bits, w exponent mod 8)} of a
+    perm/phase/y run, from each of the 2^m basis states on its m qubits."""
+    states = [0]
+    rest = mask
+    while rest:
+        b = rest & -rest
+        states += [s | b for s in states]
+        rest ^= b
+    table = {}
+    for start in states:
+        i, e = start, 0
+        for op in run:
+            code = op[0]
+            if code == "perm":
+                _, cm, cv, tb = op
+                if (i & cm) == cv:
+                    i ^= tb
+            elif code == "phase":
+                _, cm, cv, step = op
+                if (i & cm) == cv:
+                    e += step
+            else:
+                tb = op[1]
+                e += 6 if i & tb else 2
+                i ^= tb
+        table[start] = (i, e % 8)
+    return table
+
+
 # -- ring kernel ----------------------------------------------------------
 
 def _omega_mul(c, e):
-    """Coefficient 4-tuple times w^e, e in [-2, 4]."""
+    """Coefficient 4-tuple times w^e, for any integer e (w^8 = 1)."""
     c0, c1, c2, c3 = c
     e %= 8
     if e == 0:
@@ -130,13 +199,15 @@ def _omega_mul(c, e):
         return (-c3, c0, c1, c2)
     if e == 2:
         return (-c2, -c3, c0, c1)
+    if e == 3:
+        return (-c1, -c2, -c3, c0)
     if e == 4:
         return (-c0, -c1, -c2, -c3)
+    if e == 5:
+        return (c3, -c0, -c1, -c2)
     if e == 6:
         return (c2, c3, -c0, -c1)
-    if e == 7:
-        return (c1, c2, c3, -c0)
-    raise AssertionError(e)
+    return (c1, c2, c3, -c0)
 
 
 _ZERO4 = (0, 0, 0, 0)
@@ -144,16 +215,20 @@ _ZERO4 = (0, 0, 0, 0)
 
 def run_column_ring(ops, start: int):
     """Propagate one basis state; returns (amplitudes, k, max_support)
-    with each amplitude a coefficient 4-tuple over sqrt(2)^k."""
+    with each amplitude a coefficient 4-tuple over sqrt(2)^k. ``ops`` is
+    gate-level or fused; only an h op changes the support, so max_support
+    is read after each h."""
     amps, k, max_support = {start: (1, 0, 0, 0)}, 0, 1
     for op in ops:
         code = op[0]
-        if code == "perm":
-            _, cm, cv, tb = op
-            amps = {(i ^ tb if (i & cm) == cv else i): a for i, a in amps.items()}
-        elif code == "phase":
-            _, cm, cv, e = op
-            amps = {i: (_omega_mul(a, e) if (i & cm) == cv else a) for i, a in amps.items()}
+        if code == "pp":
+            _, mask, table = op
+            keep = ~mask
+            new = {}
+            for i, a in amps.items():
+                o, e = table[i & mask]
+                new[i & keep | o] = _omega_mul(a, e) if e else a
+            amps = new
         elif code == "h":
             tb = op[1]
             k += 1
@@ -168,14 +243,22 @@ def run_column_ring(ops, start: int):
                     new[hi] = (d0 - c0, d1 - c1, d2 - c2, d3 - c3)
                 else:
                     new[hi] = (d0 + c0, d1 + c1, d2 + c2, d3 + c3)
-            amps = {i: a for i, a in new.items() if a != _ZERO4}
+            # with no output written twice, no two terms met to cancel
+            amps = new if len(new) == 2 * len(amps) else {
+                i: a for i, a in new.items() if a != _ZERO4}
+            if len(amps) > max_support:
+                max_support = len(amps)
+        elif code == "perm":
+            _, cm, cv, tb = op
+            amps = {(i ^ tb if (i & cm) == cv else i): a for i, a in amps.items()}
+        elif code == "phase":
+            _, cm, cv, e = op
+            amps = {i: (_omega_mul(a, e) if (i & cm) == cv else a) for i, a in amps.items()}
         elif code == "y":
             tb = op[1]
             amps = {i ^ tb: _omega_mul(a, 2 if not i & tb else 6) for i, a in amps.items()}
         else:
             raise SimulationError("ry gate requires the float backend")
-        if len(amps) > max_support:
-            max_support = len(amps)
     return amps, k, max_support
 
 
@@ -350,8 +433,11 @@ def _workers(columns: int, ops: int) -> int:
 
 
 def _run_columns(ops, backend: str, indices):
-    """(amplitudes, k, max_support) of each column, in order."""
+    """(amplitudes, k, max_support) of each column, in order. The work
+    is measured in gate-level ``ops``, before the ring backend fuses them."""
     workers = _workers(len(indices), len(ops))
+    if backend == "ring":
+        ops = fuse_ops(ops)
     if workers > 1:
         chunk = max(1, len(indices) // (workers * 4))
         batches = [(ops, backend, indices[i:i + chunk])

@@ -453,3 +453,31 @@ def test_verify_picks_the_backend_from_the_circuit(capsys, tmp_path, monkeypatch
 def test_table_bad_n_list_is_a_usage_error(capsys):
     code, _, err = run(capsys, "table", "--n-list", "4,x")
     assert code == 2 and err.startswith("error:") and "--n-list" in err
+
+
+@pytest.mark.parametrize("command", ["count", "verify", "rewrite"])
+@pytest.mark.parametrize("size", ["99999999999", "9" * 5000])
+def test_huge_qreg_is_an_input_error_naming_the_line(capsys, tmp_path, command, size):
+    path = tmp_path / "huge.qasm"
+    path.write_text(f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[{size}];\n')
+    code, _, err = run(capsys, command, str(path))
+    assert code == 2 and err.startswith("error:") and "line 3" in err
+
+
+def test_widest_synth_output_parses(capsys, tmp_path):
+    path = tmp_path / "tof310.qasm"
+    assert run(capsys, "synth", "--gate", "tof", "--n", "310", "--out", str(path))[0] == 0
+    assert parse_qasm(path.read_text()).width == 464
+
+
+@pytest.mark.parametrize("exc", [KeyError("x"), MemoryError(), RuntimeError("boom")])
+def test_unexpected_exception_is_an_internal_error(capsys, tmp_path, monkeypatch, exc):
+    def broken(text):
+        raise exc
+
+    path = tmp_path / "t3.qasm"
+    path.write_text(emit_qasm(toffoli3()))
+    monkeypatch.setattr(cli, "parse_qasm", broken)
+    code, _, err = run(capsys, "count", str(path))
+    assert code == 3 and err.startswith(f"internal error: {type(exc).__name__}")
+    assert "Traceback" not in err

@@ -178,3 +178,32 @@ def test_pow_and_hash():
     assert (OMEGA**3) == RingElement(0, 0, 0, 1)
     assert hash(RingElement(2, 0, 0, 0, 2)) == hash(ONE)
     assert len({ONE, RingElement(2, 0, 0, 0, 2), OMEGA}) == 2
+
+
+def test_omega_power_lookup_equals_the_canonical_form():
+    """The lookup answers as reducing c / sqrt(2)^k to canonical form and
+    comparing with each w^j does, on exact numerators, near misses,
+    doubled numerators and zero, for k = 0..40."""
+    powers = [RingElement.omega_power(j) for j in range(8)]
+
+    def canonical(c, k):
+        x = RingElement(*c, k)
+        return next((w for w in powers if x == w), None)
+
+    checked = 0
+    for k in range(41):
+        scale = SQRT2 ** k
+        candidates = [(0, 0, 0, 0)]
+        for w in powers:
+            num = w * scale
+            c = (num.a0, num.a1, num.a2, num.a3)
+            doubled = tuple(2 * v for v in c)
+            candidates += [c, doubled]
+            for pos, delta in itertools.product(range(4), (-2, -1, 1, 2)):
+                candidates.append(tuple(v + delta * (i == pos) for i, v in enumerate(c)))
+            assert as_omega_power(c, k) == w
+            assert as_omega_power(doubled, k + 2) == w
+        for c in candidates:
+            assert as_omega_power(c, k) == canonical(c, k), (c, k)
+            checked += 1
+    assert checked == 41 * (1 + 8 * 18)

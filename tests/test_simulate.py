@@ -1,12 +1,14 @@
 """Sparse simulator: gate semantics, exact norms, whole-circuit unitaries."""
 
 import concurrent.futures
+import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rphase.catalog import catalog_entries, rtof4_long, toffoli3
-from rphase.circuit import Circuit, cx, cz, h, marker, p, pdg, t, tdg, x, y, z
+from rphase.catalog import catalog_entries, rtof4_long, toffoli3, tofn
+from rphase.circuit import Circuit, cx, cz, h, marker, p, pdg, t, tdg, tof, x, y, z
 from rphase import simulate
 from rphase.ring import IMAG, INV_SQRT2, OMEGA, ONE, ZERO, RingElement
 from rphase.simulate import (
@@ -15,6 +17,7 @@ from rphase.simulate import (
     PhasePermutation,
     WidthLimitExceeded,
     compile_circuit,
+    fuse_ops,
     run_column_ring,
     unitary_columns,
 )
@@ -184,3 +187,80 @@ def test_sparse_support_stays_small():
     for name, entry in catalog_entries().items():
         u = unitary_columns(entry.circuit)
         assert u.max_support <= 64, name
+
+
+# -- the fused kernel against the gate-level one ----------------------------
+
+def _assert_fused_columns_equal(circuit, columns):
+    """Every listed column runs to the same (amplitudes, k, max_support)
+    through the fused op list as through the gate-level one."""
+    ops = compile_circuit(circuit)
+    fused = fuse_ops(ops)
+    for s in columns:
+        assert run_column_ring(fused, s) == run_column_ring(ops, s), s
+
+
+@st.composite
+def fusable_circuits(draw):
+    """Circuits of 1-6 qubits mixing every perm/phase kind, negatively
+    controlled tofs up to 5 controls, and h gates that cut the runs."""
+    width = draw(st.integers(1, 6))
+    qubit = st.integers(0, width - 1)
+    gates = []
+    for _ in range(draw(st.integers(0, 30))):
+        arity = draw(st.integers(1, width))
+        if arity == 1:
+            gates.append(draw(st.sampled_from((h, t, tdg, p, pdg, x, y, z)))(draw(qubit)))
+        elif arity == 2:
+            a, b = draw(st.lists(qubit, min_size=2, max_size=2, unique=True))
+            gates.append(draw(st.sampled_from((cx, cz)))(a, b))
+        else:
+            *controls, target = draw(st.lists(qubit, min_size=arity, max_size=arity, unique=True))
+            neg = draw(st.sets(st.sampled_from(controls)))
+            gates.append(tof(controls, target, neg))
+    return Circuit(width, gates)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(fusable_circuits())
+def test_fused_kernel_equals_the_gate_level_kernel(c):
+    ops = compile_circuit(c)
+    fused = fuse_ops(ops)
+    assert [op for op in fused if op[0] == "h"] == [op for op in ops if op[0] == "h"]
+    assert all(op[1].bit_count() <= simulate.FUSE_QUBITS for op in fused if op[0] == "pp")
+    _assert_fused_columns_equal(c, range(1 << c.width))
+
+
+def test_fusion_folds_every_run_between_hadamards():
+    ops = compile_circuit(tofn(8, "dirty")[0])
+    assert (len(ops), len(fuse_ops(ops))) == (114, 42)
+    # a run wider than the cap splits; an op wider than it stays alone
+    wide = tof((0, 1, 2, 3), 4)
+    ops = compile_circuit(Circuit(5, [t(0), cx(0, 1), x(4), cz(2, 3), wide, t(4)]))
+    assert [op[0] for op in fuse_ops(ops)] == ["pp", "phase", "perm", "phase"]
+
+
+def test_omega_mul_takes_every_exponent():
+    for c in itertools.product(range(-2, 3), repeat=4):
+        a = RingElement(*c)
+        for e in range(-8, 9):
+            assert RingElement(*simulate._omega_mul(c, e)) == a * RingElement.omega_power(e), (c, e)
+
+
+@pytest.mark.parametrize("ancilla", ["clean", "dirty"])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_fused_kernel_on_every_tofn_column(n, ancilla):
+    c, _ = tofn(n, ancilla)
+    _assert_fused_columns_equal(c, range(1 << c.width))
+
+
+@pytest.mark.parametrize("ancilla", ["clean", "dirty"])
+@pytest.mark.parametrize("n", [9, 10, 11])
+def test_fused_kernel_on_sampled_wide_tofn_columns(n, ancilla):
+    c, _ = tofn(n, ancilla)
+    _assert_fused_columns_equal(c, random.Random(n).sample(range(1 << c.width), 64))
+
+
+def test_fused_kernel_on_every_catalog_block_column():
+    for name, entry in catalog_entries().items():
+        _assert_fused_columns_equal(entry.circuit, range(1 << entry.circuit.width))
