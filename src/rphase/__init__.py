@@ -14,8 +14,6 @@ from .circuit import (
 )
 from .ring import RingElement
 from .catalog import (
-    CatalogEntry,
-    catalog_entries,
     cnu_clean_chain,
     cnu_parallel,
     cnu_spec,
@@ -70,8 +68,6 @@ from .verify import (
     backends_agree,
     check_implements,
     global_phase_equal,
-    is_relative_phase_of,
-    is_special_form,
     permutation_parity,
     target_permutation,
 )

@@ -1,26 +1,25 @@
 """Generators for the relative-phase Toffoli building blocks and the
 multiple-control Toffoli constructions assembled from them.
 
-Each catalog entry pairs a concrete circuit with the TargetSpec it claims
-to implement and the resource report of that circuit; the report is
-recomputed at construction time, so a stale claim fails immediately.
-
-Building blocks: one entry per row of ``circuit.BLOCKS`` (toffoli3,
-srtof3_ccix, rtof3_long, rts3, srts3, rtof4_long, rt4s), built at import
-time, plus the Margolus-style variants: a T/CNOT phase circuit and two
-R_Y circuits (see ``margolus_variants``).
+Building blocks: one builder per row of ``circuit.BLOCKS`` (toffoli3,
+srtof3_ccix, rtof3_long, rts3, srts3, rtof4_long, rt4s), each returning
+its row's circuit; ``get_entry(name)`` returns the row itself, whose
+stated counts were checked against its gates at import time. Besides
+them, the Margolus-style variants: a T/CNOT phase circuit and two R_Y
+circuits (see ``margolus_variants``).
 
 Constructions: ``tofn_clean``, ``tof4_dirty`` and ``tofn_dirty`` realize
 a multiple-control Toffoli over Clifford+T with one clean or dirty helper
 chain, and ``tofn(n, ancilla)`` picks among them;
 ``ladder_tofn``, ``two_block_tofn`` and the two ``cnu_*`` generators emit
 marker-level skeletons whose pairs of identical high-level gates are the
-raw material for the rewrite engine.
+raw material for the rewrite engine. ``tofn``, ``ladder_tofn`` and the
+``cnu_*`` generators refuse, before building, a circuit wider than
+``qasm.QREG_LIMIT`` qubits: no such circuit could be read back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import ceil
 
 from .circuit import (
@@ -28,7 +27,6 @@ from .circuit import (
     Block,
     Circuit,
     Gate,
-    ResourceReport,
     ROLE_CLEAN,
     ROLE_DIRTY,
     ROLE_PRIMARY,
@@ -43,52 +41,56 @@ from .circuit import (
     tdg,
     tof,
 )
+from .qasm import QREG_LIMIT
 
 
 class ConstructionError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    """A named circuit plus its claim and self-checked resource report."""
-
-    name: str
-    circuit: Circuit
-    spec: TargetSpec
-    claimed: ResourceReport
-    marker_kind: str | None = None  # emitted by the rewrite engine, if any
-    description: str = ""
+def _within_qreg_limit(name: str, width: int) -> None:
+    """Refuse, before building, a circuit wider than a QASM file can be."""
+    if width > QREG_LIMIT:
+        raise ConstructionError(
+            f"{name} needs {width} qubits, wider than the limit of {QREG_LIMIT}")
 
 
 # -- building blocks ---------------------------------------------------------
 
+def get_entry(name: str) -> Block:
+    """The block table's row ``name``."""
+    try:
+        return BLOCKS[name]
+    except KeyError:
+        raise ConstructionError(f"no construction for gate {name!r}") from None
+
+
 def toffoli3() -> Circuit:
-    return get_entry("toffoli3").circuit
+    return BLOCKS["toffoli3"].circuit
 
 
 def srtof3_ccix() -> Circuit:
-    return get_entry("srtof3_ccix").circuit
+    return BLOCKS["srtof3_ccix"].circuit
 
 
 def rtof3_long() -> Circuit:
-    return get_entry("rtof3_long").circuit
+    return BLOCKS["rtof3_long"].circuit
 
 
 def rts3() -> Circuit:
-    return get_entry("rts3").circuit
+    return BLOCKS["rts3"].circuit
 
 
 def srts3() -> Circuit:
-    return get_entry("srts3").circuit
+    return BLOCKS["srts3"].circuit
 
 
 def rtof4_long() -> Circuit:
-    return get_entry("rtof4_long").circuit
+    return BLOCKS["rtof4_long"].circuit
 
 
 def rt4s() -> Circuit:
-    return get_entry("rt4s").circuit
+    return BLOCKS["rt4s"].circuit
 
 
 def margolus_t_variant() -> Circuit:
@@ -289,6 +291,7 @@ def tofn(n: int, ancilla: str) -> tuple[Circuit, TargetSpec]:
         raise ConstructionError(f"ancilla must be 'clean' or 'dirty', got {ancilla!r}")
     if n < 3:
         raise ConstructionError(f"TOF needs n >= 3 qubits, got {n}")
+    _within_qreg_limit(f"TOF{n}", n + (n - 2) // 2)  # ceil((n-3)/2) helpers
     if n == 3:
         return toffoli3(), TargetSpec("tof", (0, 1), 2)
     if ancilla == "clean":
@@ -314,6 +317,7 @@ def ladder_tofn(n: int) -> Circuit:
     """
     if n < 6:
         raise ConstructionError("ladder_tofn requires n >= 6")
+    _within_qreg_limit(f"ladder_tofn({n})", 2 * n - 3)
     head = marker("srts3", (n - 2, 2 * n - 5), 2 * n - 4)
     rungs = [
         marker("rtof3l", (n - 2 - k, 2 * n - 5 - k), 2 * n - 4 - k)
@@ -389,6 +393,7 @@ def cnu_clean_chain(n: int, u: str = "x") -> Circuit:
     Layout: controls 0..n-1, ancillae n..2n-2, target 2n-1."""
     if n < 2:
         raise ConstructionError("cnu_clean_chain requires n >= 2")
+    _within_qreg_limit(f"cnu_clean_chain({n})", 2 * n)
     gates = []
     forward = [marker("rtof3l", (0, 1), n)]
     for i in range(2, n):
@@ -405,6 +410,7 @@ def cnu_parallel(n: int, u: str = "x") -> Circuit:
     and n-1 clean ancillae as the chain, logarithmic marker depth."""
     if n < 2:
         raise ConstructionError("cnu_parallel requires n >= 2")
+    _within_qreg_limit(f"cnu_parallel({n})", 2 * n)
     gates = []
     forward = []
     nodes = list(range(n))  # frontier of not-yet-folded wires
@@ -429,33 +435,3 @@ def cnu_spec(n: int) -> TargetSpec:
     """C^n X viewed as a Toffoli with n controls (U = x only)."""
     return TargetSpec("tof", tuple(range(n)), 2 * n - 1)
 
-
-# -- the catalog -------------------------------------------------------------
-
-def _claim(circuit: Circuit, t: int, cnot: int, h_: int, pz: int = 0) -> ResourceReport:
-    """The circuit's own report, cross-checked against the stated counts."""
-    r = circuit.count_resources()
-    if (r.t, r.cnot, r.h, r.pz) != (t, cnot, h_, pz):
-        raise ConstructionError(
-            f"stated counts {(t, cnot, h_, pz)} != built {(r.t, r.cnot, r.h, r.pz)}")
-    return r
-
-
-def _entry(b: Block) -> CatalogEntry:
-    circuit = Circuit(b.arity, b.gates)
-    return CatalogEntry(b.name, circuit, b.spec, _claim(circuit, *b.stated),
-                        b.kind, b.description)
-
-
-_CATALOG = {name: _entry(b) for name, b in BLOCKS.items()}
-
-
-def catalog_entries() -> dict[str, CatalogEntry]:
-    return _CATALOG
-
-
-def get_entry(name: str) -> CatalogEntry:
-    try:
-        return _CATALOG[name]
-    except KeyError:
-        raise ConstructionError(f"no construction for gate {name!r}") from None

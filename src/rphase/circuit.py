@@ -15,8 +15,9 @@ there are two families of high-level gates:
 
 ``BLOCKS`` is the one table of building blocks; a marker kind names the
 block it stands for, and everything else about a block (its marker's
-control count, lowered counts and gate definition, the catalog entry,
-the tail a truncation drops) is derived from its row at import time:
+control count, lowered counts and gate definition, its circuit, the tail
+a truncation drops) is derived from its row at import time, where its
+stated counts are checked against its gates:
 
   ===========  ======  ======  ============================================
   block        marker  qubits  gates
@@ -398,6 +399,10 @@ class Block:
     def arity(self) -> int:
         return len(self.spec.controls) + 1
 
+    @property
+    def circuit(self) -> Circuit:
+        return Circuit(self.arity, self.gates)
+
 
 def _blocks() -> dict[str, Block]:
     out: dict[str, Block] = {}
@@ -409,6 +414,8 @@ def _blocks() -> dict[str, Block]:
             gates = whole[:keep]
             junk = frozenset().union(*(g.support for g in whole[keep:]))
         counts = tuple(map(sum, zip(*map(_gate_counts, gates))))
+        if counts[:4] != stated + (0,):
+            raise ValueError(f"{name}: stated counts {stated + (0,)} != built {counts[:4]}")
         out[name] = Block(name, kind, gates, spec, stated, description, base, junk, counts)
     return out
 

@@ -1,10 +1,11 @@
 """Command-line surface: synthesize, count, verify, rewrite, table.
 
 Exit codes: 0 success / verified, 1 verification failed, 2 usage or
-input error (including a circuit too wide to simulate or a qreg wider
-than ``qasm.QREG_LIMIT``), 3 internal error: any other exception,
-reported on one line without a traceback. ``verify`` has no pool
-option: the column driver picks its own (see ``simulate``).
+input error (including a circuit too wide to simulate, and a qreg read
+or a circuit requested wider than ``qasm.QREG_LIMIT``), 3 internal error:
+any other exception, reported on one line without a traceback.
+``verify`` has no pool option: the column driver picks its own (see
+``simulate``).
 """
 
 from __future__ import annotations
@@ -39,39 +40,37 @@ class UsageError(Exception):
     pass
 
 
-def _synth_build(args):
-    """Resolve a --gate request to (circuit, spec-or-None)."""
-    name = args.gate
-    if name == "tof":
-        if args.n is None:
-            raise UsageError("--gate tof requires --n")
-        return cat.tofn(args.n, args.ancilla)
-    if name == "ladder":
-        if args.n is None:
-            raise UsageError("--gate ladder requires --n")
-        return cat.ladder_tofn(args.n), cat.ladder_tofn_spec(args.n)
-    if name == "cnu-chain":
-        if args.n is None:
-            raise UsageError("--gate cnu-chain requires --n")
-        return cat.cnu_clean_chain(args.n), cat.cnu_spec(args.n)
-    if name == "cnu-parallel":
-        if args.n is None:
-            raise UsageError("--gate cnu-parallel requires --n")
-        return cat.cnu_parallel(args.n), cat.cnu_spec(args.n)
-    ry_variants = {
-        "margolus-t": cat.margolus_t_variant,
-        "margolus-ry": cat.margolus_ry,
-        "rtof3-ry": cat.rtof3_ry_negctrl,
-    }
-    if name in ry_variants:
-        return ry_variants[name](), None
-    aliases = {"rtof3": "rtof3_long", "rtof4": "rtof4_long", "ccix": "srtof3_ccix"}
-    entry_name = aliases.get(name, name)
+# --gate name -> (needs --n, builder of (circuit, spec or None) from the
+# parsed arguments); any other name is a block. Builders are looked up in
+# ``cat`` at call time.
+_SYNTH_GATES = {
+    "tof": (True, lambda a: cat.tofn(a.n, a.ancilla)),
+    "ladder": (True, lambda a: (cat.ladder_tofn(a.n), cat.ladder_tofn_spec(a.n))),
+    "cnu-chain": (True, lambda a: (cat.cnu_clean_chain(a.n), cat.cnu_spec(a.n))),
+    "cnu-parallel": (True, lambda a: (cat.cnu_parallel(a.n), cat.cnu_spec(a.n))),
+    "margolus-t": (False, lambda a: (cat.margolus_t_variant(), None)),
+    "margolus-ry": (False, lambda a: (cat.margolus_ry(), None)),
+    "rtof3-ry": (False, lambda a: (cat.rtof3_ry_negctrl(), None)),
+    "rtof3": (False, lambda a: _block("rtof3_long")),
+    "rtof4": (False, lambda a: _block("rtof4_long")),
+    "ccix": (False, lambda a: _block("srtof3_ccix")),
+}
+
+
+def _block(name: str):
     try:
-        entry = cat.get_entry(entry_name)
+        block = cat.get_entry(name)
     except cat.ConstructionError as exc:
         raise UsageError(str(exc)) from None
-    return entry.circuit, entry.spec
+    return block.circuit, block.spec
+
+
+def _synth_build(args):
+    """Resolve a --gate request to (circuit, spec-or-None)."""
+    sized, build = _SYNTH_GATES.get(args.gate, (False, lambda a: _block(a.gate)))
+    if sized and args.n is None:
+        raise UsageError(f"--gate {args.gate} requires --n")
+    return build(args)
 
 
 def cmd_synth(args) -> int:

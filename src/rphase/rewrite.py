@@ -32,13 +32,13 @@ inverse, and is kept otherwise. No cancellable pair is left.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from .circuit import BLOCKS, Circuit, Gate, TargetSpec, marker, tof
-from .simulate import PhasePermutation, unitary_columns
-from .verify import is_special_form
+from .circuit import BLOCKS, Block, Circuit, Gate, TargetSpec, marker, tof
+from .simulate import PhasePermutation
+from .verify import check_implements
 
 
 class RewriteError(Exception):
@@ -139,31 +139,20 @@ def find_conjugations(circ: Circuit) -> list[ConjugationMatch]:
 
 # -- implementation admissibility ------------------------------------------
 
-@dataclass(frozen=True)
-class _ImplInfo:
-    name: str
-    arity: int
-    invariant: frozenset[int]    # role positions whose flips leave phases fixed
-    junk: frozenset[int]         # role positions carrying the truncation junk
-    emit_kind: str | None        # marker kind, or None for the exact tof
-
-
 @lru_cache(maxsize=None)
-def _impl_info(name: str) -> _ImplInfo:
-    """The block's arity, marker kind and truncation junk, and the qubits
-    whose flips leave its untruncated base's phase diagonal fixed."""
-    block = BLOCKS.get(name)
-    if block is None:
-        raise RewriteError(f"{name} is not usable as a conjugation replacement")
-    base = BLOCKS[block.base]
-    u = unitary_columns(Circuit(base.arity, base.gates))
-    assert isinstance(u, PhasePermutation)
-    invariant = frozenset(
-        pos for pos in range(block.arity) if is_special_form(u, {pos}, base.spec))
-    return _ImplInfo(name, block.arity, invariant, block.junk, block.kind)
+def _invariant(name: str) -> frozenset[int]:
+    """Positions of block ``name`` whose flips leave its untruncated base's
+    phase diagonal fixed: a type-{p} special form, as ``check_implements``
+    certifies it."""
+    b = BLOCKS[name]
+    if b.base != name:
+        return _invariant(b.base)
+    return frozenset(
+        p for p in range(b.arity)
+        if check_implements(b.circuit, replace(b.spec, xprime=frozenset({p}))).special_form_holds)
 
 
-def _wire_maps(info: _ImplInfo, m: ConjugationMatch):
+def _wire_maps(block: Block, m: ConjugationMatch):
     """Yield wires tuples (role position -> circuit qubit, target last)
     satisfying the type and junk constraints, cheapest-first by the
     natural control order."""
@@ -173,10 +162,11 @@ def _wire_maps(info: _ImplInfo, m: ConjugationMatch):
         need_invariant, junk_allowed = m.touched, m.untouched | {m.target}
     else:
         need_invariant, junk_allowed = m.touched | {m.target}, m.untouched
+    invariant = _invariant(block.name)
     for perm in permutations(m.controls):
         wires = perm + (m.target,)
-        if all((q not in need_invariant or pos in info.invariant)
-               and (pos not in info.junk or q in junk_allowed)
+        if all((q not in need_invariant or pos in invariant)
+               and (pos not in block.junk or q in junk_allowed)
                for pos, q in enumerate(wires)):
             yield wires
 
@@ -190,22 +180,22 @@ def admissible(impl_name: str, m: ConjugationMatch) -> bool:
     return True
 
 
-def _admits_some_match(info: _ImplInfo) -> bool:
-    """Whether any match can take the implementation. prop1 touches no
-    control and prop2 at least one; prop3 may touch any number."""
-    controls = tuple(range(info.arity - 1))
-    for r in range(info.arity):
+def _admits_some_match(block: Block) -> bool:
+    """Whether any match can take the block. prop1 touches no control and
+    prop2 at least one; prop3 may touch any number."""
+    controls = tuple(range(block.arity - 1))
+    for r in range(block.arity):
         for touched in combinations(controls, r):
             for cls in ("prop2" if r else "prop1", "prop3"):
-                m = ConjugationMatch(0, 1, cls, controls, info.arity - 1, frozenset(touched))
-                if next(_wire_maps(info, m), None) is not None:
+                m = ConjugationMatch(0, 1, cls, controls, block.arity - 1, frozenset(touched))
+                if next(_wire_maps(block, m), None) is not None:
                     return True
     return False
 
 
 # Blocks some match can take, cheapest first: by CNOT, then T, then H count.
 REPLACEMENT_IMPLS = tuple(b.name for b in sorted(
-    (b for b in BLOCKS.values() if _admits_some_match(_impl_info(b.name))),
+    (b for b in BLOCKS.values() if _admits_some_match(b)),
     key=lambda b: (b.counts[1], b.counts[0], b.counts[2])))
 
 
@@ -219,20 +209,22 @@ def apply_replacement(m: ConjugationMatch, impl_name: str) -> tuple[Gate, Gate]:
     if m.neg:
         raise RewriteError(
             "pair has negative controls; no catalog implementation carries them")
-    info = _impl_info(impl_name)
-    if info.arity != m.arity:
+    block = BLOCKS.get(impl_name)
+    if block is None:
+        raise RewriteError(f"{impl_name} is not usable as a conjugation replacement")
+    if block.arity != m.arity:
         raise ArityMismatch(
-            f"arity mismatch: {impl_name} has {info.arity} qubits, "
+            f"arity mismatch: {impl_name} has {block.arity} qubits, "
             f"pair has {m.arity}")
-    wires = next(_wire_maps(info, m), None)
+    wires = next(_wire_maps(block, m), None)
     if wires is None:
         raise SpecialFormViolated(
             f"special-form type violated: {impl_name} does not provide a "
             f"type-{sorted(m.touched)} special form for this {m.classification} match")
-    if info.emit_kind is None:
+    if block.kind is None:
         left = tof(m.controls, m.target)
         return left, left
-    left = marker(info.emit_kind, wires[:-1], m.target)
+    left = marker(block.kind, wires[:-1], m.target)
     return left, left.inverse()
 
 

@@ -386,16 +386,6 @@ class DenseMatrix:
             return val
         return RingElement(0, 0, 0, 0) if self.backend == "ring" else 0.0 + 0j
 
-    def to_numpy(self):
-        """Dense complex matrix; requires numpy (not a package dependency)."""
-        import numpy as np
-
-        m = np.zeros((self.dim, self.dim), dtype=complex)
-        for s, col in enumerate(self.columns):
-            for r, a in col.items():
-                m[r, s] = complex(a)
-        return m
-
     def __eq__(self, other):
         if not isinstance(other, DenseMatrix):
             return NotImplemented

@@ -9,7 +9,8 @@ ancilla contract (clean helpers enter and leave |0>, dirty helpers factor
 out). Every phase comparison goes through ``simulate.same_phase``: exact
 for two ring elements, within 1e-9 otherwise, so in the ring backend every
 verdict is tolerance-free. The backend is never read here except to report
-it.
+it. It is the one place these verdicts are decided: the rewrite engine
+reads a block's special-form types from it too.
 
 The columns come from ``simulate.unitary_columns``, the one column
 driver. Clean ancillae restrict the checked subspace: only columns whose
@@ -138,18 +139,6 @@ def _constant_on_classes(values: dict, mask: int, same=same_phase) -> bool:
 
 
 # -- phase-permutation level predicates -------------------------------------
-
-def is_relative_phase_of(u: PhasePermutation, spec: TargetSpec) -> bool:
-    """Permutations equal; phases are unit-magnitude by the type invariant."""
-    return list(u.perm) == target_permutation(spec, u.width)
-
-
-def is_special_form(u: PhasePermutation, xprime, spec: TargetSpec) -> bool:
-    """True iff the canonic row phases are constant on every class of
-    basis states differing only in the ``xprime`` digits."""
-    return is_relative_phase_of(u, spec) and _constant_on_classes(
-        dict(enumerate(u.row_phases())), _mask(xprime, u.width))
-
 
 def global_phase_equal(u: PhasePermutation, v: PhasePermutation) -> bool:
     """Same permutation and columnwise phase ratio constant: z * w0 and

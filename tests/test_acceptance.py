@@ -10,7 +10,6 @@ import time
 from math import ceil
 
 from rphase.catalog import (
-    catalog_entries,
     ladder_tofn,
     margolus_ry,
     rtof3_ry_negctrl,
@@ -23,7 +22,7 @@ from rphase.catalog import (
     tofn_clean_spec,
     tofn_dirty,
 )
-from rphase.circuit import Circuit, Gate, TargetSpec, cx, h, marker, tof
+from rphase.circuit import BLOCKS, Circuit, Gate, TargetSpec, cx, h, marker, tof
 from rphase.lowering import lower
 from rphase.rewrite import (
     REPLACEMENT_IMPLS,
@@ -37,7 +36,6 @@ from rphase.simulate import PhasePermutation, unitary_columns
 from rphase.verify import (
     backends_agree,
     check_implements,
-    is_relative_phase_of,
     permutation_parity,
 )
 
@@ -242,11 +240,11 @@ def test_criterion_6_ladder_t_count():
 def test_criterion_7_inverse_structure():
     ok = rtof3_long().inverse().gates == rtof3_long().gates
     for name in ("toffoli3", "rtof3_long", "srtof3_ccix", "rtof4_long"):
-        entry = catalog_entries()[name]
-        u = unitary_columns(entry.circuit)
-        v = unitary_columns(entry.circuit.inverse())
-        spec = TargetSpec("tof", entry.spec.controls, entry.spec.target)
-        ok &= is_relative_phase_of(v, spec)
+        block = BLOCKS[name]
+        u = unitary_columns(block.circuit)
+        v = unitary_columns(block.circuit.inverse())
+        spec = TargetSpec("tof", block.spec.controls, block.spec.target)
+        ok &= check_implements(block.circuit.inverse(), spec).relative_phase
         zr, wr = u.row_phases(), v.row_phases()
         for i in range(u.dim):
             if u.perm[i] == i:
@@ -271,12 +269,13 @@ def test_criterion_8_special_form_necessity():
 
 
 def test_criterion_9_backend_agreement():
-    ok = all(backends_agree(entry.circuit) for entry in catalog_entries().values())
+    ok = all(backends_agree(block.circuit) for block in BLOCKS.values())
     u = unitary_columns(margolus_ry())
-    ok &= is_relative_phase_of(u, TargetSpec("tof", (0, 1), 2))
+    ok &= check_implements(margolus_ry(), TargetSpec("tof", (0, 1), 2)).relative_phase
     ok &= all(abs(abs(p) - 1) < 1e-9 for p in u.phases)
     u = unitary_columns(rtof3_ry_negctrl())
-    ok &= is_relative_phase_of(u, TargetSpec("tof", (0, 1), 2, neg=frozenset({1})))
+    ok &= check_implements(
+        rtof3_ry_negctrl(), TargetSpec("tof", (0, 1), 2, neg=frozenset({1}))).relative_phase
     ok &= all(abs(abs(p) - 1) < 1e-9 for p in u.phases)
     report(9, ok, "float/ring agreement at 1e-9 and R_Y relative-phase checks")
 

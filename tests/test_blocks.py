@@ -1,5 +1,6 @@
 """The block table: facts derived from it, pinned, and import order."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -7,9 +8,9 @@ import sys
 import pytest
 
 import rphase
-from rphase.catalog import catalog_entries
+from rphase import catalog
 from rphase.circuit import BLOCKS, MARKER_BLOCKS, Circuit, marker
-from rphase.rewrite import REPLACEMENT_IMPLS, _impl_info
+from rphase.rewrite import REPLACEMENT_IMPLS, _invariant
 
 # Recorded before the block facts moved into one table: per block, the
 # rewrite's (arity, junk positions, flip-invariant positions, emitted kind).
@@ -37,8 +38,8 @@ TOF3_COUNTS = (7, 6, 2, 0, 0)
 
 @pytest.mark.parametrize("name", sorted(IMPL_INFO))
 def test_impl_info_is_pinned(name):
-    info = _impl_info(name)
-    got = (info.arity, tuple(sorted(info.junk)), tuple(sorted(info.invariant)), info.emit_kind)
+    b = BLOCKS[name]
+    got = (b.arity, tuple(sorted(b.junk)), tuple(sorted(_invariant(name))), b.kind)
     assert got == IMPL_INFO[name]
 
 
@@ -59,13 +60,12 @@ def test_marker_facts_are_pinned():
 
 
 def test_catalog_has_one_entry_per_block():
-    entries = catalog_entries()
-    assert list(entries) == list(BLOCKS)
+    """The catalog reads each block from its row: the entry is the row, and
+    the block's builder returns the row's circuit."""
     for name, b in BLOCKS.items():
-        e = entries[name]
-        assert e.circuit.gates == b.gates and e.spec == b.spec
-        assert e.marker_kind == b.kind and e.description == b.description
-        assert (e.claimed.t, e.claimed.cnot, e.claimed.h) == b.stated
+        assert catalog.get_entry(name) is b
+        assert b.circuit == Circuit(b.arity, b.gates)
+        assert getattr(catalog, name)() == b.circuit
 
 
 def test_truncations_are_prefixes_of_their_base():
@@ -88,6 +88,26 @@ def test_each_module_imports_first(module):
     """No import cycle that only some import orders hit."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     subprocess.run([sys.executable, "-c", f"import {module}"], env=env, check=True)
+
+
+def test_library_imports_only_the_standard_library():
+    """rphase has no runtime dependency: every absolute import in its
+    sources names a standard-library module."""
+    src = os.path.dirname(rphase.__file__)
+    for f in sorted(os.listdir(src)):
+        if not f.endswith(".py"):
+            continue
+        with open(os.path.join(src, f)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, (f, node.lineno, name)
 
 
 def test_cli_import_leaves_the_process_pool_out():

@@ -8,7 +8,6 @@ import pytest
 
 from rphase.catalog import (
     ConstructionError,
-    catalog_entries,
     cnu_clean_chain,
     cnu_parallel,
     cnu_spec,
@@ -38,11 +37,11 @@ from rphase.catalog import (
     two_block_tofn,
     two_block_tofn_spec,
 )
-from rphase.circuit import Circuit, ROLE_CLEAN, TargetSpec, cz, h
+from rphase.circuit import BLOCKS, Circuit, ROLE_CLEAN, TargetSpec, cz, h
 from rphase.lowering import lower
 from rphase.ring import IMAG, ONE, RingElement
-from rphase.simulate import unitary_columns
-from rphase.verify import check_implements, is_relative_phase_of
+from rphase.simulate import DenseMatrix, unitary_columns
+from rphase.verify import check_implements
 
 TOF3_PERM = (0, 1, 2, 3, 4, 5, 7, 6)
 
@@ -52,8 +51,9 @@ def u_of(circuit, **kw):
 
 
 def test_every_entry_claim_matches_count():
-    for name, entry in catalog_entries().items():
-        assert entry.claimed == entry.circuit.count_resources(), name
+    for name, block in BLOCKS.items():
+        r = block.circuit.count_resources()
+        assert (r.t, r.cnot, r.h, r.pz) == block.stated + (0,), name
 
 
 def test_unknown_entry():
@@ -80,7 +80,7 @@ def test_rtof3_long_self_inverse_and_control_swap():
     # interchanging the two controls still gives a relative-phase Toffoli
     swapped = Circuit(3, [g.remap({0: 1, 1: 0, 2: 2}) for g in c.gates])
     u = u_of(swapped)
-    assert is_relative_phase_of(u, TargetSpec("rtof", (0, 1), 2))
+    assert check_implements(swapped, TargetSpec("rtof", (0, 1), 2)).relative_phase
     assert all(p.is_unit_magnitude() for p in u.phases)
 
 
@@ -122,12 +122,15 @@ def test_rts3_matrix_product_oracle():
 
 def _numpy_unitary(circuit):
     u = unitary_columns(circuit)
-    if hasattr(u, "to_numpy"):
-        return u.to_numpy()
     dim = 1 << circuit.width
     m = np.zeros((dim, dim), dtype=complex)
-    for s in range(dim):
-        m[u.perm[s], s] = complex(u.phases[s])
+    if isinstance(u, DenseMatrix):
+        for s, col in enumerate(u.columns):
+            for r, a in col.items():
+                m[r, s] = complex(a)
+    else:
+        for s in range(dim):
+            m[u.perm[s], s] = complex(u.phases[s])
     return m
 
 
@@ -183,21 +186,20 @@ def test_t_variant_h_conjugated_is_negctrl_rtof():
     conj = Circuit(3, [h(2)] + list(tv.gates) + [h(2)])
     u = u_of(conj)
     spec = TargetSpec("rtof", (0, 1), 2, neg=frozenset({1}))
-    assert is_relative_phase_of(u, spec)
+    assert check_implements(conj, spec).relative_phase
     assert all(p.is_unit_magnitude() for p in u.phases)
 
 
 def test_margolus_ry_is_relative_phase_toffoli():
     u = unitary_columns(margolus_ry())
     assert u.backend == "float"
-    assert is_relative_phase_of(u, TargetSpec("rtof", (0, 1), 2))
+    assert check_implements(margolus_ry(), TargetSpec("rtof", (0, 1), 2)).relative_phase
     assert all(abs(abs(p) - 1) < 1e-9 for p in u.phases)
 
 
 def test_ry_negctrl_variant():
-    u = unitary_columns(rtof3_ry_negctrl())
     spec = TargetSpec("rtof", (0, 1), 2, neg=frozenset({1}))
-    assert is_relative_phase_of(u, spec)
+    assert check_implements(rtof3_ry_negctrl(), spec).relative_phase
 
 
 def test_margolus_variants_list():

@@ -1,17 +1,20 @@
 """Command-line driver: verbs, exit codes, output formats."""
 
+import argparse
 import hashlib
 import json
 import os
 import random
 import time
+from math import ceil
 
 import pytest
 
+import rphase.catalog as catalog
 import rphase.cli as cli
 from rphase.cli import _pick_impl, main
-from rphase.qasm import emit_qasm, parse_qasm
-from rphase.catalog import toffoli3
+from rphase.qasm import QREG_LIMIT, emit_qasm, parse_qasm
+from rphase.catalog import ConstructionError, toffoli3
 from rphase.circuit import ROLE_CLEAN, ROLE_PRIMARY, Circuit, cx, cz, h, marker, t, tof, x
 from rphase.rewrite import apply_replacement, find_conjugations
 
@@ -468,6 +471,57 @@ def test_widest_synth_output_parses(capsys, tmp_path):
     path = tmp_path / "tof310.qasm"
     assert run(capsys, "synth", "--gate", "tof", "--n", "310", "--out", str(path))[0] == 0
     assert parse_qasm(path.read_text()).width == 464
+
+
+# sized --gate -> (built width at n, smallest n, largest n within QREG_LIMIT)
+SIZED_WIDTHS = {
+    "tof": (lambda n: n + ceil((n - 3) / 2), 3, 43691),
+    "ladder": (lambda n: 2 * n - 3, 6, 32769),
+    "cnu-chain": (lambda n: 2 * n, 2, 32768),
+    "cnu-parallel": (lambda n: 2 * n, 2, 32768),
+}
+SIZED_REQUESTS = [("tof", "clean"), ("tof", "dirty"), ("ladder", "clean"),
+                  ("cnu-chain", "clean"), ("cnu-parallel", "clean")]
+
+
+@pytest.mark.parametrize("gate,ancilla", SIZED_REQUESTS)
+def test_sized_synth_past_the_qreg_limit_is_a_usage_error(capsys, gate, ancilla):
+    width, _, largest = SIZED_WIDTHS[gate]
+    assert width(largest) <= QREG_LIMIT < width(largest + 1)
+    for n in (largest + 1, 10 ** 12):
+        start = time.monotonic()
+        code, out, err = run(capsys, "synth", "--gate", gate, "--n", str(n),
+                             "--ancilla", ancilla)
+        assert code == 2 and out == "" and err.startswith("error:"), (n, err)
+        assert time.monotonic() - start < 1.0
+
+
+def test_table_past_the_qreg_limit_is_a_usage_error(capsys):
+    for n in (SIZED_WIDTHS["tof"][2] + 1, 10 ** 12):
+        start = time.monotonic()
+        code, out, err = run(capsys, "table", "--n-list", f"4,{n}")
+        assert code == 2 and out == "" and err.startswith("error:"), (n, err)
+        assert time.monotonic() - start < 1.0
+
+
+@pytest.mark.parametrize("gate,ancilla", SIZED_REQUESTS)
+def test_sized_width_formula_is_the_built_width_and_the_guard(monkeypatch, gate, ancilla):
+    """The widths above are the built ones, and the guard refuses exactly
+    the n past a limit: with QREG_LIMIT at the width of n, n builds and
+    n + 1 does not."""
+    width, smallest, _ = SIZED_WIDTHS[gate]
+
+    def build(n):
+        return cli._synth_build(argparse.Namespace(gate=gate, n=n, ancilla=ancilla))[0]
+
+    for n in range(smallest, 14):
+        circuit = build(n)
+        assert circuit.width == width(n), n
+        monkeypatch.setattr(catalog, "QREG_LIMIT", circuit.width)
+        assert build(n).width == circuit.width
+        with pytest.raises(ConstructionError, match="wider than the limit"):
+            build(n + 1)
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("exc", [KeyError("x"), MemoryError(), RuntimeError("boom")])

@@ -3,13 +3,12 @@
 import pytest
 
 from rphase.catalog import (
-    catalog_entries,
     margolus_ry,
     tof4_dirty,
     toffoli3,
     tofn_clean,
 )
-from rphase.circuit import MARKER_BLOCKS, Circuit, cx, h, marker, ry, tof
+from rphase.circuit import BLOCKS, MARKER_BLOCKS, Circuit, cx, h, marker, ry, tof
 from rphase.qasm import QasmError, UnsupportedGate, emit_qasm, parse_qasm
 
 
@@ -32,8 +31,8 @@ def test_parse_ccx_is_tof_marker():
 
 
 def test_round_trip_all_lowered_catalog():
-    for name, entry in catalog_entries().items():
-        assert parse_qasm(emit_qasm(entry.circuit)) == entry.circuit, name
+    for name, block in BLOCKS.items():
+        assert parse_qasm(emit_qasm(block.circuit)) == block.circuit, name
 
 
 def test_round_trip_roles():

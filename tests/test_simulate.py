@@ -7,8 +7,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rphase.catalog import catalog_entries, rtof4_long, toffoli3, tofn
-from rphase.circuit import Circuit, cx, cz, h, marker, p, pdg, t, tdg, tof, x, y, z
+from rphase.catalog import rtof4_long, toffoli3, tofn
+from rphase.circuit import BLOCKS, Circuit, cx, cz, h, marker, p, pdg, t, tdg, tof, x, y, z
 from rphase import simulate
 from rphase.ring import IMAG, INV_SQRT2, OMEGA, ONE, ZERO, RingElement
 from rphase.simulate import (
@@ -85,11 +85,11 @@ def test_inverse_unitary_relation():
     """Columns of the inverse circuit are the inverse permutation with
     conjugated phases (truncated blocks are not phase permutations)."""
     checked = 0
-    for name, entry in catalog_entries().items():
-        u = unitary_columns(entry.circuit)
+    for name, block in BLOCKS.items():
+        u = unitary_columns(block.circuit)
         if not isinstance(u, PhasePermutation):
             continue
-        v = unitary_columns(entry.circuit.inverse())
+        v = unitary_columns(block.circuit.inverse())
         assert v == u.inverse(), name
         checked += 1
     assert checked >= 4
@@ -114,8 +114,8 @@ def test_dense_inverse_is_conjugate_transpose():
 def test_float_and_ring_backends_agree():
     from rphase.verify import backends_agree
 
-    for name, entry in catalog_entries().items():
-        assert backends_agree(entry.circuit), name
+    for name, block in BLOCKS.items():
+        assert backends_agree(block.circuit), name
 
 
 @st.composite
@@ -184,8 +184,8 @@ def test_workers_follow_the_column_work(monkeypatch):
 
 
 def test_sparse_support_stays_small():
-    for name, entry in catalog_entries().items():
-        u = unitary_columns(entry.circuit)
+    for name, block in BLOCKS.items():
+        u = unitary_columns(block.circuit)
         assert u.max_support <= 64, name
 
 
@@ -262,5 +262,5 @@ def test_fused_kernel_on_sampled_wide_tofn_columns(n, ancilla):
 
 
 def test_fused_kernel_on_every_catalog_block_column():
-    for name, entry in catalog_entries().items():
-        _assert_fused_columns_equal(entry.circuit, range(1 << entry.circuit.width))
+    for name, block in BLOCKS.items():
+        _assert_fused_columns_equal(block.circuit, range(1 << block.circuit.width))

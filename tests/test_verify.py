@@ -1,12 +1,13 @@
 """Verification predicates and reports."""
 
 import concurrent.futures
+from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
 from rphase import simulate
 from rphase.catalog import (
-    catalog_entries,
     margolus_ry,
     rtof3_long,
     rtof4_long,
@@ -17,13 +18,11 @@ from rphase.catalog import (
     tofn_dirty,
     tofn_dirty_spec,
 )
-from rphase.circuit import Circuit, TargetSpec, cx, h, x, z
-from rphase.simulate import NotAPhasePermutation, unitary_columns
+from rphase.circuit import BLOCKS, Circuit, TargetSpec, cx, h, x, z
+from rphase.simulate import NotAPhasePermutation, PhasePermutation, unitary_columns
 from rphase.verify import (
     check_implements,
     global_phase_equal,
-    is_relative_phase_of,
-    is_special_form,
     permutation_parity,
     target_permutation,
 )
@@ -105,31 +104,61 @@ def test_check_runs_serially_when_no_pool_can_start(monkeypatch):
     assert check_implements(c, spec) == serial
 
 
+def _special_form(circuit, xprime, spec) -> bool:
+    return check_implements(circuit, replace(spec, xprime=frozenset(xprime))).special_form_holds
+
+
 def test_is_relative_phase_of():
-    assert is_relative_phase_of(unitary_columns(rtof4_long()),
-                                TargetSpec("tof", (0, 1, 2), 3))
-    assert is_relative_phase_of(unitary_columns(toffoli3()),
-                                TargetSpec("tof", (0, 1), 2))
+    assert check_implements(rtof4_long(), TargetSpec("tof", (0, 1, 2), 3)).relative_phase
+    assert check_implements(toffoli3(), TargetSpec("tof", (0, 1), 2)).relative_phase
     cnot_only = Circuit(3, [cx(0, 2)])
-    assert not is_relative_phase_of(unitary_columns(cnot_only),
-                                    TargetSpec("tof", (0, 1), 2))
+    assert not check_implements(cnot_only, TargetSpec("tof", (0, 1), 2)).relative_phase
 
 
 def test_is_special_form_cases():
     spec = TargetSpec("tof", (0, 1), 2)
-    u_ccix = unitary_columns(srtof3_ccix())
-    assert is_special_form(u_ccix, {2}, spec)
+    assert _special_form(srtof3_ccix(), {2}, spec)
     # full-set special form would mean Toffoli up to global phase; ccix is not
-    assert not is_special_form(u_ccix, {0, 1, 2}, spec)
-    u_rtl = unitary_columns(rtof3_long())
-    assert not is_special_form(u_rtl, {2}, spec)  # the -1 breaks the class
+    assert not _special_form(srtof3_ccix(), {0, 1, 2}, spec)
+    assert not _special_form(rtof3_long(), {2}, spec)  # the -1 breaks the class
 
 
 def test_exact_toffoli_is_special_form_of_every_type():
-    u = unitary_columns(toffoli3())
     spec = TargetSpec("tof", (0, 1), 2)
     for xp in [set(), {0}, {1}, {2}, {0, 1}, {0, 1, 2}]:
-        assert is_special_form(u, xp, spec)
+        assert _special_form(toffoli3(), xp, spec)
+
+
+def test_verdicts_equal_the_phase_class_rule_on_every_block():
+    """On each phase-permutation block, alone and followed by a Z on its
+    target (which gives its two moved rows unequal phases), against its own
+    spec and one with target and first control swapped, and for every
+    xprime: the relative phase verdict is "same permutation", and the
+    special form verdict is that plus "row phases constant across flips of
+    xprime", both computed here from the circuit's columns."""
+    covered = 0
+    for name, block in BLOCKS.items():
+        if not isinstance(unitary_columns(block.circuit), PhasePermutation):
+            continue
+        covered += 1
+        first, *rest = block.spec.controls
+        swapped = TargetSpec("tof", (block.spec.target, *rest), first)
+        z_tail = Circuit(block.arity, block.gates + (z(block.spec.target),))
+        for circuit in (block.circuit, z_tail):
+            u = unitary_columns(circuit)
+            rows, width = u.row_phases(), u.width
+            for spec in (block.spec, swapped):
+                same_perm = list(u.perm) == target_permutation(spec, width)
+                for r in range(width + 1):
+                    for xprime in combinations(range(width), r):
+                        mask = sum(1 << (width - 1 - q) for q in xprime)
+                        classes = all(rows[i] == rows[i & ~mask] for i in range(len(rows)))
+                        report = check_implements(
+                            circuit, replace(spec, xprime=frozenset(xprime)))
+                        assert report.relative_phase == same_perm, (name, spec)
+                        assert report.special_form_holds == (same_perm and classes), (
+                            name, circuit, spec, xprime)
+    assert covered == 4
 
 
 def test_global_phase_equal():
@@ -171,11 +200,11 @@ def test_every_catalog_rtof_inverse_is_an_rtof():
     """The inverse of each relative-phase Toffoli is again one, with
     conjugated phases on the diagonal positions."""
     for name in ("toffoli3", "rtof3_long", "srtof3_ccix", "rtof4_long"):
-        entry = catalog_entries()[name]
-        u = unitary_columns(entry.circuit)
-        spec = TargetSpec("tof", entry.spec.controls, entry.spec.target)
-        v = unitary_columns(entry.circuit.inverse())
-        assert is_relative_phase_of(v, spec), name
+        block = BLOCKS[name]
+        u = unitary_columns(block.circuit)
+        spec = TargetSpec("tof", block.spec.controls, block.spec.target)
+        v = unitary_columns(block.circuit.inverse())
+        assert check_implements(block.circuit.inverse(), spec).relative_phase, name
         zr, wr = u.row_phases(), v.row_phases()
         for i in range(u.dim):
             if u.perm[i] == i:
