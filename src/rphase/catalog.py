@@ -219,43 +219,26 @@ def tof5_dirty_spec() -> TargetSpec:
 def _dirty_markers(n: int):
     """Marker-level dirty construction over the 1..2n-3 numbering.
 
-    The borrowed-ancilla ladder: srts3 at the target end, a descending run
-    of rtof3s rungs, rtof3l at the bottom, then the mirror inverses; the
-    whole pattern twice. The bottom triple collapses into one rtof4l and
-    neighbouring rung pairs merge into rt4s blocks, freeing every other
-    ancilla.
+    The borrowed-ancilla ladder: srts3 at the target end, a descending
+    chain of rungs, rtof4l(1, 2, 3; n+1) at the bottom, then the mirror
+    inverses; the whole pattern twice. Each rt4s rung folds two controls
+    into the next ancilla down, so every other ancilla is free; for even n
+    one rtof3s rung heads the chain.
     """
     if n < 5:
         raise ConstructionError("tofn_dirty requires n >= 5")
     head = marker("srts3", (n - 1, 2 * n - 4), 2 * n - 3)
-    rungs = [
-        marker("rtof3s", (2 * n - 4 - k, n - 1 - k), 2 * n - 3 - k)
-        for k in range(1, n - 3)
+    chain = [marker("rtof3s", (2 * n - 5, n - 2), 2 * n - 4)] if n % 2 == 0 else []
+    chain += [
+        marker("rt4s", (2 * n - 5 - k, n - 2 - k, n - 1 - k), 2 * n - 3 - k)
+        for k in range(2 - n % 2, n - 4, 2)
     ]
-
-    # collapse [last rung, bottom, inverse last rung] -> rtof4l(1,2,3; n+1)
-    assert not rungs or rungs[-1] == marker("rtof3s", (n, 3), n + 1)
-    chain = rungs[:-1] if rungs else []
     bottom = marker("rtof4l", (1, 2, 3), n + 1)
-
-    # merge neighbouring rung pairs into rt4s blocks, freeing qubit n+2k
-    merged = list(chain)
-    for k in range(1, ceil((n - 6) / 2) + 1):
-        pair_hi = marker("rtof3s", (n + 2 * k, 2 * k + 3), n + 2 * k + 1)
-        pair_lo = marker("rtof3s", (n - 1 + 2 * k, 2 * k + 2), n + 2 * k)
-        idx = merged.index(pair_hi)
-        assert merged[idx + 1] == pair_lo
-        merged[idx:idx + 2] = [
-            marker("rt4s", (n - 1 + 2 * k, 2 * k + 2, 2 * k + 3), n + 2 * k + 1)
-        ]
-    chain = merged
-
     inv_chain = [g.inverse() for g in reversed(chain)]
-    seq = (
+    return (
         [head] + chain + [bottom] + inv_chain
         + [head.inverse()] + chain + [bottom.inverse()] + inv_chain
     )
-    return seq
 
 
 def _tofn_dirty(n: int) -> tuple[Circuit, TargetSpec]:

@@ -61,6 +61,12 @@ ROLE_DIRTY = "dirty_ancilla"
 ROLES = (ROLE_PRIMARY, ROLE_CLEAN, ROLE_DIRTY)
 
 
+def basis_bit(width: int, q: int) -> int:
+    """The bit of qubit ``q`` in a basis-state index over ``width`` qubits:
+    qubit 0 is the most significant bit."""
+    return 1 << (width - 1 - q)
+
+
 @dataclass(frozen=True)
 class Gate:
     kind: str

@@ -70,7 +70,10 @@ def _synth_build(args):
     sized, build = _SYNTH_GATES.get(args.gate, (False, lambda a: _block(a.gate)))
     if sized and args.n is None:
         raise UsageError(f"--gate {args.gate} requires --n")
-    return build(args)
+    circuit, spec = build(args)
+    if not sized and args.n is not None and args.n != circuit.width:
+        raise UsageError(f"--gate {args.gate} has {circuit.width} qubits, got --n {args.n}")
+    return circuit, spec
 
 
 def cmd_synth(args) -> int:
@@ -250,7 +253,7 @@ def _table_rows(n_list):
 
 def cmd_table(args) -> int:
     try:
-        n_list = [int(x) for x in args.n_list.split(",")] if args.n_list else [4, 5, 6, 11]
+        n_list = [4, 5, 6, 11] if args.n_list is None else [int(x) for x in args.n_list.split(",")]
     except ValueError:
         raise UsageError(f"--n-list takes comma-separated integers, got {args.n_list!r}") from None
     rows = _table_rows(n_list)

@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from .circuit import BLOCKS, Block, Circuit, Gate, TargetSpec, marker, tof
+from .circuit import BLOCKS, Block, Circuit, Gate, TargetSpec, basis_bit, marker, tof
 from .simulate import PhasePermutation
 from .verify import check_implements
 
@@ -242,17 +242,17 @@ def canonic_decompose(u: PhasePermutation) -> tuple[TargetSpec, tuple]:
     if not moved:
         raise NotRelativePhaseToffoli(
             "not a relative-phase Toffoli: permutation part is the identity")
+    bits = [basis_bit(u.width, q) for q in range(u.width)]
     flip = u.perm[moved[0]] ^ moved[0]
-    if flip.bit_count() != 1 or any(u.perm[s] ^ s != flip for s in moved):
+    if flip not in bits or any(u.perm[s] ^ s != flip for s in moved):
         raise NotRelativePhaseToffoli(
             "not a relative-phase Toffoli: columns move more than one bit")
-    target = u.width - flip.bit_length()
+    target = bits.index(flip)
     # moved set must be exactly the all-controls-one subcube
     expect_controls = [
-        q for q in range(u.width)
-        if q != target and all((s >> (u.width - 1 - q)) & 1 for s in moved)
+        q for q, b in enumerate(bits) if q != target and all(s & b for s in moved)
     ]
-    cm = sum(1 << (u.width - 1 - q) for q in expect_controls)
+    cm = sum(bits[q] for q in expect_controls)
     if len(moved) * 2 ** len(expect_controls) != dim or any(
         (s & cm) != cm for s in moved
     ):

@@ -10,11 +10,13 @@ live outside the ring. Backend choice is automatic from the gate set.
 Both column kernels return one shape, (amplitudes, k, max_support), with
 k = 0 for floats.
 
-The ring backend runs a fused op list: ``fuse_ops`` folds each run of
-permutation and phase gates between Hadamards, on at most FUSE_QUBITS
-qubits, into one table lookup per amplitude. Such a run never changes
-the number of amplitudes, so a fused column returns exactly what the
-gate-level one does, max_support included.
+Every gate but h and ry compiles to "cp" ops: a controlled bit flip
+times a power of w, the action of a phase permutation on one basis index.
+The ring backend runs a fused op list: ``fuse_ops`` folds each run of cp
+ops between Hadamards, on at most FUSE_QUBITS qubits, into one table
+lookup per amplitude. Such a run never changes the number of amplitudes,
+so a fused column returns exactly what the gate-level one does,
+max_support included.
 
 Amplitudes compare through ``same_phase``, the one rule: exactly for two
 ring elements, within FLOAT_TOL = 1e-9 as complex numbers otherwise. It
@@ -44,7 +46,7 @@ import math
 import os
 from dataclasses import dataclass
 
-from .circuit import ROLE_CLEAN, Circuit, Gate
+from .circuit import ROLE_CLEAN, Circuit, Gate, basis_bit
 from .ring import RingElement, as_omega_power
 
 FLOAT_TOL = 1e-9
@@ -58,7 +60,7 @@ WIDTH_LIMIT = 16
 # (196,608) runs 1.2x as long pooled. The constant sits above both; the
 # measured table is in CHANGES.md.
 POOL_MIN_WORK = 200_000
-# Most qubits one fused perm/phase run may touch: its table has 2^4 rows.
+# Most qubits one fused cp run may touch: its table has 2^4 rows.
 FUSE_QUBITS = 4
 
 
@@ -81,72 +83,69 @@ class NotAPhasePermutation(SimulationError):
 # -- gate compilation -----------------------------------------------------
 #
 # Gates become small tuples interpreted by a tight loop:
-#   ("perm", ctl_mask, ctl_value, flip_mask)          x / cnot / tof
+#   ("cp", ctl_mask, ctl_value, flip_mask, w_exponent)  every gate but h, ry
 #   ("h", bit_mask)
-#   ("phase", ctl_mask, ctl_value, omega_exponent)    z/p/pdg/t/tdg/cz
-#   ("y", bit_mask)
-#   ("ry", bit_mask, units)                           float backend only
-#   ("pp", qubit_mask, table)                         fused run, ring only
+#   ("ry", bit_mask, units)                             float backend only
+#   ("pp", qubit_mask, table)                           fused run, ring only
 #
-# A gate fires on index i iff (i & ctl_mask) == ctl_value, which encodes
-# positive and negative controls uniformly. ``fuse_ops`` folds each run of
-# perm/phase/y ops between Hadamards into one "pp" op: ``table`` maps the
-# run's bits of an index, i & qubit_mask, to its output bits and the
-# omega exponent (mod 8) the run multiplies the amplitude by.
+# A cp op fires on index i iff (i & ctl_mask) == ctl_value, which encodes
+# positive and negative controls uniformly; it then flips flip_mask and
+# multiplies the amplitude by w^w_exponent. x, cnot and tof flip the target
+# with no phase; z, p, pdg, t, tdg and cz are diagonal (the target, and a
+# cz's control, sit in the control mask); y is Z then iX, two cp ops.
+# ``fuse_ops`` folds each run of cp ops between Hadamards into one "pp"
+# op: ``table`` maps the run's bits of an index, i & qubit_mask, to its
+# output bits and the w exponent (mod 8) the run multiplies the amplitude
+# by.
 
-def _bit(width: int, q: int) -> int:
-    return 1 << (width - 1 - q)  # qubit 0 is the most significant bit
+_PHASE_EXPONENT = {"z": 4, "p": 2, "pdg": -2, "t": 1, "tdg": -1}
 
 
 def _control_masks(width: int, g: Gate) -> tuple[int, int]:
     mask = value = 0
     for q in g.controls:
-        b = _bit(width, q)
+        b = basis_bit(width, q)
         mask |= b
         if q not in g.neg:
             value |= b
     return mask, value
 
 
-def compile_gate(g: Gate, width: int):
+def compile_gate(g: Gate, width: int) -> tuple:
+    """The ops of one gate: one op, or two for y."""
     if g.is_marker:
         raise MarkerInSimulation(f"marker gate in simulation: {g}")
-    tb = _bit(width, g.target)
-    if g.kind in ("x", "cnot", "tof"):
+    tb = basis_bit(width, g.target)
+    kind = g.kind
+    if kind in ("x", "cnot", "tof"):
         cm, cv = _control_masks(width, g)
-        return ("perm", cm, cv, tb)
-    if g.kind == "h":
-        return ("h", tb)
-    if g.kind == "y":
-        return ("y", tb)
-    if g.kind == "ry":
-        return ("ry", tb, g.param)
-    if g.kind == "cz":
+        return (("cp", cm, cv, tb, 0),)
+    if kind == "h":
+        return (("h", tb),)
+    if kind == "ry":
+        return (("ry", tb, g.param),)
+    if kind == "cz":
         cm, cv = _control_masks(width, g)
-        return ("phase", cm | tb, cv | tb, 4)
-    exponent = {"z": 4, "p": 2, "pdg": -2, "t": 1, "tdg": -1}[g.kind]
-    return ("phase", tb, tb, exponent)
+        return (("cp", cm | tb, cv | tb, 0, 4),)
+    if kind == "y":
+        return (("cp", tb, tb, 0, 4), ("cp", 0, 0, tb, 2))
+    return (("cp", tb, tb, 0, _PHASE_EXPONENT[kind]),)
 
 
 def compile_circuit(circuit: Circuit):
-    return tuple(compile_gate(g, circuit.width) for g in circuit.gates)
+    width = circuit.width
+    return tuple(op for g in circuit.gates for op in compile_gate(g, width))
 
 
 def fuse_ops(ops):
-    """The ring kernel's op list with each maximal run of perm, phase and
-    y ops touching at most FUSE_QUBITS qubits folded into one pp op. A run
-    ends at an h op or where one more op would pass the cap; a run of one
-    op stays that op. No op in a run changes the support, so a column
-    through the fused list returns what it returns through ``ops``."""
+    """The ring kernel's op list with each maximal run of cp ops touching
+    at most FUSE_QUBITS qubits folded into one pp op. A run ends at an h
+    op or where one more op would pass the cap; a run of one op stays that
+    op. No cp op changes the support, so a column through the fused list
+    returns what it returns through ``ops``."""
     groups = []  # [touched mask, ops] per run; mask None for h and ry
     for op in ops:
-        code = op[0]
-        if code == "perm":
-            touched = op[1] | op[3]
-        elif code in ("phase", "y"):
-            touched = op[1]
-        else:
-            touched = None
+        touched = op[1] | op[3] if op[0] == "cp" else None
         last = groups[-1][0] if groups else None
         if touched is not None and last is not None and (last | touched).bit_count() <= FUSE_QUBITS:
             groups[-1][0] |= touched
@@ -158,8 +157,8 @@ def fuse_ops(ops):
 
 
 def _run_table(run, mask):
-    """{local input bits: (local output bits, w exponent mod 8)} of a
-    perm/phase/y run, from each of the 2^m basis states on its m qubits."""
+    """{local input bits: (local output bits, w exponent mod 8)} of a run
+    of cp ops, from each of the 2^m basis states on its m qubits."""
     states = [0]
     rest = mask
     while rest:
@@ -169,20 +168,10 @@ def _run_table(run, mask):
     table = {}
     for start in states:
         i, e = start, 0
-        for op in run:
-            code = op[0]
-            if code == "perm":
-                _, cm, cv, tb = op
-                if (i & cm) == cv:
-                    i ^= tb
-            elif code == "phase":
-                _, cm, cv, step = op
-                if (i & cm) == cv:
-                    e += step
-            else:
-                tb = op[1]
-                e += 6 if i & tb else 2
-                i ^= tb
+        for _, cm, cv, flip, step in run:
+            if (i & cm) == cv:
+                i ^= flip
+                e += step
         table[start] = (i, e % 8)
     return table
 
@@ -248,15 +237,16 @@ def run_column_ring(ops, start: int):
                 i: a for i, a in new.items() if a != _ZERO4}
             if len(amps) > max_support:
                 max_support = len(amps)
-        elif code == "perm":
-            _, cm, cv, tb = op
-            amps = {(i ^ tb if (i & cm) == cv else i): a for i, a in amps.items()}
-        elif code == "phase":
-            _, cm, cv, e = op
-            amps = {i: (_omega_mul(a, e) if (i & cm) == cv else a) for i, a in amps.items()}
-        elif code == "y":
-            tb = op[1]
-            amps = {i ^ tb: _omega_mul(a, 2 if not i & tb else 6) for i, a in amps.items()}
+        elif code == "cp":
+            _, cm, cv, flip, e = op
+            new = {}
+            for i, a in amps.items():
+                if (i & cm) == cv:
+                    i ^= flip
+                    if e:
+                        a = _omega_mul(a, e)
+                new[i] = a
+            amps = new
         else:
             raise SimulationError("ry gate requires the float backend")
     return amps, k, max_support
@@ -270,13 +260,17 @@ def run_column_float(ops, start: int):
     omega = cmath.exp(1j * math.pi / 4)
     for op in ops:
         code = op[0]
-        if code == "perm":
-            _, cm, cv, tb = op
-            amps = {(i ^ tb if (i & cm) == cv else i): a for i, a in amps.items()}
-        elif code == "phase":
-            _, cm, cv, e = op
+        if code == "cp":
+            _, cm, cv, flip, e = op
             w = omega ** e
-            amps = {i: (a * w if (i & cm) == cv else a) for i, a in amps.items()}
+            new = {}
+            for i, a in amps.items():
+                if (i & cm) == cv:
+                    i ^= flip
+                    if e:
+                        a *= w
+                new[i] = a
+            amps = new
         elif code == "h":
             tb = op[1]
             new = {}
@@ -287,9 +281,6 @@ def run_column_float(ops, start: int):
                 new[lo] = get(lo, 0.0) + a
                 new[hi] = get(hi, 0.0) + (-a if i & tb else a)
             amps = {i: a for i, a in new.items() if abs(a) > 1e-14}
-        elif code == "y":
-            tb = op[1]
-            amps = {i ^ tb: (a * 1j if not i & tb else a * -1j) for i, a in amps.items()}
         else:
             _, tb, units = op
             half = units * math.pi / 8

@@ -25,9 +25,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .circuit import Circuit, ROLE_CLEAN, ROLE_DIRTY, TargetSpec
+from .circuit import Circuit, ROLE_CLEAN, ROLE_DIRTY, TargetSpec, basis_bit, tof
 from .ring import ONE, RingElement
-from .simulate import PhasePermutation, same_phase, unitary_columns
+from .simulate import PhasePermutation, compile_gate, same_phase, unitary_columns
 # perfbench/tracer.py binds its simulate spans to these names in this module
 from .simulate import compile_circuit, run_column_float, run_column_ring  # noqa: F401
 
@@ -72,17 +72,16 @@ class VerificationReport:
 
 def target_permutation(spec: TargetSpec, width: int) -> list[int]:
     """The permutation of ``spec`` acting on ``width`` qubits (identity on
-    qubits the spec does not mention)."""
-    cm, cv = _mask(spec.controls, width), _mask(set(spec.controls) - spec.neg, width)
-    tb = _mask((spec.target,), width)
-    return [(s ^ tb) if (s & cm) == cv else s for s in range(1 << width)]
+    qubits the spec does not mention): the flip of its tof gate."""
+    (_, cm, cv, flip, _), = compile_gate(tof(spec.controls, spec.target, spec.neg), width)
+    return [(s ^ flip) if (s & cm) == cv else s for s in range(1 << width)]
 
 
 def check_implements(circuit: Circuit, spec: TargetSpec) -> VerificationReport:
     """Exhaustive basis simulation of ``circuit`` against ``spec``."""
     width = circuit.width
-    clean_mask = _mask([q for q, r in enumerate(circuit.roles) if r == ROLE_CLEAN], width)
-    dirty_mask = _mask([q for q, r in enumerate(circuit.roles) if r == ROLE_DIRTY], width)
+    clean_mask = sum(basis_bit(width, q) for q, r in enumerate(circuit.roles) if r == ROLE_CLEAN)
+    dirty_mask = sum(basis_bit(width, q) for q, r in enumerate(circuit.roles) if r == ROLE_DIRTY)
     cols = unitary_columns(
         circuit, column_indices=(s for s in range(1 << width) if not s & clean_mask))
     perm, phase = cols.perm, cols.phases
@@ -112,7 +111,7 @@ def check_implements(circuit: Circuit, spec: TargetSpec) -> VerificationReport:
     # special form is read on the canonic row-indexed diagonal
     xprime = tuple(sorted(spec.xprime))
     sf_holds = perm_ok and _constant_on_classes(
-        {perm[s]: phase[s] for s in columns}, _mask(xprime, width))
+        {perm[s]: phase[s] for s in columns}, sum(basis_bit(width, q) for q in xprime))
 
     return VerificationReport(
         exact=exact,
@@ -124,11 +123,6 @@ def check_implements(circuit: Circuit, spec: TargetSpec) -> VerificationReport:
         backend=cols.backend,
         max_support=cols.max_support,
     )
-
-
-def _mask(qubits, width: int) -> int:
-    """Basis-index bits of ``qubits``; qubit 0 is the most significant."""
-    return sum(1 << (width - 1 - q) for q in qubits)
 
 
 def _constant_on_classes(values: dict, mask: int, same=same_phase) -> bool:

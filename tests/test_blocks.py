@@ -11,6 +11,7 @@ import rphase
 from rphase import catalog
 from rphase.circuit import BLOCKS, MARKER_BLOCKS, Circuit, marker
 from rphase.rewrite import REPLACEMENT_IMPLS, _invariant
+from rphase.verify import check_implements
 
 # Recorded before the block facts moved into one table: per block, the
 # rewrite's (arity, junk positions, flip-invariant positions, emitted kind).
@@ -81,6 +82,14 @@ MODULES = ["rphase"] + sorted(
     "rphase." + f[:-3]
     for f in os.listdir(os.path.dirname(rphase.__file__))
     if f.endswith(".py") and f != "__init__.py")
+
+
+@pytest.mark.parametrize("name", sorted(n for n, b in BLOCKS.items() if not b.junk))
+def test_every_junk_free_block_meets_the_class_its_row_states(name):
+    b = BLOCKS[name]
+    report = check_implements(b.circuit, b.spec)
+    assert report.satisfies(b.spec.equivalence)
+    assert report.exact == (b.spec.equivalence == "exact")
 
 
 @pytest.mark.parametrize("module", MODULES)

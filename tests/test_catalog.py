@@ -39,6 +39,7 @@ from rphase.catalog import (
 )
 from rphase.circuit import BLOCKS, Circuit, ROLE_CLEAN, TargetSpec, cz, h
 from rphase.lowering import lower
+from rphase.qasm import emit_qasm
 from rphase.ring import IMAG, ONE, RingElement
 from rphase.simulate import DenseMatrix, unitary_columns
 from rphase.verify import check_implements
@@ -299,6 +300,17 @@ def test_tofn_matches_per_site_builders():
     for bad in ((2, "clean"), (2, "dirty"), (5, "borrowed")):
         with pytest.raises(ConstructionError):
             tofn(*bad)
+
+
+def test_wide_dirty_ladder_is_pinned():
+    """QASM and spec of tofn(n, "dirty") for n = 17..64 and 310, recorded
+    while the ladder was still built rung by rung and merged pairwise."""
+    whole = hashlib.sha256()
+    for n in list(range(17, 65)) + [310]:
+        c, spec = tofn(n, "dirty")
+        whole.update(emit_qasm(c).encode())
+        whole.update(repr((spec.kind, spec.controls, spec.target, sorted(spec.neg))).encode())
+    assert whole.hexdigest()[:16] == "8448fb8410619d4a"
 
 
 def test_tofn_dirty_5_matches_tof5_dirty_counts():

@@ -81,6 +81,18 @@ def test_synth_usage_errors(capsys):
     assert run(capsys, "synth")[0] == 2  # argparse: missing --gate
 
 
+@pytest.mark.parametrize("gate, width", [
+    ("toffoli3", 3), ("margolus-t", 3), ("margolus-ry", 3), ("rtof3-ry", 3),
+    ("rtof3", 3), ("rtof4", 4), ("ccix", 3), ("rt4s", 4)])
+def test_fixed_size_synth_takes_only_its_own_n(capsys, gate, width):
+    for n in (width - 1, width + 1, 9):
+        code, out, err = run(capsys, "synth", "--gate", gate, "--n", str(n))
+        assert (code, out) == (2, "") and err.startswith("error:") and "--n" in err, n
+    code, out, err = run(capsys, "synth", "--gate", gate, "--n", str(width))
+    assert (code, err) == (0, "") and out == run(capsys, "synth", "--gate", gate)[1]
+    assert parse_qasm(out.rsplit("\n", 2)[0]).width == width
+
+
 def test_count_file(capsys, tmp_path):
     path = tmp_path / "c.qasm"
     run(capsys, "synth", "--gate", "tof", "--n", "5", "--out", str(path))
@@ -456,6 +468,13 @@ def test_verify_picks_the_backend_from_the_circuit(capsys, tmp_path, monkeypatch
 def test_table_bad_n_list_is_a_usage_error(capsys):
     code, _, err = run(capsys, "table", "--n-list", "4,x")
     assert code == 2 and err.startswith("error:") and "--n-list" in err
+
+
+@pytest.mark.parametrize("n_list", ["", " "])
+def test_table_blank_n_list_is_a_usage_error(capsys, n_list):
+    code, out, err = run(capsys, "table", "--n-list", n_list)
+    assert (code, out) == (2, "")
+    assert err == f"error: --n-list takes comma-separated integers, got {n_list!r}\n"
 
 
 @pytest.mark.parametrize("command", ["count", "verify", "rewrite"])

@@ -1,6 +1,7 @@
 """OpenQASM subset: emission, parsing, round trips, error reporting."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rphase.catalog import (
     margolus_ry,
@@ -8,7 +9,8 @@ from rphase.catalog import (
     toffoli3,
     tofn_clean,
 )
-from rphase.circuit import BLOCKS, MARKER_BLOCKS, Circuit, cx, h, marker, ry, tof
+from rphase.circuit import (
+    BLOCKS, MARKER_BLOCKS, ONE_QUBIT_KINDS, ROLES, Circuit, Gate, cx, cz, h, marker, ry, tof)
 from rphase.qasm import QasmError, UnsupportedGate, emit_qasm, parse_qasm
 
 
@@ -139,3 +141,43 @@ def test_round_trip_is_identity_on_emitted_text():
     c = tofn_clean(4)
     text = emit_qasm(c)
     assert emit_qasm(parse_qasm(text)) == text
+
+
+@st.composite
+def qasm_circuits(draw):
+    """Circuits of 1-7 qubits with every plain one-qubit kind, ry of -8..8
+    units, cx and cz, tofs of 0-4 controls with negative controls, every
+    marker kind either way round, and random roles."""
+    width = draw(st.integers(1, 7))
+    qubit = st.integers(0, width - 1)
+
+    def wires(k):
+        return draw(st.lists(qubit, min_size=k, max_size=k, unique=True))
+
+    markers = sorted(k for k, b in MARKER_BLOCKS.items() if b.arity <= width)
+    shapes = ["plain", "ry", "tof"] + ["two"] * (width > 1) + ["marker"] * bool(markers)
+    gates = []
+    for _ in range(draw(st.integers(0, 12))):
+        shape = draw(st.sampled_from(shapes))
+        if shape == "plain":
+            gates.append(Gate(draw(st.sampled_from(sorted(ONE_QUBIT_KINDS - {"ry"}))), (), draw(qubit)))
+        elif shape == "ry":
+            gates.append(ry(draw(qubit), draw(st.integers(-8, 8))))
+        elif shape == "two":
+            gates.append(draw(st.sampled_from((cx, cz)))(*wires(2)))
+        elif shape == "tof":
+            *controls, target = wires(draw(st.integers(1, min(5, width))))
+            neg = draw(st.sets(st.sampled_from(controls))) if controls else ()
+            gates.append(tof(controls, target, neg))
+        else:
+            kind = draw(st.sampled_from(markers))
+            *controls, target = wires(MARKER_BLOCKS[kind].arity)
+            gates.append(marker(kind, controls, target, dagger=draw(st.booleans())))
+    roles = draw(st.lists(st.sampled_from(ROLES), min_size=width, max_size=width))
+    return Circuit(width, gates, roles)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(qasm_circuits())
+def test_parse_inverts_emit_on_random_circuits(c):
+    assert parse_qasm(emit_qasm(c)) == c

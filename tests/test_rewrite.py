@@ -3,9 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rphase.catalog import rtof3_long, srtof3_ccix, toffoli3
-from rphase.circuit import Circuit, Gate, cx, cz, h, marker, p, pdg, t, tdg, tof, x
+from rphase.circuit import Circuit, Gate, cx, cz, h, marker, p, pdg, t, tdg, tof, x, y, z
 from rphase.lowering import lower
 from rphase.rewrite import (
     ArityMismatch,
@@ -277,6 +278,27 @@ def test_cancel_idempotent_and_sound_random():
             assert ua.perm == ub.perm and list(ua.phases) == list(ub.phases)
         else:
             assert ua == ub
+
+
+@st.composite
+def clifford_t_circuits(draw):
+    """Circuits of 1-4 qubits over x, y, z, s, sdg, t, tdg, h, cx and cz."""
+    width = draw(st.integers(1, 4))
+    qubit = st.integers(0, width - 1)
+    one = st.builds(lambda f, q: f(q), st.sampled_from((x, y, z, p, pdg, t, tdg, h)), qubit)
+    gate = one
+    if width > 1:
+        pair = st.lists(qubit, min_size=2, max_size=2, unique=True)
+        gate = one | st.builds(lambda f, ab: f(*ab), st.sampled_from((cx, cz)), pair)
+    return Circuit(width, draw(st.lists(gate, max_size=20)))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(clifford_t_circuits())
+def test_cancel_is_idempotent_and_keeps_the_unitary(c):
+    once = cancel_adjacent_inverses(c)
+    assert cancel_adjacent_inverses(once).gates == once.gates
+    assert unitary_columns(once) == unitary_columns(c)
 
 
 def _cancel_by_sweeps(circ):

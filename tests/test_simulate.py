@@ -34,6 +34,12 @@ def test_t_on_one():
     assert u.perm[1] == 1 and u.phases[1] == OMEGA
 
 
+def test_y_is_i_times_x_z_in_both_backends():
+    u = unitary_columns(Circuit(1, [y(0)]))
+    assert u.perm == (1, 0) and u.phases == (IMAG, -IMAG)
+    assert unitary_columns(Circuit(1, [y(0)]), backend="float") == u
+
+
 def test_cnot_basis():
     u = unitary_columns(Circuit(2, [cx(0, 1)]), column_indices=[0b10])
     assert u.perm[0b10] == 0b11 and u.phases[0b10] == ONE
@@ -237,7 +243,7 @@ def test_fusion_folds_every_run_between_hadamards():
     # a run wider than the cap splits; an op wider than it stays alone
     wide = tof((0, 1, 2, 3), 4)
     ops = compile_circuit(Circuit(5, [t(0), cx(0, 1), x(4), cz(2, 3), wide, t(4)]))
-    assert [op[0] for op in fuse_ops(ops)] == ["pp", "phase", "perm", "phase"]
+    assert [op[0] for op in fuse_ops(ops)] == ["pp", "cp", "cp", "cp"]
 
 
 def test_omega_mul_takes_every_exponent():
