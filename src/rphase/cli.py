@@ -1,8 +1,9 @@
 """Command-line surface: synthesize, count, verify, rewrite, table.
 
 Exit codes: 0 success / verified, 1 verification failed, 2 usage or
-input error (including a circuit too wide to simulate, and a qreg read
-or a circuit requested wider than ``qasm.QREG_LIMIT``), 3 internal error:
+input error (including a file that is not UTF-8 text, a circuit too wide
+to simulate, and a qreg read or a circuit requested wider than
+``qasm.QREG_LIMIT``), 3 internal error:
 any other exception, reported on one line without a traceback.
 ``verify`` has no pool option: the column driver picks its own (see
 ``simulate``).
@@ -328,7 +329,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (UsageError, QasmError, cat.ConstructionError, LoweringError,
-            RewriteError, OSError, WidthLimitExceeded, UncountableGate) as exc:
+            RewriteError, OSError, UnicodeDecodeError, WidthLimitExceeded, UncountableGate) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NotAPhasePermutation as exc:

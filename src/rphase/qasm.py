@@ -224,7 +224,7 @@ def parse_qasm(text: str) -> Circuit:
             raise QasmError(f"cannot parse statement {stmt!r}", lineno, 1)
         name, _, param, rest = m.groups()
         if name == "qreg":
-            mm = _ARG_RE.match(stmt.split(None, 1)[1].replace(" ", ""))
+            mm = _ARG_RE.match(rest.replace(" ", "")) if param is None else None
             if not mm:
                 raise QasmError("cannot parse qreg declaration", lineno, 1)
             if reg is not None:

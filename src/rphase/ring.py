@@ -121,6 +121,9 @@ class RingElement:
         re, im = self.to_float()
         return complex(re, im)
 
+    def __abs__(self) -> float:
+        return abs(complex(self))
+
     # -- equality on canonical forms ------------------------------------
 
     def _key(self):

@@ -5,13 +5,15 @@ global sqrt(2)-denominator exponent for the whole state and stores each
 amplitude as a 4-tuple of integer coefficients of (1, w, w^2, w^3), so a
 Hadamard only bumps the shared exponent and adds integers: Clifford+T
 circuits simulate with zero rounding error. The float backend stores
-complex amplitudes and is required for ry gates, whose cos(pi/8) entries
-live outside the ring. Backend choice is automatic from the gate set.
-Both column kernels return one shape, (amplitudes, k, max_support), with
-k = 0 for floats.
+complex amplitudes: it is the ``backend="float"`` oracle, and the
+automatic choice only when the ry units sum to an odd number. Both column
+kernels return one shape, (amplitudes, k, max_support), k = 0 for floats.
 
-Every gate but h and ry compiles to "cp" ops: a controlled bit flip
-times a power of w, the action of a phase permutation on one basis index.
+Every gate but h compiles to "cp" ops: a controlled bit flip times a
+power of w, the action of a phase permutation on one basis index. As
+RY(u pi/4) = w^(-u/2) S H T^u H S^dagger, the w^(-U/2) of a circuit's
+ry-unit total U is one global cp op: in the ring for even U, while an odd
+U leaves w^(1/2) = e^(i pi/8), which only floats hold.
 The ring backend runs a fused op list: ``fuse_ops`` folds each run of cp
 ops between Hadamards, on at most FUSE_QUBITS qubits, into one table
 lookup per amplitude. Such a run never changes the number of amplitudes,
@@ -83,22 +85,24 @@ class NotAPhasePermutation(SimulationError):
 # -- gate compilation -----------------------------------------------------
 #
 # Gates become small tuples interpreted by a tight loop:
-#   ("cp", ctl_mask, ctl_value, flip_mask, w_exponent)  every gate but h, ry
+#   ("cp", ctl_mask, ctl_value, flip_mask, w_exponent)  every gate but h
 #   ("h", bit_mask)
-#   ("ry", bit_mask, units)                             float backend only
 #   ("pp", qubit_mask, table)                           fused run, ring only
 #
 # A cp op fires on index i iff (i & ctl_mask) == ctl_value, which encodes
 # positive and negative controls uniformly; it then flips flip_mask and
 # multiplies the amplitude by w^w_exponent. x, cnot and tof flip the target
 # with no phase; z, p, pdg, t, tdg and cz are diagonal (the target, and a
-# cz's control, sit in the control mask); y is Z then iX, two cp ops.
+# cz's control, sit in the control mask); y is Z then iX, two cp ops; ry
+# is S^dagger, H, T^u, H, S. Every exponent is an integer in 0..7, except
+# the global op's for an odd ry-unit total: a half-integer, which only the
+# float kernel takes.
 # ``fuse_ops`` folds each run of cp ops between Hadamards into one "pp"
 # op: ``table`` maps the run's bits of an index, i & qubit_mask, to its
 # output bits and the w exponent (mod 8) the run multiplies the amplitude
 # by.
 
-_PHASE_EXPONENT = {"z": 4, "p": 2, "pdg": -2, "t": 1, "tdg": -1}
+_PHASE_EXPONENT = {"z": 4, "p": 2, "pdg": 6, "t": 1, "tdg": 7}
 
 
 def _control_masks(width: int, g: Gate) -> tuple[int, int]:
@@ -112,7 +116,7 @@ def _control_masks(width: int, g: Gate) -> tuple[int, int]:
 
 
 def compile_gate(g: Gate, width: int) -> tuple:
-    """The ops of one gate: one op, or two for y."""
+    """The ops of one gate: one op, two for y, five for ry."""
     if g.is_marker:
         raise MarkerInSimulation(f"marker gate in simulation: {g}")
     tb = basis_bit(width, g.target)
@@ -123,7 +127,8 @@ def compile_gate(g: Gate, width: int) -> tuple:
     if kind == "h":
         return (("h", tb),)
     if kind == "ry":
-        return (("ry", tb, g.param),)
+        return (("cp", tb, tb, 0, 6), ("h", tb), ("cp", tb, tb, 0, g.param % 8),
+                ("h", tb), ("cp", tb, tb, 0, 2))
     if kind == "cz":
         cm, cv = _control_masks(width, g)
         return (("cp", cm | tb, cv | tb, 0, 4),)
@@ -133,8 +138,15 @@ def compile_gate(g: Gate, width: int) -> tuple:
 
 
 def compile_circuit(circuit: Circuit):
+    """The circuit's ops, then one mask-0 cp op for its ry gates' w^(-U/2)."""
     width = circuit.width
-    return tuple(op for g in circuit.gates for op in compile_gate(g, width))
+    ops = tuple(op for g in circuit.gates for op in compile_gate(g, width))
+    # U is the ry-unit total (param is 0 on every other gate), read mod 16
+    # (RY(4 pi) = I) in integers, so no angle is ever rounded
+    twice = -sum(g.param for g in circuit.gates) % 16
+    if twice:
+        ops += (("cp", 0, 0, 0, twice // 2 if twice % 2 == 0 else twice / 2),)
+    return ops
 
 
 def fuse_ops(ops):
@@ -143,7 +155,7 @@ def fuse_ops(ops):
     op or where one more op would pass the cap; a run of one op stays that
     op. No cp op changes the support, so a column through the fused list
     returns what it returns through ``ops``."""
-    groups = []  # [touched mask, ops] per run; mask None for h and ry
+    groups = []  # [touched mask, ops] per run; mask None for h
     for op in ops:
         touched = op[1] | op[3] if op[0] == "cp" else None
         last = groups[-1][0] if groups else None
@@ -237,7 +249,7 @@ def run_column_ring(ops, start: int):
                 i: a for i, a in new.items() if a != _ZERO4}
             if len(amps) > max_support:
                 max_support = len(amps)
-        elif code == "cp":
+        else:
             _, cm, cv, flip, e = op
             new = {}
             for i, a in amps.items():
@@ -247,8 +259,6 @@ def run_column_ring(ops, start: int):
                         a = _omega_mul(a, e)
                 new[i] = a
             amps = new
-        else:
-            raise SimulationError("ry gate requires the float backend")
     return amps, k, max_support
 
 
@@ -271,7 +281,7 @@ def run_column_float(ops, start: int):
                         a *= w
                 new[i] = a
             amps = new
-        elif code == "h":
+        else:
             tb = op[1]
             new = {}
             get = new.get
@@ -280,21 +290,6 @@ def run_column_float(ops, start: int):
                 lo, hi = i & ~tb, i | tb
                 new[lo] = get(lo, 0.0) + a
                 new[hi] = get(hi, 0.0) + (-a if i & tb else a)
-            amps = {i: a for i, a in new.items() if abs(a) > 1e-14}
-        else:
-            _, tb, units = op
-            half = units * math.pi / 8
-            c, s = math.cos(half), math.sin(half)
-            new = {}
-            get = new.get
-            for i, a in amps.items():
-                lo, hi = i & ~tb, i | tb
-                if i & tb:
-                    new[lo] = get(lo, 0.0) - s * a
-                    new[hi] = get(hi, 0.0) + c * a
-                else:
-                    new[lo] = get(lo, 0.0) + c * a
-                    new[hi] = get(hi, 0.0) + s * a
             amps = {i: a for i, a in new.items() if abs(a) > 1e-14}
         if len(amps) > max_support:
             max_support = len(amps)
@@ -387,11 +382,14 @@ class DenseMatrix:
 
 
 def pick_backend(circuit: Circuit, backend: str | None = None) -> str:
-    if backend in ("ring", "float"):
-        return backend
-    if backend is not None:
+    if backend not in (None, "ring", "float"):
         raise ValueError(f"unknown backend {backend!r}")
-    return "float" if any(g.kind == "ry" for g in circuit.gates) else "ring"
+    # an odd ry-unit total leaves a global w^(1/2), which is not in the ring
+    odd = sum(g.param for g in circuit.gates) % 2
+    if odd and backend == "ring":
+        raise SimulationError("an odd ry-unit total needs the float backend: "
+                              "w^(1/2) is not in the ring")
+    return backend or ("float" if odd else "ring")
 
 
 def _column_batch(args):

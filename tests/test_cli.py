@@ -408,6 +408,7 @@ _BAD_FILES = {
         '// rphase: {"marker": "rtof3l", "controls": [0, 1], "target": 2, "dagger": false, "gates": 0}\n',
     "directive inside an expansion": _RTOF3L.replace("\n", (
         '\n// rphase: {"gate": "tof", "controls": [0, 1], "target": 2, "neg": [], "gates": 0}\n'), 1),
+    "qreg keyword followed by punctuation": "qreg}q[3];\n",
 }
 
 
@@ -438,6 +439,73 @@ def test_directory_input_is_an_input_error(capsys, tmp_path, command):
     assert code == 2 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["count", "verify", "rewrite"])
+def test_undecodable_file_is_an_input_error(capsys, tmp_path, command):
+    path = tmp_path / "bytes.qasm"
+    path.write_bytes(_HEADER.encode() + b"// \xff\xfe\n")
+    code, _, err = run(capsys, command, str(path))
+    assert code == 2 and err.startswith("error:")
+
+
+def test_huge_ry_angles_that_cancel_verify_exact(capsys, tmp_path):
+    """Two ry(10^18 pi) gates are the identity: ry units are reduced as
+    integers, never rounded through floats."""
+    path = tmp_path / "huge_ry.qasm"
+    path.write_text(_HEADER + "ccx q[0],q[1],q[2];\n" + "ry(1000000000000000000*pi) q[0];\n" * 2)
+    code, out, _ = run(capsys, "verify", str(path), "--class", "exact")
+    assert code == 0 and json.loads(out)["exact"] is True
+
+
+_FUZZ_SOURCES = (("--gate", "margolus-ry"), ("--gate", "tof", "--n", "5", "--ancilla", "dirty"),
+                 ("--gate", "rtof4"))
+_FUZZ_BYTES = b"0123456789-*/,;()[]{}\":pi qx \n\xff"
+
+
+def _mutant(rng, data: bytes) -> bytes:
+    """``data`` with one line deleted, duplicated or swapped with another,
+    or one byte replaced, deleted or inserted."""
+    lines = data.split(b"\n")
+    i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+    how = rng.randrange(6)
+    if how == 0:
+        del lines[i]
+    elif how == 1:
+        lines.insert(i, lines[j])
+    elif how == 2:
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        b = bytearray(data)
+        at = rng.randrange(len(b))
+        if how == 3:
+            b[at] = rng.choice(_FUZZ_BYTES)
+        elif how == 4:
+            del b[at]
+        else:
+            b.insert(at, rng.choice(_FUZZ_BYTES))
+        return bytes(b)
+    return b"\n".join(lines)
+
+
+def test_mutated_files_keep_the_exit_code_contract(capsys, tmp_path):
+    """Mutants of synth outputs, an R_Y file among them, exit 0, 1 or 2
+    under count, verify and rewrite: never 3, never an escaped exception."""
+    sources = []
+    for argv in _FUZZ_SOURCES:
+        code, out, _ = run(capsys, "synth", *argv)
+        assert code == 0
+        sources.append(out.encode())
+    rng = random.Random(2024)
+    path = tmp_path / "mutant.qasm"
+    for k in range(300):
+        data = sources[k % len(sources)]
+        for _ in range(rng.randint(1, 3)):
+            data = _mutant(rng, data)
+        path.write_bytes(data)
+        for command in ("count", "verify", "rewrite"):
+            code, _, err = run(capsys, command, str(path))
+            assert code in (0, 1, 2), (command, err, data)
+
+
 def test_xprime_outside_the_gate_is_a_usage_error(capsys, tmp_path):
     path = tmp_path / "t3.qasm"
     path.write_text(emit_qasm(toffoli3()))
@@ -456,13 +524,14 @@ def test_wide_tof_is_an_input_error_naming_the_gate(capsys, tmp_path, command):
 
 @pytest.mark.parametrize("value", ["ring", "bogus"])
 def test_verify_picks_the_backend_from_the_circuit(capsys, tmp_path, monkeypatch, value):
-    # RPHASE_BACKEND is no longer read: an ry circuit always runs on floats
+    # RPHASE_BACKEND is no longer read: an ry circuit whose units sum to an
+    # even number runs on the ring
     path = tmp_path / "margolus_ry.qasm"
     assert run(capsys, "synth", "--gate", "margolus-ry", "--out", str(path))[0] == 0
     monkeypatch.setenv("RPHASE_BACKEND", value)
     code, out, _ = run(capsys, "verify", str(path), "--layout", "ctrl,ctrl,target",
                        "--class", "relative_phase")
-    assert code == 0 and json.loads(out)["backend"] == "float"
+    assert code == 0 and json.loads(out)["backend"] == "ring"
 
 
 def test_table_bad_n_list_is_a_usage_error(capsys):

@@ -2,19 +2,22 @@
 
 import concurrent.futures
 import itertools
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rphase.catalog import rtof4_long, toffoli3, tofn
-from rphase.circuit import BLOCKS, Circuit, cx, cz, h, marker, p, pdg, t, tdg, tof, x, y, z
+from rphase.circuit import (
+    BLOCKS, Circuit, cx, cz, h, marker, p, pdg, ry, t, tdg, tof, x, y, z)
 from rphase import simulate
 from rphase.ring import IMAG, INV_SQRT2, OMEGA, ONE, ZERO, RingElement
 from rphase.simulate import (
     DenseMatrix,
     MarkerInSimulation,
     PhasePermutation,
+    SimulationError,
     WidthLimitExceeded,
     compile_circuit,
     fuse_ops,
@@ -38,6 +41,49 @@ def test_y_is_i_times_x_z_in_both_backends():
     u = unitary_columns(Circuit(1, [y(0)]))
     assert u.perm == (1, 0) and u.phases == (IMAG, -IMAG)
     assert unitary_columns(Circuit(1, [y(0)]), backend="float") == u
+
+
+def _entry(u, row, col):
+    if isinstance(u, PhasePermutation):
+        return u.phases[col] if u.perm[col] == row else 0
+    return u.entry(row, col)
+
+
+@pytest.mark.parametrize("units", range(-8, 9))
+def test_ry_is_its_closed_form_exactly_on_the_ring_for_even_units(units):
+    """RY(u pi/4) = [[cos, -sin], [sin, cos]] of u pi/8: for even u the
+    ring result equals the exact form, (w^m +- w^-m) / 2 with m = u/2, and
+    for odd u, whose w^(1/2) is not in the ring, floats hold it alone."""
+    c = Circuit(1, [ry(0, units)])
+    half = units * math.pi / 8
+    want = [[math.cos(half), -math.sin(half)], [math.sin(half), math.cos(half)]]
+    if units % 2:
+        with pytest.raises(SimulationError):
+            unitary_columns(c, backend="ring")
+        assert unitary_columns(c).backend == "float"
+    else:
+        ring = unitary_columns(c)
+        assert ring.backend == "ring"
+        m = units // 2
+        quarter = INV_SQRT2 * INV_SQRT2
+        cos = (RingElement.omega_power(m) + RingElement.omega_power(-m)) * quarter
+        sin = (RingElement.omega_power(m + 6) - RingElement.omega_power(6 - m)) * quarter
+        assert [[_entry(ring, r, s) for s in (0, 1)] for r in (0, 1)] == [[cos, -sin], [sin, cos]]
+        assert all(abs(complex(_entry(ring, r, s)) - want[r][s]) < 1e-12
+                   for r in (0, 1) for s in (0, 1))
+    floats = unitary_columns(c, backend="float")
+    assert all(abs(_entry(floats, r, s) - want[r][s]) < 1e-9 for r in (0, 1) for s in (0, 1))
+
+
+def test_every_gate_kind_compiles_to_cp_and_h_ops_only():
+    """No gate keeps an op code of its own, and every exponent of an even
+    ry-unit total is an integer in 0..7, however large the units."""
+    gates = [x(0), y(1), z(2), p(0), pdg(1), t(2), tdg(0), h(1), cx(0, 1), cz(1, 2),
+             tof((0, 1), 2), tof((0, 2), 1, neg=(2,)), ry(2, 3), ry(0, -10**30 - 1)]
+    for ops in (compile_circuit(Circuit(3, gates)), compile_circuit(Circuit(3, gates[:-1]))):
+        assert {op[0] for op in ops} == {"cp", "h"}
+    assert all(type(op[4]) is int and 0 <= op[4] < 8
+               for op in compile_circuit(Circuit(3, gates)) if op[0] == "cp")
 
 
 def test_cnot_basis():
@@ -126,27 +172,34 @@ def test_float_and_ring_backends_agree():
 
 @st.composite
 def clifford_t_circuits(draw):
-    """Circuits of 1-4 qubits and at most 20 Clifford+T gates."""
+    """Circuits of 1-4 qubits and at most 20 Clifford+T and R_Y gates,
+    some R_Y angles far past one turn."""
     width = draw(st.integers(1, 4))
     qubit = st.integers(0, width - 1)
+    units = st.integers(-16, 16) | st.integers(-2**80, 2**80)
     gates = []
     for _ in range(draw(st.integers(0, 20))):
         if width > 1 and draw(st.booleans()):
             a, b = draw(st.lists(qubit, min_size=2, max_size=2, unique=True))
             gates.append(draw(st.sampled_from((cx, cz)))(a, b))
         else:
-            gates.append(draw(st.sampled_from((h, t, tdg, p, pdg, x, y, z)))(draw(qubit)))
+            kind = draw(st.sampled_from((h, t, tdg, p, pdg, x, y, z, ry)))
+            gates.append(ry(draw(qubit), draw(units)) if kind is ry else kind(draw(qubit)))
     return Circuit(width, gates)
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(clifford_t_circuits(), st.integers(0, 3))
 def test_ring_and_float_unitaries_compare_equal(c, q):
-    """``==`` holds across backends, and one more t on any qubit breaks it."""
-    ring = unitary_columns(c, backend="ring")
-    assert ring == unitary_columns(c, backend="float")
+    """The default backend is the ring exactly when the ry units sum to an
+    even number; ``==`` holds against the float oracle, and one more t on
+    any qubit breaks it."""
+    got = unitary_columns(c)
+    odd = sum(g.param for g in c.gates if g.kind == "ry") % 2
+    assert got.backend == ("float" if odd else "ring")
+    assert got == unitary_columns(c, backend="float")
     extended = Circuit(c.width, list(c.gates) + [t(q % c.width)])
-    assert ring != unitary_columns(extended, backend="float")
+    assert got != unitary_columns(extended, backend="float")
 
 
 def test_column_subset():

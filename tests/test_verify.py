@@ -174,8 +174,9 @@ def test_global_phase_equal():
 def test_global_phase_equal_on_float_and_mixed_pairs():
     """Margolus's R_Y circuit is TOF then -1 on row 101, in floats; a
     Z X Z X tail turns every phase to its negative."""
-    u = unitary_columns(margolus_ry())
-    v = unitary_columns(Circuit(3, list(margolus_ry().gates) + [z(0), x(0), z(0), x(0)]))
+    u = unitary_columns(margolus_ry(), backend="float")
+    v = unitary_columns(Circuit(3, list(margolus_ry().gates) + [z(0), x(0), z(0), x(0)]),
+                        backend="float")
     assert u.backend == v.backend == "float"
     assert global_phase_equal(u, v) and u != v
     assert not global_phase_equal(u, unitary_columns(toffoli3(), backend="float"))
