@@ -16,6 +16,14 @@ marker-level skeletons whose pairs of identical high-level gates are the
 raw material for the rewrite engine. ``tofn``, ``ladder_tofn`` and the
 ``cnu_*`` generators refuse, before building, a circuit wider than
 ``qasm.QREG_LIMIT`` qubits: no such circuit could be read back.
+
+Every construction is one expression over two combinators. The clean
+chains (``tofn_clean``, the ``cnu_*``) are compute-uncompute,
+``_conj(F, M)`` = F M F^-1; the borrowed-ancilla circuits of Barenco et
+al. (``tof4_dirty``, ``tof5_dirty``, ``tofn_dirty``, ``ladder_tofn``,
+``two_block_tofn``) are commutators, ``_commutator(A, B)`` = A B A^-1
+B^-1. ``_expand`` then replaces each marker by its gates where a
+construction is emitted gate by gate.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ from .circuit import (
     Block,
     Circuit,
     Gate,
+    MARKER_BLOCKS,
     ROLE_CLEAN,
     ROLE_DIRTY,
     ROLE_PRIMARY,
@@ -119,52 +128,47 @@ def margolus_variants() -> list[Circuit]:
     return [margolus_t_variant(), margolus_ry(), rtof3_ry_negctrl()]
 
 
+# -- combinators -------------------------------------------------------------
+
+def _conj(outer: list[Gate], inner: list[Gate]) -> list[Gate]:
+    """Compute-uncompute: outer, inner, outer^-1."""
+    return [*outer, *inner, *(g.inverse() for g in reversed(outer))]
+
+
+def _commutator(a: list[Gate], b: list[Gate]) -> list[Gate]:
+    """a, b, a^-1, b^-1."""
+    return [*_conj(a, b), *(g.inverse() for g in reversed(b))]
+
+
+def _expand(markers: list[Gate]) -> list[Gate]:
+    """Each marker replaced by its defining gates."""
+    return [gg for g in markers for gg in marker_definition(g)]
+
+
 # -- clean-ancilla multiple-control Toffolis --------------------------------
 
 def _tofn_clean(n: int) -> tuple[Circuit, TargetSpec]:
     """Circuit and spec of tofn_clean from one gadget plan.
 
     ceil((n-3)/2) gadgets fold controls into fresh ancillae: all rtof4l
-    except an innermost rtof3l when n is even (the parity leftover). Qubit
-    order interleaves each ancilla right after the controls its gadget
-    absorbs, matching the explicit 4- and 5-control circuits.
+    except an innermost rtof3l when n is even (the parity leftover). Each
+    gadget's controls are the previous ancilla (none for the first) and
+    the fresh controls after it, and its ancilla comes right after them,
+    matching the explicit 4- and 5-control circuits.
     """
     if n < 4:
         raise ConstructionError("tofn_clean requires n >= 4")
-    m = ceil((n - 3) / 2)
-    kinds = ["rtof4l"] * m
+    ancs = [3 * i for i in range(1, ceil((n - 3) / 2) + 1)]
     if n % 2 == 0:
-        kinds[-1] = "rtof3l"
-
-    roles: list[str] = []
-    controls: list[int] = []
-
-    def alloc(role):
-        roles.append(role)
-        return len(roles) - 1
-
-    def take_control():
-        q = alloc(ROLE_PRIMARY)
-        controls.append(q)
-        return q
-
-    forward = []
-    prev_anc = None
-    for i, kind in enumerate(kinds):
-        fresh = 3 if kind == "rtof4l" else 2
-        if i > 0:
-            fresh -= 1  # the previous ancilla feeds in as one control
-        got = [take_control() for _ in range(fresh)]
-        anc = alloc(ROLE_CLEAN)
-        ctl = tuple(got) if i == 0 else (prev_anc, *got)
-        forward.extend(marker_definition(marker(kind, ctl, anc)))
-        prev_anc = anc
-    last_ctl = take_control()
-    target = alloc(ROLE_PRIMARY)
-    gates = list(forward)
-    gates.extend(block_gates("toffoli3", (prev_anc, last_ctl, target)))
-    gates.extend(g.inverse() for g in reversed(forward))
-    return Circuit(len(roles), gates, roles), TargetSpec("tof", tuple(controls), target)
+        ancs[-1] -= 1  # the innermost gadget is an rtof3l
+    chain = [marker("rtof4l" if b - a == 3 else "rtof3l", range(a, b), b)
+             for a, b in zip([0] + ancs, ancs)]
+    width = ancs[-1] + 3  # the last ancilla, the last control, the target
+    gates = _conj(_expand(chain), block_gates("toffoli3", range(width - 3, width)))
+    clean = set(ancs)
+    roles = [ROLE_CLEAN if q in clean else ROLE_PRIMARY for q in range(width)]
+    controls = tuple(q for q in range(width - 1) if q not in clean)
+    return Circuit(width, gates, roles), TargetSpec("tof", controls, width - 1)
 
 
 def tofn_clean(n: int) -> Circuit:
@@ -184,22 +188,25 @@ def tofn_clean_spec(n: int) -> TargetSpec:
 
 # -- dirty-ancilla multiple-control Toffolis --------------------------------
 
-def _conjugation_pair(fold: Gate, blk: Gate) -> list[Gate]:
-    """fold, blk, fold^-1, blk^-1, each expanded into its block's gates."""
-    return [gg for g in (fold, blk, fold.inverse(), blk.inverse())
-            for gg in marker_definition(g)]
+def _borrowed_pair(kind: str) -> tuple[Circuit, TargetSpec]:
+    """TOF over (controls, x, c, t) with x borrowed, and its spec: a
+    ``kind`` gadget folding the leading controls into x, commuted with
+    srts3(c, x; t)."""
+    x = MARKER_BLOCKS[kind].arity - 1
+    fold, blk = marker(kind, range(x), x), marker("srts3", (x + 1, x), x + 2)
+    roles = [ROLE_DIRTY if q == x else ROLE_PRIMARY for q in range(x + 3)]
+    return (Circuit(x + 3, _expand(_commutator([fold], [blk])), roles),
+            TargetSpec("tof", (*range(x), x + 1), x + 2))
 
 
 def tof4_dirty() -> Circuit:
     """TOF(a,b,c;d) over (a, b, x, c, d) with x a borrowed qubit in an
-    unknown state: rtof3_long / srts3 conjugation pair. 16 T, 14 CNOT, 6 H."""
-    gates = _conjugation_pair(marker("rtof3l", (0, 1), 2), marker("srts3", (3, 2), 4))
-    roles = (ROLE_PRIMARY, ROLE_PRIMARY, ROLE_DIRTY, ROLE_PRIMARY, ROLE_PRIMARY)
-    return Circuit(5, gates, roles)
+    unknown state: rtof3_long / srts3 commutator. 16 T, 14 CNOT, 6 H."""
+    return _borrowed_pair("rtof3l")[0]
 
 
 def tof4_dirty_spec() -> TargetSpec:
-    return TargetSpec("tof", (0, 1, 3), 4)
+    return _borrowed_pair("rtof3l")[1]
 
 
 def tof5_dirty() -> Circuit:
@@ -207,23 +214,21 @@ def tof5_dirty() -> Circuit:
 
     A reference circuit, not what ``tofn(5, "dirty")`` builds: the tests
     check that ``tofn_dirty(5)`` matches its counts and ancilla use."""
-    gates = _conjugation_pair(marker("rtof4l", (0, 1, 2), 3), marker("srts3", (4, 3), 5))
-    roles = (ROLE_PRIMARY,) * 3 + (ROLE_DIRTY,) + (ROLE_PRIMARY,) * 2
-    return Circuit(6, gates, roles)
+    return _borrowed_pair("rtof4l")[0]
 
 
 def tof5_dirty_spec() -> TargetSpec:
-    return TargetSpec("tof", (0, 1, 2, 4), 5)
+    return _borrowed_pair("rtof4l")[1]
 
 
 def _dirty_markers(n: int):
     """Marker-level dirty construction over the 1..2n-3 numbering.
 
-    The borrowed-ancilla ladder: srts3 at the target end, a descending
-    chain of rungs, rtof4l(1, 2, 3; n+1) at the bottom, then the mirror
-    inverses; the whole pattern twice. Each rt4s rung folds two controls
-    into the next ancilla down, so every other ancilla is free; for even n
-    one rtof3s rung heads the chain.
+    The borrowed-ancilla ladder: the commutator of srts3 at the target end
+    with rtof4l(1, 2, 3; n+1) at the bottom conjugated by a descending
+    chain of rungs. Each rt4s rung folds two controls into the next
+    ancilla down, so every other ancilla is free; for even n one rtof3s
+    rung heads the chain.
     """
     if n < 5:
         raise ConstructionError("tofn_dirty requires n >= 5")
@@ -234,11 +239,7 @@ def _dirty_markers(n: int):
         for k in range(2 - n % 2, n - 4, 2)
     ]
     bottom = marker("rtof4l", (1, 2, 3), n + 1)
-    inv_chain = [g.inverse() for g in reversed(chain)]
-    return (
-        [head] + chain + [bottom] + inv_chain
-        + [head.inverse()] + chain + [bottom.inverse()] + inv_chain
-    )
+    return _commutator([head], _conj(chain, [bottom]))
 
 
 def _tofn_dirty(n: int) -> tuple[Circuit, TargetSpec]:
@@ -248,9 +249,7 @@ def _tofn_dirty(n: int) -> tuple[Circuit, TargetSpec]:
     remap = {q: i for i, q in enumerate(used)}
     primaries = set(range(1, n)) | {2 * n - 3}
     roles = [ROLE_PRIMARY if q in primaries else ROLE_DIRTY for q in used]
-    gates = []
-    for g in seq:
-        gates.extend(marker_definition(g.remap(remap)))
+    gates = _expand([g.remap(remap) for g in seq])
     controls = tuple(remap[q] for q in range(1, n))
     return Circuit(len(used), gates, roles), TargetSpec("tof", controls, remap[2 * n - 3])
 
@@ -279,9 +278,7 @@ def tofn(n: int, ancilla: str) -> tuple[Circuit, TargetSpec]:
         return toffoli3(), TargetSpec("tof", (0, 1), 2)
     if ancilla == "clean":
         return _tofn_clean(n)
-    if n == 4:
-        return tof4_dirty(), tof4_dirty_spec()
-    return _tofn_dirty(n)
+    return _borrowed_pair("rtof3l") if n == 4 else _tofn_dirty(n)
 
 
 # -- marker-level skeletons --------------------------------------------------
@@ -307,13 +304,8 @@ def ladder_tofn(n: int) -> Circuit:
         for k in range(1, n - 3)
     ]
     bottom = marker("rtof3l", (0, 1), n - 1)
-    inv_rungs = [g.inverse() for g in reversed(rungs)]
-    seq = (
-        [head] + rungs + [bottom] + inv_rungs
-        + [head.inverse()] + rungs + [bottom.inverse()] + inv_rungs
-    )
     roles = [ROLE_PRIMARY] * (n - 1) + [ROLE_DIRTY] * (n - 3) + [ROLE_PRIMARY]
-    return Circuit(2 * n - 3, seq, roles)
+    return Circuit(2 * n - 3, _commutator([head], _conj(rungs, [bottom])), roles)
 
 
 def ladder_tofn_spec(n: int) -> TargetSpec:
@@ -349,9 +341,8 @@ def two_block_tofn(n: int, k: int) -> Circuit:
         blk = marker("srts3", (rest_ctl[0], anc), target)
     else:
         blk = tof(rest_ctl + (anc,), target)
-    gates = [fold, blk, fold.inverse(), blk.inverse()]
     roles = [ROLE_PRIMARY] * (n - 1) + [ROLE_DIRTY, ROLE_PRIMARY]
-    return Circuit(n + 1, gates, roles)
+    return Circuit(n + 1, _commutator([fold], [blk]), roles)
 
 
 def two_block_tofn_spec(n: int, k: int) -> TargetSpec:
@@ -377,13 +368,9 @@ def cnu_clean_chain(n: int, u: str = "x") -> Circuit:
     if n < 2:
         raise ConstructionError("cnu_clean_chain requires n >= 2")
     _within_qreg_limit(f"cnu_clean_chain({n})", 2 * n)
-    gates = []
-    forward = [marker("rtof3l", (0, 1), n)]
-    for i in range(2, n):
-        forward.append(marker("rtof3l", (i, n + i - 2), n + i - 1))
-    gates.extend(forward)
-    gates.extend(_cu_gates(u, 2 * n - 2, 2 * n - 1))
-    gates.extend(g.inverse() for g in reversed(forward))
+    chain = [marker("rtof3l", (0, 1), n)]
+    chain += [marker("rtof3l", (i, n + i - 2), n + i - 1) for i in range(2, n)]
+    gates = _conj(chain, _cu_gates(u, 2 * n - 2, 2 * n - 1))
     roles = [ROLE_PRIMARY] * n + [ROLE_CLEAN] * (n - 1) + [ROLE_PRIMARY]
     return Circuit(2 * n, gates, roles)
 
@@ -394,7 +381,6 @@ def cnu_parallel(n: int, u: str = "x") -> Circuit:
     if n < 2:
         raise ConstructionError("cnu_parallel requires n >= 2")
     _within_qreg_limit(f"cnu_parallel({n})", 2 * n)
-    gates = []
     forward = []
     nodes = list(range(n))  # frontier of not-yet-folded wires
     next_anc = n
@@ -407,9 +393,7 @@ def cnu_parallel(n: int, u: str = "x") -> Circuit:
         if len(nodes) % 2:
             paired.append(nodes[-1])
         nodes = paired
-    gates.extend(forward)
-    gates.extend(_cu_gates(u, nodes[0], 2 * n - 1))
-    gates.extend(g.inverse() for g in reversed(forward))
+    gates = _conj(forward, _cu_gates(u, nodes[0], 2 * n - 1))
     roles = [ROLE_PRIMARY] * n + [ROLE_CLEAN] * (n - 1) + [ROLE_PRIMARY]
     return Circuit(2 * n, gates, roles)
 

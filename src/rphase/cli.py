@@ -59,10 +59,7 @@ _SYNTH_GATES = {
 
 
 def _block(name: str):
-    try:
-        block = cat.get_entry(name)
-    except cat.ConstructionError as exc:
-        raise UsageError(str(exc)) from None
+    block = cat.get_entry(name)
     return block.circuit, block.spec
 
 

@@ -191,13 +191,19 @@ def parse_qasm(text: str) -> Circuit:
                         if r not in ROLES:
                             raise QasmError(f"unknown ancilla role {r!r}", lineno, 1)
                     continue
+                count = info["gates"]
+                for v in (count, info["target"], *info["controls"], *info.get("neg", ())):
+                    if not _is_index(v):
+                        raise QasmError("bad rphase directive: qubits and \"gates\" must be "
+                                        f"integers, got {json.dumps(v)}", lineno, 1)
+                if count < 0:
+                    raise QasmError(f'bad rphase directive: "gates" is {count}', lineno, 1)
                 if "marker" in info:
                     g = marker(info["marker"], tuple(info["controls"]), info["target"],
                                dagger=bool(info.get("dagger")))
                 else:
                     g = Gate(info["gate"], tuple(info["controls"]), info["target"],
                              frozenset(info.get("neg", ())))
-                count = int(info["gates"])
             except (ValueError, KeyError, TypeError) as exc:
                 what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
                 raise QasmError(f"bad rphase directive: {what}", lineno, 1) from None
@@ -263,10 +269,15 @@ def parse_qasm(text: str) -> Circuit:
     return Circuit(width, gates, roles)
 
 
+def _is_index(v) -> bool:
+    """A JSON integer: an int that is not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _check_register(g: Gate, width: int, lineno: int) -> None:
     for q in g.support:
-        if not (isinstance(q, int) and 0 <= q < width):
-            raise QasmError(f"qubit {q!r} outside register of {width}", lineno, 1)
+        if not 0 <= q < width:
+            raise QasmError(f"qubit {q} outside register of {width}", lineno, 1)
 
 
 def _parse_gate(name: str, param: str | None, rest: str, reg: str, lineno: int) -> Gate:

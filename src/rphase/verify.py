@@ -15,9 +15,12 @@ reads a block's special-form types from it too.
 The columns come from ``simulate.unitary_columns``, the one column
 driver. Clean ancillae restrict the checked subspace: only columns whose
 clean bits are 0 are simulated, which is the whole contract for such
-circuits, and the width guard counts only those. Dirty ancillae are
-enumerated and must factor out exactly. The driver alone decides whether
-a process pool runs the columns; the report is the same either way.
+circuits, and the width guard counts only those. Those columns are
+enumerated directly, and each is checked against the target's flip on
+its own, so a check costs 2^(width - clean ancillae), never 2^width.
+Dirty ancillae are enumerated and must factor out exactly. The driver
+alone decides whether a process pool runs the columns; the report is the
+same either way.
 """
 
 from __future__ import annotations
@@ -82,15 +85,14 @@ def check_implements(circuit: Circuit, spec: TargetSpec) -> VerificationReport:
     width = circuit.width
     clean_mask = sum(basis_bit(width, q) for q, r in enumerate(circuit.roles) if r == ROLE_CLEAN)
     dirty_mask = sum(basis_bit(width, q) for q, r in enumerate(circuit.roles) if r == ROLE_DIRTY)
-    cols = unitary_columns(
-        circuit, column_indices=(s for s in range(1 << width) if not s & clean_mask))
+    cols = unitary_columns(circuit, column_indices=_submasks(((1 << width) - 1) & ~clean_mask))
     perm, phase = cols.perm, cols.phases
     columns = list(perm)
-    expected = target_permutation(spec, width)
+    (_, cm, cv, flip, _), = compile_gate(tof(spec.controls, spec.target, spec.neg), width)
 
     clean_ok = all(not perm[s] & clean_mask for s in columns)
     dirty_preserved = all(perm[s] & dirty_mask == s & dirty_mask for s in columns)
-    perm_ok = all(perm[s] == expected[s] for s in columns)
+    perm_ok = all(perm[s] == (s ^ flip if s & cm == cv else s) for s in columns)
 
     # dirty factorization: action and phase independent of the dirty bits
     factor_ok = not dirty_mask or _constant_on_classes(
@@ -123,6 +125,16 @@ def check_implements(circuit: Circuit, spec: TargetSpec) -> VerificationReport:
         backend=cols.backend,
         max_support=cols.max_support,
     )
+
+
+def _submasks(mask: int):
+    """Every index whose set bits lie in ``mask``, in ascending order."""
+    s = 0
+    while True:
+        yield s
+        if s == mask:
+            return
+        s = (s - mask) & mask
 
 
 def _constant_on_classes(values: dict, mask: int, same=same_phase) -> bool:

@@ -313,6 +313,26 @@ def test_wide_dirty_ladder_is_pinned():
     assert whole.hexdigest()[:16] == "8448fb8410619d4a"
 
 
+def test_skeletons_and_reference_circuits_are_pinned():
+    """Gates, roles and spec of ladder_tofn (n = 6..12, 40), cnu_clean_chain
+    and cnu_parallel (n = 2..8, u = x, z, p), two_block_tofn (every valid
+    (n, k) with n <= 8), tof4_dirty and tof5_dirty, recorded while each
+    was still written out by hand rather than built from combinators."""
+    whole = hashlib.sha256()
+    for n in list(range(6, 13)) + [40]:
+        whole.update(_digest(ladder_tofn(n), ladder_tofn_spec(n)).encode())
+    for n in range(2, 9):
+        for u in ("x", "z", "p"):
+            for build in (cnu_clean_chain, cnu_parallel):
+                whole.update(_digest(build(n, u), cnu_spec(n)).encode())
+    for n in range(4, 9):
+        for k in range(3, n):
+            whole.update(_digest(two_block_tofn(n, k), two_block_tofn_spec(n, k)).encode())
+    whole.update(_digest(tof4_dirty(), tof4_dirty_spec()).encode())
+    whole.update(_digest(tof5_dirty(), tof5_dirty_spec()).encode())
+    assert whole.hexdigest()[:16] == "811e9275430d5a15"
+
+
 def test_tofn_dirty_5_matches_tof5_dirty_counts():
     a = tofn_dirty(5).count_resources()
     b = tof5_dirty().count_resources()

@@ -5,6 +5,9 @@ import hashlib
 import json
 import os
 import random
+import re
+import subprocess
+import sys
 import time
 from math import ceil
 
@@ -79,6 +82,11 @@ def test_synth_usage_errors(capsys):
     assert run(capsys, "synth", "--gate", "nosuch")[0] == 2
     assert run(capsys, "synth", "--gate", "tof")[0] == 2
     assert run(capsys, "synth")[0] == 2  # argparse: missing --gate
+
+
+def test_unknown_gate_is_one_error_line(capsys):
+    assert run(capsys, "synth", "--gate", "nosuch") == (
+        2, "", "error: no construction for gate 'nosuch'\n")
 
 
 @pytest.mark.parametrize("gate, width", [
@@ -409,6 +417,15 @@ _BAD_FILES = {
     "directive inside an expansion": _RTOF3L.replace("\n", (
         '\n// rphase: {"gate": "tof", "controls": [0, 1], "target": 2, "neg": [], "gates": 0}\n'), 1),
     "qreg keyword followed by punctuation": "qreg}q[3];\n",
+    "infinite statement count":
+        '// rphase: {"gate": "tof", "controls": [0, 1], "target": 2, "neg": [], "gates": 1e400}\n'
+        'ccx q[0],q[1],q[2];\n',
+    "negative statement count":
+        '// rphase: {"gate": "tof", "controls": [0, 1], "target": 2, "neg": [], "gates": -1}\n'
+        'ccx q[0],q[1],q[2];\nh q[0];\n',
+    "boolean qubit":
+        '// rphase: {"gate": "tof", "controls": [0], "target": true, "neg": [], "gates": 1}\n'
+        'cx q[0],q[1];\n',
 }
 
 
@@ -486,9 +503,40 @@ def _mutant(rng, data: bytes) -> bytes:
     return b"\n".join(lines)
 
 
+_DIRECTIVE_SOURCES = (
+    Circuit(3, [tof((0, 1), 2, frozenset({1})), marker("rtof3l", (0, 1), 2)]),
+    Circuit(5, [marker("rtof3l", (0, 1), 2), tof((2, 3), 4, frozenset({3})),
+                marker("rtof3l", (0, 1), 2, dagger=True)],
+            (ROLE_PRIMARY, ROLE_PRIMARY, ROLE_CLEAN, ROLE_PRIMARY, ROLE_PRIMARY)),
+)
+_DIRECTIVE_VALUES = (b"1e400", b"-1", b"true", b"2.5", b'"0"', b"[]", b"null")
+# a number in a directive's JSON: a qubit or a statement count, not a digit
+# inside a name such as rtof3l
+_DIRECTIVE_NUMBER = re.compile(rb"(?<=[\[ ,:])\d+")
+
+
+def _directive_mutant(rng, data: bytes) -> bytes:
+    """``data`` with one number of one ``// rphase:`` directive replaced by
+    a JSON value that is no qubit and no statement count."""
+    lines = data.split(b"\n")
+    i = rng.choice([i for i, line in enumerate(lines)
+                    if line.startswith(b"// rphase:") and _DIRECTIVE_NUMBER.search(line)])
+    m = rng.choice(list(_DIRECTIVE_NUMBER.finditer(lines[i])))
+    lines[i] = lines[i][:m.start()] + rng.choice(_DIRECTIVE_VALUES) + lines[i][m.end():]
+    return b"\n".join(lines)
+
+
+def _assert_exit_code_contract(capsys, path, data):
+    path.write_bytes(data)
+    for command in ("count", "verify", "rewrite"):
+        code, _, err = run(capsys, command, str(path))
+        assert code in (0, 1, 2), (command, err, data)
+
+
 def test_mutated_files_keep_the_exit_code_contract(capsys, tmp_path):
-    """Mutants of synth outputs, an R_Y file among them, exit 0, 1 or 2
-    under count, verify and rewrite: never 3, never an escaped exception."""
+    """Mutants of synth outputs, an R_Y file among them, and of files with
+    marker and negative-control directives, exit 0, 1 or 2 under count,
+    verify and rewrite: never 3, never an escaped exception."""
     sources = []
     for argv in _FUZZ_SOURCES:
         code, out, _ = run(capsys, "synth", *argv)
@@ -500,10 +548,23 @@ def test_mutated_files_keep_the_exit_code_contract(capsys, tmp_path):
         data = sources[k % len(sources)]
         for _ in range(rng.randint(1, 3)):
             data = _mutant(rng, data)
-        path.write_bytes(data)
-        for command in ("count", "verify", "rewrite"):
-            code, _, err = run(capsys, command, str(path))
-            assert code in (0, 1, 2), (command, err, data)
+        _assert_exit_code_contract(capsys, path, data)
+    rng = random.Random(2025)
+    for k in range(80):
+        data = emit_qasm(_DIRECTIVE_SOURCES[k % len(_DIRECTIVE_SOURCES)]).encode()
+        _assert_exit_code_contract(capsys, path, _directive_mutant(rng, data))
+
+
+def test_verify_cost_follows_the_qubits_that_are_not_clean(tmp_path):
+    """A 64-qubit file with 61 clean ancillae checks 8 columns: the check
+    never scans or tabulates all 2^64 basis states."""
+    path = tmp_path / "wide_clean.qasm"
+    roles = [ROLE_PRIMARY] * 3 + [ROLE_CLEAN] * 61
+    path.write_text(emit_qasm(Circuit(64, [tof((0, 1), 2)], roles)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-m", "rphase.cli", "verify", str(path)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0 and json.loads(done.stdout)["exact"] is True
 
 
 def test_xprime_outside_the_gate_is_a_usage_error(capsys, tmp_path):

@@ -1,5 +1,7 @@
 """OpenQASM subset: emission, parsing, round trips, error reporting."""
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -135,6 +137,24 @@ def test_truncated_expansion():
             '"dagger": false, "gates": 9}\nh q[2];\n')
     with pytest.raises(QasmError):
         parse_qasm(text)
+
+
+@pytest.mark.parametrize("field", ["gates", "target", "controls", "neg"])
+@pytest.mark.parametrize("value", ["1e400", "-1", "true", "2.5", '"0"', "[]", "null"])
+def test_directive_numbers_must_be_json_integers(field, value):
+    """Every qubit and the statement count of a directive is a non-bool
+    JSON integer, and the count is not negative: anything else is an input
+    error naming the directive's line, never a bool taken for a qubit or
+    a count that swallows the rest of the file."""
+    info = {"gate": "tof", "controls": [0, 1], "target": 2, "neg": [1], "gates": 3}
+    info[field] = [0, "@"] if field in ("controls", "neg") else "@"
+    directive = json.dumps(info).replace('"@"', value)
+    text = ('OPENQASM 2.0;\nqreg q[3];\n// rphase: ' + directive
+            + '\nx q[1];\nccx q[0],q[1],q[2];\nx q[1];\nh q[0];\n')
+    with pytest.raises(QasmError) as err:
+        parse_qasm(text)
+    assert err.value.line == 3
+    assert field != "gates" or '"gates"' in str(err.value)
 
 
 def test_round_trip_is_identity_on_emitted_text():

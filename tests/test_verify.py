@@ -1,6 +1,7 @@
 """Verification predicates and reports."""
 
 import concurrent.futures
+import random
 from dataclasses import replace
 from itertools import combinations
 
@@ -18,7 +19,8 @@ from rphase.catalog import (
     tofn_dirty,
     tofn_dirty_spec,
 )
-from rphase.circuit import BLOCKS, Circuit, TargetSpec, cx, h, x, z
+from rphase.circuit import (
+    BLOCKS, ROLE_CLEAN, ROLE_PRIMARY, Circuit, TargetSpec, cx, h, tof, x, z)
 from rphase.simulate import NotAPhasePermutation, PhasePermutation, unitary_columns
 from rphase.verify import (
     check_implements,
@@ -216,3 +218,23 @@ def test_target_permutation_negative_controls():
     spec = TargetSpec("tof", (0, 1), 2, neg=frozenset({1}))
     perm = target_permutation(spec, 3)
     assert perm[0b100] == 0b101 and perm[0b110] == 0b110
+
+
+def test_check_with_scattered_clean_qubits_and_negative_controls():
+    """With clean ancillae between the gate's qubits and negative
+    controls, the per-column target is the spec's flip: a tof meets its
+    own spec exactly and fails every spec with one control negated."""
+    rng = random.Random(7)
+    for _ in range(40):
+        width = rng.randint(3, 8)
+        qubits = rng.sample(range(width), rng.randint(2, min(4, width)))
+        controls, target = tuple(qubits[:-1]), qubits[-1]
+        neg = frozenset(q for q in controls if rng.random() < 0.4)
+        clean = [q for q in range(width) if q not in qubits and rng.random() < 0.6]
+        roles = [ROLE_CLEAN if q in clean else ROLE_PRIMARY for q in range(width)]
+        c = Circuit(width, [tof(controls, target, neg)], roles)
+        spec = TargetSpec("tof", controls, target, neg=neg)
+        assert check_implements(c, spec).exact
+        for q in controls:
+            report = check_implements(c, TargetSpec("tof", controls, target, neg=neg ^ {q}))
+            assert not report.exact and not report.relative_phase
