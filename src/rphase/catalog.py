@@ -23,7 +23,10 @@ chains (``tofn_clean``, the ``cnu_*``) are compute-uncompute,
 al. (``tof4_dirty``, ``tof5_dirty``, ``tofn_dirty``, ``ladder_tofn``,
 ``two_block_tofn``) are commutators, ``_commutator(A, B)`` = A B A^-1
 B^-1. ``_expand`` then replaces each marker by its gates where a
-construction is emitted gate by gate.
+construction is emitted gate by gate. A commutator repeats each marker
+and its inverse, so the combinators expand and invert each distinct gate
+once per call (``circuit.map_once``) and reuse that gate object; nothing
+is cached between calls.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from .circuit import (
     block_gates,
     cx,
     cz,
+    map_once,
     marker,
     marker_definition,
     ry,
@@ -130,19 +134,24 @@ def margolus_variants() -> list[Circuit]:
 
 # -- combinators -------------------------------------------------------------
 
+def _inverse(gates: list[Gate]) -> list[Gate]:
+    """gates^-1: the inverses in reverse order."""
+    return map_once(Gate.inverse, reversed(gates))
+
+
 def _conj(outer: list[Gate], inner: list[Gate]) -> list[Gate]:
     """Compute-uncompute: outer, inner, outer^-1."""
-    return [*outer, *inner, *(g.inverse() for g in reversed(outer))]
+    return [*outer, *inner, *_inverse(outer)]
 
 
 def _commutator(a: list[Gate], b: list[Gate]) -> list[Gate]:
     """a, b, a^-1, b^-1."""
-    return [*_conj(a, b), *(g.inverse() for g in reversed(b))]
+    return [*_conj(a, b), *_inverse(b)]
 
 
 def _expand(markers: list[Gate]) -> list[Gate]:
     """Each marker replaced by its defining gates."""
-    return [gg for g in markers for gg in marker_definition(g)]
+    return [gg for body in map_once(marker_definition, markers) for gg in body]
 
 
 # -- clean-ancilla multiple-control Toffolis --------------------------------
@@ -249,7 +258,7 @@ def _tofn_dirty(n: int) -> tuple[Circuit, TargetSpec]:
     remap = {q: i for i, q in enumerate(used)}
     primaries = set(range(1, n)) | {2 * n - 3}
     roles = [ROLE_PRIMARY if q in primaries else ROLE_DIRTY for q in used]
-    gates = _expand([g.remap(remap) for g in seq])
+    gates = _expand(map_once(lambda g: g.remap(remap), seq))
     controls = tuple(remap[q] for q in range(1, n))
     return Circuit(len(used), gates, roles), TargetSpec("tof", controls, remap[2 * n - 3])
 

@@ -42,6 +42,13 @@ middle CNOT widened into a ccix block) is diag{1 x 12, i, -i,
 Markers carry an ordered control tuple because the truncated blocks are
 not symmetric in their controls, plus a ``dagger`` flag for inverses.
 ``ry`` angles are integer multiples of pi/4 stored in ``param``.
+
+A gate is validated once, when it is built, and its qubit set
+``support`` is computed then and stored on it; ``support`` takes no part
+in equality, hashing or repr. Per-gate work that repeats for equal gates
+(remapping a block, inverting, counting) goes through ``map_once`` or a
+dict local to one call, so it is paid once per distinct gate per call.
+Nothing is cached across calls: each command pays for its own work.
 """
 
 from __future__ import annotations
@@ -54,6 +61,7 @@ LOWERED_KINDS = ONE_QUBIT_KINDS | {"cnot", "cz"}
 _PLAIN_KINDS = LOWERED_KINDS | {"tof"}
 _SELF_INVERSE = frozenset({"x", "y", "z", "h", "cnot", "cz", "tof"})
 _INVERSE_KIND = {"t": "tdg", "tdg": "t", "p": "pdg", "pdg": "p"}
+_T_KINDS = frozenset({"t", "tdg"})
 
 ROLE_PRIMARY = "primary"
 ROLE_CLEAN = "clean_ancilla"
@@ -75,6 +83,9 @@ class Gate:
     neg: frozenset[int] = frozenset()
     param: int = 0
     dagger: bool = False
+    # the qubits the gate acts on, set once by __post_init__; not a field of
+    # equality, hash or repr
+    support: frozenset[int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         # plain gates are checked without the block table, which is built
@@ -97,14 +108,12 @@ class Gate:
         if self.param and kind != "ry":
             raise ValueError("param is only meaningful for ry")
         qubits = self.controls + (self.target,)
-        if len(set(qubits)) != len(qubits):
+        support = frozenset(qubits)
+        if len(support) != len(qubits):
             raise ValueError(f"control and target qubits must be distinct: {qubits}")
-        if not self.neg <= set(self.controls):
+        if self.neg and not self.neg <= set(self.controls):
             raise ValueError("negative-control set must be a subset of the controls")
-
-    @property
-    def support(self) -> frozenset[int]:
-        return frozenset(self.controls) | {self.target}
+        object.__setattr__(self, "support", support)
 
     @property
     def is_marker(self) -> bool:
@@ -127,7 +136,7 @@ class Gate:
             self.kind,
             tuple(mapping[q] for q in self.controls),
             mapping[self.target],
-            frozenset(mapping[q] for q in self.neg),
+            frozenset(mapping[q] for q in self.neg) if self.neg else self.neg,
             self.param,
             self.dagger,
         )
@@ -288,7 +297,7 @@ class ResourceReport:
 def _gate_counts(g: Gate) -> tuple[int, int, int, int, int]:
     """(t, cnot, h, pz, other) for one gate; markers via their definitions."""
     extra_x = 2 * len(g.neg)
-    if g.kind in ("t", "tdg"):
+    if g.kind in _T_KINDS:
         return (1, 0, 0, 0, 0)
     if g.kind == "cnot":
         return (0, 1, 0, 0, extra_x)
@@ -323,18 +332,28 @@ def count_resources(circuit: Circuit) -> ResourceReport:
     T-depth layering: two T gates share a layer iff they act on distinct
     qubits with no intervening gate on either qubit. Markers are treated as
     opaque blockers, so T-depth is only meaningful for lowered circuits.
+    A gate's counts depend only on its kind and its numbers of controls and
+    negative controls; each such triple is looked up once per call.
     """
-    t = cnot = hh = pz = other = 0
+    tally: dict[tuple, list] = {}  # (kind, #controls, #neg) -> [a gate, occurrences]
     frontier = [0] * circuit.width
     for g in circuit.gates:
+        key = (g.kind, len(g.controls), len(g.neg))
+        seen = tally.get(key)
+        if seen is None:
+            tally[key] = [g, 1]
+        else:
+            seen[1] += 1
+        if g.controls:
+            depth = max([frontier[q] for q in g.support])
+            for q in g.support:
+                frontier[q] = depth
+        elif g.kind in _T_KINDS:
+            frontier[g.target] += 1
+    t = cnot = hh = pz = other = 0
+    for g, k in tally.values():
         dt, dc, dh, dp, do = _gate_counts(g)
-        t += dt; cnot += dc; hh += dh; pz += dp; other += do
-        qubits = sorted(g.support)
-        depth = max((frontier[q] for q in qubits), default=0)
-        if g.kind in ("t", "tdg"):
-            depth += 1
-        for q in qubits:
-            frontier[q] = depth
+        t += k * dt; cnot += k * dc; hh += k * dh; pz += k * dp; other += k * do
     ancillae = circuit.ancilla_qubits()
     if not ancillae:
         atype = "none"
@@ -430,14 +449,28 @@ BLOCKS = _blocks()
 MARKER_BLOCKS = {b.kind: b for b in BLOCKS.values() if b.kind}
 
 
+def map_once(fn, items) -> list:
+    """``[fn(x) for x in items]``, calling ``fn`` once per distinct ``x``
+    (equal items share one result object); the memo lives for this call
+    only."""
+    done: dict = {}
+    out = []
+    for item in items:
+        y = done.get(item)
+        if y is None:
+            y = done[item] = fn(item)
+        out.append(y)
+    return out
+
+
 def block_gates(name: str, wires) -> list[Gate]:
     """The gates of block ``name`` with its qubit i on ``wires[i]``."""
-    return [g.remap(wires) for g in BLOCKS[name].gates]
+    return map_once(lambda g: g.remap(wires), BLOCKS[name].gates)
 
 
 def marker_definition(g: Gate) -> list[Gate]:
     """The defining gate list of a marker (inverted when dagger is set)."""
     gates = block_gates(MARKER_BLOCKS[g.kind].name, g.controls + (g.target,))
     if g.dagger:
-        gates = [gg.inverse() for gg in reversed(gates)]
+        gates = map_once(Gate.inverse, reversed(gates))
     return gates

@@ -22,10 +22,12 @@ from .lowering import LoweringError, lower
 from .qasm import QasmError, emit_qasm, parse_qasm
 from .rewrite import (
     RewriteError,
+    _equal_tof_pairs,
     admissible,
     apply_replacement,
     cancel_adjacent_inverses,
-    find_conjugations,
+    classify_pair,
+    find_conjugations,  # noqa: F401 -- perfbench's tracer wraps it by this name
     REPLACEMENT_IMPLS,
 )
 from .simulate import NotAPhasePermutation, WidthLimitExceeded
@@ -116,21 +118,26 @@ def cmd_count(args) -> int:
     return EXIT_OK
 
 
+_LAYOUT_ROLES = {"ctrl": ROLE_PRIMARY, "nctrl": ROLE_PRIMARY, "target": ROLE_PRIMARY,
+                 "clean": ROLE_CLEAN, "dirty": ROLE_DIRTY}
+
+
 def _roles_from_layout(layout: str, width: int):
+    """(controls, negative controls, target, roles) of a --layout value; an
+    nctrl qubit is a control that fires on |0>."""
     tokens = [tok.strip() for tok in layout.split(",")]
     if len(tokens) != width:
         raise UsageError(f"--layout names {len(tokens)} qubits, circuit has {width}")
-    role_map = {"ctrl": ROLE_PRIMARY, "target": ROLE_PRIMARY,
-                "clean": ROLE_CLEAN, "dirty": ROLE_DIRTY}
-    controls = [i for i, tok in enumerate(tokens) if tok == "ctrl"]
-    targets = [i for i, tok in enumerate(tokens) if tok == "target"]
-    unknown = [tok for tok in tokens if tok not in role_map]
+    unknown = [tok for tok in tokens if tok not in _LAYOUT_ROLES]
     if unknown:
-        raise UsageError(f"unknown layout tokens {unknown}; use ctrl,target,clean,dirty")
+        raise UsageError(f"unknown layout tokens {unknown}; use {','.join(_LAYOUT_ROLES)}")
+    controls = [i for i, tok in enumerate(tokens) if tok in ("ctrl", "nctrl")]
+    neg = frozenset(i for i, tok in enumerate(tokens) if tok == "nctrl")
+    targets = [i for i, tok in enumerate(tokens) if tok == "target"]
     if len(targets) != 1:
         raise UsageError("--layout must name exactly one target")
-    roles = tuple(role_map[tok] for tok in tokens)
-    return controls, targets[0], roles
+    roles = tuple(_LAYOUT_ROLES[tok] for tok in tokens)
+    return controls, neg, targets[0], roles
 
 
 def cmd_verify(args) -> int:
@@ -139,13 +146,13 @@ def cmd_verify(args) -> int:
     if not circuit.is_lowered():
         circuit = lower(circuit)
     if args.layout:
-        controls, target, roles = _roles_from_layout(args.layout, circuit.width)
+        controls, neg, target, roles = _roles_from_layout(args.layout, circuit.width)
         circuit = Circuit(circuit.width, circuit.gates, roles)
     else:
         primaries = circuit.primary_qubits()
         if len(primaries) < 2:
             raise UsageError("cannot infer layout; pass --layout")
-        controls, target = list(primaries[:-1]), primaries[-1]
+        controls, neg, target = list(primaries[:-1]), frozenset(), primaries[-1]
     if args.target != "tof":
         raise UsageError("only --target tof is supported")
     if args.n is not None and args.n != len(controls) + 1:
@@ -156,7 +163,7 @@ def cmd_verify(args) -> int:
         raise UsageError(f"--xprime names qubits {sorted(stray)} outside the gate")
     kind = {"exact": "tof", "global_phase": "tof",
             "relative_phase": "rtof", "special_form": "srtof"}[args.cls]
-    spec = TargetSpec(kind, tuple(controls), target,
+    spec = TargetSpec(kind, tuple(controls), target, neg=neg,
                       xprime=frozenset(args.xprime or ()), equivalence=args.cls)
     report = check_implements(circuit, spec)
     print(report.as_json())
@@ -184,17 +191,21 @@ def cmd_rewrite(args) -> int:
 
     enabled = {r for r in rules if r != "cancel"}
     if enabled:
-        # one match list suffices: a replacement leaves markers on the same qubits
+        # one pair list suffices: a replacement leaves markers on the same
+        # qubits; a pair is classified only while neither gate is replaced
         gates = list(circuit.gates)
         used: set[int] = set()
-        for m in find_conjugations(circuit):
-            if m.classification not in enabled or {m.left_index, m.right_index} & used:
+        for i, j in _equal_tof_pairs(circuit):
+            if i in used or j in used:
+                continue
+            m = classify_pair(circuit, i, j)
+            if m.classification not in enabled:
                 continue
             impl = _pick_impl(m)
             if impl is None:
                 continue
-            gates[m.left_index], gates[m.right_index] = apply_replacement(m, impl)
-            used |= {m.left_index, m.right_index}
+            gates[i], gates[j] = apply_replacement(m, impl)
+            used |= {i, j}
             changed = True
         circuit = Circuit(circuit.width, gates, circuit.roles)
     if "cancel" in rules:
@@ -297,7 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--target", default="tof")
     p.add_argument("--n", type=int)
-    p.add_argument("--layout", help="comma list of ctrl,target,clean,dirty per qubit")
+    p.add_argument("--layout", help="comma list of ctrl,nctrl,target,clean,dirty per qubit "
+                                    "(nctrl: a negative control)")
     p.add_argument("--class", dest="cls", default="exact",
                    choices=("exact", "global_phase", "relative_phase", "special_form"))
     p.add_argument("--xprime", type=int, nargs="*")

@@ -7,6 +7,8 @@ elementary set {x, y, z, p, pdg, t, tdg, h, ry, cnot, cz}.
   built over ancilla qubits the circuit declares but the gate does not
   touch ("ancilla budget exceeded" otherwise);
 * negative controls are wrapped in X gates on the spot.
+
+Each distinct gate of a circuit is lowered once per ``lower`` call.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .circuit import (
     ROLE_DIRTY,
     block_gates,
     cx,
+    map_once,
     marker_definition,
     x,
 )
@@ -37,36 +40,27 @@ class AncillaBudgetExceeded(LoweringError):
 def lower(circuit: Circuit) -> Circuit:
     """Expand every marker and tof gate; unitary semantics preserved per
     the chosen constructions' verified contracts."""
-    out: list[Gate] = []
-    for g in circuit.gates:
-        _lower_gate(g, circuit, out)
-    return Circuit(circuit.width, out, circuit.roles)
+    bodies = map_once(lambda g: _lower_gate(g, circuit), circuit.gates)
+    return Circuit(circuit.width, [gg for body in bodies for gg in body], circuit.roles)
 
 
-def _lower_gate(g: Gate, circuit: Circuit, out: list[Gate]):
+def _lower_gate(g: Gate, circuit: Circuit) -> list[Gate]:
     if g.is_marker:
-        out.extend(marker_definition(g))
-        return
+        return marker_definition(g)
     if g.neg:
-        wraps = sorted(g.neg)
-        for q in wraps:
-            out.append(x(q))
-        _lower_gate(Gate(g.kind, g.controls, g.target, frozenset(), g.param), circuit, out)
-        for q in reversed(wraps):
-            out.append(x(q))
-        return
+        wraps = [x(q) for q in sorted(g.neg)]
+        plain = Gate(g.kind, g.controls, g.target, frozenset(), g.param)
+        return wraps + _lower_gate(plain, circuit) + wraps[::-1]
     if g.kind != "tof":
-        out.append(g)
-        return
+        return [g]
     nc = len(g.controls)
     if nc == 0:
-        out.append(x(g.target))
-    elif nc == 1:
-        out.append(cx(g.controls[0], g.target))
-    elif nc == 2:
-        out.extend(block_gates("toffoli3", g.controls + (g.target,)))
-    else:
-        out.extend(_expand_big_tof(g, circuit))
+        return [x(g.target)]
+    if nc == 1:
+        return [cx(g.controls[0], g.target)]
+    if nc == 2:
+        return block_gates("toffoli3", g.controls + (g.target,))
+    return _expand_big_tof(g, circuit)
 
 
 def _free_ancillae(g: Gate, circuit: Circuit, role: str) -> list[int]:
@@ -97,4 +91,4 @@ def _expand_big_tof(g: Gate, circuit: Circuit) -> list[Gate]:
     for q in range(template.width):
         if q not in mapping:
             mapping[q] = next(it)
-    return [gg.remap(mapping) for gg in template.gates]
+    return map_once(lambda gg: gg.remap(mapping), template.gates)

@@ -19,6 +19,12 @@ gate, so other QASM consumers still see a runnable program of the same
 unitary. A tof with three or more controls cannot be expanded without
 ancillae and is emitted with an empty expansion (``"gates": 0``); any
 other directive with ``"gates": 0`` is an error.
+
+``parse_qasm`` parses, validates and register-checks each distinct
+statement text once, on its first line, and reuses that gate for later
+copies; it builds each directive gate's expansion once, and compares it
+with every copy. These memos are local to the call, so a bad statement
+is reported at its first line and nothing carries over to the next file.
 """
 
 from __future__ import annotations
@@ -174,6 +180,8 @@ def parse_qasm(text: str) -> Circuit:
     roles = None
     gates: list[Gate] = []
     pending = None  # (high-level Gate, directive line, statement count, statements so far)
+    stmts: dict[str, Gate] = {}
+    expansions: dict[Gate, list[Gate]] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -199,8 +207,12 @@ def parse_qasm(text: str) -> Circuit:
                 if count < 0:
                     raise QasmError(f'bad rphase directive: "gates" is {count}', lineno, 1)
                 if "marker" in info:
+                    dagger = info.get("dagger", False)
+                    if not isinstance(dagger, bool):
+                        raise QasmError('bad rphase directive: "dagger" must be true or false, '
+                                        f"got {json.dumps(dagger)}", lineno, 1)
                     g = marker(info["marker"], tuple(info["controls"]), info["target"],
-                               dagger=bool(info.get("dagger")))
+                               dagger=dagger)
                 else:
                     g = Gate(info["gate"], tuple(info["controls"]), info["target"],
                              frozenset(info.get("neg", ())))
@@ -220,39 +232,45 @@ def parse_qasm(text: str) -> Circuit:
             else:
                 pending = (g, lineno, count, [])
             continue
-        if line.startswith("OPENQASM") or line.startswith("include"):
-            continue
-        if not line.endswith(";"):
-            raise QasmError("missing ';'", lineno, len(raw))
-        stmt = line[:-1].strip()
-        m = _STMT_RE.match(stmt)
-        if not m:
-            raise QasmError(f"cannot parse statement {stmt!r}", lineno, 1)
-        name, _, param, rest = m.groups()
-        if name == "qreg":
-            mm = _ARG_RE.match(rest.replace(" ", "")) if param is None else None
-            if not mm:
-                raise QasmError("cannot parse qreg declaration", lineno, 1)
-            if reg is not None:
-                raise QasmError("multiple qreg declarations are not supported", lineno, 1)
-            size = mm.group(2).lstrip("0") or "0"
-            if len(size) > len(str(QREG_LIMIT)) or int(size) > QREG_LIMIT:
-                raise QasmError(
-                    f"qreg of {size} qubits is wider than the limit of {QREG_LIMIT}", lineno, 1)
-            reg, width = mm.group(1), int(size)
-            continue
-        if reg is None:
-            raise QasmError("gate before qreg declaration", lineno, 1)
-        try:
-            g = _parse_gate(name, param, rest, reg, lineno)
-        except ValueError as exc:
-            raise QasmError(str(exc), lineno, 1) from None
-        _check_register(g, width, lineno)
+        g = stmts.get(line)
+        if g is None:
+            if line.startswith("OPENQASM") or line.startswith("include"):
+                continue
+            if not line.endswith(";"):
+                raise QasmError("missing ';'", lineno, len(raw))
+            stmt = line[:-1].strip()
+            m = _STMT_RE.match(stmt)
+            if not m:
+                raise QasmError(f"cannot parse statement {stmt!r}", lineno, 1)
+            name, _, param, rest = m.groups()
+            if name == "qreg":
+                mm = _ARG_RE.match(rest.replace(" ", "")) if param is None else None
+                if not mm:
+                    raise QasmError("cannot parse qreg declaration", lineno, 1)
+                if reg is not None:
+                    raise QasmError("multiple qreg declarations are not supported", lineno, 1)
+                size = mm.group(2).lstrip("0") or "0"
+                if len(size) > len(str(QREG_LIMIT)) or int(size) > QREG_LIMIT:
+                    raise QasmError(f"qreg of {size} qubits is wider than the limit of "
+                                    f"{QREG_LIMIT}", lineno, 1)
+                reg, width = mm.group(1), int(size)
+                continue
+            if reg is None:
+                raise QasmError("gate before qreg declaration", lineno, 1)
+            try:
+                g = _parse_gate(name, param, rest, reg, lineno)
+            except ValueError as exc:
+                raise QasmError(str(exc), lineno, 1) from None
+            _check_register(g, width, lineno)
+            stmts[line] = g
         if pending is not None:
             high, at, count, body = pending
             body.append(g)
             if len(body) == count:
-                if body != _expansion(high):
+                want = expansions.get(high)
+                if want is None:
+                    want = expansions[high] = _expansion(high)
+                if body != want:
                     raise QasmError(
                         f"expansion does not match the rphase directive's {high}", at, 1)
                 gates.append(high)

@@ -125,16 +125,21 @@ def classify_pair(circ: Circuit, i: int, j: int) -> ConjugationMatch:
     return ConjugationMatch(i, j, cls, gi.controls, target, touched, gi.neg)
 
 
-def find_conjugations(circ: Circuit) -> list[ConjugationMatch]:
-    """All classified pairs (i, j), i < j, of equal tof gates, ordered by
-    i then j. Equal tofs meet in one index list per gate."""
+def _equal_tof_pairs(circ: Circuit) -> list[tuple[int, int]]:
+    """Every pair (i, j), i < j, of equal tof gates, ordered by i then j.
+    Equal tofs meet in one index list per gate."""
     at: dict[Gate, list[int]] = {}
     for i, g in enumerate(circ.gates):
         if g.kind == "tof":
             at.setdefault(g, []).append(i)
-    pairs = sorted((i, j) for idx in at.values()
-                   for k, i in enumerate(idx) for j in idx[k + 1:])
-    return [classify_pair(circ, i, j) for i, j in pairs]
+    return sorted((i, j) for idx in at.values()
+                  for k, i in enumerate(idx) for j in idx[k + 1:])
+
+
+def find_conjugations(circ: Circuit) -> list[ConjugationMatch]:
+    """All classified pairs (i, j), i < j, of equal tof gates, ordered by
+    i then j."""
+    return [classify_pair(circ, i, j) for i, j in _equal_tof_pairs(circ)]
 
 
 # -- implementation admissibility ------------------------------------------

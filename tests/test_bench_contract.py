@@ -52,9 +52,11 @@ def test_tracer_binds_every_name():
 
 
 def test_rewrite_goes_through_the_cli_bound_rewrite_names(tmp_path, monkeypatch, capsys):
-    """The tracer's rewrite spans and ``rewrite.match_yield`` count calls of
-    these names in ``rphase.cli``: one match search, one admissibility test
-    per candidate and one replacement per rewritten pair."""
+    """``rewrite`` calls these names in ``rphase.cli``: one search for pairs
+    of equal tofs, one classification per pair whose gates are not yet
+    replaced, one admissibility test per candidate and one replacement per
+    rewritten pair. ``find_conjugations`` stays bound there for the tracer
+    but is no longer called: its spans read 0 on the rewrite workload."""
     calls = Counter()
 
     def counted(name, real):
@@ -63,13 +65,15 @@ def test_rewrite_goes_through_the_cli_bound_rewrite_names(tmp_path, monkeypatch,
             return real(*args)
         return wrapper
 
-    for name in ("find_conjugations", "admissible", "apply_replacement"):
+    for name in ("find_conjugations", "_equal_tof_pairs", "classify_pair", "admissible",
+                 "apply_replacement"):
         monkeypatch.setattr(rphase.cli, name, counted(name, vars(rphase.cli)[name]))
     src = tmp_path / "two_pairs.qasm"
     src.write_text(emit_qasm(Circuit(7, [
         tof((0, 1), 2), tof((3, 4), 5), cx(2, 6), t(4), tof((3, 4), 5), tof((0, 1), 2)])))
     assert rphase.cli.main(["rewrite", str(src), "--rules", "prop1,prop2"]) == 0
     capsys.readouterr()
-    assert calls["find_conjugations"] == 1
+    assert calls["_equal_tof_pairs"] == 1 and calls["find_conjugations"] == 0
+    assert calls["classify_pair"] == 2
     assert calls["apply_replacement"] == 2
     assert calls["admissible"] >= 2

@@ -1,6 +1,8 @@
 """Circuit IR: gate validation, inversion, resource counting."""
 
+import pickle
 import random
+from dataclasses import fields, replace
 
 import pytest
 
@@ -16,6 +18,8 @@ from rphase.circuit import (
     MARKER_BLOCKS,
     ROLE_CLEAN,
     ROLE_DIRTY,
+    UncountableGate,
+    _gate_counts,
     cx,
     cz,
     h,
@@ -142,3 +146,98 @@ def test_resource_report_json_schema():
     d = toffoli3().count_resources().as_dict()
     assert set(d) == {"t", "cnot", "h", "pz", "other", "t_depth", "ancilla"}
     assert set(d["ancilla"]) == {"count", "type"}
+
+
+def _count_reference(circuit):
+    """The per-gate loop count_resources replaced: counts summed gate by
+    gate, T-depth over each gate's sorted qubits."""
+    totals = [0] * 5
+    frontier = [0] * circuit.width
+    for g in circuit.gates:
+        for i, v in enumerate(_gate_counts(g)):
+            totals[i] += v
+        qubits = sorted(frozenset(g.controls) | {g.target})
+        depth = max(frontier[q] for q in qubits)
+        if g.kind in ("t", "tdg"):
+            depth += 1
+        for q in qubits:
+            frontier[q] = depth
+    return tuple(totals), max(frontier, default=0)
+
+
+def _random_countable(rng, width, length, wide=False):
+    """Every plain kind, ry, cx/cz and tofs of 0-2 controls with negative
+    controls, every marker either way round, and (when ``wide``) tofs of
+    3-4 controls."""
+    def qubits(k):
+        return rng.sample(range(width), k)
+    gates = []
+    for _ in range(length):
+        shape = rng.randrange(6 if wide else 5)
+        if shape == 0:
+            gates.append(Gate(rng.choice(("x", "y", "z", "p", "pdg", "t", "tdg", "h")), (),
+                              rng.randrange(width)))
+        elif shape == 1:
+            gates.append(ry(rng.randrange(width), rng.randint(-8, 8)))
+        elif shape == 2:
+            gates.append(rng.choice((cx, cz))(*qubits(2)))
+        elif shape == 3:
+            *controls, target = qubits(rng.randint(1, 3))
+            gates.append(tof(controls, target, rng.sample(controls, rng.randint(0, len(controls)))))
+        elif shape == 4:
+            kind = rng.choice(sorted(MARKER_BLOCKS))
+            *controls, target = qubits(MARKER_BLOCKS[kind].arity)
+            gates.append(marker(kind, controls, target, dagger=rng.random() < 0.5))
+        else:
+            *controls, target = qubits(rng.randint(4, 5))
+            gates.append(tof(controls, target, rng.sample(controls, rng.randint(0, 2))))
+    return Circuit(width, gates)
+
+
+def test_count_resources_equals_the_per_gate_reference():
+    rng = random.Random(15)
+    for length in [0, 1, 2, 5] + [rng.randint(10, 400) for _ in range(40)]:
+        c = _random_countable(rng, rng.randint(5, 8), length)
+        r = c.count_resources()
+        assert ((r.t, r.cnot, r.h, r.pz, r.other), r.t_depth) == _count_reference(c)
+
+
+def test_count_resources_names_the_first_wide_tof():
+    rng = random.Random(16)
+    raised = 0
+    for _ in range(40):
+        c = _random_countable(rng, 7, rng.randint(1, 60), wide=True)
+        try:
+            want = _count_reference(c)
+        except UncountableGate as exc:
+            with pytest.raises(UncountableGate) as err:
+                c.count_resources()
+            assert str(err.value) == str(exc)
+            raised += 1
+        else:
+            r = c.count_resources()
+            assert ((r.t, r.cnot, r.h, r.pz, r.other), r.t_depth) == want
+    assert raised >= 20
+
+
+def test_stored_support_leaves_gate_identity_unchanged():
+    """support is stored on each gate but is no field of ==, hash or repr,
+    and dataclasses.replace recomputes it and validates again."""
+    g = tof((3, 1), 2, neg=(1,))
+    assert g.support == frozenset({1, 2, 3})
+    assert repr(g) == ("Gate(kind='tof', controls=(3, 1), target=2, neg=frozenset({1}), "
+                       "param=0, dagger=False)")
+    assert hash(g) == hash(("tof", (3, 1), 2, frozenset({1}), 0, False))
+    assert [f.name for f in fields(g) if f.compare] == [
+        "kind", "controls", "target", "neg", "param", "dagger"]
+    twin = Gate("tof", (3, 1), 2, frozenset({1}))
+    assert twin == g and hash(twin) == hash(g) and twin is not g
+    assert {g: 1}[twin] == 1
+    assert g != tof((1, 3), 2, neg=(1,)) and g != tof((3, 1), 2)
+    moved = replace(g, target=0)
+    assert moved == tof((3, 1), 0, neg=(1,)) and moved.support == frozenset({0, 1, 3})
+    with pytest.raises(ValueError):
+        replace(g, target=3)
+    m = marker("rt4s", (0, 1, 2), 3)
+    assert replace(m, dagger=True) == m.inverse() and m.inverse().support == m.support
+    assert pickle.loads(pickle.dumps(g)) == g and pickle.loads(pickle.dumps(g)).support == g.support

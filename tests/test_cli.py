@@ -15,6 +15,7 @@ import pytest
 
 import rphase.catalog as catalog
 import rphase.cli as cli
+import rphase.rewrite as rewrite
 from rphase.cli import _pick_impl, main
 from rphase.qasm import QREG_LIMIT, emit_qasm, parse_qasm
 from rphase.catalog import ConstructionError, toffoli3
@@ -101,6 +102,25 @@ def test_fixed_size_synth_takes_only_its_own_n(capsys, gate, width):
     assert parse_qasm(out.rsplit("\n", 2)[0]).width == width
 
 
+def test_synth_and_count_outputs_are_pinned(capsys, tmp_path):
+    """Exit code, stdout and stderr of synth (QASM and JSON) and of count on
+    the QASM, for tof clean and dirty, ladder, cnu-chain and cnu-parallel at
+    n = 4..12 and 310, recorded before gates stored their qubit set and
+    before each distinct gate was built, counted and parsed once per call."""
+    whole = hashlib.sha256()
+    path = tmp_path / "pinned.qasm"
+    for gate, extra in (("tof", ("--ancilla", "clean")), ("tof", ("--ancilla", "dirty")),
+                        ("ladder", ()), ("cnu-chain", ()), ("cnu-parallel", ())):
+        for n in list(range(4, 13)) + [310]:
+            argv = ("synth", "--gate", gate, "--n", str(n), *extra)
+            results = [run(capsys, *argv, "--format", "json"), run(capsys, *argv, "--out", str(path))]
+            if results[-1][0] == 0:
+                results.append(path.read_text())
+                results.append(run(capsys, "count", str(path)))
+            whole.update(repr(results).encode())
+    assert whole.hexdigest()[:16] == "32db1d8ddac5df5a"
+
+
 def test_count_file(capsys, tmp_path):
     path = tmp_path / "c.qasm"
     run(capsys, "synth", "--gate", "tof", "--n", "5", "--out", str(path))
@@ -136,6 +156,63 @@ def test_verify_exit_codes(capsys, tmp_path):
     code, _, _ = run(capsys, "verify", str(rt), "--target", "tof", "--n", "3",
                      "--layout", "ctrl,ctrl,target", "--class", "relative_phase")
     assert code == 0
+
+
+@pytest.mark.parametrize("gate, layout, cls, code", [
+    # rtof3-ry is a relative-phase Toffoli with its qubit 1 negated
+    ("rtof3-ry", "ctrl,nctrl,target", "relative_phase", 0),
+    ("rtof3-ry", "ctrl , nctrl , target", "relative_phase", 0),
+    ("rtof3-ry", "ctrl,nctrl,target", "exact", 1),
+    ("rtof3-ry", "ctrl,ctrl,target", "relative_phase", 1),
+    ("rtof3-ry", "nctrl,ctrl,target", "relative_phase", 1),
+    ("rtof3-ry", "nctrl,nctrl,target", "relative_phase", 1),
+    ("margolus-ry", "ctrl,ctrl,target", "relative_phase", 0),
+    ("margolus-ry", "ctrl,nctrl,target", "relative_phase", 1),
+    ("toffoli3", "ctrl,ctrl,target", "exact", 0),
+    ("toffoli3", "nctrl,ctrl,target", "exact", 1),
+    ("rtof3-ry", "nctrl,nctrl,nctrl", "relative_phase", 2),
+    ("rtof3-ry", "nctrl,target", "relative_phase", 2),
+    ("rtof3-ry", "ctrl,NCTRL,target", "relative_phase", 2),
+    ("rtof3-ry", "ctrl,!ctrl,target", "relative_phase", 2),
+])
+def test_verify_layout_rows(capsys, tmp_path, gate, layout, cls, code):
+    """Layout tokens per qubit: ctrl, nctrl (a control that fires on |0>),
+    target, clean and dirty; anything else is a usage error."""
+    path = tmp_path / "gate.qasm"
+    assert run(capsys, "synth", "--gate", gate, "--out", str(path))[0] == 0
+    got, _, err = run(capsys, "verify", str(path), "--layout", layout, "--class", cls)
+    assert got == code, err
+    assert (code == 2) == err.startswith("error:")
+
+
+def test_negative_control_layout_equals_the_flipped_circuit(capsys, tmp_path):
+    """verify under a layout with nctrl on some controls prints what verify
+    prints for the circuit with X on those qubits before and after, under
+    the layout with ctrl in their place."""
+    rng = random.Random(11)
+    sources = [parse_qasm(run(capsys, "synth", "--gate", gate)[1].rsplit("\n", 2)[0])
+               for gate in ("rtof3-ry", "margolus-ry", "rtof3", "rtof4", "ccix", "toffoli3")]
+    sources.append(Circuit(4, [tof((0, 2), 3, neg=(2,)), cx(1, 3), tof((0, 2), 3, neg=(2,))]))
+    path = tmp_path / "layout.qasm"
+    verdicts = set()
+    for k in range(48):
+        c = sources[k % len(sources)]
+        target = rng.randrange(c.width)
+        controls = [q for q in range(c.width) if q != target]
+        neg = [q for q in controls if rng.random() < 0.5]
+        layout = ["nctrl" if q in neg else "ctrl" for q in range(c.width)]
+        layout[target] = "target"
+        cls = rng.choice(("exact", "relative_phase", "special_form"))
+        path.write_text(emit_qasm(c))
+        code, out, _ = run(capsys, "verify", str(path), "--layout", ",".join(layout),
+                           "--class", cls)
+        flips = [x(q) for q in neg]
+        path.write_text(emit_qasm(Circuit(c.width, flips + list(c.gates) + flips)))
+        plain = ",".join("ctrl" if tok == "nctrl" else tok for tok in layout)
+        assert (code, out) == run(capsys, "verify", str(path), "--layout", plain,
+                                  "--class", cls)[:2]
+        verdicts.add(code)
+    assert verdicts == {0, 1}
 
 
 def test_verify_too_wide_is_an_input_error(capsys, tmp_path):
@@ -249,14 +326,14 @@ def test_rewrite_prop3_requires_flag(capsys, tmp_path):
     assert rewritten.gates[0].kind == "srtof3"  # doubly-controlled iX pair
 
 
-def _conjugation_circuit(rng, length):
+def _conjugation_circuit(rng, length, tof_share=0.4):
     """Random 6-qubit circuit of repeated tofs (one with a negative control)
     and middle gates, so pairs of every class, nested and overlapping pairs
     and triples of equal tofs all occur."""
     tofs = [tof((0, 1), 2), tof((1, 3), 4), tof((2, 5), 0), tof((3, 4), 5),
             tof((1, 2), 3, neg=(2,))]
     middle = [cx(0, 1), cx(2, 4), cx(5, 3), cx(1, 0), cz(1, 4), t(0), t(2), h(4), x(5)]
-    return Circuit(6, [rng.choice(tofs if rng.random() < 0.4 else middle)
+    return Circuit(6, [rng.choice(tofs if rng.random() < tof_share else middle)
                        for _ in range(length)])
 
 
@@ -289,10 +366,57 @@ def test_rewrite_equals_restart_reference(capsys, tmp_path, rules):
     assert rewritten >= 5
 
 
+def _rewrite_eager(circuit, enabled):
+    """The walk the rewrite replaced, kept as a reference: classify every
+    pair of equal tofs first, then replace each pair whose gates are both
+    still unreplaced."""
+    gates = list(circuit.gates)
+    used = set()
+    for m in find_conjugations(circuit):
+        if m.classification not in enabled or {m.left_index, m.right_index} & used:
+            continue
+        impl = _pick_impl(m)
+        if impl is not None:
+            gates[m.left_index], gates[m.right_index] = apply_replacement(m, impl)
+            used |= {m.left_index, m.right_index}
+    return Circuit(circuit.width, gates, circuit.roles)
+
+
+def test_rewrite_classifies_only_pairs_it_can_still_replace(capsys, tmp_path, monkeypatch):
+    """The rewrite writes what the eager walk writes, byte for byte, and
+    classifies a pair only while neither of its gates is replaced, so on
+    800 gates with about 400 tofs it classifies fewer pairs."""
+    calls = {"eager": 0, "rewrite": 0}
+
+    def counted(side, real):
+        def classify(*args):
+            calls[side] += 1
+            return real(*args)
+        return classify
+
+    monkeypatch.setattr(rewrite, "classify_pair", counted("eager", rewrite.classify_pair))
+    monkeypatch.setattr(cli, "classify_pair", counted("rewrite", cli.classify_pair))
+    rng = random.Random(800)
+    src, dst = tmp_path / "in.qasm", tmp_path / "out.qasm"
+    cases = [(_conjugation_circuit(rng, rng.randint(4, 60)), rules)
+             for rules in ("prop1,prop2", "prop1,prop2,prop3", "prop3") for _ in range(10)]
+    cases.append((_conjugation_circuit(rng, 800, tof_share=0.5), "prop1,prop2,prop3"))
+    for circuit, rules in cases:
+        src.write_text(emit_qasm(circuit))
+        calls.update(eager=0, rewrite=0)
+        assert run(capsys, "rewrite", str(src), "--rules", rules, "--out", str(dst))[0] == 0
+        want = _rewrite_eager(circuit, set(rules.split(",")))
+        assert dst.read_text() == (src.read_text() if want == circuit else emit_qasm(want))
+        assert calls["rewrite"] <= calls["eager"]
+    assert sum(g.kind == "tof" for g in circuit.gates) > 350
+    assert calls["rewrite"] < calls["eager"]
+
+
 def test_rewrite_finds_conjugations_once(capsys, tmp_path, monkeypatch):
+    """One search for pairs of equal tofs serves the whole rewrite."""
     calls = []
-    real = cli.find_conjugations
-    monkeypatch.setattr(cli, "find_conjugations", lambda c: calls.append(c) or real(c))
+    real = cli._equal_tof_pairs
+    monkeypatch.setattr(cli, "_equal_tof_pairs", lambda c: calls.append(c) or real(c))
     src = tmp_path / "pairs.qasm"
     src.write_text(emit_qasm(Circuit(7, [
         tof((0, 1), 2), tof((3, 4), 5), cx(2, 6), t(4), tof((3, 4), 5), tof((0, 1), 2)])))
@@ -510,6 +634,7 @@ _DIRECTIVE_SOURCES = (
             (ROLE_PRIMARY, ROLE_PRIMARY, ROLE_CLEAN, ROLE_PRIMARY, ROLE_PRIMARY)),
 )
 _DIRECTIVE_VALUES = (b"1e400", b"-1", b"true", b"2.5", b'"0"', b"[]", b"null")
+_DAGGER_VALUES = (b'"no"', b"1", b"[0]", b"null")
 # a number in a directive's JSON: a qubit or a statement count, not a digit
 # inside a name such as rtof3l
 _DIRECTIVE_NUMBER = re.compile(rb"(?<=[\[ ,:])\d+")
@@ -536,7 +661,8 @@ def _assert_exit_code_contract(capsys, path, data):
 def test_mutated_files_keep_the_exit_code_contract(capsys, tmp_path):
     """Mutants of synth outputs, an R_Y file among them, and of files with
     marker and negative-control directives, exit 0, 1 or 2 under count,
-    verify and rewrite: never 3, never an escaped exception."""
+    verify and rewrite: never 3, never an escaped exception. A marker
+    directive whose "dagger" is no JSON bool exits 2 naming its line."""
     sources = []
     for argv in _FUZZ_SOURCES:
         code, out, _ = run(capsys, "synth", *argv)
@@ -553,6 +679,18 @@ def test_mutated_files_keep_the_exit_code_contract(capsys, tmp_path):
     for k in range(80):
         data = emit_qasm(_DIRECTIVE_SOURCES[k % len(_DIRECTIVE_SOURCES)]).encode()
         _assert_exit_code_contract(capsys, path, _directive_mutant(rng, data))
+    # every marker directive's "dagger" set to a value that is no JSON bool
+    for source in _DIRECTIVE_SOURCES:
+        lines = emit_qasm(source).encode().split(b"\n")
+        for i, line in enumerate(lines):
+            for value in _DAGGER_VALUES:
+                mutated = re.sub(rb'"dagger": (true|false)', b'"dagger": ' + value, line)
+                if mutated == line:
+                    continue
+                path.write_bytes(b"\n".join(lines[:i] + [mutated] + lines[i + 1:]))
+                for command in ("count", "verify", "rewrite"):
+                    code, _, err = run(capsys, command, str(path))
+                    assert code == 2 and f"line {i + 1}," in err, (command, err, value)
 
 
 def test_verify_cost_follows_the_qubits_that_are_not_clean(tmp_path):

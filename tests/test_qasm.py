@@ -1,6 +1,7 @@
 """OpenQASM subset: emission, parsing, round trips, error reporting."""
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -155,6 +156,80 @@ def test_directive_numbers_must_be_json_integers(field, value):
         parse_qasm(text)
     assert err.value.line == 3
     assert field != "gates" or '"gates"' in str(err.value)
+
+
+_RTOF3L_LINES = emit_qasm(Circuit(3, [marker("rtof3l", (0, 1), 2)])).splitlines()
+_RTOF3L_DIRECTIVE = _RTOF3L_LINES[3].removeprefix("// rphase: ")
+_RTOF3L_BODY = "".join(line + "\n" for line in _RTOF3L_LINES[4:])
+
+
+@pytest.mark.parametrize("value", ['"no"', "1", "[0]", "null"])
+def test_directive_dagger_must_be_a_json_bool(value):
+    """A marker directive's "dagger" is true or false: "no" or 1 is not
+    read as true by truthiness (rtof3l's expansion is its own inverse, so
+    the file would parse), it is an input error naming the line."""
+    text = ('OPENQASM 2.0;\nqreg q[3];\n// rphase: {"marker": "rtof3l", "controls": [0, 1], '
+            f'"target": 2, "dagger": {value}, "gates": 9}}\n' + _RTOF3L_BODY)
+    with pytest.raises(QasmError) as err:
+        parse_qasm(text)
+    assert err.value.line == 3 and '"dagger"' in str(err.value)
+
+
+def test_directive_without_dagger_is_not_a_dagger():
+    text = ('OPENQASM 2.0;\nqreg q[3];\n// rphase: {"marker": "rtof3l", "controls": [0, 1], '
+            '"target": 2, "gates": 9}\n' + _RTOF3L_BODY)
+    assert parse_qasm(text).gates == (marker("rtof3l", (0, 1), 2),)
+
+
+def _repetitive_circuit(rng, width, length):
+    """A circuit drawn from a pool of few gates, so most statements and
+    directives repeat: one-qubit kinds, ry, cx, cz, tofs with negative
+    controls, a wide tof and markers either way round."""
+    pool = [h(0), Gate("t", (), 1), Gate("tdg", (), 1), ry(2, -3), cx(0, 3), cz(1, 2),
+            tof((0, 1), 2), tof((0, 1), 2, neg=(1,)), tof((0, 1, 2, 3), 4),
+            marker("rtof3l", (0, 1), 2), marker("rtof3s", (3, 1), 0, dagger=True),
+            marker("rt4s", (0, 1, 2), 4), marker("rt4s", (0, 1, 2), 4, dagger=True)]
+    return Circuit(width, [rng.choice(pool) for _ in range(length)],
+                   [rng.choice(ROLES) for _ in range(width)])
+
+
+def test_parse_inverts_emit_with_repeated_statements():
+    rng = random.Random(15)
+    for length in (0, 1, 2, 40, 300):
+        c = _repetitive_circuit(rng, 5, length)
+        text = emit_qasm(c)
+        back = parse_qasm(text)
+        assert back == c and emit_qasm(back) == text
+
+
+@pytest.mark.parametrize("bad, why", [
+    ("cx q[0],q[5];", "outside register"),
+    ("cx q[1],q[1];", "distinct"),
+    ("swap q[0],q[1];", "unsupported gate"),
+    ("ry(pi/3) q[0];", "unsupported angle"),
+    ('// rphase: {"gate": "tof", "controls": [0, 1], "target": 2, "neg": [], "gates": -1}',
+     '"gates" is -1'),
+])
+def test_repeated_bad_statement_is_reported_at_its_first_line(bad, why):
+    """A statement text is checked on its first line; later copies of it are
+    never reached, and copies of a good statement before it change nothing."""
+    text = ("OPENQASM 2.0;\nqreg q[3];\nh q[0];\nh q[0];\n"
+            + bad + "\nh q[0];\n" + bad + "\n" + bad + "\n")
+    with pytest.raises(QasmError) as err:
+        parse_qasm(text)
+    assert err.value.line == 5 and why in str(err.value)
+
+
+def test_repeated_statement_in_a_tampered_expansion_is_still_checked():
+    """A statement seen before inside a good expansion is reused, and the
+    directive check still runs on every expansion."""
+    good = "// rphase: " + _RTOF3L_DIRECTIVE + "\n" + _RTOF3L_BODY
+    tampered = good.replace("\nt q[2];\n", "\ntdg q[2];\n", 1)
+    head = "OPENQASM 2.0;\nqreg q[3];\n"
+    assert len(parse_qasm(head + good * 3).gates) == 3
+    with pytest.raises(QasmError) as err:
+        parse_qasm(head + good * 2 + tampered + good)
+    assert err.value.line == 3 + 2 * 10 and "expansion does not match" in str(err.value)
 
 
 def test_round_trip_is_identity_on_emitted_text():
