@@ -22,14 +22,10 @@ from .catalog import (
     ladder_tofn_spec,
     margolus_ry,
     margolus_t_variant,
-    margolus_variants,
     rtof3_long,
     rtof3_ry_negctrl,
     rtof4_long,
-    rts3,
-    rt4s,
     srtof3_ccix,
-    srts3,
     toffoli3,
     tofn,
     tof4_dirty,
@@ -53,7 +49,6 @@ from .rewrite import (
     admissible,
     apply_replacement,
     cancel_adjacent_inverses,
-    canonic_decompose,
     find_conjugations,
 )
 from .simulate import (
@@ -67,7 +62,6 @@ from .verify import (
     VerificationReport,
     backends_agree,
     check_implements,
-    global_phase_equal,
     permutation_parity,
     target_permutation,
 )

@@ -1,12 +1,12 @@
 """Generators for the relative-phase Toffoli building blocks and the
 multiple-control Toffoli constructions assembled from them.
 
-Building blocks: one builder per row of ``circuit.BLOCKS`` (toffoli3,
-srtof3_ccix, rtof3_long, rts3, srts3, rtof4_long, rt4s), each returning
-its row's circuit; ``get_entry(name)`` returns the row itself, whose
-stated counts were checked against its gates at import time. Besides
-them, the Margolus-style variants: a T/CNOT phase circuit and two R_Y
-circuits (see ``margolus_variants``).
+Building blocks: ``get_entry(name)`` returns a row of ``circuit.BLOCKS``,
+whose stated counts were checked against its gates at import time; each
+junk-free block has a builder returning its row's circuit. The truncations
+rts3, srts3 and rt4s carry junk: they are reached as markers or by row.
+Besides them, the Margolus-style variants: a T/CNOT phase circuit and two
+R_Y circuits (``margolus_t_variant``, ``margolus_ry``, ``rtof3_ry_negctrl``).
 
 Constructions: ``tofn_clean``, ``tof4_dirty`` and ``tofn_dirty`` realize
 a multiple-control Toffoli over Clifford+T with one clean or dirty helper
@@ -90,20 +90,8 @@ def rtof3_long() -> Circuit:
     return BLOCKS["rtof3_long"].circuit
 
 
-def rts3() -> Circuit:
-    return BLOCKS["rts3"].circuit
-
-
-def srts3() -> Circuit:
-    return BLOCKS["srts3"].circuit
-
-
 def rtof4_long() -> Circuit:
     return BLOCKS["rtof4_long"].circuit
-
-
-def rt4s() -> Circuit:
-    return BLOCKS["rt4s"].circuit
 
 
 def margolus_t_variant() -> Circuit:
@@ -126,10 +114,6 @@ def rtof3_ry_negctrl() -> Circuit:
     """R_Y(+-pi/4) in place of rtof3_long's T/Tdg (gates 2-8): a
     relative-phase Toffoli with a negative control on b."""
     return Circuit(3, [ry(2, 1), cx(1, 2), ry(2, -1), cx(0, 2), ry(2, 1), cx(1, 2), ry(2, -1)])
-
-
-def margolus_variants() -> list[Circuit]:
-    return [margolus_t_variant(), margolus_ry(), rtof3_ry_negctrl()]
 
 
 # -- combinators -------------------------------------------------------------

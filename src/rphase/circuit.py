@@ -223,9 +223,6 @@ class Circuit:
     def primary_qubits(self) -> tuple[int, ...]:
         return tuple(q for q, r in enumerate(self.roles) if r == ROLE_PRIMARY)
 
-    def __len__(self):
-        return len(self.gates)
-
     def __str__(self):
         return " ".join(str(g) for g in self.gates) if self.gates else "(empty)"
 

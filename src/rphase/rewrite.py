@@ -1,5 +1,4 @@
-"""Peephole engine: conjugation replacements, canonic decomposition, and
-inverse-pair cancellation.
+"""Peephole engine: conjugation replacements and inverse-pair cancellation.
 
 The central move replaces a pair of identical multi-control tof gates that
 conjugate a compatible middle block with a cheaper relative-phase
@@ -36,8 +35,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from .circuit import BLOCKS, Block, Circuit, Gate, TargetSpec, basis_bit, marker, tof
-from .simulate import PhasePermutation
+from .circuit import BLOCKS, Block, Circuit, Gate, marker, tof
 from .verify import check_implements
 
 
@@ -50,10 +48,6 @@ class ArityMismatch(RewriteError):
 
 
 class SpecialFormViolated(RewriteError):
-    pass
-
-
-class NotRelativePhaseToffoli(RewriteError):
     pass
 
 
@@ -233,48 +227,16 @@ def apply_replacement(m: ConjugationMatch, impl_name: str) -> tuple[Gate, Gate]:
     return left, left.inverse()
 
 
-# -- canonic decomposition ---------------------------------------------------
-
-def canonic_decompose(u: PhasePermutation) -> tuple[TargetSpec, tuple]:
-    """Split a relative-phase Toffoli into the exact tof and the diagonal
-    that follows it (tof-then-D order), returning (tof spec, row phases).
-
-    Multiplying back -- column s carries phase D[perm(s)] -- reproduces the
-    input exactly.
-    """
-    dim = u.dim
-    moved = [s for s in range(dim) if u.perm[s] != s]
-    if not moved:
-        raise NotRelativePhaseToffoli(
-            "not a relative-phase Toffoli: permutation part is the identity")
-    bits = [basis_bit(u.width, q) for q in range(u.width)]
-    flip = u.perm[moved[0]] ^ moved[0]
-    if flip not in bits or any(u.perm[s] ^ s != flip for s in moved):
-        raise NotRelativePhaseToffoli(
-            "not a relative-phase Toffoli: columns move more than one bit")
-    target = bits.index(flip)
-    # moved set must be exactly the all-controls-one subcube
-    expect_controls = [
-        q for q, b in enumerate(bits) if q != target and all(s & b for s in moved)
-    ]
-    cm = sum(bits[q] for q in expect_controls)
-    if len(moved) * 2 ** len(expect_controls) != dim or any(
-        (s & cm) != cm for s in moved
-    ):
-        raise NotRelativePhaseToffoli(
-            "not a relative-phase Toffoli: flipped set is not a control subcube")
-    spec = TargetSpec("tof", tuple(expect_controls), target)
-    return spec, u.row_phases()
-
-
 # -- inverse-pair cancellation -----------------------------------------------
 
 def _cancels(a: Gate, b: Gate) -> bool:
+    # an inverse acts on the same qubits: compare those before building one
+    if a.support != b.support:
+        return False
     if b == a.inverse():
         return True
     # cz is symmetric in its two qubits (positive polarity only)
-    return (a.kind == "cz" and b.kind == "cz" and not a.neg and not b.neg
-            and a.support == b.support)
+    return a.kind == "cz" and b.kind == "cz" and not a.neg and not b.neg
 
 
 def cancel_adjacent_inverses(circ: Circuit) -> Circuit:

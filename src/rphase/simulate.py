@@ -362,10 +362,6 @@ class DenseMatrix:
     backend: str = "ring"
     max_support: int = 1
 
-    @property
-    def dim(self) -> int:
-        return 1 << self.width
-
     def entry(self, row: int, col: int):
         val = self.columns[col].get(row)
         if val is not None:

@@ -29,7 +29,7 @@ import json
 from dataclasses import dataclass
 
 from .circuit import Circuit, ROLE_CLEAN, ROLE_DIRTY, TargetSpec, basis_bit, tof
-from .ring import ONE, RingElement
+from .ring import ONE
 from .simulate import PhasePermutation, compile_gate, same_phase, unitary_columns
 # perfbench/tracer.py binds its simulate spans to these names in this module
 from .simulate import compile_circuit, run_column_float, run_column_ring  # noqa: F401
@@ -73,10 +73,16 @@ class VerificationReport:
         return ok and self.ancilla_ok
 
 
+def _flip(spec: TargetSpec, width: int) -> tuple[int, int, int]:
+    """(control mask, control value, flip mask) of the spec's tof gate."""
+    (_, cm, cv, flip, _), = compile_gate(tof(spec.controls, spec.target, spec.neg), width)
+    return cm, cv, flip
+
+
 def target_permutation(spec: TargetSpec, width: int) -> list[int]:
     """The permutation of ``spec`` acting on ``width`` qubits (identity on
     qubits the spec does not mention): the flip of its tof gate."""
-    (_, cm, cv, flip, _), = compile_gate(tof(spec.controls, spec.target, spec.neg), width)
+    cm, cv, flip = _flip(spec, width)
     return [(s ^ flip) if (s & cm) == cv else s for s in range(1 << width)]
 
 
@@ -88,7 +94,7 @@ def check_implements(circuit: Circuit, spec: TargetSpec) -> VerificationReport:
     cols = unitary_columns(circuit, column_indices=_submasks(((1 << width) - 1) & ~clean_mask))
     perm, phase = cols.perm, cols.phases
     columns = list(perm)
-    (_, cm, cv, flip, _), = compile_gate(tof(spec.controls, spec.target, spec.neg), width)
+    cm, cv, flip = _flip(spec, width)
 
     clean_ok = all(not perm[s] & clean_mask for s in columns)
     dirty_preserved = all(perm[s] & dirty_mask == s & dirty_mask for s in columns)
@@ -145,18 +151,6 @@ def _constant_on_classes(values: dict, mask: int, same=same_phase) -> bool:
 
 
 # -- phase-permutation level predicates -------------------------------------
-
-def global_phase_equal(u: PhasePermutation, v: PhasePermutation) -> bool:
-    """Same permutation and columnwise phase ratio constant: z * w0 and
-    w * z0 are the same phase in every column (compared as complex
-    numbers unless both sides are ring elements)."""
-    if u.width != v.width or u.perm != v.perm:
-        return False
-    zs, ws = u.phases, v.phases
-    if not (isinstance(zs[0], RingElement) and isinstance(ws[0], RingElement)):
-        zs, ws = [complex(z) for z in zs], [complex(w) for w in ws]
-    return all(same_phase(z * ws[0], w * zs[0]) for z, w in zip(zs, ws))
-
 
 def permutation_parity(obj, width: int | None = None) -> int:
     """Sign of the permutation part: +1 or -1.

@@ -16,14 +16,10 @@ from rphase.catalog import (
     ladder_tofn_spec,
     margolus_ry,
     margolus_t_variant,
-    margolus_variants,
     rtof3_long,
     rtof3_ry_negctrl,
     rtof4_long,
-    rt4s,
-    rts3,
     srtof3_ccix,
-    srts3,
     toffoli3,
     tof4_dirty,
     tof4_dirty_spec,
@@ -102,10 +98,11 @@ def test_ccix_with_trailing_cz():
 
 
 def test_rts3_is_rtof3_long_prefix():
-    prefix = rts3().gates
+    rts3 = BLOCKS["rts3"].circuit
+    prefix = rts3.gates
     full = rtof3_long().gates
     assert full[: len(prefix)] == prefix and len(prefix) == 5
-    r = rts3().count_resources()
+    r = rts3.count_resources()
     assert (r.t, r.cnot, r.h) == (2, 2, 1)
     # dropped tail acts on (second control, target) only
     tail = full[len(prefix):]
@@ -115,7 +112,7 @@ def test_rts3_is_rtof3_long_prefix():
 def test_rts3_matrix_product_oracle():
     """unitary(rts3) followed by the tail equals unitary(rtof3_long)."""
     tail = Circuit(3, rtof3_long().gates[5:])
-    m_rts = _numpy_unitary(rts3())
+    m_rts = _numpy_unitary(BLOCKS["rts3"].circuit)
     m_tail = _numpy_unitary(tail)
     m_rtl = _numpy_unitary(rtof3_long())
     assert np.allclose(m_tail @ m_rts, m_rtl, atol=1e-12)
@@ -136,15 +133,16 @@ def _numpy_unitary(circuit):
 
 
 def test_srts3_is_toffoli3_prefix():
-    prefix = srts3().gates
+    srts3 = BLOCKS["srts3"].circuit
+    prefix = srts3.gates
     full = toffoli3().gates
     assert full[: len(prefix)] == prefix and len(prefix) == 9
-    r = srts3().count_resources()
+    r = srts3.count_resources()
     assert (r.t, r.cnot, r.h) == (4, 4, 1)
     tail = full[len(prefix):]
     assert set().union(*(g.support for g in tail)) == {0, 2}
     m_tail = _numpy_unitary(Circuit(3, tail))
-    assert np.allclose(m_tail @ _numpy_unitary(srts3()), _numpy_unitary(toffoli3()),
+    assert np.allclose(m_tail @ _numpy_unitary(srts3), _numpy_unitary(toffoli3()),
                        atol=1e-12)
 
 
@@ -159,14 +157,15 @@ def test_rtof4_long_matrix():
 
 
 def test_rt4s_is_rtof4_prefix():
-    prefix = rt4s().gates
+    rt4s = BLOCKS["rt4s"].circuit
+    prefix = rt4s.gates
     full = rtof4_long().gates
     assert full[: len(prefix)] == prefix and len(prefix) == 10
-    r = rt4s().count_resources()
+    r = rt4s.count_resources()
     assert (r.t, r.cnot, r.h) == (4, 4, 2)
     tail = Circuit(4, full[len(prefix):])
     assert set().union(*(g.support for g in tail.gates)) == {1, 2, 3}
-    assert np.allclose(_numpy_unitary(tail) @ _numpy_unitary(rt4s()),
+    assert np.allclose(_numpy_unitary(tail) @ _numpy_unitary(rt4s),
                        _numpy_unitary(rtof4_long()), atol=1e-12)
 
 
@@ -201,12 +200,6 @@ def test_margolus_ry_is_relative_phase_toffoli():
 def test_ry_negctrl_variant():
     spec = TargetSpec("rtof", (0, 1), 2, neg=frozenset({1}))
     assert check_implements(rtof3_ry_negctrl(), spec).relative_phase
-
-
-def test_margolus_variants_list():
-    variants = margolus_variants()
-    assert len(variants) == 3
-    assert all(isinstance(v, Circuit) for v in variants)
 
 
 # -- explicit 4- and 5-control constructions ---------------------------------

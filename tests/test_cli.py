@@ -651,6 +651,36 @@ def _directive_mutant(rng, data: bytes) -> bytes:
     return b"\n".join(lines)
 
 
+_DIRECTIVE_KEYS = ("roles", "marker", "gate", "controls", "target", "gates", "dagger",
+                   "neg", "qubits")
+_KEY_VALUES = ("1e400", "-1", "0", "true", "2.5", '"0"', '"rtof3l"', '"tof"', "[]",
+               "[0, 1]", '["primary"]', "{}", "null")
+
+
+def _key_mutant(rng, data: bytes) -> bytes:
+    """``data`` with one key of one ``// rphase:`` directive dropped,
+    renamed, added, retyped or duplicated."""
+    lines = data.decode().split("\n")
+    i = rng.choice([i for i, line in enumerate(lines) if line.startswith("// rphase:")])
+    items = [(json.dumps(k), json.dumps(v))
+             for k, v in json.loads(lines[i][len("// rphase:"):]).items()]
+    at = rng.randrange(len(items))
+    key, value = items[at]
+    how = rng.randrange(5)
+    if how == 0:
+        del items[at]
+    elif how == 1:
+        items[at] = (json.dumps(rng.choice(_DIRECTIVE_KEYS)), value)
+    elif how == 2:
+        items.insert(at, (json.dumps(rng.choice(_DIRECTIVE_KEYS)), rng.choice(_KEY_VALUES)))
+    elif how == 3:
+        items[at] = (key, rng.choice(_KEY_VALUES))
+    else:
+        items.insert(rng.randrange(len(items) + 1), (key, rng.choice((value, *_KEY_VALUES))))
+    lines[i] = "// rphase: {" + ", ".join(f"{k}: {v}" for k, v in items) + "}"
+    return "\n".join(lines).encode()
+
+
 def _assert_exit_code_contract(capsys, path, data):
     path.write_bytes(data)
     for command in ("count", "verify", "rewrite"):
@@ -660,9 +690,10 @@ def _assert_exit_code_contract(capsys, path, data):
 
 def test_mutated_files_keep_the_exit_code_contract(capsys, tmp_path):
     """Mutants of synth outputs, an R_Y file among them, and of files with
-    marker and negative-control directives, exit 0, 1 or 2 under count,
-    verify and rewrite: never 3, never an escaped exception. A marker
-    directive whose "dagger" is no JSON bool exits 2 naming its line."""
+    marker and negative-control directives (a number or a key changed),
+    exit 0, 1 or 2 under count, verify and rewrite: never 3, never an
+    escaped exception. A marker directive whose "dagger" is no JSON bool
+    exits 2 naming its line."""
     sources = []
     for argv in _FUZZ_SOURCES:
         code, out, _ = run(capsys, "synth", *argv)
@@ -679,6 +710,10 @@ def test_mutated_files_keep_the_exit_code_contract(capsys, tmp_path):
     for k in range(80):
         data = emit_qasm(_DIRECTIVE_SOURCES[k % len(_DIRECTIVE_SOURCES)]).encode()
         _assert_exit_code_contract(capsys, path, _directive_mutant(rng, data))
+    rng = random.Random(2026)
+    for k in range(150):
+        data = emit_qasm(_DIRECTIVE_SOURCES[k % len(_DIRECTIVE_SOURCES)]).encode()
+        _assert_exit_code_contract(capsys, path, _key_mutant(rng, data))
     # every marker directive's "dagger" set to a value that is no JSON bool
     for source in _DIRECTIVE_SOURCES:
         lines = emit_qasm(source).encode().split(b"\n")
@@ -691,6 +726,74 @@ def test_mutated_files_keep_the_exit_code_contract(capsys, tmp_path):
                 for command in ("count", "verify", "rewrite"):
                     code, _, err = run(capsys, command, str(path))
                     assert code == 2 and f"line {i + 1}," in err, (command, err, value)
+
+
+# options per subcommand and values for each, valid or not; numbers stay
+# small, so no synth or table request is slow
+_SMALL_NUMBERS = ("-1", "0", "3", "4", "5", "7", "x")
+_ARGV_OPTIONS = {
+    "synth": {"--gate": ("tof", "ladder", "cnu-chain", "cnu-parallel", "margolus-t",
+                         "margolus-ry", "rtof3-ry", "rtof4", "rts3", "bogus"),
+              "--n": _SMALL_NUMBERS, "--ancilla": ("clean", "dirty", "none"),
+              "--format": ("json", "qasm", "text")},
+    "count": {},
+    "verify": {"--target": ("tof", "rtof", "x"), "--n": _SMALL_NUMBERS,
+               "--layout": ("ctrl,ctrl,target", "ctrl,nctrl,target", "target,ctrl",
+                            "nctrl,ctrl,dirty,clean,target,ctrl", "ctrl,,target"),
+               "--class": ("exact", "global_phase", "relative_phase", "special_form", "x"),
+               "--xprime": ("0", "2", "9", "-1")},
+    "rewrite": {"--rules": ("prop1,prop2,cancel", "prop3", "prop1,prop2,prop3,cancel",
+                            "cancel,bogus", "")},
+    "table": {"--n-list": ("4,5", "3", "x", "4,,9", "-2", ""), "--csv": ()},
+}
+_ARGV_ANY = ("0", "5", "--help", "--", "--bogus", "", "-")
+
+
+def _fuzz_argv(rng, inputs, outs):
+    """A random argv: a subcommand (rarely none or an unknown one), most
+    often an input file, and up to four options, mostly each with one of
+    its values; ``--out`` always comes with an output path."""
+    command = rng.choice((*_ARGV_OPTIONS, "bogus", None) if rng.random() < 0.1 else
+                         tuple(_ARGV_OPTIONS))
+    options = _ARGV_OPTIONS.get(command, {})
+    units = []
+    for _ in range(rng.randint(0, 4)):
+        if options and rng.random() < 0.85:
+            flag = rng.choice(list(options))
+            values = options[flag] if rng.random() < 0.9 else _ARGV_ANY
+            units.append([flag, rng.choice(values)] if options[flag] else [flag])
+        else:
+            units.append([rng.choice(_ARGV_ANY)])
+    if command in ("count", "verify", "rewrite") and rng.random() < 0.9:
+        units.append([rng.choice(inputs)])
+    if command in ("synth", "rewrite") and rng.random() < 0.3:
+        units.append(["--out", rng.choice(outs)])
+    rng.shuffle(units)
+    return ([command] if command else []) + [t for unit in units for t in unit]
+
+
+def test_fuzzed_argv_keeps_the_exit_code_contract(capsys, tmp_path):
+    """Seeded argv vectors over the five subcommands exit 0, 1 or 2: never
+    3, never an escaped exception. Every input has at most 8 qubits, and
+    no output path is an input, so no run is wide enough for a process
+    pool."""
+    files = []
+    for k, argv in enumerate(_FUZZ_SOURCES):
+        files.append(tmp_path / f"synth{k}.qasm")
+        assert run(capsys, "synth", *argv, "--out", str(files[-1]))[0] == 0
+    sources = (Circuit(4, [tof((0, 1), 2), cx(2, 3), tof((0, 1), 2)]), *_DIRECTIVE_SOURCES)
+    for k, source in enumerate(sources):
+        files.append(tmp_path / f"{k}.qasm")
+        files[-1].write_text(emit_qasm(source))
+    assert all(parse_qasm(f.read_text()).width <= 8 for f in files)
+    inputs = [str(tmp_path), str(tmp_path / "missing.qasm"), *map(str, files)]
+    outs = [str(tmp_path / "out.qasm"), str(tmp_path / "out.json"),
+            str(tmp_path / "no" / "out.qasm")]
+    rng = random.Random(2027)
+    for _ in range(1000):
+        argv = _fuzz_argv(rng, inputs, outs)
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 1, 2), (argv, err)
 
 
 def test_verify_cost_follows_the_qubits_that_are_not_clean(tmp_path):

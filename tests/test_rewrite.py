@@ -1,26 +1,27 @@
 """Conjugation matching, replacements, canonic decomposition, cancellation."""
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rphase.catalog import rtof3_long, srtof3_ccix, toffoli3
-from rphase.circuit import Circuit, Gate, cx, cz, h, marker, p, pdg, t, tdg, tof, x, y, z
+from rphase.circuit import (
+    Circuit, Gate, TargetSpec, cx, cz, h, marker, p, pdg, t, tdg, tof, x, y, z)
 from rphase.lowering import lower
 from rphase.rewrite import (
     ArityMismatch,
-    NotRelativePhaseToffoli,
     SpecialFormViolated,
     _cancels,
     apply_replacement,
     cancel_adjacent_inverses,
-    canonic_decompose,
     classify_pair,
     find_conjugations,
 )
-from rphase.ring import IMAG, ONE
+from rphase.ring import IMAG, OMEGA, ONE
 from rphase.simulate import unitary_columns
+from rphase.verify import check_implements, target_permutation
 from rphase.catalog import ladder_tofn
 
 
@@ -180,52 +181,56 @@ def test_replacement_leaves_middle_untouched():
 
 
 # -- canonic decomposition -----------------------------------------------------
+# A relative-phase Toffoli is its tof's flip followed by a diagonal D: the
+# permutation is the spec's, and D is the row-indexed phases.
+
+def _canonic(u, controls, target):
+    """D of ``u``, once its permutation is the flip of tof(controls; target)."""
+    assert list(u.perm) == target_permutation(TargetSpec("tof", controls, target), u.width)
+    return u.row_phases()
+
 
 def test_canonic_decompose_rtof3_long():
     u = unitary_columns(rtof3_long())
-    spec, d = canonic_decompose(u)
-    assert spec.controls == (0, 1) and spec.target == 2
+    d = _canonic(u, (0, 1), 2)
     assert list(d) == [ONE] * 5 + [-ONE, -IMAG, IMAG]
     # multiplying back: column s carries d[perm(s)]
-    from rphase.verify import target_permutation
-
-    perm = target_permutation(spec, 3)
+    perm = target_permutation(TargetSpec("tof", (0, 1), 2), 3)
     assert all(u.phases[s] == d[perm[s]] for s in range(8))
 
 
 def test_canonic_decompose_exact_tof():
-    u = unitary_columns(toffoli3())
-    spec, d = canonic_decompose(u)
-    assert spec.controls == (0, 1) and all(p == ONE for p in d)
+    d = _canonic(unitary_columns(toffoli3()), (0, 1), 2)
+    assert all(p == ONE for p in d)
 
 
 def test_canonic_decompose_ccix_block_entries():
-    u = unitary_columns(srtof3_ccix())
-    _, d = canonic_decompose(u)
+    d = _canonic(unitary_columns(srtof3_ccix()), (0, 1), 2)
     assert d[6] == IMAG and d[7] == IMAG
 
 
 def test_canonic_decompose_rejects_non_rtof():
-    ident = unitary_columns(Circuit(2, [t(0)]))
-    with pytest.raises(NotRelativePhaseToffoli):
-        canonic_decompose(ident)
-    swap_like = unitary_columns(Circuit(2, [cx(0, 1), cx(1, 0), cx(0, 1)]))
-    with pytest.raises(NotRelativePhaseToffoli):
-        canonic_decompose(swap_like)
+    """No choice of controls (of either polarity) and target makes any of
+    these a relative-phase Toffoli."""
+    ident = Circuit(2, [t(0)])
+    swap_like = Circuit(2, [cx(0, 1), cx(1, 0), cx(0, 1)])
     # single-bit flip on a parity condition is not a control subcube
-    xor_flip = unitary_columns(Circuit(3, [cx(0, 2), cx(1, 2)]))
-    with pytest.raises(NotRelativePhaseToffoli):
-        canonic_decompose(xor_flip)
+    xor_flip = Circuit(3, [cx(0, 2), cx(1, 2)])
+    for c in (ident, swap_like, xor_flip):
+        for target in range(c.width):
+            rest = [q for q in range(c.width) if q != target]
+            for r in range(1, len(rest) + 1):
+                for controls in combinations(rest, r):
+                    for k in range(r + 1):
+                        for neg in combinations(controls, k):
+                            spec = TargetSpec("rtof", controls, target, neg=frozenset(neg))
+                            assert not check_implements(c, spec).relative_phase, (c, spec)
 
 
 def test_canonic_decompose_small_arities():
     u = unitary_columns(Circuit(2, [cx(0, 1), t(1)]))
-    spec, d = canonic_decompose(u)
-    assert spec.controls == (0,) and spec.target == 1
     # column phases recombine as D after the flip
-    from rphase.ring import OMEGA, ONE
-
-    assert list(d) == [ONE, OMEGA, ONE, OMEGA]
+    assert list(_canonic(u, (0,), 1)) == [ONE, OMEGA, ONE, OMEGA]
 
 
 # -- cancellation ----------------------------------------------------------------

@@ -24,7 +24,6 @@ from rphase.circuit import (
 from rphase.simulate import NotAPhasePermutation, PhasePermutation, unitary_columns
 from rphase.verify import (
     check_implements,
-    global_phase_equal,
     permutation_parity,
     target_permutation,
 )
@@ -164,13 +163,19 @@ def test_verdicts_equal_the_phase_class_rule_on_every_block():
 
 
 def test_global_phase_equal():
-    u = unitary_columns(toffoli3())
-    assert global_phase_equal(u, u)
+    spec = TargetSpec("tof", (0, 1), 2)
+    same = check_implements(toffoli3(), spec)
+    assert same.exact and same.global_phase
     # Z X Z X = -identity: a global phase circuit
     minus = Circuit(3, list(toffoli3().gates) + [z(0), x(0), z(0), x(0)])
-    v = unitary_columns(minus)
-    assert global_phase_equal(u, v)
-    assert not global_phase_equal(u, unitary_columns(rtof3_long()))
+    report = check_implements(minus, spec)
+    assert report.global_phase and not report.exact
+    report = check_implements(rtof3_long(), spec)
+    assert report.relative_phase and not report.global_phase
+
+
+def _negated(u):
+    return replace(u, phases=tuple(-p for p in u.phases))
 
 
 def test_global_phase_equal_on_float_and_mixed_pairs():
@@ -180,15 +185,15 @@ def test_global_phase_equal_on_float_and_mixed_pairs():
     v = unitary_columns(Circuit(3, list(margolus_ry().gates) + [z(0), x(0), z(0), x(0)]),
                         backend="float")
     assert u.backend == v.backend == "float"
-    assert global_phase_equal(u, v) and u != v
-    assert not global_phase_equal(u, unitary_columns(toffoli3(), backend="float"))
+    assert v == _negated(u) and u != v
+    assert unitary_columns(toffoli3(), backend="float") not in (u, _negated(u))
     # the same unitary over the ring: TOF, then X(1) CCZ X(1) with CCZ = H(2) TOF H(2)
     tof3 = list(toffoli3().gates)
     ring = unitary_columns(Circuit(3, tof3 + [x(1), h(2)] + tof3 + [h(2), x(1)]))
     assert ring.backend == "ring" and ring == u
-    assert global_phase_equal(ring, u) and global_phase_equal(v, ring)
-    assert not global_phase_equal(unitary_columns(toffoli3()), u)
-    assert not global_phase_equal(v, unitary_columns(rtof3_long()))
+    assert v == _negated(ring) and _negated(v) == ring
+    assert unitary_columns(toffoli3()) not in (u, _negated(u))
+    assert unitary_columns(rtof3_long()) not in (v, _negated(v))
 
 
 def test_permutation_parity():
