@@ -45,9 +45,9 @@ class UsageError(Exception):
 
 # --gate name -> (needs --n, builder of (circuit, spec or None) from the
 # parsed arguments); any other name is a block. Builders are looked up in
-# ``cat`` at call time.
+# ``cat`` at call time. Only tof reads --ancilla (clean by default).
 _SYNTH_GATES = {
-    "tof": (True, lambda a: cat.tofn(a.n, a.ancilla)),
+    "tof": (True, lambda a: cat.tofn(a.n, a.ancilla or "clean")),
     "ladder": (True, lambda a: (cat.ladder_tofn(a.n), cat.ladder_tofn_spec(a.n))),
     "cnu-chain": (True, lambda a: (cat.cnu_clean_chain(a.n), cat.cnu_spec(a.n))),
     "cnu-parallel": (True, lambda a: (cat.cnu_parallel(a.n), cat.cnu_spec(a.n))),
@@ -71,6 +71,8 @@ def _synth_build(args):
     if sized and args.n is None:
         raise UsageError(f"--gate {args.gate} requires --n")
     circuit, spec = build(args)
+    if args.gate != "tof" and args.ancilla is not None:
+        raise UsageError(f"--gate {args.gate} takes no --ancilla")
     if not sized and args.n is not None and args.n != circuit.width:
         raise UsageError(f"--gate {args.gate} has {circuit.width} qubits, got --n {args.n}")
     return circuit, spec
@@ -295,7 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="tof | ladder | cnu-chain | cnu-parallel | "
                         "margolus-t | margolus-ry | rtof3-ry | catalog entry name")
     p.add_argument("--n", type=int, help="total qubit count of the target gate")
-    p.add_argument("--ancilla", choices=("clean", "dirty"), default="clean")
+    p.add_argument("--ancilla", choices=("clean", "dirty"),
+                   help="helpers of --gate tof (default clean); no other gate takes it")
     p.add_argument("--out", help="write the circuit here instead of stdout")
     p.add_argument("--format", choices=("qasm", "json"), default="qasm")
     p.set_defaults(func=cmd_synth)

@@ -6,8 +6,9 @@ amplitude as a 4-tuple of integer coefficients of (1, w, w^2, w^3), so a
 Hadamard only bumps the shared exponent and adds integers: Clifford+T
 circuits simulate with zero rounding error. The float backend stores
 complex amplitudes: it is the ``backend="float"`` oracle, and the
-automatic choice only when the ry units sum to an odd number. Both column
-kernels return one shape, (amplitudes, k, max_support), k = 0 for floats.
+automatic choice only when the ry units sum to an odd number. Both
+kernels return (amplitudes, k, max_support) per column, k = 0 for floats:
+the ring kernel for each column of a batch, the float kernel for one.
 
 Every gate but h compiles to "cp" ops: a controlled bit flip times a
 power of w, the action of a phase permutation on one basis index. As
@@ -31,14 +32,21 @@ every basis state, or to a requested subset, which is how
 basis state carrying a unit-magnitude phase the result is a
 ``PhasePermutation`` (a ``ColumnSet`` for a subset) -- the shape of every
 (relative phase) multiple-control Toffoli -- else a column-sparse
-``DenseMatrix``, or ``NotAPhasePermutation`` naming the first column
-that does not collapse.
+``DenseMatrix`` (full set, width <= DENSE_WIDTH_LIMIT, its columns run
+again to build it), or ``NotAPhasePermutation`` naming the first column,
+in index order, that does not collapse.
 
-Columns are independent, and the driver picks its own pool: from
-POOL_MIN_WORK column-ops (columns x gate-level compiled ops, counted
-before fusion) on, they run over one worker process per usable CPU with
-an ordered merge, so a pooled result equals a serial one; below it, or
-when no pool can start, they run here.
+Columns run in batches of BATCH_COLUMNS. A batch is one sparse state:
+column n's indices carry n in the bits from the circuit width up, which
+no op reads or writes, so each op runs once over the whole batch. Each
+batch is collapsed where it ran and returns only an (output, phase) per
+column and its max_support, and the batches are merged in index order up
+to the first column that does not collapse: no later batch runs. The
+driver picks its own pool: from POOL_MIN_WORK column-ops (columns x
+gate-level compiled ops, counted before fusion) on, chunks of batches run
+over one worker process per usable CPU, merged in the same order, so a
+pooled result equals a serial one; below it, or when no pool can start,
+they run here.
 """
 
 from __future__ import annotations
@@ -55,13 +63,17 @@ FLOAT_TOL = 1e-9
 DENSE_WIDTH_LIMIT = 12
 WIDTH_LIMIT = 16
 # Column work (columns x gate-level compiled ops) from which a process
-# pool beats one process. With the fused kernel, TOF constructions break
-# even near 20k-60k on two CPUs, but a circuit of few gates pays
-# per-column costs the pool does not share (its results cross a pipe, and
-# the merge and collapse stay serial): the 3-gate, 2^16-column verify
-# (196,608) runs 1.2x as long pooled. The constant sits above both; the
-# measured table is in CHANGES.md.
-POOL_MIN_WORK = 200_000
+# pool beats one process. Batches now collapse where they ran, so only an
+# (output, phase) per column crosses the pipe, but the batched kernel left
+# less for a pool to share: on two CPUs, tofn_dirty(8) (233,472) and
+# tofn(11, "clean") (325,632) run about as long pooled (0.9-1.3x), the
+# 3-gate, 2^16-column verify (196,608) 1.5x as long, while tofn_dirty(9)
+# (548,864) takes 0.58 of its serial time. A pool also pays ~10 ms to
+# start and stops a failing check later than a serial run, so the
+# constant sits above the coin flips; the measured table is in CHANGES.md.
+POOL_MIN_WORK = 500_000
+# Columns run together as one tagged sparse state (see run_column_ring).
+BATCH_COLUMNS = 64
 # Most qubits one fused cp run may touch: its table has 2^4 rows.
 FUSE_QUBITS = 4
 
@@ -214,12 +226,23 @@ def _omega_mul(c, e):
 _ZERO4 = (0, 0, 0, 0)
 
 
-def run_column_ring(ops, start: int):
-    """Propagate one basis state; returns (amplitudes, k, max_support)
-    with each amplitude a coefficient 4-tuple over sqrt(2)^k. ``ops`` is
-    gate-level or fused; only an h op changes the support, so max_support
-    is read after each h."""
-    amps, k, max_support = {start: (1, 0, 0, 0)}, 0, 1
+def run_column_ring(ops, starts, width: int):
+    """Propagate the basis states ``starts`` of a ``width``-qubit circuit
+    as one sparse state; returns (amplitudes, k, max_support) per column,
+    in order, each amplitude a coefficient 4-tuple over sqrt(2)^k.
+
+    Column n's indices carry n in the bits from ``width`` up. No op reads
+    or writes those bits, so each op runs once on the union, and a batch
+    of one is the single-column case. ``ops`` is gate-level or fused; only
+    an h op changes a column's support. An h op that finds no term's
+    partner (its index with the h bit flipped) writes no output twice and
+    doubles every column's support; after any other, the supports are
+    recounted, so each column's max_support is its own."""
+    amps = {n << width | s: (1, 0, 0, 0) for n, s in enumerate(starts)}
+    k = 0
+    base = [1] * len(amps)  # each column's support at the last recount
+    peak = list(base)       # each column's max_support up to that recount
+    doubled = 0             # h ops since then, each doubling every support
     for op in ops:
         code = op[0]
         if code == "pp":
@@ -234,21 +257,39 @@ def run_column_ring(ops, start: int):
             tb = op[1]
             k += 1
             new = {}
-            get = new.get
-            for i, (c0, c1, c2, c3) in amps.items():
-                lo, hi = i & ~tb, i | tb
-                d0, d1, d2, d3 = get(lo, _ZERO4)
-                new[lo] = (d0 + c0, d1 + c1, d2 + c2, d3 + c3)
-                d0, d1, d2, d3 = get(hi, _ZERO4)
-                if i & tb:
-                    new[hi] = (d0 - c0, d1 - c1, d2 - c2, d3 - c3)
-                else:
-                    new[hi] = (d0 + c0, d1 + c1, d2 + c2, d3 + c3)
-            # with no output written twice, no two terms met to cancel
-            amps = new if len(new) == 2 * len(amps) else {
-                i: a for i, a in new.items() if a != _ZERO4}
-            if len(amps) > max_support:
-                max_support = len(amps)
+            partner = amps.get
+            paired = False
+            for i, c in amps.items():
+                d = partner(i ^ tb)
+                if d is None:
+                    # a lone term: no other term meets it, so nothing cancels
+                    if i & tb:
+                        new[i ^ tb] = c
+                        new[i] = (-c[0], -c[1], -c[2], -c[3])
+                    else:
+                        new[i] = new[i | tb] = c
+                elif not i & tb:
+                    paired = True
+                    c0, c1, c2, c3 = c
+                    d0, d1, d2, d3 = d
+                    a = (c0 + d0, c1 + d1, c2 + d2, c3 + d3)
+                    if a != _ZERO4:
+                        new[i] = a
+                    a = (c0 - d0, c1 - d1, c2 - d2, c3 - d3)
+                    if a != _ZERO4:
+                        new[i | tb] = a
+            amps = new
+            if not paired:
+                # every column's support doubled
+                doubled += 1
+                continue
+            # supports only doubled since the last recount, so each
+            # column's largest support since then is its latest
+            peak = [max(p, b << doubled) for p, b in zip(peak, base)]
+            base = [0] * len(base)
+            for i in amps:
+                base[i >> width] += 1
+            doubled = 0
         else:
             _, cm, cv, flip, e = op
             new = {}
@@ -259,12 +300,16 @@ def run_column_ring(ops, start: int):
                         a = _omega_mul(a, e)
                 new[i] = a
             amps = new
-    return amps, k, max_support
+    columns = [{} for _ in base]
+    low = (1 << width) - 1
+    for i, a in amps.items():
+        columns[i >> width][i & low] = a
+    return [(c, k, max(p, b << doubled)) for c, p, b in zip(columns, peak, base)]
 
 
 def run_column_float(ops, start: int):
     """Propagate one basis state; returns (amplitudes, 0, max_support)
-    with complex amplitudes, the shape of ``run_column_ring``."""
+    with complex amplitudes, the shape of one ``run_column_ring`` column."""
     amps, max_support = {start: 1.0 + 0.0j}, 1
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     omega = cmath.exp(1j * math.pi / 4)
@@ -388,11 +433,44 @@ def pick_backend(circuit: Circuit, backend: str | None = None) -> str:
     return backend or ("float" if odd else "ring")
 
 
-def _column_batch(args):
+def _kernel(ops, backend: str, width: int, indices):
     """(amplitudes, k, max_support) of each listed column, in order."""
-    ops, backend, indices = args
-    run = run_column_ring if backend == "ring" else run_column_float
-    return [run(ops, s) for s in indices]
+    if backend == "ring":
+        return run_column_ring(ops, indices, width)
+    return [run_column_float(ops, s) for s in indices]
+
+
+def _column_batch(ops, backend: str, width: int, indices):
+    """Run one batch of columns and collapse it where it ran: the (output,
+    phase) of each column up to the first that does not collapse, then
+    None for that one, and the batch's max_support."""
+    results = _kernel(ops, backend, width, indices)
+    entries = []
+    for amps, k, _ in results:
+        entries.append(_collapse(amps, k, backend))
+        if entries[-1] is None:
+            break
+    return entries, max((ms for _, _, ms in results), default=1)
+
+
+def _column_run(ops, backend: str, width: int, indices):
+    """The listed columns in batches of BATCH_COLUMNS, merged in order up
+    to the first batch that fails (see ``_merge``)."""
+    return _merge(_column_batch(ops, backend, width, indices[i:i + BATCH_COLUMNS])
+                  for i in range(0, len(indices), BATCH_COLUMNS))
+
+
+def _merge(runs):
+    """The (output, phase) entries of ``runs``, in order, up to and
+    including the None of the first column that does not collapse, and
+    the largest max_support of the runs read; no run is read past that."""
+    entries, max_support = [], 1
+    for run, ms in runs:
+        entries += run
+        max_support = max(max_support, ms)
+        if run and run[-1] is None:
+            break
+    return entries, max_support
 
 
 def _workers(columns: int, ops: int) -> int:
@@ -407,25 +485,31 @@ def _workers(columns: int, ops: int) -> int:
     return min(cpus, columns)
 
 
-def _run_columns(ops, backend: str, indices):
-    """(amplitudes, k, max_support) of each column, in order. The work
-    is measured in gate-level ``ops``, before the ring backend fuses them."""
+def _run_columns(ops, backend: str, width: int, indices):
+    """``_merge`` of every column. The work is measured in gate-level
+    ``ops``, before the ring backend fuses them. A pool runs four chunks
+    of columns per worker, merged in order; once a chunk fails, the
+    chunks not yet started are cancelled."""
     workers = _workers(len(indices), len(ops))
     if backend == "ring":
         ops = fuse_ops(ops)
     if workers > 1:
-        chunk = max(1, len(indices) // (workers * 4))
-        batches = [(ops, backend, indices[i:i + chunk])
-                   for i in range(0, len(indices), chunk)]
         from concurrent.futures import ProcessPoolExecutor
+        chunk = max(1, len(indices) // (workers * 4))
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                return [r for batch in pool.map(_column_batch, batches) for r in batch]
+                futures = [pool.submit(_column_run, ops, backend, width, indices[i:i + chunk])
+                           for i in range(0, len(indices), chunk)]
+                try:
+                    return _merge(f.result() for f in futures)
+                finally:
+                    for f in futures:
+                        f.cancel()
         except OSError:
             # no pool could start (fork failed, say); cli reads an OSError
             # as an input error, so run the columns here instead
             pass
-    return _column_batch((ops, backend, indices))
+    return _column_run(ops, backend, width, indices)
 
 
 def unitary_columns(circuit: Circuit, backend: str | None = None, column_indices=None):
@@ -433,8 +517,9 @@ def unitary_columns(circuit: Circuit, backend: str | None = None, column_indices
 
     Returns a PhasePermutation when every column collapses to one basis
     state with a unit-magnitude phase, else a DenseMatrix (full-column set
-    only, width <= 12). A requested subset returns a ColumnSet, and a
-    column of it that does not collapse raises NotAPhasePermutation.
+    only, width <= 12, whose columns are run again to build it). A
+    requested subset returns a ColumnSet, and a column of it that does not
+    collapse raises NotAPhasePermutation.
 
     One width guard runs before ``column_indices`` (which may be lazy) is
     consumed: a subset is taken to lie in the clean-ancilla-0 subspace, as
@@ -443,41 +528,41 @@ def unitary_columns(circuit: Circuit, backend: str | None = None, column_indices
     2^WIDTH_LIMIT.
     """
     full = column_indices is None
-    free = circuit.width - (0 if full else circuit.roles.count(ROLE_CLEAN))
+    width = circuit.width
+    free = width - (0 if full else circuit.roles.count(ROLE_CLEAN))
     if free > WIDTH_LIMIT:
         raise WidthLimitExceeded(
             f"width limit exceeded: 2^{free} columns to simulate, limit 2^{WIDTH_LIMIT}")
     backend = pick_backend(circuit, backend)
     ops = compile_circuit(circuit)
-    indices = range(1 << circuit.width) if full else list(column_indices)
+    indices = range(1 << width) if full else list(column_indices)
 
-    results = _run_columns(ops, backend, indices)
-    max_support = max((ms for _, _, ms in results), default=1)
-
-    perm = []
-    phases = []
-    for s, (amps, k, _) in zip(indices, results):
-        entry = _collapse(amps, k, backend)
-        if entry is None:
-            if full and circuit.width <= DENSE_WIDTH_LIMIT:
-                return _dense(circuit.width, results, backend, max_support)
-            raise NotAPhasePermutation(
-                f"not a phase permutation: column {s:0{circuit.width}b} "
-                f"does not collapse to one basis state")
-        perm.append(entry[0])
-        phases.append(entry[1])
-
+    entries, max_support = _run_columns(ops, backend, width, indices)
+    if entries and entries[-1] is None:
+        if full and width <= DENSE_WIDTH_LIMIT:
+            return _dense(width, ops, backend)
+        raise NotAPhasePermutation(
+            f"not a phase permutation: column {indices[len(entries) - 1]:0{width}b} "
+            f"does not collapse to one basis state")
+    perm = tuple(i for i, _ in entries)
+    phases = tuple(phase for _, phase in entries)
     if full:
-        return PhasePermutation(circuit.width, tuple(perm), tuple(phases), backend, max_support)
-    return ColumnSet(circuit.width, dict(zip(indices, perm)),
-                     dict(zip(indices, phases)), backend, max_support)
+        return PhasePermutation(width, perm, phases, backend, max_support)
+    return ColumnSet(width, dict(zip(indices, perm)), dict(zip(indices, phases)),
+                     backend, max_support)
 
 
-def _dense(width, results, backend, max_support) -> DenseMatrix:
+def _dense(width, ops, backend) -> DenseMatrix:
+    """Every column of the circuit's unitary, run here batch by batch."""
     if backend == "ring":
-        columns = [{i: RingElement(*c, k) for i, c in amps.items()} for amps, k, _ in results]
-    else:
-        columns = [dict(amps) for amps, _, _ in results]
+        ops = fuse_ops(ops)
+    columns, max_support = [], 1
+    dim = 1 << width
+    for start in range(0, dim, BATCH_COLUMNS):
+        for amps, k, ms in _kernel(ops, backend, width, range(start, min(start + BATCH_COLUMNS, dim))):
+            columns.append({i: RingElement(*c, k) for i, c in amps.items()}
+                           if backend == "ring" else amps)
+            max_support = max(max_support, ms)
     return DenseMatrix(width, tuple(columns), backend, max_support)
 
 

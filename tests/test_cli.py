@@ -85,9 +85,28 @@ def test_synth_usage_errors(capsys):
     assert run(capsys, "synth")[0] == 2  # argparse: missing --gate
 
 
+@pytest.mark.parametrize("argv", [
+    ("--gate", "toffoli3"), ("--gate", "rtof4"), ("--gate", "ladder", "--n", "6"),
+    ("--gate", "cnu-chain", "--n", "4")])
+def test_ancilla_is_a_usage_error_on_every_gate_but_tof(capsys, argv):
+    """A block, a fixed gate and the sized gates other than tof build over
+    the helpers they fix: an --ancilla for them is refused, not ignored."""
+    assert run(capsys, "synth", *argv)[0] == 0
+    for ancilla in ("clean", "dirty"):
+        code, out, err = run(capsys, "synth", *argv, "--ancilla", ancilla)
+        assert (code, out) == (2, "") and err == f"error: --gate {argv[1]} takes no --ancilla\n"
+
+
+def test_tof_helpers_are_clean_unless_asked(capsys):
+    plain = run(capsys, "synth", "--gate", "tof", "--n", "6")
+    assert plain == run(capsys, "synth", "--gate", "tof", "--n", "6", "--ancilla", "clean")
+    assert plain != run(capsys, "synth", "--gate", "tof", "--n", "6", "--ancilla", "dirty")
+
+
 def test_unknown_gate_is_one_error_line(capsys):
-    assert run(capsys, "synth", "--gate", "nosuch") == (
-        2, "", "error: no construction for gate 'nosuch'\n")
+    for extra in ((), ("--ancilla", "dirty")):
+        assert run(capsys, "synth", "--gate", "nosuch", *extra) == (
+            2, "", "error: no construction for gate 'nosuch'\n")
 
 
 @pytest.mark.parametrize("gate, width", [
@@ -870,8 +889,14 @@ SIZED_WIDTHS = {
     "cnu-chain": (lambda n: 2 * n, 2, 32768),
     "cnu-parallel": (lambda n: 2 * n, 2, 32768),
 }
+# (gate, --ancilla); only tof takes --ancilla: the other gates fix their
+# own helpers, are requested without it, and leave the second field unread
 SIZED_REQUESTS = [("tof", "clean"), ("tof", "dirty"), ("ladder", "clean"),
                   ("cnu-chain", "clean"), ("cnu-parallel", "clean")]
+
+
+def _ancilla_argv(gate, ancilla):
+    return ("--ancilla", ancilla) if gate == "tof" else ()
 
 
 @pytest.mark.parametrize("gate,ancilla", SIZED_REQUESTS)
@@ -881,7 +906,7 @@ def test_sized_synth_past_the_qreg_limit_is_a_usage_error(capsys, gate, ancilla)
     for n in (largest + 1, 10 ** 12):
         start = time.monotonic()
         code, out, err = run(capsys, "synth", "--gate", gate, "--n", str(n),
-                             "--ancilla", ancilla)
+                             *_ancilla_argv(gate, ancilla))
         assert code == 2 and out == "" and err.startswith("error:"), (n, err)
         assert time.monotonic() - start < 1.0
 
@@ -902,7 +927,8 @@ def test_sized_width_formula_is_the_built_width_and_the_guard(monkeypatch, gate,
     width, smallest, _ = SIZED_WIDTHS[gate]
 
     def build(n):
-        return cli._synth_build(argparse.Namespace(gate=gate, n=n, ancilla=ancilla))[0]
+        return cli._synth_build(argparse.Namespace(
+            gate=gate, n=n, ancilla=ancilla if gate == "tof" else None))[0]
 
     for n in range(smallest, 14):
         circuit = build(n)

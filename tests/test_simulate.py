@@ -21,7 +21,9 @@ from rphase.simulate import (
     WidthLimitExceeded,
     compile_circuit,
     fuse_ops,
+    run_column_float,
     run_column_ring,
+    same_phase,
     unitary_columns,
 )
 
@@ -99,7 +101,7 @@ def test_marker_gate_rejected():
 def test_exact_unit_norm():
     gates = [h(0), t(0), cx(0, 1), h(1), t(1), cx(1, 0), h(0)]
     for i in range(1, len(gates) + 1):
-        amps, k, _ = run_column_ring(compile_circuit(Circuit(2, gates[:i])), 0)
+        (amps, k, _), = run_column_ring(compile_circuit(Circuit(2, gates[:i])), [0], 2)
         norm = ZERO
         for c in amps.values():
             a = RingElement(*c, k)
@@ -248,15 +250,39 @@ def test_sparse_support_stays_small():
         assert u.max_support <= 64, name
 
 
-# -- the fused kernel against the gate-level one ----------------------------
+# -- the batched, fused kernel against one-column gate-level runs ----------
 
 def _assert_fused_columns_equal(circuit, columns):
-    """Every listed column runs to the same (amplitudes, k, max_support)
-    through the fused op list as through the gate-level one."""
+    """Every listed column, run in batches through the fused op list,
+    returns the (amplitudes, k, max_support) of its one-column run through
+    the gate-level list, and the float kernel's column under
+    ``same_phase``: that kernel shares no code with the ring one. Batches
+    of 5 and of BATCH_COLUMNS columns mix columns of different support."""
     ops = compile_circuit(circuit)
     fused = fuse_ops(ops)
-    for s in columns:
-        assert run_column_ring(fused, s) == run_column_ring(ops, s), s
+    width = circuit.width
+    columns = list(columns)
+    alone = [run_column_ring(ops, [s], width)[0] for s in columns]
+    for size in (5, simulate.BATCH_COLUMNS):
+        batched = [r for i in range(0, len(columns), size)
+                   for r in run_column_ring(fused, columns[i:i + size], width)]
+        assert batched == alone, size
+    for s, (amps, k, max_support) in zip(columns, alone):
+        floats, _, float_support = run_column_float(ops, s)
+        assert amps.keys() == floats.keys() and max_support == float_support, s
+        assert all(same_phase(RingElement(*amps[i], k), floats[i]) for i in amps), s
+
+
+def test_a_batch_keeps_each_columns_own_max_support():
+    """H T (X Tdg X) H on qubit 2, controlled by qubit 0, then h(1): the
+    second h(2) recombines the columns with qubit 0 at 0 into one term and
+    leaves two terms in the others, and h(1) doubles every column."""
+    c = Circuit(3, [h(2), t(2), cx(0, 2), tdg(2), cx(0, 2), h(2), h(1)])
+    ops = compile_circuit(c)
+    batched = run_column_ring(fuse_ops(ops), range(8), 3)
+    assert [ms for *_, ms in batched] == [2, 2, 2, 2, 4, 4, 4, 4]
+    assert [len(amps) for amps, *_ in batched] == [2, 2, 2, 2, 4, 4, 4, 4]
+    assert batched == [run_column_ring(ops, [s], 3)[0] for s in range(8)]
 
 
 @st.composite

@@ -20,7 +20,8 @@ from rphase.catalog import (
     tofn_dirty_spec,
 )
 from rphase.circuit import (
-    BLOCKS, ROLE_CLEAN, ROLE_PRIMARY, Circuit, TargetSpec, cx, h, tof, x, z)
+    BLOCKS, ROLE_CLEAN, ROLE_PRIMARY, Circuit, TargetSpec, cx, h, t, tdg, tof, x, z)
+from rphase.ring import RingElement
 from rphase.simulate import NotAPhasePermutation, PhasePermutation, unitary_columns
 from rphase.verify import (
     check_implements,
@@ -65,8 +66,6 @@ def test_check_non_phase_permutation():
 
 
 def test_check_names_the_column_that_does_not_collapse():
-    from rphase.circuit import t, tdg
-
     # H T (X Tdg X) H on qubit 1: the identity when qubit 0 is 0, and
     # H S H up to a phase (two outputs) when it is 1
     c = Circuit(2, [h(1), t(1), cx(0, 1), tdg(1), cx(0, 1), h(1)])
@@ -103,6 +102,68 @@ def test_check_runs_serially_when_no_pool_can_start(monkeypatch):
     monkeypatch.setattr(simulate, "_workers", lambda columns, ops: 2)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", fork_fails)
     assert check_implements(c, spec) == serial
+
+
+def _dropped_t_mutant():
+    """tofn_dirty(8) without one t gate: its first column that does not
+    collapse is 256, past the first batches of columns."""
+    c, spec = tofn_dirty(8), tofn_dirty_spec(8)
+    assert c.gates[30] == t(7)
+    return Circuit(c.width, c.gates[:30] + c.gates[31:], c.roles), spec
+
+
+def _scan_every_column(circuit):
+    """The first column, in index order, of a one-column-at-a-time scan of
+    every column that does not collapse, or None."""
+    ops = simulate.compile_circuit(circuit)
+    results = [simulate.run_column_ring(ops, [s], circuit.width)[0]
+               for s in range(1 << circuit.width)]
+    return next((s for s, (amps, k, _) in enumerate(results)
+                 if simulate._collapse(amps, k, "ring") is None), None)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_first_failing_column_past_the_first_batch_is_named(monkeypatch, workers):
+    c, spec = _dropped_t_mutant()
+    assert _scan_every_column(c) == 256 > simulate.BATCH_COLUMNS
+    monkeypatch.setattr(simulate, "_workers", lambda columns, ops: workers)
+    with pytest.raises(NotAPhasePermutation) as failed:
+        check_implements(c, spec)
+    assert str(failed.value) == ("not a phase permutation: column 00100000000 "
+                                 "does not collapse to one basis state")
+
+
+def test_a_serial_check_stops_at_the_batch_that_fails(monkeypatch):
+    c, spec = _dropped_t_mutant()
+    kernel, simulated = simulate.run_column_ring, []
+
+    def counted(ops, starts, width):
+        simulated.append(len(starts))
+        return kernel(ops, starts, width)
+
+    monkeypatch.setattr(simulate, "run_column_ring", counted)
+    monkeypatch.setattr(simulate, "_workers", lambda columns, ops: 1)
+    with pytest.raises(NotAPhasePermutation, match="column 00100000000 "):
+        check_implements(c, spec)
+    batch = simulate.BATCH_COLUMNS
+    assert sum(simulated) == (256 // batch + 1) * batch < 1 << c.width
+
+
+def test_a_dense_result_is_the_same_pooled_as_serial(monkeypatch):
+    """H T (X Tdg X) H on the last qubit, controlled by the first: columns
+    128 on do not collapse, so the full set of 8-qubit columns is a
+    DenseMatrix, built from the one-column runs of every column."""
+    c = Circuit(8, [h(7), t(7), cx(0, 7), tdg(7), cx(0, 7), h(7)])
+    assert _scan_every_column(c) == 128
+    serial = unitary_columns(c)
+    assert isinstance(serial, simulate.DenseMatrix) and serial.max_support == 2
+    ops = simulate.compile_circuit(c)
+    for s, column in enumerate(serial.columns):
+        (amps, k, _), = simulate.run_column_ring(ops, [s], c.width)
+        assert column == {i: RingElement(*a, k) for i, a in amps.items()}, s
+    monkeypatch.setattr(simulate, "_workers", lambda columns, ops: 2)
+    pooled = unitary_columns(c)
+    assert pooled == serial and pooled.max_support == serial.max_support
 
 
 def _special_form(circuit, xprime, spec) -> bool:
