@@ -193,22 +193,30 @@ def cmd_rewrite(args) -> int:
 
     enabled = {r for r in rules if r != "cancel"}
     if enabled:
-        # one pair list suffices: a replacement leaves markers on the same
+        # one pair search suffices: a replacement leaves markers on the same
         # qubits; a pair is classified only while neither gate is replaced
         gates = list(circuit.gates)
         used: set[int] = set()
-        for i, j in _equal_tof_pairs(circuit):
-            if i in used or j in used:
+        for i, later in _equal_tof_pairs(circuit):
+            if i in used:
                 continue
-            m = classify_pair(circuit, i, j)
-            if m.classification not in enabled:
-                continue
-            impl = _pick_impl(m)
-            if impl is None:
-                continue
-            gates[i], gates[j] = apply_replacement(m, impl)
-            used |= {i, j}
-            changed = True
+            for j in later:
+                if j in used:
+                    continue
+                m = classify_pair(circuit, i, j)
+                impl = _pick_impl(m) if m.classification in enabled else None
+                if impl is not None:
+                    gates[i], gates[j] = apply_replacement(m, impl)
+                    used |= {i, j}
+                    changed = True
+                    break
+                if m.classification in enabled or m.classification == "prop3":
+                    # no later j is replaced either: the middle only grows
+                    # with j, so the class only goes prop1 -> prop2 -> prop3
+                    # and the touched controls only grow, and with them the
+                    # blocks that fit only get fewer; a prop1 pair fails only
+                    # on its arity or negative controls, which j leaves as is
+                    break
         circuit = Circuit(circuit.width, gates, circuit.roles)
     if "cancel" in rules:
         if not circuit.is_lowered():

@@ -119,21 +119,23 @@ def classify_pair(circ: Circuit, i: int, j: int) -> ConjugationMatch:
     return ConjugationMatch(i, j, cls, gi.controls, target, touched, gi.neg)
 
 
-def _equal_tof_pairs(circ: Circuit) -> list[tuple[int, int]]:
-    """Every pair (i, j), i < j, of equal tof gates, ordered by i then j.
-    Equal tofs meet in one index list per gate."""
+def _equal_tof_pairs(circ: Circuit):
+    """Yield each tof i with the indices j > i of the equal tofs after it,
+    both in order: the pairs (i, j), built only as a caller reads them."""
     at: dict[Gate, list[int]] = {}
     for i, g in enumerate(circ.gates):
         if g.kind == "tof":
             at.setdefault(g, []).append(i)
-    return sorted((i, j) for idx in at.values()
-                  for k, i in enumerate(idx) for j in idx[k + 1:])
+    for i, g in enumerate(circ.gates):
+        if g.kind == "tof":
+            idx = at[g]
+            yield i, idx[idx.index(i) + 1:]
 
 
 def find_conjugations(circ: Circuit) -> list[ConjugationMatch]:
     """All classified pairs (i, j), i < j, of equal tof gates, ordered by
     i then j."""
-    return [classify_pair(circ, i, j) for i, j in _equal_tof_pairs(circ)]
+    return [classify_pair(circ, i, j) for i, later in _equal_tof_pairs(circ) for j in later]
 
 
 # -- implementation admissibility ------------------------------------------

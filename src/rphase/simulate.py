@@ -43,10 +43,10 @@ batch is collapsed where it ran and returns only an (output, phase) per
 column and its max_support, and the batches are merged in index order up
 to the first column that does not collapse: no later batch runs. The
 driver picks its own pool: from POOL_MIN_WORK column-ops (columns x
-gate-level compiled ops, counted before fusion) on, chunks of batches run
-over one worker process per usable CPU, merged in the same order, so a
-pooled result equals a serial one; below it, or when no pool can start,
-they run here.
+gate-level compiled ops, counted before fusion) on, the batches are the
+tasks of one worker process per usable CPU (at most one per batch), whose
+ordered map gives the serial result and drops the batches not started
+once one fails; below it, or when no pool can start, they run here.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ import cmath
 import math
 import os
 from dataclasses import dataclass
+from functools import partial
 
 from .circuit import ROLE_CLEAN, Circuit, Gate, basis_bit
 from .ring import RingElement, as_omega_power
@@ -63,14 +64,14 @@ FLOAT_TOL = 1e-9
 DENSE_WIDTH_LIMIT = 12
 WIDTH_LIMIT = 16
 # Column work (columns x gate-level compiled ops) from which a process
-# pool beats one process. Batches now collapse where they ran, so only an
-# (output, phase) per column crosses the pipe, but the batched kernel left
-# less for a pool to share: on two CPUs, tofn_dirty(8) (233,472) and
-# tofn(11, "clean") (325,632) run about as long pooled (0.9-1.3x), the
-# 3-gate, 2^16-column verify (196,608) 1.5x as long, while tofn_dirty(9)
-# (548,864) takes 0.58 of its serial time. A pool also pays ~10 ms to
-# start and stops a failing check later than a serial run, so the
-# constant sits above the coin flips; the measured table is in CHANGES.md.
+# pool beats one process. Each batch is one task and collapses where it
+# ran, so only an (output, phase) per column crosses the pipe, but the
+# batched kernel leaves little for a pool to share: on two CPUs,
+# tofn_dirty(8) (233,472) and tofn(11, "clean") (325,632) take about 1.35
+# times as long pooled, the 3-gate, 2^16-column verify (196,608) 1.9
+# times, while tofn_dirty(9) (548,864) takes 0.74 of its serial time. A
+# pool also pays ~10 ms to start and ~0.2 ms per task, so the constant
+# sits above the coin flips; the measured tables are in CHANGES.md.
 POOL_MIN_WORK = 500_000
 # Columns run together as one tagged sparse state (see run_column_ring).
 BATCH_COLUMNS = 64
@@ -433,18 +434,14 @@ def pick_backend(circuit: Circuit, backend: str | None = None) -> str:
     return backend or ("float" if odd else "ring")
 
 
-def _kernel(ops, backend: str, width: int, indices):
-    """(amplitudes, k, max_support) of each listed column, in order."""
-    if backend == "ring":
-        return run_column_ring(ops, indices, width)
-    return [run_column_float(ops, s) for s in indices]
-
-
 def _column_batch(ops, backend: str, width: int, indices):
     """Run one batch of columns and collapse it where it ran: the (output,
     phase) of each column up to the first that does not collapse, then
-    None for that one, and the batch's max_support."""
-    results = _kernel(ops, backend, width, indices)
+    None for that one, and the batch's max_support. A pool's task."""
+    if backend == "ring":
+        results = run_column_ring(ops, indices, width)
+    else:
+        results = [run_column_float(ops, s) for s in indices]
     entries = []
     for amps, k, _ in results:
         entries.append(_collapse(amps, k, backend))
@@ -453,11 +450,9 @@ def _column_batch(ops, backend: str, width: int, indices):
     return entries, max((ms for _, _, ms in results), default=1)
 
 
-def _column_run(ops, backend: str, width: int, indices):
-    """The listed columns in batches of BATCH_COLUMNS, merged in order up
-    to the first batch that fails (see ``_merge``)."""
-    return _merge(_column_batch(ops, backend, width, indices[i:i + BATCH_COLUMNS])
-                  for i in range(0, len(indices), BATCH_COLUMNS))
+def _batches(indices):
+    """``indices`` in slices of BATCH_COLUMNS, in order."""
+    return [indices[i:i + BATCH_COLUMNS] for i in range(0, len(indices), BATCH_COLUMNS)]
 
 
 def _merge(runs):
@@ -475,41 +470,39 @@ def _merge(runs):
 
 def _workers(columns: int, ops: int) -> int:
     """1 (run serially) below POOL_MIN_WORK column-ops, else one per CPU
-    this process may run on, and never more than there are columns."""
+    this process may run on, and never more than there are batches."""
     if columns * ops < POOL_MIN_WORK:
         return 1
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    return min(cpus, columns)
+    return min(cpus, math.ceil(columns / BATCH_COLUMNS))
 
 
 def _run_columns(ops, backend: str, width: int, indices):
-    """``_merge`` of every column. The work is measured in gate-level
-    ``ops``, before the ring backend fuses them. A pool runs four chunks
-    of columns per worker, merged in order; once a chunk fails, the
-    chunks not yet started are cancelled."""
+    """``_merge`` of every batch of columns, run here or as the tasks of a
+    pool, whose ``map`` yields them in order. The work is measured in
+    gate-level ``ops``, before the ring backend fuses them."""
     workers = _workers(len(indices), len(ops))
     if backend == "ring":
         ops = fuse_ops(ops)
+    run = partial(_column_batch, ops, backend, width)
+    batches = _batches(indices)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        chunk = max(1, len(indices) // (workers * 4))
         try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(_column_run, ops, backend, width, indices[i:i + chunk])
-                           for i in range(0, len(indices), chunk)]
-                try:
-                    return _merge(f.result() for f in futures)
-                finally:
-                    for f in futures:
-                        f.cancel()
+            pool = ProcessPoolExecutor(max_workers=workers)
+            try:
+                return _merge(pool.map(run, batches))
+            finally:
+                # once a batch fails, the batches not yet started are dropped
+                pool.shutdown(cancel_futures=True)
         except OSError:
             # no pool could start (fork failed, say); cli reads an OSError
             # as an input error, so run the columns here instead
             pass
-    return _column_run(ops, backend, width, indices)
+    return _merge(map(run, batches))
 
 
 def unitary_columns(circuit: Circuit, backend: str | None = None, column_indices=None):
@@ -553,17 +546,17 @@ def unitary_columns(circuit: Circuit, backend: str | None = None, column_indices
 
 
 def _dense(width, ops, backend) -> DenseMatrix:
-    """Every column of the circuit's unitary, run here batch by batch."""
+    """Every column of the circuit's unitary, run here."""
     if backend == "ring":
         ops = fuse_ops(ops)
-    columns, max_support = [], 1
-    dim = 1 << width
-    for start in range(0, dim, BATCH_COLUMNS):
-        for amps, k, ms in _kernel(ops, backend, width, range(start, min(start + BATCH_COLUMNS, dim))):
-            columns.append({i: RingElement(*c, k) for i, c in amps.items()}
-                           if backend == "ring" else amps)
-            max_support = max(max_support, ms)
-    return DenseMatrix(width, tuple(columns), backend, max_support)
+        results = [({i: RingElement(*c, k) for i, c in amps.items()}, ms)
+                   for batch in _batches(range(1 << width))
+                   for amps, k, ms in run_column_ring(ops, batch, width)]
+    else:
+        results = [(amps, ms) for amps, _, ms in
+                   (run_column_float(ops, s) for s in range(1 << width))]
+    columns, supports = zip(*results)
+    return DenseMatrix(width, columns, backend, max(supports))
 
 
 @dataclass(frozen=True)

@@ -53,9 +53,9 @@ def test_tracer_binds_every_name():
 
 def test_rewrite_goes_through_the_cli_bound_rewrite_names(tmp_path, monkeypatch, capsys):
     """``rewrite`` calls these names in ``rphase.cli``: one search for pairs
-    of equal tofs, one classification per pair whose gates are not yet
-    replaced, one admissibility test per candidate and one replacement per
-    rewritten pair. ``find_conjugations`` stays bound there for the tracer
+    of equal tofs, at most one classification per pair whose gates are not
+    yet replaced, one admissibility test per candidate and one replacement
+    per rewritten pair. ``find_conjugations`` stays bound there for the tracer
     but is no longer called: its spans read 0 on the rewrite workload."""
     calls = Counter()
 

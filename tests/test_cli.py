@@ -445,6 +445,29 @@ def test_rewrite_finds_conjugations_once(capsys, tmp_path, monkeypatch):
     assert sum(g.is_marker for g in rewritten.gates) == 4
 
 
+def test_rewrite_stops_each_tofs_scan_at_a_pair_it_cannot_replace(capsys, tmp_path,
+                                                                  monkeypatch):
+    """800 gates alternate a negative-control tof with a cx on one of its
+    controls (prop2 pairs) or a t on its target (prop1 pairs). No block
+    carries a negative control, so no pair is replaced, and no later pair
+    of the same tof can be: each tof's scan stops at its first pair, where
+    the eager walk classifies all 79,800 pairs."""
+    calls = []
+    real = cli.classify_pair
+    monkeypatch.setattr(cli, "classify_pair", lambda *args: calls.append(args) or real(*args))
+    src = tmp_path / "neg.qasm"
+    for middle in (cx(0, 1), t(2)):
+        circuit = Circuit(3, [tof((0, 1), 2, neg=(0,)) if k % 2 == 0 else middle
+                              for k in range(800)])
+        cls = "prop2" if middle.kind == "cnot" else "prop1"
+        assert rewrite.classify_pair(circuit, 0, 2).classification == cls
+        src.write_text(emit_qasm(circuit))
+        calls.clear()
+        code, out, _ = run(capsys, "rewrite", str(src), "--rules", "prop1,prop2")
+        assert code == 0 and out.startswith(src.read_text())
+        assert len(calls) <= 2 * 400
+
+
 def _rewrite_digest(capsys, tmp_path, src, rules):
     dst = tmp_path / "pinned_out.qasm"
     assert run(capsys, "rewrite", str(src), "--rules", rules, "--out", str(dst))[0] == 0

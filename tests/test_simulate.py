@@ -216,7 +216,7 @@ def test_float_backend_collapse():
     assert all(abs(p - 1) < 1e-9 for p in u.phases)
 
 
-def test_parallel_columns_match_serial(monkeypatch):
+def test_parallel_columns_match_serial(monkeypatch, force_workers):
     c = toffoli3()
     serial = unitary_columns(c)
     pools = []
@@ -226,7 +226,7 @@ def test_parallel_columns_match_serial(monkeypatch):
             pools.append(kwargs["max_workers"])
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(simulate, "_workers", lambda columns, ops: 2)
+    force_workers(2)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
     assert unitary_columns(c) == serial
     assert pools == [2]
@@ -238,7 +238,9 @@ def test_workers_follow_the_column_work(monkeypatch):
                         raising=False)
     assert simulate._workers(8, 15) == 1
     assert simulate._workers(1024, work) == 4
-    assert simulate._workers(2, work) == 2  # never more workers than columns
+    # never more workers than batches of columns
+    assert simulate._workers(2, work) == 1
+    assert simulate._workers(2 * simulate.BATCH_COLUMNS, work) == 2
     monkeypatch.delattr(simulate.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
     assert simulate._workers(1024, work) == 3

@@ -1,6 +1,7 @@
 """Verification predicates and reports."""
 
 import concurrent.futures
+import multiprocessing
 import random
 from dataclasses import replace
 from itertools import combinations
@@ -14,6 +15,7 @@ from rphase.catalog import (
     rtof4_long,
     srtof3_ccix,
     toffoli3,
+    tofn,
     tofn_clean,
     tofn_clean_spec,
     tofn_dirty,
@@ -73,11 +75,11 @@ def test_check_names_the_column_that_does_not_collapse():
         check_implements(c, TargetSpec("tof", (0,), 1))
 
 
-def test_check_parallel_equals_serial(monkeypatch):
+def test_check_parallel_equals_serial(force_workers):
     c, spec = tofn_dirty(6), tofn_dirty_spec(6)
     serial = check_implements(c, spec)
     assert serial.exact and serial.ancilla_ok
-    monkeypatch.setattr(simulate, "_workers", lambda columns, ops: 2)
+    force_workers(2)
     assert check_implements(c, spec) == serial
 
 
@@ -86,22 +88,32 @@ def _no_pool(*args, **kwargs):
 
 
 def test_check_below_the_pool_constant_builds_no_pool(monkeypatch):
-    c, spec = tofn_dirty(6), tofn_dirty_spec(6)
-    assert (1 << c.width) * len(simulate.compile_circuit(c)) < simulate.POOL_MIN_WORK
+    """tofn(8, "dirty") and tofn(11, "clean") are the widest checks of the
+    certify-wide benchmark: they run serially."""
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
-    assert check_implements(c, spec).exact
+    for c, spec in [(tofn_dirty(6), tofn_dirty_spec(6)), tofn(8, "dirty"), tofn(11, "clean")]:
+        columns = 1 << (c.width - c.roles.count(ROLE_CLEAN))
+        assert columns * len(simulate.compile_circuit(c)) < simulate.POOL_MIN_WORK
+        assert check_implements(c, spec).exact
 
 
-def test_check_runs_serially_when_no_pool_can_start(monkeypatch):
+def _fork_fails(*args, **kwargs):
+    raise OSError(11, "Resource temporarily unavailable")
+
+
+class _SubmitFails(concurrent.futures.ProcessPoolExecutor):
+    """A pool whose first submit, which forks its workers, fails."""
+
+    submit = _fork_fails
+
+
+def test_check_runs_serially_when_no_pool_can_start(monkeypatch, force_workers):
     c, spec = tofn_dirty(6), tofn_dirty_spec(6)
     serial = check_implements(c, spec)
-
-    def fork_fails(*args, **kwargs):
-        raise OSError(11, "Resource temporarily unavailable")
-
-    monkeypatch.setattr(simulate, "_workers", lambda columns, ops: 2)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", fork_fails)
-    assert check_implements(c, spec) == serial
+    force_workers(2)
+    for pool in (_fork_fails, _SubmitFails):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+        assert check_implements(c, spec) == serial
 
 
 def _dropped_t_mutant():
@@ -123,17 +135,17 @@ def _scan_every_column(circuit):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_the_first_failing_column_past_the_first_batch_is_named(monkeypatch, workers):
+def test_the_first_failing_column_past_the_first_batch_is_named(force_workers, workers):
     c, spec = _dropped_t_mutant()
     assert _scan_every_column(c) == 256 > simulate.BATCH_COLUMNS
-    monkeypatch.setattr(simulate, "_workers", lambda columns, ops: workers)
+    force_workers(workers)
     with pytest.raises(NotAPhasePermutation) as failed:
         check_implements(c, spec)
     assert str(failed.value) == ("not a phase permutation: column 00100000000 "
                                  "does not collapse to one basis state")
 
 
-def test_a_serial_check_stops_at_the_batch_that_fails(monkeypatch):
+def test_a_serial_check_stops_at_the_batch_that_fails(monkeypatch, force_workers):
     c, spec = _dropped_t_mutant()
     kernel, simulated = simulate.run_column_ring, []
 
@@ -142,14 +154,41 @@ def test_a_serial_check_stops_at_the_batch_that_fails(monkeypatch):
         return kernel(ops, starts, width)
 
     monkeypatch.setattr(simulate, "run_column_ring", counted)
-    monkeypatch.setattr(simulate, "_workers", lambda columns, ops: 1)
+    force_workers(1)
     with pytest.raises(NotAPhasePermutation, match="column 00100000000 "):
         check_implements(c, spec)
     batch = simulate.BATCH_COLUMNS
     assert sum(simulated) == (256 // batch + 1) * batch < 1 << c.width
 
 
-def test_a_dense_result_is_the_same_pooled_as_serial(monkeypatch):
+def test_a_pooled_check_stops_soon_after_the_batch_that_fails(monkeypatch, force_workers,
+                                                              tmp_path):
+    """tofn_dirty(10) without one t gate first fails at column 2048, batch
+    32 of 256. The workers log each batch they run: every batch up to the
+    failing one runs, and past it only those already started, far fewer
+    than the rest."""
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("only forked workers run the logged kernel")
+    c, spec = tofn_dirty(10), tofn_dirty_spec(10)
+    assert c.gates[40] == t(9)
+    c = Circuit(c.width, c.gates[:40] + c.gates[41:], c.roles)
+    kernel, log = simulate.run_column_ring, tmp_path / "batches"
+
+    def logged(ops, starts, width):
+        with open(log, "a") as fh:
+            fh.write(f"{len(starts)}\n")
+        return kernel(ops, starts, width)
+
+    monkeypatch.setattr(simulate, "run_column_ring", logged)
+    force_workers(2)
+    with pytest.raises(NotAPhasePermutation, match="column 00100000000000 "):
+        check_implements(c, spec)
+    simulated = sum(map(int, log.read_text().split()))
+    # about 2400 here; the margin is for a parent process slow to collect
+    assert 2048 + simulate.BATCH_COLUMNS <= simulated < (1 << c.width) // 2
+
+
+def test_a_dense_result_is_the_same_pooled_as_serial(force_workers):
     """H T (X Tdg X) H on the last qubit, controlled by the first: columns
     128 on do not collapse, so the full set of 8-qubit columns is a
     DenseMatrix, built from the one-column runs of every column."""
@@ -161,9 +200,20 @@ def test_a_dense_result_is_the_same_pooled_as_serial(monkeypatch):
     for s, column in enumerate(serial.columns):
         (amps, k, _), = simulate.run_column_ring(ops, [s], c.width)
         assert column == {i: RingElement(*a, k) for i, a in amps.items()}, s
-    monkeypatch.setattr(simulate, "_workers", lambda columns, ops: 2)
+    force_workers(2)
     pooled = unitary_columns(c)
     assert pooled == serial and pooled.max_support == serial.max_support
+
+
+def test_a_pooled_check_leaves_no_process_running(force_workers):
+    """The pool's workers are gone when a check returns, whether it
+    passed or stopped at a failing column."""
+    force_workers(2)
+    assert check_implements(tofn_dirty(6), tofn_dirty_spec(6)).exact
+    assert not multiprocessing.active_children()
+    with pytest.raises(NotAPhasePermutation):
+        check_implements(*_dropped_t_mutant())
+    assert not multiprocessing.active_children()
 
 
 def _special_form(circuit, xprime, spec) -> bool:
