@@ -5,8 +5,7 @@ input error (including a file that is not UTF-8 text, a circuit too wide
 to simulate, and a qreg read or a circuit requested wider than
 ``qasm.QREG_LIMIT``), 3 internal error:
 any other exception, reported on one line without a traceback.
-``verify`` has no pool option: the column driver picks its own (see
-``simulate``).
+``verify`` runs every column in this process (see ``simulate``).
 """
 
 from __future__ import annotations

@@ -38,24 +38,17 @@ in index order, that does not collapse.
 
 Columns run in batches of BATCH_COLUMNS. A batch is one sparse state:
 column n's indices carry n in the bits from the circuit width up, which
-no op reads or writes, so each op runs once over the whole batch. Each
-batch is collapsed where it ran and returns only an (output, phase) per
-column and its max_support, and the batches are merged in index order up
-to the first column that does not collapse: no later batch runs. The
-driver picks its own pool: from POOL_MIN_WORK column-ops (columns x
-gate-level compiled ops, counted before fusion) on, the batches are the
-tasks of one worker process per usable CPU (at most one per batch), whose
-ordered map gives the serial result and drops the batches not started
-once one fails; below it, or when no pool can start, they run here.
+no op reads or writes, so each op runs once over the whole batch. The
+batches run in index order in the calling process, each column is
+collapsed as its batch returns, and the run stops at the first column
+that does not collapse: no later batch runs.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import os
 from dataclasses import dataclass
-from functools import partial
 
 from .circuit import ROLE_CLEAN, Circuit, Gate, basis_bit
 from .ring import RingElement, as_omega_power
@@ -63,16 +56,6 @@ from .ring import RingElement, as_omega_power
 FLOAT_TOL = 1e-9
 DENSE_WIDTH_LIMIT = 12
 WIDTH_LIMIT = 16
-# Column work (columns x gate-level compiled ops) from which a process
-# pool beats one process. Each batch is one task and collapses where it
-# ran, so only an (output, phase) per column crosses the pipe, but the
-# batched kernel leaves little for a pool to share: on two CPUs,
-# tofn_dirty(8) (233,472) and tofn(11, "clean") (325,632) take about 1.35
-# times as long pooled, the 3-gate, 2^16-column verify (196,608) 1.9
-# times, while tofn_dirty(9) (548,864) takes 0.74 of its serial time. A
-# pool also pays ~10 ms to start and ~0.2 ms per task, so the constant
-# sits above the coin flips; the measured tables are in CHANGES.md.
-POOL_MIN_WORK = 500_000
 # Columns run together as one tagged sparse state (see run_column_ring).
 BATCH_COLUMNS = 64
 # Most qubits one fused cp run may touch: its table has 2^4 rows.
@@ -434,75 +417,25 @@ def pick_backend(circuit: Circuit, backend: str | None = None) -> str:
     return backend or ("float" if odd else "ring")
 
 
-def _column_batch(ops, backend: str, width: int, indices):
-    """Run one batch of columns and collapse it where it ran: the (output,
-    phase) of each column up to the first that does not collapse, then
-    None for that one, and the batch's max_support. A pool's task."""
-    if backend == "ring":
-        results = run_column_ring(ops, indices, width)
-    else:
-        results = [run_column_float(ops, s) for s in indices]
-    entries = []
-    for amps, k, _ in results:
-        entries.append(_collapse(amps, k, backend))
-        if entries[-1] is None:
-            break
-    return entries, max((ms for _, _, ms in results), default=1)
-
-
-def _batches(indices):
-    """``indices`` in slices of BATCH_COLUMNS, in order."""
-    return [indices[i:i + BATCH_COLUMNS] for i in range(0, len(indices), BATCH_COLUMNS)]
-
-
-def _merge(runs):
-    """The (output, phase) entries of ``runs``, in order, up to and
-    including the None of the first column that does not collapse, and
-    the largest max_support of the runs read; no run is read past that."""
-    entries, max_support = [], 1
-    for run, ms in runs:
-        entries += run
-        max_support = max(max_support, ms)
-        if run and run[-1] is None:
-            break
-    return entries, max_support
-
-
-def _workers(columns: int, ops: int) -> int:
-    """1 (run serially) below POOL_MIN_WORK column-ops, else one per CPU
-    this process may run on, and never more than there are batches."""
-    if columns * ops < POOL_MIN_WORK:
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return min(cpus, math.ceil(columns / BATCH_COLUMNS))
-
-
 def _run_columns(ops, backend: str, width: int, indices):
-    """``_merge`` of every batch of columns, run here or as the tasks of a
-    pool, whose ``map`` yields them in order. The work is measured in
-    gate-level ``ops``, before the ring backend fuses them."""
-    workers = _workers(len(indices), len(ops))
+    """The (output, phase) of each column, in order, up to and including
+    the None of the first that does not collapse, and the largest
+    max_support of the columns run; no batch runs past that one."""
     if backend == "ring":
         ops = fuse_ops(ops)
-    run = partial(_column_batch, ops, backend, width)
-    batches = _batches(indices)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        try:
-            pool = ProcessPoolExecutor(max_workers=workers)
-            try:
-                return _merge(pool.map(run, batches))
-            finally:
-                # once a batch fails, the batches not yet started are dropped
-                pool.shutdown(cancel_futures=True)
-        except OSError:
-            # no pool could start (fork failed, say); cli reads an OSError
-            # as an input error, so run the columns here instead
-            pass
-    return _merge(map(run, batches))
+    entries, max_support = [], 1
+    for i in range(0, len(indices), BATCH_COLUMNS):
+        batch = indices[i:i + BATCH_COLUMNS]
+        if backend == "ring":
+            results = run_column_ring(ops, batch, width)
+        else:
+            results = [run_column_float(ops, s) for s in batch]
+        for amps, k, ms in results:
+            max_support = max(max_support, ms)
+            entries.append(_collapse(amps, k, backend))
+            if entries[-1] is None:
+                return entries, max_support
+    return entries, max_support
 
 
 def unitary_columns(circuit: Circuit, backend: str | None = None, column_indices=None):
@@ -549,9 +482,10 @@ def _dense(width, ops, backend) -> DenseMatrix:
     """Every column of the circuit's unitary, run here."""
     if backend == "ring":
         ops = fuse_ops(ops)
+        starts = range(1 << width)
         results = [({i: RingElement(*c, k) for i, c in amps.items()}, ms)
-                   for batch in _batches(range(1 << width))
-                   for amps, k, ms in run_column_ring(ops, batch, width)]
+                   for n in range(0, len(starts), BATCH_COLUMNS)
+                   for amps, k, ms in run_column_ring(ops, starts[n:n + BATCH_COLUMNS], width)]
     else:
         results = [(amps, ms) for amps, _, ms in
                    (run_column_float(ops, s) for s in range(1 << width))]

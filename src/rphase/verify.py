@@ -18,9 +18,7 @@ clean bits are 0 are simulated, which is the whole contract for such
 circuits, and the width guard counts only those. Those columns are
 enumerated directly, and each is checked against the target's flip on
 its own, so a check costs 2^(width - clean ancillae), never 2^width.
-Dirty ancillae are enumerated and must factor out exactly. The driver
-alone decides whether a process pool runs the columns; the report is the
-same either way.
+Dirty ancillae are enumerated and must factor out exactly.
 """
 
 from __future__ import annotations

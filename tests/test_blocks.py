@@ -150,7 +150,7 @@ def test_library_imports_only_the_standard_library():
 
 
 def test_cli_import_leaves_the_process_pool_out():
-    """The pool is imported only when a verify uses it."""
+    """Importing the CLI loads no process pool machinery."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     code = "import sys, rphase.cli; print('concurrent.futures' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,

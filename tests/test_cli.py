@@ -261,7 +261,7 @@ def test_verify_rejects_bad_flags(capsys, tmp_path):
         code, _, err = run(capsys, "verify", str(path), "--processes", processes)
         assert code == 2 and "--processes" in err
     assert run(capsys, "verify", str(path), "--ancilla", "clean")[0] == 2
-    # the column driver picks its own pool: --processes is no flag at all
+    # columns run in the calling process: --processes is no flag at all
     code, _, err = run(capsys, "verify", str(path), "--processes", "1")
     assert code == 2 and "unrecognized arguments: --processes" in err
 
@@ -817,8 +817,7 @@ def _fuzz_argv(rng, inputs, outs):
 def test_fuzzed_argv_keeps_the_exit_code_contract(capsys, tmp_path):
     """Seeded argv vectors over the five subcommands exit 0, 1 or 2: never
     3, never an escaped exception. Every input has at most 8 qubits, and
-    no output path is an input, so no run is wide enough for a process
-    pool."""
+    no output path is an input, so every run is quick."""
     files = []
     for k, argv in enumerate(_FUZZ_SOURCES):
         files.append(tmp_path / f"synth{k}.qasm")

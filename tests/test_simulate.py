@@ -1,6 +1,5 @@
 """Sparse simulator: gate semantics, exact norms, whole-circuit unitaries."""
 
-import concurrent.futures
 import itertools
 import math
 import random
@@ -214,36 +213,6 @@ def test_float_backend_collapse():
     assert isinstance(u, PhasePermutation)
     assert u.perm == (0, 1, 2, 3, 4, 5, 7, 6)
     assert all(abs(p - 1) < 1e-9 for p in u.phases)
-
-
-def test_parallel_columns_match_serial(monkeypatch, force_workers):
-    c = toffoli3()
-    serial = unitary_columns(c)
-    pools = []
-
-    class CountedPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(kwargs["max_workers"])
-            super().__init__(*args, **kwargs)
-
-    force_workers(2)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
-    assert unitary_columns(c) == serial
-    assert pools == [2]
-
-
-def test_workers_follow_the_column_work(monkeypatch):
-    work = simulate.POOL_MIN_WORK
-    monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
-                        raising=False)
-    assert simulate._workers(8, 15) == 1
-    assert simulate._workers(1024, work) == 4
-    # never more workers than batches of columns
-    assert simulate._workers(2, work) == 1
-    assert simulate._workers(2 * simulate.BATCH_COLUMNS, work) == 2
-    monkeypatch.delattr(simulate.os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
-    assert simulate._workers(1024, work) == 3
 
 
 def test_sparse_support_stays_small():

@@ -1,7 +1,7 @@
 """Verification predicates and reports."""
 
-import concurrent.futures
 import multiprocessing
+import multiprocessing.process
 import random
 from dataclasses import replace
 from itertools import combinations
@@ -75,45 +75,20 @@ def test_check_names_the_column_that_does_not_collapse():
         check_implements(c, TargetSpec("tof", (0,), 1))
 
 
-def test_check_parallel_equals_serial(force_workers):
-    c, spec = tofn_dirty(6), tofn_dirty_spec(6)
-    serial = check_implements(c, spec)
-    assert serial.exact and serial.ancilla_ok
-    force_workers(2)
-    assert check_implements(c, spec) == serial
+def _no_process(*args, **kwargs):
+    raise AssertionError("a process was started")
 
 
-def _no_pool(*args, **kwargs):
-    raise AssertionError("a process pool was built")
-
-
-def test_check_below_the_pool_constant_builds_no_pool(monkeypatch):
-    """tofn(8, "dirty") and tofn(11, "clean") are the widest checks of the
-    certify-wide benchmark: they run serially."""
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
-    for c, spec in [(tofn_dirty(6), tofn_dirty_spec(6)), tofn(8, "dirty"), tofn(11, "clean")]:
-        columns = 1 << (c.width - c.roles.count(ROLE_CLEAN))
-        assert columns * len(simulate.compile_circuit(c)) < simulate.POOL_MIN_WORK
+def test_check_starts_no_process(monkeypatch):
+    """Columns run in the calling process, however many there are:
+    tofn_dirty(9) (548,864 column-ops) as much as tofn(8, "dirty") and
+    tofn(11, "clean"), the widest checks of the certify-wide benchmark.
+    Every process pool starts its workers through ``BaseProcess.start``."""
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", _no_process)
+    for c, spec in [(tofn_dirty(6), tofn_dirty_spec(6)), (tofn_dirty(9), tofn_dirty_spec(9)),
+                    tofn(8, "dirty"), tofn(11, "clean")]:
         assert check_implements(c, spec).exact
-
-
-def _fork_fails(*args, **kwargs):
-    raise OSError(11, "Resource temporarily unavailable")
-
-
-class _SubmitFails(concurrent.futures.ProcessPoolExecutor):
-    """A pool whose first submit, which forks its workers, fails."""
-
-    submit = _fork_fails
-
-
-def test_check_runs_serially_when_no_pool_can_start(monkeypatch, force_workers):
-    c, spec = tofn_dirty(6), tofn_dirty_spec(6)
-    serial = check_implements(c, spec)
-    force_workers(2)
-    for pool in (_fork_fails, _SubmitFails):
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
-        assert check_implements(c, spec) == serial
+    assert not multiprocessing.active_children()
 
 
 def _dropped_t_mutant():
@@ -134,18 +109,16 @@ def _scan_every_column(circuit):
                  if simulate._collapse(amps, k, "ring") is None), None)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_the_first_failing_column_past_the_first_batch_is_named(force_workers, workers):
+def test_the_first_failing_column_past_the_first_batch_is_named():
     c, spec = _dropped_t_mutant()
     assert _scan_every_column(c) == 256 > simulate.BATCH_COLUMNS
-    force_workers(workers)
     with pytest.raises(NotAPhasePermutation) as failed:
         check_implements(c, spec)
     assert str(failed.value) == ("not a phase permutation: column 00100000000 "
                                  "does not collapse to one basis state")
 
 
-def test_a_serial_check_stops_at_the_batch_that_fails(monkeypatch, force_workers):
+def test_a_serial_check_stops_at_the_batch_that_fails(monkeypatch):
     c, spec = _dropped_t_mutant()
     kernel, simulated = simulate.run_column_ring, []
 
@@ -154,66 +127,24 @@ def test_a_serial_check_stops_at_the_batch_that_fails(monkeypatch, force_workers
         return kernel(ops, starts, width)
 
     monkeypatch.setattr(simulate, "run_column_ring", counted)
-    force_workers(1)
     with pytest.raises(NotAPhasePermutation, match="column 00100000000 "):
         check_implements(c, spec)
     batch = simulate.BATCH_COLUMNS
     assert sum(simulated) == (256 // batch + 1) * batch < 1 << c.width
 
 
-def test_a_pooled_check_stops_soon_after_the_batch_that_fails(monkeypatch, force_workers,
-                                                              tmp_path):
-    """tofn_dirty(10) without one t gate first fails at column 2048, batch
-    32 of 256. The workers log each batch they run: every batch up to the
-    failing one runs, and past it only those already started, far fewer
-    than the rest."""
-    if multiprocessing.get_start_method() != "fork":
-        pytest.skip("only forked workers run the logged kernel")
-    c, spec = tofn_dirty(10), tofn_dirty_spec(10)
-    assert c.gates[40] == t(9)
-    c = Circuit(c.width, c.gates[:40] + c.gates[41:], c.roles)
-    kernel, log = simulate.run_column_ring, tmp_path / "batches"
-
-    def logged(ops, starts, width):
-        with open(log, "a") as fh:
-            fh.write(f"{len(starts)}\n")
-        return kernel(ops, starts, width)
-
-    monkeypatch.setattr(simulate, "run_column_ring", logged)
-    force_workers(2)
-    with pytest.raises(NotAPhasePermutation, match="column 00100000000000 "):
-        check_implements(c, spec)
-    simulated = sum(map(int, log.read_text().split()))
-    # about 2400 here; the margin is for a parent process slow to collect
-    assert 2048 + simulate.BATCH_COLUMNS <= simulated < (1 << c.width) // 2
-
-
-def test_a_dense_result_is_the_same_pooled_as_serial(force_workers):
+def test_a_dense_result_is_built_from_one_column_runs():
     """H T (X Tdg X) H on the last qubit, controlled by the first: columns
     128 on do not collapse, so the full set of 8-qubit columns is a
     DenseMatrix, built from the one-column runs of every column."""
     c = Circuit(8, [h(7), t(7), cx(0, 7), tdg(7), cx(0, 7), h(7)])
     assert _scan_every_column(c) == 128
-    serial = unitary_columns(c)
-    assert isinstance(serial, simulate.DenseMatrix) and serial.max_support == 2
+    u = unitary_columns(c)
+    assert isinstance(u, simulate.DenseMatrix) and u.max_support == 2
     ops = simulate.compile_circuit(c)
-    for s, column in enumerate(serial.columns):
+    for s, column in enumerate(u.columns):
         (amps, k, _), = simulate.run_column_ring(ops, [s], c.width)
         assert column == {i: RingElement(*a, k) for i, a in amps.items()}, s
-    force_workers(2)
-    pooled = unitary_columns(c)
-    assert pooled == serial and pooled.max_support == serial.max_support
-
-
-def test_a_pooled_check_leaves_no_process_running(force_workers):
-    """The pool's workers are gone when a check returns, whether it
-    passed or stopped at a failing column."""
-    force_workers(2)
-    assert check_implements(tofn_dirty(6), tofn_dirty_spec(6)).exact
-    assert not multiprocessing.active_children()
-    with pytest.raises(NotAPhasePermutation):
-        check_implements(*_dropped_t_mutant())
-    assert not multiprocessing.active_children()
 
 
 def _special_form(circuit, xprime, spec) -> bool:
