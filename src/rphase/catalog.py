@@ -46,9 +46,9 @@ from .circuit import (
     block_gates,
     cx,
     cz,
+    expand,
     map_once,
     marker,
-    marker_definition,
     ry,
     t,
     tdg,
@@ -135,7 +135,7 @@ def _commutator(a: list[Gate], b: list[Gate]) -> list[Gate]:
 
 def _expand(markers: list[Gate]) -> list[Gate]:
     """Each marker replaced by its defining gates."""
-    return [gg for body in map_once(marker_definition, markers) for gg in body]
+    return [gg for body in map_once(expand, markers) for gg in body]
 
 
 # -- clean-ancilla multiple-control Toffolis --------------------------------

@@ -5,8 +5,13 @@ qubits plus a per-qubit ancilla role. Qubit 0 is the most significant bit
 of a basis-state index, which matches writing a multi-controlled gate as
 diag{1, ..., 1, X-block}: controls come before the target.
 
-Besides the elementary set {x, y, z, p, pdg, t, tdg, h, ry, cnot, cz}
-there are two families of high-level gates:
+``KINDS`` is the one table of the 11 elementary gate kinds: one row per
+kind with its number of controls, its OpenQASM statement name, its
+inverse kind, the ``ResourceReport`` count it adds one to, and its w
+exponent if it is diagonal (z, p, pdg, t, tdg, cz), where w = e^(i pi/4).
+Validation, inversion, counting, QASM, lowering, simulation and the
+rewrite's diagonal test all read it. There are two families of high-level
+gates:
 
 * ``tof`` -- a multiple-control Toffoli with any number of controls
   (0 controls = X, 1 = CNOT), each control positive or negative;
@@ -41,6 +46,9 @@ middle CNOT widened into a ccix block) is diag{1 x 12, i, -i,
 [[0,1],[-1,0]]}.
 Markers carry an ordered control tuple because the truncated blocks are
 not symmetric in their controls, plus a ``dagger`` flag for inverses.
+``expand`` is the one rule for high-level gates: a marker becomes its
+block's gates, a negative control an X pair around the positive gate,
+and a tof of 0 or 1 controls an x or a cnot.
 ``ry`` angles are integer multiples of pi/4 stored in ``param``.
 
 A gate is validated once, when it is built, and its qubit set
@@ -55,13 +63,35 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-ONE_QUBIT_KINDS = frozenset({"x", "y", "z", "p", "pdg", "t", "tdg", "h", "ry"})
-LOWERED_KINDS = ONE_QUBIT_KINDS | {"cnot", "cz"}
-_PLAIN_KINDS = LOWERED_KINDS | {"tof"}
-_SELF_INVERSE = frozenset({"x", "y", "z", "h", "cnot", "cz", "tof"})
-_INVERSE_KIND = {"t": "tdg", "tdg": "t", "p": "pdg", "pdg": "p"}
-_T_KINDS = frozenset({"t", "tdg"})
+
+class Kind(NamedTuple):
+    """One row of ``KINDS``."""
+
+    controls: int
+    qasm: str
+    inverse: str
+    bucket: str        # the ResourceReport count the gate adds one to
+    omega: int | None  # w exponent of a diagonal gate, None otherwise
+
+
+KINDS = {
+    #            controls  qasm   inverse  bucket  omega
+    "x":    Kind(0,        "x",   "x",     "other", None),
+    "y":    Kind(0,        "y",   "y",     "other", None),
+    "z":    Kind(0,        "z",   "z",     "pz",    4),
+    "p":    Kind(0,        "s",   "pdg",   "pz",    2),
+    "pdg":  Kind(0,        "sdg", "p",     "pz",    6),
+    "t":    Kind(0,        "t",   "tdg",   "t",     1),
+    "tdg":  Kind(0,        "tdg", "t",     "t",     7),
+    "h":    Kind(0,        "h",   "h",     "h",     None),
+    "ry":   Kind(0,        "ry",  "ry",    "other", None),
+    "cnot": Kind(1,        "cx",  "cnot",  "cnot",  None),
+    "cz":   Kind(1,        "cz",  "cz",    "cnot",  4),
+}
+# the order of ResourceReport.counts() plus "other"
+_BUCKETS = ("t", "cnot", "h", "pz", "other")
 
 ROLE_PRIMARY = "primary"
 ROLE_CLEAN = "clean_ancilla"
@@ -91,11 +121,11 @@ class Gate:
         # plain gates are checked without the block table, which is built
         # from plain gates at import time
         kind = self.kind
-        if kind in ONE_QUBIT_KINDS and self.controls:
-            raise ValueError(f"{kind} takes no controls")
-        if kind in ("cnot", "cz") and len(self.controls) != 1:
-            raise ValueError(f"{kind} takes exactly one control")
-        if kind not in _PLAIN_KINDS:
+        row = KINDS.get(kind)
+        if row is not None and len(self.controls) != row.controls:
+            raise ValueError(f"{kind} takes exactly one control" if row.controls
+                             else f"{kind} takes no controls")
+        if row is None and kind != "tof":
             if kind not in MARKER_BLOCKS:
                 raise ValueError(f"unknown gate kind {kind!r}")
             num_controls = MARKER_BLOCKS[kind].arity - 1
@@ -120,14 +150,17 @@ class Gate:
         return self.kind in MARKER_BLOCKS
 
     def inverse(self) -> "Gate":
-        if self.kind in _SELF_INVERSE:
-            return self
-        if self.kind in _INVERSE_KIND:
-            return Gate(_INVERSE_KIND[self.kind], self.controls, self.target, self.neg)
-        if self.kind == "ry":
+        row = KINDS.get(self.kind)
+        if row is None:
+            if self.kind == "tof":
+                return self
+            # marker: flip the dagger flag
+            return Gate(self.kind, self.controls, self.target, dagger=not self.dagger)
+        if self.param:
             return Gate("ry", (), self.target, param=-self.param)
-        # marker: flip the dagger flag
-        return Gate(self.kind, self.controls, self.target, dagger=not self.dagger)
+        if row.inverse == self.kind:
+            return self
+        return Gate(row.inverse, self.controls, self.target, self.neg)
 
     def remap(self, mapping) -> "Gate":
         """The gate with each qubit q moved to ``mapping[q]`` (a dict or a
@@ -215,7 +248,8 @@ class Circuit:
         return Circuit(self.width, tuple(g.inverse() for g in reversed(self.gates)), self.roles)
 
     def is_lowered(self) -> bool:
-        return all(g.kind in LOWERED_KINDS for g in self.gates)
+        """Every gate is a ``KINDS`` kind with no negative controls."""
+        return all(g.kind in KINDS and not g.neg for g in self.gates)
 
     def ancilla_qubits(self) -> tuple[int, ...]:
         return tuple(q for q, r in enumerate(self.roles) if r != ROLE_PRIMARY)
@@ -292,35 +326,21 @@ class ResourceReport:
 
 
 def _gate_counts(g: Gate) -> tuple[int, int, int, int, int]:
-    """(t, cnot, h, pz, other) for one gate; markers via their definitions."""
-    extra_x = 2 * len(g.neg)
-    if g.kind in _T_KINDS:
-        return (1, 0, 0, 0, 0)
-    if g.kind == "cnot":
-        return (0, 1, 0, 0, extra_x)
-    # cz costs one two-qubit gate, same bucket as cnot
-    if g.kind == "cz":
-        return (0, 1, 0, 0, extra_x)
-    if g.kind == "h":
-        return (0, 0, 1, 0, 0)
-    if g.kind in ("p", "pdg", "z"):
-        return (0, 0, 0, 1, 0)
-    if g.kind in ("x", "y", "ry"):
-        return (0, 0, 0, 0, 1)
+    """(t, cnot, h, pz, other) for one gate: a ``KINDS`` gate without
+    negative controls adds one to its bucket, a marker counts as its block
+    and a tof of two positive controls as toffoli3, and any other gate as
+    its expansion."""
+    row = KINDS.get(g.kind)
+    if row is not None and not g.neg:
+        return tuple(int(b == row.bucket) for b in _BUCKETS)
     if g.kind in MARKER_BLOCKS:
         return MARKER_BLOCKS[g.kind].counts
-    if g.kind == "tof":
-        nc = len(g.controls)
-        if nc == 0:
-            return (0, 0, 0, 0, 1 + extra_x)
-        if nc == 1:
-            return (0, 1, 0, 0, extra_x)
-        if nc == 2:
-            t_, cnot, h_, pz, other = BLOCKS["toffoli3"].counts
-            return (t_, cnot, h_, pz, other + extra_x)
+    if g.kind == "tof" and len(g.controls) > 2:
         raise UncountableGate(
             f"resource count of {g} depends on the lowering; lower first")
-    raise AssertionError(g.kind)
+    if g.kind == "tof" and len(g.controls) == 2 and not g.neg:
+        return BLOCKS["toffoli3"].counts
+    return tuple(map(sum, zip(*map(_gate_counts, expand(g)))))
 
 
 def count_resources(circuit: Circuit) -> ResourceReport:
@@ -333,6 +353,7 @@ def count_resources(circuit: Circuit) -> ResourceReport:
     negative controls; each such triple is looked up once per call.
     """
     tally: dict[tuple, list] = {}  # (kind, #controls, #neg) -> [a gate, occurrences]
+    t_kinds = {k for k, row in KINDS.items() if row.bucket == "t"}
     frontier = [0] * circuit.width
     for g in circuit.gates:
         key = (g.kind, len(g.controls), len(g.neg))
@@ -345,7 +366,7 @@ def count_resources(circuit: Circuit) -> ResourceReport:
             depth = max([frontier[q] for q in g.support])
             for q in g.support:
                 frontier[q] = depth
-        elif g.kind in _T_KINDS:
+        elif g.kind in t_kinds:
             frontier[g.target] += 1
     t = cnot = hh = pz = other = 0
     for g, k in tally.values():
@@ -465,9 +486,20 @@ def block_gates(name: str, wires) -> list[Gate]:
     return map_once(lambda g: g.remap(wires), BLOCKS[name].gates)
 
 
-def marker_definition(g: Gate) -> list[Gate]:
-    """The defining gate list of a marker (inverted when dagger is set)."""
-    gates = block_gates(MARKER_BLOCKS[g.kind].name, g.controls + (g.target,))
-    if g.dagger:
-        gates = map_once(Gate.inverse, reversed(gates))
-    return gates
+def expand(g: Gate) -> list[Gate]:
+    """The gates ``g`` stands for: a marker's block gates (inverted when
+    dagger is set), a negative control as an X pair around the positive
+    gate, and a tof of 0 or 1 controls as x or cnot. Each gate returned is
+    a ``KINDS`` gate without negative controls or a tof of two or more
+    positive controls, and such a gate expands to itself."""
+    if g.kind in MARKER_BLOCKS:
+        gates = block_gates(MARKER_BLOCKS[g.kind].name, g.controls + (g.target,))
+        if g.dagger:
+            gates = map_once(Gate.inverse, reversed(gates))
+        return gates
+    if g.neg:
+        wraps = [x(q) for q in sorted(g.neg)]
+        return wraps + expand(Gate(g.kind, g.controls, g.target, param=g.param)) + wraps[::-1]
+    if g.kind == "tof" and len(g.controls) < 2:
+        return [Gate("cnot" if g.controls else "x", g.controls, g.target)]
+    return [g]

@@ -1,12 +1,14 @@
 """Lowering: expand marker gates and multi-control tof gates into the
-elementary set {x, y, z, p, pdg, t, tdg, h, ry, cnot, cz}.
+elementary set ``circuit.KINDS``, {x, y, z, p, pdg, t, tdg, h, ry, cnot,
+cz}, with no negative controls.
 
-* each marker lowers through its block's gates (``marker_definition``);
-* ``tof`` with 0/1 controls becomes x/cnot, with 2 controls the 15-gate
-  toffoli3 block, and with 3+ controls a clean- or dirty-helper chain
-  built over ancilla qubits the circuit declares but the gate does not
-  touch ("ancilla budget exceeded" otherwise);
-* negative controls are wrapped in X gates on the spot.
+``circuit.expand`` takes each gate to elementary gates and tofs of two or
+more positive controls: a marker to its block's gates, a negative control
+to an X pair around the positive gate, and a tof of 0/1 controls to x or
+cnot. Here a tof of 2 controls becomes the 15-gate toffoli3 block, and
+one of 3+ controls a clean- or dirty-helper chain built over ancilla
+qubits the circuit declares but the gate does not touch ("ancilla budget
+exceeded" otherwise).
 
 Each distinct gate of a circuit is lowered once per ``lower`` call.
 """
@@ -22,10 +24,8 @@ from .circuit import (
     ROLE_CLEAN,
     ROLE_DIRTY,
     block_gates,
-    cx,
+    expand,
     map_once,
-    marker_definition,
-    x,
 )
 
 
@@ -45,22 +45,15 @@ def lower(circuit: Circuit) -> Circuit:
 
 
 def _lower_gate(g: Gate, circuit: Circuit) -> list[Gate]:
-    if g.is_marker:
-        return marker_definition(g)
-    if g.neg:
-        wraps = [x(q) for q in sorted(g.neg)]
-        plain = Gate(g.kind, g.controls, g.target, frozenset(), g.param)
-        return wraps + _lower_gate(plain, circuit) + wraps[::-1]
-    if g.kind != "tof":
-        return [g]
-    nc = len(g.controls)
-    if nc == 0:
-        return [x(g.target)]
-    if nc == 1:
-        return [cx(g.controls[0], g.target)]
-    if nc == 2:
-        return block_gates("toffoli3", g.controls + (g.target,))
-    return _expand_big_tof(g, circuit)
+    out = []
+    for gg in expand(g):
+        if gg.kind != "tof":
+            out.append(gg)
+        elif len(gg.controls) == 2:
+            out += block_gates("toffoli3", gg.controls + (gg.target,))
+        else:
+            out += _expand_big_tof(gg, circuit)
+    return out
 
 
 def _free_ancillae(g: Gate, circuit: Circuit, role: str) -> list[int]:

@@ -2,8 +2,9 @@
 
 Emitted programs use one ``qreg`` and the gates
 ``x, y, z, s, sdg, t, tdg, h, ry(theta), cx, cz, ccx`` with theta an
-integer multiple of pi/4. Parse/emit round-trips lowered circuits
-exactly.
+integer multiple of pi/4: the statement names of ``circuit.KINDS``, plus
+``ccx`` for a tof of two controls. Parse/emit round-trips lowered
+circuits exactly.
 
 Constructs QASM has no word for ride along in structured comments::
 
@@ -12,9 +13,9 @@ Constructs QASM has no word for ride along in structured comments::
     // rphase: {"gate": "tof"|..., "neg": [...], "gates": N}
                                                      negative controls / wide tof
 
-A directive with ``"gates": N`` is followed by its N-statement expansion;
-the parser checks that the N statements are exactly the expansion the
-emitter writes for the gate, swallows them and restores the high-level
+A directive with ``"gates": N`` is followed by its N-statement expansion,
+``circuit.expand`` of its gate; the parser checks that the N statements
+are exactly that expansion, swallows them and restores the high-level
 gate, so other QASM consumers still see a runnable program of the same
 unitary. A tof with three or more controls cannot be expanded without
 ancillae and is emitted with an empty expansion (``"gates": 0``); any
@@ -33,18 +34,7 @@ import json
 import re
 from math import gcd
 
-from .circuit import (
-    Circuit,
-    Gate,
-    ROLE_PRIMARY,
-    ROLES,
-    cx,
-    cz,
-    marker,
-    marker_definition,
-    ry,
-    tof,
-)
+from .circuit import KINDS, Circuit, Gate, ROLE_PRIMARY, ROLES, expand, marker
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
 # Widest qreg the parser accepts, far above the widest circuit synth
@@ -52,11 +42,11 @@ HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
 # error rather than a circuit the process cannot hold.
 QREG_LIMIT = 1 << 16
 
-_KIND_TO_QASM = {
-    "x": "x", "y": "y", "z": "z", "p": "s", "pdg": "sdg",
-    "t": "t", "tdg": "tdg", "h": "h",
-}
-_QASM_TO_KIND = {v: k for k, v in _KIND_TO_QASM.items()}
+# Statement names by gate kind, and kinds by statement name: the KINDS
+# names, plus ccx for a tof of two controls.
+_NAME = {kind: row.qasm for kind, row in KINDS.items()} | {"tof": "ccx"}
+_KIND = {name: kind for kind, name in _NAME.items()}
+_QUBIT_WORDS = {2: "two", 3: "three"}
 
 
 class QasmError(Exception):
@@ -105,32 +95,23 @@ def _parse_theta(text: str, line: int, col: int) -> int:
 
 
 def _basic_stmt(g: Gate, reg: str) -> str:
-    if g.kind in _KIND_TO_QASM:
-        return f"{_KIND_TO_QASM[g.kind]} {reg}[{g.target}];"
-    if g.kind == "ry":
-        return f"ry({_theta_str(g.param)}) {reg}[{g.target}];"
-    if g.kind == "cnot":
-        return f"cx {reg}[{g.controls[0]}],{reg}[{g.target}];"
-    if g.kind == "cz":
-        return f"cz {reg}[{g.controls[0]}],{reg}[{g.target}];"
-    if g.kind == "tof" and len(g.controls) == 2:
-        c1, c2 = g.controls
-        return f"ccx {reg}[{c1}],{reg}[{c2}],{reg}[{g.target}];"
-    raise UnsupportedGate(f"unsupported gate {g.kind}")
+    """One QASM statement for a ``KINDS`` gate without negative controls or
+    a tof of two positive controls."""
+    name = _NAME[g.kind]
+    c = g.controls
+    if not c:
+        if g.kind == "ry":
+            name = f"ry({_theta_str(g.param)})"
+        return f"{name} {reg}[{g.target}];"
+    if len(c) == 1:
+        return f"{name} {reg}[{c[0]}],{reg}[{g.target}];"
+    return f"{name} {reg}[{c[0]}],{reg}[{c[1]}],{reg}[{g.target}];"
 
 
-def _expansion(g: Gate) -> list[Gate]:
-    """Plain-gate expansion of a high-level gate, [] when impossible."""
-    if g.is_marker:
-        return marker_definition(g)
-    if g.kind == "tof" and len(g.controls) > 2:
-        return []  # would need ancillae; directive-only
-    if g.kind == "tof" and len(g.controls) < 2:
-        base = Gate("cnot" if g.controls else "x", g.controls, g.target)
-    else:
-        base = Gate(g.kind, g.controls, g.target, frozenset(), g.param)
-    wraps = [Gate("x", (), q) for q in sorted(g.neg)]
-    return wraps + [base] + list(reversed(wraps))
+def _wide(g: Gate) -> bool:
+    """A tof of three or more controls: it expands only with ancillae, so
+    its directive carries no statements."""
+    return g.kind == "tof" and len(g.controls) > 2
 
 
 def emit_qasm(circuit: Circuit) -> str:
@@ -140,8 +121,8 @@ def emit_qasm(circuit: Circuit) -> str:
     if any(r != ROLE_PRIMARY for r in circuit.roles):
         lines.append("// rphase: " + json.dumps({"roles": list(circuit.roles)}))
     for g in circuit.gates:
-        if g.is_marker or g.neg or (g.kind == "tof" and len(g.controls) != 2):
-            body = _expansion(g)
+        if g.neg or (g.kind not in KINDS and not (g.kind == "tof" and len(g.controls) == 2)):
+            body = [] if _wide(g) else expand(g)
             info: dict = {"controls": list(g.controls), "target": g.target,
                           "gates": len(body)}
             if g.is_marker:
@@ -226,7 +207,7 @@ def parse_qasm(text: str) -> Circuit:
                 raise QasmError("rphase directive inside the expansion of the "
                                 f"directive on line {pending[1]}", lineno, 1)
             if count == 0:
-                if _expansion(g):
+                if not _wide(g):
                     raise QasmError(f"rphase directive for {g} without its expansion", lineno, 1)
                 gates.append(g)
             else:
@@ -269,7 +250,7 @@ def parse_qasm(text: str) -> Circuit:
             if len(body) == count:
                 want = expansions.get(high)
                 if want is None:
-                    want = expansions[high] = _expansion(high)
+                    want = expansions[high] = expand(high)
                 if body != want:
                     raise QasmError(
                         f"expansion does not match the rphase directive's {high}", at, 1)
@@ -300,24 +281,16 @@ def _check_register(g: Gate, width: int, lineno: int) -> None:
 
 def _parse_gate(name: str, param: str | None, rest: str, reg: str, lineno: int) -> Gate:
     args = _parse_args(rest, reg, lineno)
-    if name in _QASM_TO_KIND:
-        if param is not None or len(args) != 1:
+    kind = _KIND.get(name)
+    if kind is None:
+        raise UnsupportedGate(f"unsupported gate {name!r}", lineno, 1)
+    row = KINDS.get(kind)
+    arity = row.controls + 1 if row else 3
+    if arity == 1:
+        if (param is None) == (kind == "ry") or len(args) != 1:
             raise QasmError(f"malformed {name} statement", lineno, 1)
-        return Gate(_QASM_TO_KIND[name], (), args[0])
-    if name == "ry":
-        if param is None or len(args) != 1:
-            raise QasmError("malformed ry statement", lineno, 1)
-        return ry(args[0], _parse_theta(param, lineno, 1))
-    if name == "cx":
-        if len(args) != 2:
-            raise QasmError("cx takes two qubits", lineno, 1)
-        return cx(args[0], args[1])
-    if name == "cz":
-        if len(args) != 2:
-            raise QasmError("cz takes two qubits", lineno, 1)
-        return cz(args[0], args[1])
-    if name == "ccx":
-        if len(args) != 3:
-            raise QasmError("ccx takes three qubits", lineno, 1)
-        return tof((args[0], args[1]), args[2])
-    raise UnsupportedGate(f"unsupported gate {name!r}", lineno, 1)
+        units = _parse_theta(param, lineno, 1) if param is not None else 0
+        return Gate(kind, (), args[0], param=units)
+    if len(args) != arity:
+        raise QasmError(f"{name} takes {_QUBIT_WORDS[arity]} qubits", lineno, 1)
+    return Gate(kind, tuple(args[:-1]), args[-1])

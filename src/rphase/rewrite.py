@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from .circuit import BLOCKS, Block, Circuit, Gate, marker, tof
+from .circuit import BLOCKS, KINDS, Block, Circuit, Gate, marker, tof
 from .verify import check_implements
 
 
@@ -49,9 +49,6 @@ class ArityMismatch(RewriteError):
 
 class SpecialFormViolated(RewriteError):
     pass
-
-
-_DIAGONAL_KINDS = frozenset({"z", "p", "pdg", "t", "tdg", "cz"})
 
 
 def _block_diagonal_controls(g: Gate) -> frozenset[int]:
@@ -92,11 +89,13 @@ class ConjugationMatch:
 
 def _blocks_prop1(g: Gate, target: int, controls: frozenset) -> bool:
     """Middle gate compatible with prop1: it stays off the pair's controls
-    and is block-diagonal in the pair's target -- a diagonal gate, or a
-    gate holding the target as a junk-free control."""
+    and is block-diagonal in the pair's target -- a diagonal gate (a
+    ``KINDS`` row with an omega exponent), or a gate holding the target as
+    a junk-free control."""
     if g.support & controls:
         return False
-    if g.kind in _DIAGONAL_KINDS:
+    row = KINDS.get(g.kind)
+    if row is not None and row.omega is not None:
         return True
     return target in _block_diagonal_controls(g)
 

@@ -200,15 +200,15 @@ def _scale_up(c: tuple[int, int, int, int], d: int) -> tuple[int, int, int, int]
     return (a0, a1, a2, a3)
 
 
+_OMEGA_POWERS = tuple(map(RingElement.omega_power, range(8)))
 ZERO = RingElement(0, 0, 0, 0)
-ONE = RingElement(1, 0, 0, 0)
+# w^0: the one object every collapsed phase of 1 is, so that comparing
+# such a phase with ONE is an identity test
+ONE = _OMEGA_POWERS[0]
 OMEGA = RingElement(0, 1, 0, 0)
 IMAG = RingElement(0, 0, 1, 0)
 SQRT2 = RingElement(0, 1, 0, -1)
 INV_SQRT2 = RingElement(1, 0, 0, 0, 1)
-
-
-_OMEGA_POWERS = tuple(map(RingElement.omega_power, range(8)))
 
 
 @functools.cache

@@ -50,7 +50,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .circuit import ROLE_CLEAN, Circuit, Gate, basis_bit
+from .circuit import KINDS, ROLE_CLEAN, Circuit, Gate, basis_bit
 from .ring import RingElement, as_omega_power
 
 FLOAT_TOL = 1e-9
@@ -87,19 +87,17 @@ class NotAPhasePermutation(SimulationError):
 #
 # A cp op fires on index i iff (i & ctl_mask) == ctl_value, which encodes
 # positive and negative controls uniformly; it then flips flip_mask and
-# multiplies the amplitude by w^w_exponent. x, cnot and tof flip the target
-# with no phase; z, p, pdg, t, tdg and cz are diagonal (the target, and a
-# cz's control, sit in the control mask); y is Z then iX, two cp ops; ry
-# is S^dagger, H, T^u, H, S. Every exponent is an integer in 0..7, except
-# the global op's for an odd ry-unit total: a half-integer, which only the
-# float kernel takes.
+# multiplies the amplitude by w^w_exponent. A diagonal kind (a KINDS row
+# with an omega exponent: z, p, pdg, t, tdg, cz) is one cp op with its
+# target, and its controls, in the control mask; x, cnot and tof flip the
+# target with no phase; y is Z then iX, two cp ops; ry is S^dagger, H,
+# T^u, H, S. Every exponent is an integer in 0..7, except the global op's
+# for an odd ry-unit total: a half-integer, which only the float kernel
+# takes.
 # ``fuse_ops`` folds each run of cp ops between Hadamards into one "pp"
 # op: ``table`` maps the run's bits of an index, i & qubit_mask, to its
 # output bits and the w exponent (mod 8) the run multiplies the amplitude
 # by.
-
-_PHASE_EXPONENT = {"z": 4, "p": 2, "pdg": 6, "t": 1, "tdg": 7}
-
 
 def _control_masks(width: int, g: Gate) -> tuple[int, int]:
     mask = value = 0
@@ -117,20 +115,18 @@ def compile_gate(g: Gate, width: int) -> tuple:
         raise MarkerInSimulation(f"marker gate in simulation: {g}")
     tb = basis_bit(width, g.target)
     kind = g.kind
-    if kind in ("x", "cnot", "tof"):
-        cm, cv = _control_masks(width, g)
-        return (("cp", cm, cv, tb, 0),)
     if kind == "h":
         return (("h", tb),)
     if kind == "ry":
         return (("cp", tb, tb, 0, 6), ("h", tb), ("cp", tb, tb, 0, g.param % 8),
                 ("h", tb), ("cp", tb, tb, 0, 2))
-    if kind == "cz":
-        cm, cv = _control_masks(width, g)
-        return (("cp", cm | tb, cv | tb, 0, 4),)
     if kind == "y":
         return (("cp", tb, tb, 0, 4), ("cp", 0, 0, tb, 2))
-    return (("cp", tb, tb, 0, _PHASE_EXPONENT[kind]),)
+    cm, cv = _control_masks(width, g)
+    row = KINDS.get(kind)
+    if row is not None and row.omega is not None:
+        return (("cp", cm | tb, cv | tb, 0, row.omega),)
+    return (("cp", cm, cv, tb, 0),)
 
 
 def compile_circuit(circuit: Circuit):
@@ -329,7 +325,11 @@ def run_column_float(ops, start: int):
 
 def same_phase(a, b) -> bool:
     """The one rule for comparing two amplitudes: two ring elements are
-    equal exactly, any other pair within FLOAT_TOL as complex numbers."""
+    equal exactly, any other pair within FLOAT_TOL as complex numbers. The
+    same object is equal to itself at once: each collapsed ring phase is
+    one of eight shared w^j objects."""
+    if a is b:
+        return True
     if isinstance(a, RingElement) and isinstance(b, RingElement):
         return a == b
     return abs(complex(a) - complex(b)) < FLOAT_TOL

@@ -180,11 +180,11 @@ def _unitaries_equal(a, b) -> bool:
 
 def _expand_markers(circ: Circuit) -> Circuit:
     """Markers to their defining gates; plain tof gates simulate natively."""
-    from rphase.catalog import marker_definition
+    from rphase.circuit import expand
 
     gates = []
     for g in circ.gates:
-        gates.extend(marker_definition(g) if g.is_marker else [g])
+        gates.extend(expand(g) if g.is_marker else [g])
     return Circuit(circ.width, gates, circ.roles)
 
 

@@ -397,12 +397,12 @@ def test_two_block_simulation():
 @pytest.mark.parametrize("n,k", [(4, 3), (6, 3), (6, 4), (7, 5), (8, 6)])
 def test_two_block_marker_level_simulation(n, k):
     """Markers expanded in place, wide tof blocks simulated natively."""
-    from rphase.catalog import marker_definition
+    from rphase.circuit import expand
 
     c = two_block_tofn(n, k)
     gates = []
     for g in c.gates:
-        gates.extend(marker_definition(g) if g.is_marker else [g])
+        gates.extend(expand(g) if g.is_marker else [g])
     expanded = Circuit(c.width, gates, c.roles)
     rep = check_implements(expanded, two_block_tofn_spec(n, k))
     assert rep.exact and rep.ancilla_ok, (n, k)

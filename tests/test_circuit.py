@@ -1,5 +1,6 @@
 """Circuit IR: gate validation, inversion, resource counting."""
 
+import cmath
 import pickle
 import random
 from dataclasses import fields, replace
@@ -7,7 +8,6 @@ from dataclasses import fields, replace
 import pytest
 
 from rphase.catalog import (
-    marker_definition,
     rtof3_long,
     rtof4_long,
     toffoli3,
@@ -15,6 +15,7 @@ from rphase.catalog import (
 from rphase.circuit import (
     Circuit,
     Gate,
+    KINDS,
     MARKER_BLOCKS,
     ROLE_CLEAN,
     ROLE_DIRTY,
@@ -22,6 +23,7 @@ from rphase.circuit import (
     _gate_counts,
     cx,
     cz,
+    expand,
     h,
     marker,
     ry,
@@ -30,6 +32,8 @@ from rphase.circuit import (
     tof,
     x,
 )
+from rphase.qasm import emit_qasm, parse_qasm
+from rphase.simulate import PhasePermutation, unitary_columns
 
 
 def test_gate_validation():
@@ -109,7 +113,7 @@ def test_marker_counts_match_their_definitions():
         n_ctl = 2 if kind not in ("rtof4l", "rt4s") else 3
         g = marker(kind, tuple(range(n_ctl)), n_ctl)
         direct = Circuit(n_ctl + 1, [g]).count_resources()
-        expanded = Circuit(n_ctl + 1, marker_definition(g)).count_resources()
+        expanded = Circuit(n_ctl + 1, expand(g)).count_resources()
         assert direct.counts() == expanded.counts(), kind
 
 
@@ -166,21 +170,25 @@ def _count_reference(circuit):
 
 
 def _random_countable(rng, width, length, wide=False):
-    """Every plain kind, ry, cx/cz and tofs of 0-2 controls with negative
+    """Every ``KINDS`` kind (ry of -8..8 units, the two-qubit kinds with or
+    without a negative control), tofs of 0-2 controls with negative
     controls, every marker either way round, and (when ``wide``) tofs of
     3-4 controls."""
     def qubits(k):
         return rng.sample(range(width), k)
+    plain = sorted(k for k, row in KINDS.items() if row.controls == 0 and k != "ry")
+    two = sorted(k for k, row in KINDS.items() if row.controls == 1)
     gates = []
     for _ in range(length):
         shape = rng.randrange(6 if wide else 5)
         if shape == 0:
-            gates.append(Gate(rng.choice(("x", "y", "z", "p", "pdg", "t", "tdg", "h")), (),
-                              rng.randrange(width)))
+            gates.append(Gate(rng.choice(plain), (), rng.randrange(width)))
         elif shape == 1:
             gates.append(ry(rng.randrange(width), rng.randint(-8, 8)))
         elif shape == 2:
-            gates.append(rng.choice((cx, cz))(*qubits(2)))
+            c, target = qubits(2)
+            gates.append(Gate(rng.choice(two), (c,), target,
+                              frozenset({c}) if rng.random() < 0.5 else frozenset()))
         elif shape == 3:
             *controls, target = qubits(rng.randint(1, 3))
             gates.append(tof(controls, target, rng.sample(controls, rng.randint(0, len(controls)))))
@@ -241,3 +249,68 @@ def test_stored_support_leaves_gate_identity_unchanged():
     m = marker("rt4s", (0, 1, 2), 3)
     assert replace(m, dagger=True) == m.inverse() and m.inverse().support == m.support
     assert pickle.loads(pickle.dumps(g)) == g and pickle.loads(pickle.dumps(g)).support == g.support
+
+
+# -- the KINDS table, against facts that do not read it ----------------------
+
+# qelib1.inc statement names
+QELIB_NAMES = {"x": "x", "y": "y", "z": "z", "p": "s", "pdg": "sdg", "t": "t",
+               "tdg": "tdg", "h": "h", "ry": "ry", "cnot": "cx", "cz": "cz"}
+# textbook diagonals over the gate's qubits, control first
+_W = cmath.exp(1j * cmath.pi / 4)
+TEXTBOOK_DIAGONALS = {
+    "z": (1, -1), "p": (1, 1j), "pdg": (1, -1j), "t": (1, _W), "tdg": (1, _W.conjugate()),
+    "cz": (1, 1, 1, -1),
+}
+
+
+def _gate_of(kind):
+    """A gate of ``kind`` on qubits 0, 1: control 0 if it takes one."""
+    if KINDS[kind].controls:
+        return Gate(kind, (0,), 1)
+    return Gate(kind, (), 0, param=3 if kind == "ry" else 0)
+
+
+def test_kinds_are_the_eleven_elementary_gates():
+    assert set(KINDS) == set(QELIB_NAMES)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_a_gate_then_its_inverse_is_the_identity(kind):
+    g = _gate_of(kind)
+    width = len(g.support)
+    u = unitary_columns(Circuit(width, [g, g.inverse()]))
+    assert u == unitary_columns(Circuit(width))
+    if KINDS[kind].controls:
+        negated = Gate(kind, (0,), 1, frozenset({0}))
+        assert unitary_columns(Circuit(2, [negated, negated.inverse()])) == u
+    else:
+        with pytest.raises(ValueError, match=f"^{kind} takes no controls$"):
+            Gate(kind, (1,), 0)
+    if KINDS[kind].controls == 1:
+        with pytest.raises(ValueError, match=f"^{kind} takes exactly one control$"):
+            Gate(kind, (), 0)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_a_kinds_qasm_name_round_trips(kind):
+    g = _gate_of(kind)
+    c = Circuit(len(g.support), [g])
+    text = emit_qasm(c)
+    assert KINDS[kind].qasm == QELIB_NAMES[kind]
+    assert text.splitlines()[-1].split(" ")[0].split("(")[0] == QELIB_NAMES[kind]
+    assert parse_qasm(text) == c
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_a_kinds_omega_exponent_is_its_textbook_diagonal(kind):
+    g = _gate_of(kind)
+    width = len(g.support)
+    u = unitary_columns(Circuit(width, [g]), backend="float")
+    diagonal = isinstance(u, PhasePermutation) and u.perm == tuple(range(1 << width))
+    omega = KINDS[kind].omega
+    assert diagonal == (kind in TEXTBOOK_DIAGONALS) == (omega is not None)
+    if diagonal:
+        want = TEXTBOOK_DIAGONALS[kind]
+        assert all(abs(a - b) < 1e-9 for a, b in zip(u.phases, want))
+        assert abs(_W ** omega - want[-1]) < 1e-9

@@ -1,12 +1,15 @@
 """Lowering: marker expansion, tof chains, ancilla budgets."""
 
 import hashlib
+from itertools import combinations
 
 import pytest
 
 from rphase.catalog import cnu_parallel, ladder_tofn, rtof3_long, toffoli3, two_block_tofn
 from rphase.circuit import (
     Circuit,
+    Gate,
+    MARKER_BLOCKS,
     ROLE_CLEAN,
     ROLE_PRIMARY,
     ROLE_DIRTY,
@@ -16,10 +19,12 @@ from rphase.circuit import (
     p,
     pdg,
     tof,
+    x,
     y,
     z,
 )
 from rphase.lowering import AncillaBudgetExceeded, lower
+from rphase.qasm import emit_qasm, parse_qasm
 from rphase.verify import check_implements
 
 
@@ -121,3 +126,51 @@ def test_lower_output_is_pinned():
     for circuit, length, digest in cases:
         low = lower(circuit)
         assert (len(low.gates), _digest(low)) == (length, digest)
+
+
+# -- the expansion rule -----------------------------------------------------
+
+def _expandable_gates():
+    """Every tof of 0-2 controls with every subset of negative controls,
+    every two-qubit kind with and without a negative control, and every
+    marker either way round."""
+    gates = []
+    for n in range(3):
+        controls = tuple(range(n))
+        for r in range(n + 1):
+            for neg in combinations(controls, r):
+                gates.append(tof(controls, n, neg))
+    for kind in ("cnot", "cz"):
+        gates += [Gate(kind, (0,), 1), Gate(kind, (0,), 1, frozenset({0}))]
+    for kind, block in sorted(MARKER_BLOCKS.items()):
+        *controls, target = range(block.arity)
+        gates += [marker(kind, controls, target), marker(kind, controls, target, dagger=True)]
+    return gates
+
+
+@pytest.mark.parametrize("g", _expandable_gates(), ids=str)
+def test_a_gate_counts_and_lowers_as_its_qasm_expansion(g):
+    """count_resources of the gate equals that of its lowering, and the
+    statements its QASM directive carries (what a reader that skips the
+    directive sees) lower to the same gates as the gate."""
+    c = Circuit(len(g.support), [g])
+    low = lower(c)
+    assert low.is_lowered()
+    r, lr = c.count_resources(), low.count_resources()
+    assert (r.t, r.cnot, r.h, r.pz, r.other) == (lr.t, lr.cnot, lr.h, lr.pz, lr.other)
+    text = emit_qasm(c)
+    plain = "\n".join(line for line in text.splitlines() if not line.startswith("//"))
+    assert lower(parse_qasm(plain)) == low
+    assert parse_qasm(text) == c
+
+
+@pytest.mark.parametrize("kind", ["cnot", "cz"])
+def test_a_negatively_controlled_two_qubit_gate_is_not_lowered(kind):
+    """A circuit is lowered when every gate is a KINDS kind with no
+    negative controls: lower rewrites a negative control as an X pair, and
+    emit_qasm writes it as a directive."""
+    c = Circuit(2, [Gate(kind, (0,), 1, frozenset({0}))])
+    assert not c.is_lowered()
+    low = lower(c)
+    assert low.is_lowered() and low.gates == (x(0), Gate(kind, (0,), 1), x(0))
+    assert "// rphase" in emit_qasm(c) and "// rphase" not in emit_qasm(low)

@@ -13,7 +13,8 @@ from rphase.catalog import (
     tofn_clean,
 )
 from rphase.circuit import (
-    BLOCKS, MARKER_BLOCKS, ONE_QUBIT_KINDS, ROLES, Circuit, Gate, cx, cz, h, marker, ry, tof)
+    BLOCKS, KINDS, MARKER_BLOCKS, ROLES, Circuit, Gate, cx, cz, h, marker, ry, tof)
+from rphase.lowering import AncillaBudgetExceeded, lower
 from rphase.qasm import QasmError, UnsupportedGate, emit_qasm, parse_qasm
 
 
@@ -240,26 +241,31 @@ def test_round_trip_is_identity_on_emitted_text():
 
 @st.composite
 def qasm_circuits(draw):
-    """Circuits of 1-7 qubits with every plain one-qubit kind, ry of -8..8
-    units, cx and cz, tofs of 0-4 controls with negative controls, every
-    marker kind either way round, and random roles."""
+    """Circuits of 1-7 qubits with every one-qubit ``KINDS`` kind, ry of
+    -8..8 units, the two-qubit ``KINDS`` kinds with or without a negative
+    control, tofs of 0-4 controls with negative controls, every marker
+    kind either way round, and random roles."""
     width = draw(st.integers(1, 7))
     qubit = st.integers(0, width - 1)
 
     def wires(k):
         return draw(st.lists(qubit, min_size=k, max_size=k, unique=True))
 
+    plain = sorted(k for k, row in KINDS.items() if row.controls == 0 and k != "ry")
+    two = sorted(k for k, row in KINDS.items() if row.controls == 1)
     markers = sorted(k for k, b in MARKER_BLOCKS.items() if b.arity <= width)
     shapes = ["plain", "ry", "tof"] + ["two"] * (width > 1) + ["marker"] * bool(markers)
     gates = []
     for _ in range(draw(st.integers(0, 12))):
         shape = draw(st.sampled_from(shapes))
         if shape == "plain":
-            gates.append(Gate(draw(st.sampled_from(sorted(ONE_QUBIT_KINDS - {"ry"}))), (), draw(qubit)))
+            gates.append(Gate(draw(st.sampled_from(plain)), (), draw(qubit)))
         elif shape == "ry":
             gates.append(ry(draw(qubit), draw(st.integers(-8, 8))))
         elif shape == "two":
-            gates.append(draw(st.sampled_from((cx, cz)))(*wires(2)))
+            c, target = wires(2)
+            neg = frozenset({c}) if draw(st.booleans()) else frozenset()
+            gates.append(Gate(draw(st.sampled_from(two)), (c,), target, neg))
         elif shape == "tof":
             *controls, target = wires(draw(st.integers(1, min(5, width))))
             neg = draw(st.sets(st.sampled_from(controls))) if controls else ()
@@ -276,3 +282,19 @@ def qasm_circuits(draw):
 @given(qasm_circuits())
 def test_parse_inverts_emit_on_random_circuits(c):
     assert parse_qasm(emit_qasm(c)) == c
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(qasm_circuits())
+def test_a_circuit_is_lowered_iff_lower_leaves_it_as_it_is(c):
+    """is_lowered holds exactly when lower has nothing to rewrite, and a
+    lowered circuit emits no gate directive."""
+    try:
+        low = lower(c)
+    except AncillaBudgetExceeded:
+        assert not c.is_lowered()
+        return
+    assert c.is_lowered() == (low == c)
+    assert low.is_lowered()
+    if c.is_lowered():
+        assert '"gates"' not in emit_qasm(c)

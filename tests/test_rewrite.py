@@ -144,8 +144,7 @@ def test_junk_marker_middle_still_sound():
     """A truncated marker in the middle with the pair's target among its
     controls: markers are block-diagonal in every control, so the prop1
     replacement stays exact."""
-    from rphase.catalog import marker_definition
-    from rphase.circuit import marker
+    from rphase.circuit import expand, marker
 
     mid = marker("rtof3s", (3, 2), 4)  # pair target 2 sits in the junk role
     c = Circuit(5, [tof((0, 1), 2), mid, tof((0, 1), 2)])
@@ -153,13 +152,13 @@ def test_junk_marker_middle_still_sound():
     assert m.classification == "prop1"
     out = _replaced(c, m, "rtof3_long")
 
-    def expand(circ):
+    def expand_markers(circ):
         gates = []
         for g in circ.gates:
-            gates.extend(marker_definition(g) if g.is_marker else [g])
+            gates.extend(expand(g) if g.is_marker else [g])
         return Circuit(circ.width, gates, circ.roles)
 
-    assert same_unitary(expand(c), expand(out))
+    assert same_unitary(expand_markers(c), expand_markers(out))
 
 
 def test_forced_bad_replacement_changes_unitary():
@@ -365,14 +364,14 @@ def test_every_marker_is_block_diagonal_in_its_controls():
     """Load-bearing for prop1 matching: a marker in the middle block may be
     treated as controlled on each of its control qubits, i.e. its unitary
     never mixes the control's 0- and 1-subspaces."""
-    from rphase.circuit import MARKER_BLOCKS, marker, marker_definition
+    from rphase.circuit import MARKER_BLOCKS, expand, marker
     from rphase.simulate import DenseMatrix
 
     for kind in sorted(MARKER_BLOCKS):
         nc = MARKER_BLOCKS[kind].arity - 1
         width = nc + 1
         g = marker(kind, tuple(range(nc)), nc)
-        u = unitary_columns(Circuit(width, marker_definition(g)))
+        u = unitary_columns(Circuit(width, expand(g)))
         for ctl in range(nc):
             bit = 1 << (width - 1 - ctl)
             if isinstance(u, DenseMatrix):
@@ -399,7 +398,7 @@ def test_engine_rewrites_full_borrowed_ancilla_ladder():
     base = unitary_columns(circ)
     assert base.perm[0b111110000] == 0b111110001  # it is TOF^6(0..4; 8)
 
-    from rphase.catalog import marker_definition
+    from rphase.circuit import expand
 
     def pick(m):
         order = ["rtof3_long", "srts3", "srtof3_ccix", "rtof4_long"]
@@ -425,6 +424,6 @@ def test_engine_rewrites_full_borrowed_ancilla_ladder():
     assert all(g.is_marker for g in work.gates)
     expanded = []
     for g in work.gates:
-        expanded.extend(marker_definition(g))
+        expanded.extend(expand(g))
     after = unitary_columns(Circuit(9, expanded))
     assert after.perm == base.perm and list(after.phases) == list(base.phases)

@@ -38,6 +38,25 @@ def test_check_tof4_clean_exact():
     assert rep.backend == "ring"
 
 
+def test_an_exact_check_compares_shared_phases_by_identity(monkeypatch):
+    """Every collapsed ring phase is one of the eight shared w^j objects,
+    and ring.ONE is w^0, so an exact check of a construction whose phases
+    are all 1 decides every phase verdict by identity, with no
+    RingElement.__eq__ call."""
+    circuit, spec = tofn(6, "clean")
+    calls = []
+    real = RingElement.__eq__
+
+    def counted(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(RingElement, "__eq__", counted)
+    rep = check_implements(circuit, spec)
+    assert rep.exact and rep.global_phase and rep.ancilla_ok
+    assert calls == []
+
+
 def test_check_rtof3_long_relative_only():
     spec = TargetSpec("rtof", (0, 1), 2, equivalence="relative_phase")
     rep = check_implements(rtof3_long(), spec)
