@@ -5,12 +5,14 @@ input error (including a file that is not UTF-8 text, a circuit too wide
 to simulate, and a qreg read or a circuit requested wider than
 ``qasm.QREG_LIMIT``), 3 internal error:
 any other exception, reported on one line without a traceback.
-``verify`` runs every column in this process (see ``simulate``).
+``verify`` runs every column in this process (see ``simulate``), and
+``main`` builds one argument parser per process, on its first call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -291,7 +293,10 @@ def cmd_table(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first call: its
+    subcommands keep the ``cmd_*`` functions they were bound to then."""
     parser = argparse.ArgumentParser(
         prog="rphase",
         description="Synthesize, verify and rewrite multiple-control "

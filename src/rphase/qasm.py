@@ -286,11 +286,12 @@ def _parse_gate(name: str, param: str | None, rest: str, reg: str, lineno: int) 
         raise UnsupportedGate(f"unsupported gate {name!r}", lineno, 1)
     row = KINDS.get(kind)
     arity = row.controls + 1 if row else 3
-    if arity == 1:
-        if (param is None) == (kind == "ry") or len(args) != 1:
-            raise QasmError(f"malformed {name} statement", lineno, 1)
-        units = _parse_theta(param, lineno, 1) if param is not None else 0
-        return Gate(kind, (), args[0], param=units)
+    # ry, and only ry, takes a parameter
+    if (param is None) == (kind == "ry") or (arity == 1 and len(args) != 1):
+        raise QasmError(f"malformed {name} statement", lineno, 1)
     if len(args) != arity:
         raise QasmError(f"{name} takes {_QUBIT_WORDS[arity]} qubits", lineno, 1)
+    if arity == 1:
+        units = _parse_theta(param, lineno, 1) if param is not None else 0
+        return Gate(kind, (), args[0], param=units)
     return Gate(kind, tuple(args[:-1]), args[-1])

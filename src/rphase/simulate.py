@@ -1,14 +1,15 @@
 """Sparse statevector simulation with an exact ring backend.
 
 States are maps from basis index to amplitude. The ring backend keeps one
-global sqrt(2)-denominator exponent for the whole state and stores each
-amplitude as a 4-tuple of integer coefficients of (1, w, w^2, w^3), so a
-Hadamard only bumps the shared exponent and adds integers: Clifford+T
-circuits simulate with zero rounding error. The float backend stores
-complex amplitudes: it is the ``backend="float"`` oracle, and the
-automatic choice only when the ry units sum to an odd number. Both
-kernels return (amplitudes, k, max_support) per column, k = 0 for floats:
-the ring kernel for each column of a batch, the float kernel for one.
+global sqrt(2)-denominator exponent k and packs each numerator's four
+coefficients into one integer's base-2^L digits, each at most 2^h in
+magnitude after h Hadamards (see the ring kernel): a Hadamard only bumps
+k and adds integers, so Clifford+T circuits simulate with zero rounding
+error. The float backend stores complex amplitudes: it is the
+``backend="float"`` oracle, and the automatic choice only for an odd
+ry-unit total. Both kernels return (amplitudes, k, max_support) per
+column, ring amplitudes as coefficient 4-tuples, k = 0 for floats: the
+ring kernel for each column of a batch, the float kernel for one.
 
 Every gate but h compiles to "cp" ops: a controlled bit flip times a
 power of w, the action of a phase permutation on one basis index. As
@@ -181,30 +182,16 @@ def _run_table(run, mask):
 
 
 # -- ring kernel ----------------------------------------------------------
-
-def _omega_mul(c, e):
-    """Coefficient 4-tuple times w^e, for any integer e (w^8 = 1)."""
-    c0, c1, c2, c3 = c
-    e %= 8
-    if e == 0:
-        return c
-    if e == 1:
-        return (-c3, c0, c1, c2)
-    if e == 2:
-        return (-c2, -c3, c0, c1)
-    if e == 3:
-        return (-c1, -c2, -c3, c0)
-    if e == 4:
-        return (-c0, -c1, -c2, -c3)
-    if e == 5:
-        return (c3, -c0, -c1, -c2)
-    if e == 6:
-        return (c2, c3, -c0, -c1)
-    return (c1, c2, c3, -c0)
-
-
-_ZERO4 = (0, 0, 0, 0)
-
+#
+# Z[w] is Z[x]/(x^4 + 1), so the kernel holds each numerator
+# c0 + c1 w + c2 w^2 + c3 w^3 as the one integer E = c0 + c1 B + c2 B^2
+# + c3 B^3 at B = 2^L, with L two more than the number of h ops. A cp or
+# pp rotation only permutes coefficients and flips signs, and an h op at
+# most doubles the largest |coefficient|, so after h of them every
+# |coefficient| <= 2^h < B/2: each one is one balanced base-B digit of E,
+# E is the balanced residue of its class mod N = B^4 + 1, and w^e is
+# (E << e L) mod N taken to the balanced residue. An h op adds, subtracts
+# or negates whole integers, and E = 0 iff the amplitude is 0.
 
 def run_column_ring(ops, starts, width: int):
     """Propagate the basis states ``starts`` of a ``width``-qubit circuit
@@ -218,7 +205,10 @@ def run_column_ring(ops, starts, width: int):
     partner (its index with the h bit flipped) writes no output twice and
     doubles every column's support; after any other, the supports are
     recounted, so each column's max_support is its own."""
-    amps = {n << width | s: (1, 0, 0, 0) for n, s in enumerate(starts)}
+    digit = sum(op[0] == "h" for op in ops) + 2  # L: bits per coefficient
+    modulus = (1 << 4 * digit) + 1               # N = B^4 + 1
+    half = modulus >> 1
+    amps = {n << width | s: 1 for n, s in enumerate(starts)}
     k = 0
     base = [1] * len(amps)  # each column's support at the last recount
     peak = list(base)       # each column's max_support up to that recount
@@ -231,7 +221,11 @@ def run_column_ring(ops, starts, width: int):
             new = {}
             for i, a in amps.items():
                 o, e = table[i & mask]
-                new[i & keep | o] = _omega_mul(a, e) if e else a
+                if e:
+                    a = (a << e * digit) % modulus
+                    if a > half:
+                        a -= modulus
+                new[i & keep | o] = a
             amps = new
         elif code == "h":
             tb = op[1]
@@ -245,18 +239,16 @@ def run_column_ring(ops, starts, width: int):
                     # a lone term: no other term meets it, so nothing cancels
                     if i & tb:
                         new[i ^ tb] = c
-                        new[i] = (-c[0], -c[1], -c[2], -c[3])
+                        new[i] = -c
                     else:
                         new[i] = new[i | tb] = c
                 elif not i & tb:
                     paired = True
-                    c0, c1, c2, c3 = c
-                    d0, d1, d2, d3 = d
-                    a = (c0 + d0, c1 + d1, c2 + d2, c3 + d3)
-                    if a != _ZERO4:
+                    a = c + d
+                    if a:
                         new[i] = a
-                    a = (c0 - d0, c1 - d1, c2 - d2, c3 - d3)
-                    if a != _ZERO4:
+                    a = c - d
+                    if a:
                         new[i | tb] = a
             amps = new
             if not paired:
@@ -272,18 +264,29 @@ def run_column_ring(ops, starts, width: int):
             doubled = 0
         else:
             _, cm, cv, flip, e = op
+            s = e * digit
             new = {}
             for i, a in amps.items():
                 if (i & cm) == cv:
                     i ^= flip
-                    if e:
-                        a = _omega_mul(a, e)
+                    if s:
+                        a = (a << s) % modulus
+                        if a > half:
+                            a -= modulus
                 new[i] = a
             amps = new
+    # E + offset has every balanced digit raised by B/2 into [0, B): read
+    # the four digits with no borrow, then lower each again
+    lift = 1 << digit - 1
+    offset = sum(lift << j * digit for j in range(4))
+    low_digit = (1 << digit) - 1
     columns = [{} for _ in base]
     low = (1 << width) - 1
     for i, a in amps.items():
-        columns[i >> width][i & low] = a
+        u = a + offset
+        columns[i >> width][i & low] = (
+            (u & low_digit) - lift, (u >> digit & low_digit) - lift,
+            (u >> 2 * digit & low_digit) - lift, (u >> 3 * digit) - lift)
     return [(c, k, max(p, b << doubled)) for c, p, b in zip(columns, peak, base)]
 
 

@@ -677,6 +677,7 @@ _DIRECTIVE_SOURCES = (
 )
 _DIRECTIVE_VALUES = (b"1e400", b"-1", b"true", b"2.5", b'"0"', b"[]", b"null")
 _DAGGER_VALUES = (b'"no"', b"1", b"[0]", b"null")
+_PARAMETER_STATEMENTS = (b"cx(pi/4) q[0],q[1];", b"ccx(0) q[0],q[1],q[2];", b"cz(1) q[0],q[1];")
 # a number in a directive's JSON: a qubit or a statement count, not a digit
 # inside a name such as rtof3l
 _DIRECTIVE_NUMBER = re.compile(rb"(?<=[\[ ,:])\d+")
@@ -734,8 +735,8 @@ def test_mutated_files_keep_the_exit_code_contract(capsys, tmp_path):
     """Mutants of synth outputs, an R_Y file among them, and of files with
     marker and negative-control directives (a number or a key changed),
     exit 0, 1 or 2 under count, verify and rewrite: never 3, never an
-    escaped exception. A marker directive whose "dagger" is no JSON bool
-    exits 2 naming its line."""
+    escaped exception. A marker directive whose "dagger" is no JSON bool,
+    and a parameter on a cx, ccx or cz statement, exit 2 naming the line."""
     sources = []
     for argv in _FUZZ_SOURCES:
         code, out, _ = run(capsys, "synth", *argv)
@@ -768,6 +769,17 @@ def test_mutated_files_keep_the_exit_code_contract(capsys, tmp_path):
                 for command in ("count", "verify", "rewrite"):
                     code, _, err = run(capsys, command, str(path))
                     assert code == 2 and f"line {i + 1}," in err, (command, err, value)
+    # a parenthesised parameter on a statement of two or more qubits
+    for source in sources:
+        lines = source.split(b"\n")
+        at = next(i for i, line in enumerate(lines) if line.startswith(b"qreg")) + 1
+        for statement in _PARAMETER_STATEMENTS:
+            path.write_bytes(b"\n".join(lines[:at] + [statement] + lines[at:]))
+            name = statement.split(b"(")[0].decode()
+            for command in ("count", "verify", "rewrite"):
+                code, _, err = run(capsys, command, str(path))
+                assert code == 2 and f"line {at + 1}, col 1: malformed {name} statement" in err, (
+                    command, err, statement)
 
 
 # options per subcommand and values for each, valid or not; numbers stay
@@ -814,10 +826,10 @@ def _fuzz_argv(rng, inputs, outs):
     return ([command] if command else []) + [t for unit in units for t in unit]
 
 
-def test_fuzzed_argv_keeps_the_exit_code_contract(capsys, tmp_path):
-    """Seeded argv vectors over the five subcommands exit 0, 1 or 2: never
-    3, never an escaped exception. Every input has at most 8 qubits, and
-    no output path is an input, so every run is quick."""
+def _fuzz_paths(capsys, tmp_path):
+    """The input and output paths ``_fuzz_argv`` draws from. Every input
+    has at most 8 qubits, and no output path is an input, so every run is
+    quick."""
     files = []
     for k, argv in enumerate(_FUZZ_SOURCES):
         files.append(tmp_path / f"synth{k}.qasm")
@@ -830,11 +842,73 @@ def test_fuzzed_argv_keeps_the_exit_code_contract(capsys, tmp_path):
     inputs = [str(tmp_path), str(tmp_path / "missing.qasm"), *map(str, files)]
     outs = [str(tmp_path / "out.qasm"), str(tmp_path / "out.json"),
             str(tmp_path / "no" / "out.qasm")]
+    return inputs, outs
+
+
+def test_fuzzed_argv_keeps_the_exit_code_contract(capsys, tmp_path):
+    """Seeded argv vectors over the five subcommands exit 0, 1 or 2: never
+    3, never an escaped exception."""
+    inputs, outs = _fuzz_paths(capsys, tmp_path)
     rng = random.Random(2027)
     for _ in range(1000):
         argv = _fuzz_argv(rng, inputs, outs)
         code, _, err = run(capsys, *argv)
         assert code in (0, 1, 2), (argv, err)
+
+
+def test_main_builds_one_parser_per_process(capsys, tmp_path, monkeypatch):
+    """20 main() calls over every subcommand, a usage error, --help and
+    rewrite with and without --rules construct the parsers of one build."""
+    path, out = tmp_path / "t3.qasm", tmp_path / "out.qasm"
+    path.write_text(emit_qasm(toffoli3()))
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **kw: built.append(self) or init(self, *a, **kw))
+    cli.build_parser.__wrapped__()
+    one_build = len(built)
+    built.clear()
+    cli.build_parser.cache_clear()
+    calls = [
+        (("synth", "--gate", "toffoli3", "--out", str(out)), 0),
+        (("count", str(path)), 0),
+        (("verify", str(path)), 0),
+        (("rewrite", str(path)), 0),
+        (("rewrite", str(path), "--rules", "cancel"), 0),
+        (("table", "--n-list", "4,5"), 0),
+        (("synth",), 2),
+        (("--help",), 0),
+        (("synth", "--help"), 0),
+        (("verify", str(path), "--class", "global_phase"), 0),
+        (("count", str(tmp_path / "missing.qasm")), 2),
+        (("bogus",), 2),
+        (("table", "--csv"), 0),
+        (("rewrite", str(path), "--rules", "prop1", "--out", str(out)), 0),
+        (("synth", "--gate", "tof", "--n", "4", "--format", "json"), 0),
+        (("verify", str(path), "--target", "tof", "--n", "3"), 0),
+        (("table", "--n-list", "x"), 2),
+        (("count", str(out)), 0),
+        (("rewrite", str(path), "--rules", "prop1,prop2,cancel"), 0),
+        (("verify", str(path), "--layout", "ctrl,ctrl,target"), 0),
+    ]
+    for argv, code in calls:
+        assert run(capsys, *argv)[0] == code, argv
+    assert one_build > 1 and len(built) == one_build
+    cli.build_parser.cache_clear()
+
+
+def test_the_cached_parser_answers_as_a_fresh_one(capsys, tmp_path, monkeypatch):
+    """200 seeded fuzzed argv vectors give the same exit code, stdout and
+    stderr through the cached parser as through a parser built for the
+    call."""
+    inputs, outs = _fuzz_paths(capsys, tmp_path)
+    rng = random.Random(2028)
+    for _ in range(200):
+        argv = _fuzz_argv(rng, inputs, outs)
+        cached = run(capsys, *argv)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+            assert run(capsys, *argv) == cached, argv
 
 
 def test_verify_cost_follows_the_qubits_that_are_not_clean(tmp_path):

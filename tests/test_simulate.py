@@ -296,11 +296,108 @@ def test_fusion_folds_every_run_between_hadamards():
     assert [op[0] for op in fuse_ops(ops)] == ["pp", "cp", "cp", "cp"]
 
 
-def test_omega_mul_takes_every_exponent():
+def _rotated(c, e):
+    """Coefficient 4-tuple times w^e, one w at a time (w^4 = -1)."""
+    for _ in range(e % 8):
+        c = (-c[3], c[0], c[1], c[2])
+    return c
+
+
+def _sum_of_paths(c):
+    """Ops on 4 qubits whose column 0 holds 2c at output 0: h on each
+    qubit, one cp op per path of the 16 giving it a power of w, h on each
+    qubit again. The paths' powers sum to 2c, padded with pairs 1 + w^4."""
+    powers = [j if v > 0 else j + 4 for j, v in enumerate(c) for _ in range(2 * abs(v))]
+    powers += [0, 4] * ((16 - len(powers)) // 2)
+    layer = [("h", 1 << q) for q in range(4)]
+    return layer + [("cp", 15, path, 0, e) for path, e in enumerate(powers)] + layer
+
+
+def test_a_cp_op_rotates_every_coefficient_case_by_each_exponent():
+    """Each coefficient 4-tuple in -2..2 reaches output 0 (as 2c over
+    sqrt(2)^8), then one global cp op multiplies every amplitude by w^e."""
     for c in itertools.product(range(-2, 3), repeat=4):
-        a = RingElement(*c)
-        for e in range(-8, 9):
-            assert RingElement(*simulate._omega_mul(c, e)) == a * RingElement.omega_power(e), (c, e)
+        ops = _sum_of_paths(c)
+        (before, k, _), = run_column_ring(ops, [0], 4)
+        assert before.get(0, (0, 0, 0, 0)) == tuple(2 * v for v in c) and k == 8, c
+        for e in range(8):
+            (after, k_after, _), = run_column_ring(ops + [("cp", 0, 0, 0, e)], [0], 4)
+            assert k_after == k and after == {i: _rotated(a, e) for i, a in before.items()}, (c, e)
+
+
+def test_large_coefficients_decode_exactly():
+    """Numerators 2^j (1 + w) and 2^j (1 - w), times each w^e, come back
+    as exact 4-tuples for j = 0..64: coefficients at +-2^j in every
+    position, past any machine word; and w^e with no h op, where a
+    coefficient has two bits."""
+    for e in range(8):
+        assert run_column_ring([("cp", 0, 0, 0, e)], [0], 1) == [
+            ({0: _rotated((1, 0, 0, 0), e)}, 0, 1)]
+    for j in range(65):
+        ops = [("h", 2), ("cp", 2, 2, 0, 1), ("h", 2)] + [("h", 1)] * (2 * j)
+        for e in range(8):
+            (amps, k, _), = run_column_ring(ops + [("cp", 0, 0, 0, e)], [0], 2)
+            big = 1 << j
+            assert k == 2 * j + 2
+            assert amps == {0: _rotated((big, big, 0, 0), e),
+                            2: _rotated((big, -big, 0, 0), e)}, (j, e)
+
+
+@st.composite
+def hadamard_heavy_circuits(draw):
+    """Clifford+T circuits of 1-4 qubits and at most 60 gates, at least 30
+    of them h, so the kernel packs each amplitude into 128 bits or more."""
+    width = draw(st.integers(1, 4))
+    qubit = st.integers(0, width - 1)
+    hadamards = draw(st.integers(30, 60))
+    gates = [h(draw(qubit)) for _ in range(hadamards)]
+    for _ in range(draw(st.integers(0, 60 - hadamards))):
+        if width > 1 and draw(st.booleans()):
+            a, b = draw(st.lists(qubit, min_size=2, max_size=2, unique=True))
+            gates.append(draw(st.sampled_from((cx, cz)))(a, b))
+        else:
+            gates.append(draw(st.sampled_from((t, tdg, p, pdg, x, y, z)))(draw(qubit)))
+    return Circuit(width, draw(st.permutations(gates)))
+
+
+# the diagonal of each one-qubit phase kind on |1>, as a power of w
+_PHASE_POWERS = {"z": 4, "p": 2, "pdg": 6, "t": 1, "tdg": 7}
+
+
+def _ring_column(circuit, start):
+    """Column ``start`` of the circuit, gate by gate in RingElement
+    arithmetic: a reference that shares no code with the kernel."""
+    width = circuit.width
+    state = {start: ONE}
+    for g in circuit.gates:
+        bit = 1 << (width - 1 - g.target)
+        ctl = sum(1 << (width - 1 - q) for q in g.controls)
+        new = {}
+        for i, a in state.items():
+            if g.kind == "h":
+                for o, v in ((i & ~bit, a), (i | bit, -a if i & bit else a)):
+                    new[o] = new.get(o, ZERO) + v * INV_SQRT2
+            elif g.kind in ("x", "cnot"):
+                new[i ^ bit if i & ctl == ctl else i] = a
+            elif g.kind == "y":
+                new[i ^ bit] = -IMAG * a if i & bit else IMAG * a
+            elif g.kind == "cz":
+                new[i] = -a if i & (ctl | bit) == ctl | bit else a
+            else:
+                new[i] = a * RingElement.omega_power(_PHASE_POWERS[g.kind]) if i & bit else a
+        state = {i: a for i, a in new.items() if not a.is_zero()}
+    return state
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(hadamard_heavy_circuits())
+def test_the_packed_kernel_equals_ring_element_arithmetic(c):
+    ops = compile_circuit(c)
+    starts = range(1 << c.width)
+    expected = [_ring_column(c, s) for s in starts]
+    for variant in (ops, fuse_ops(ops)):
+        for s, (amps, k, _) in zip(starts, run_column_ring(variant, starts, c.width)):
+            assert {i: RingElement(*a, k) for i, a in amps.items()} == expected[s], s
 
 
 @pytest.mark.parametrize("ancilla", ["clean", "dirty"])
