@@ -52,10 +52,10 @@ from .rewrite import (
     find_conjugations,
 )
 from .simulate import (
-    DenseMatrix,
     MarkerInSimulation,
     NotAPhasePermutation,
     PhasePermutation,
+    equivalent,
     unitary_columns,
 )
 from .verify import (

@@ -307,7 +307,7 @@ class ResourceReport:
     h: int = 0
     pz: int = 0
     other: int = 0
-    t_depth: int = 0
+    t_depth: int | None = 0  # None: a tof or marker hides its T gates
     ancilla_count: int = 0
     ancilla_type: str = "none"
 
@@ -347,8 +347,8 @@ def count_resources(circuit: Circuit) -> ResourceReport:
     """Aggregate gate counts, greedy T-depth, and ancilla usage.
 
     T-depth layering: two T gates share a layer iff they act on distinct
-    qubits with no intervening gate on either qubit. Markers are treated as
-    opaque blockers, so T-depth is only meaningful for lowered circuits.
+    qubits with no intervening gate on either qubit. A tof or a marker
+    hides its T gates, so T-depth is None for a circuit holding one.
     A gate's counts depend only on its kind and its numbers of controls and
     negative controls; each such triple is looked up once per call.
     """
@@ -381,7 +381,7 @@ def count_resources(circuit: Circuit) -> ResourceReport:
         atype = "clean"
     return ResourceReport(
         t=t, cnot=cnot, h=hh, pz=pz, other=other,
-        t_depth=max(frontier, default=0),
+        t_depth=None if any(k not in KINDS for k, _, _ in tally) else max(frontier, default=0),
         ancilla_count=len(ancillae), ancilla_type=atype,
     )
 

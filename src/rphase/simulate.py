@@ -24,18 +24,19 @@ max_support included.
 
 Amplitudes compare through ``same_phase``, the one rule: exactly for two
 ring elements, within FLOAT_TOL = 1e-9 as complex numbers otherwise. It
-decides ``PhasePermutation`` and ``DenseMatrix`` equality, so a ring
-result equals a float one when they agree within the tolerance.
+decides ``PhasePermutation`` equality and the column comparison below, so
+a ring result equals a float one when they agree within the tolerance.
 
 ``unitary_columns`` is the one column driver: it applies a circuit to
 every basis state, or to a requested subset, which is how
 ``verify.check_implements`` runs. If every column collapses to a single
 basis state carrying a unit-magnitude phase the result is a
 ``PhasePermutation`` (a ``ColumnSet`` for a subset) -- the shape of every
-(relative phase) multiple-control Toffoli -- else a column-sparse
-``DenseMatrix`` (full set, width <= DENSE_WIDTH_LIMIT, its columns run
-again to build it), or ``NotAPhasePermutation`` naming the first column,
-in index order, that does not collapse.
+(relative phase) multiple-control Toffoli. Else the full set gives None
+and a subset raises NotAPhasePermutation naming the first column, in
+index order, that does not collapse; either way no column runs past it.
+``equivalent`` compares two circuits' unitaries of any shape exactly, up
+to the first column that differs, one batch of ring columns at a time.
 
 Columns run in batches of BATCH_COLUMNS. A batch is one sparse state:
 column n's indices carry n in the bits from the circuit width up, which
@@ -52,10 +53,9 @@ import math
 from dataclasses import dataclass
 
 from .circuit import KINDS, ROLE_CLEAN, Circuit, Gate, basis_bit
-from .ring import RingElement, as_omega_power
+from .ring import ZERO, RingElement, as_omega_power
 
 FLOAT_TOL = 1e-9
-DENSE_WIDTH_LIMIT = 12
 WIDTH_LIMIT = 16
 # Columns run together as one tagged sparse state (see run_column_ring).
 BATCH_COLUMNS = 64
@@ -385,30 +385,6 @@ class PhasePermutation:
             map(same_phase, self.phases, other.phases))
 
 
-@dataclass(frozen=True)
-class DenseMatrix:
-    """Column-sparse unitary; exact entries in the ring backend."""
-
-    width: int
-    columns: tuple  # tuple of {row: amplitude} dicts
-    backend: str = "ring"
-    max_support: int = 1
-
-    def entry(self, row: int, col: int):
-        val = self.columns[col].get(row)
-        if val is not None:
-            return val
-        return RingElement(0, 0, 0, 0) if self.backend == "ring" else 0.0 + 0j
-
-    def __eq__(self, other):
-        if not isinstance(other, DenseMatrix):
-            return NotImplemented
-        return self.width == other.width and all(
-            same_phase(self.entry(r, s), other.entry(r, s))
-            for s, (c, d) in enumerate(zip(self.columns, other.columns))
-            for r in c.keys() | d.keys())
-
-
 def pick_backend(circuit: Circuit, backend: str | None = None) -> str:
     if backend not in (None, "ring", "float"):
         raise ValueError(f"unknown backend {backend!r}")
@@ -441,14 +417,19 @@ def _run_columns(ops, backend: str, width: int, indices):
     return entries, max_support
 
 
+def _width_guard(columns: int) -> None:
+    if columns > WIDTH_LIMIT:
+        raise WidthLimitExceeded(
+            f"width limit exceeded: 2^{columns} columns to simulate, limit 2^{WIDTH_LIMIT}")
+
+
 def unitary_columns(circuit: Circuit, backend: str | None = None, column_indices=None):
     """Apply the circuit to each basis state (or to ``column_indices``).
 
     Returns a PhasePermutation when every column collapses to one basis
-    state with a unit-magnitude phase, else a DenseMatrix (full-column set
-    only, width <= 12, whose columns are run again to build it). A
-    requested subset returns a ColumnSet, and a column of it that does not
-    collapse raises NotAPhasePermutation.
+    state with a unit-magnitude phase, else None. A requested subset
+    returns a ColumnSet, and a column of it that does not collapse raises
+    NotAPhasePermutation. No column runs past the first that does not.
 
     One width guard runs before ``column_indices`` (which may be lazy) is
     consumed: a subset is taken to lie in the clean-ancilla-0 subspace, as
@@ -458,18 +439,15 @@ def unitary_columns(circuit: Circuit, backend: str | None = None, column_indices
     """
     full = column_indices is None
     width = circuit.width
-    free = width - (0 if full else circuit.roles.count(ROLE_CLEAN))
-    if free > WIDTH_LIMIT:
-        raise WidthLimitExceeded(
-            f"width limit exceeded: 2^{free} columns to simulate, limit 2^{WIDTH_LIMIT}")
+    _width_guard(width - (0 if full else circuit.roles.count(ROLE_CLEAN)))
     backend = pick_backend(circuit, backend)
     ops = compile_circuit(circuit)
     indices = range(1 << width) if full else list(column_indices)
 
     entries, max_support = _run_columns(ops, backend, width, indices)
     if entries and entries[-1] is None:
-        if full and width <= DENSE_WIDTH_LIMIT:
-            return _dense(width, ops, backend)
+        if full:
+            return None
         raise NotAPhasePermutation(
             f"not a phase permutation: column {indices[len(entries) - 1]:0{width}b} "
             f"does not collapse to one basis state")
@@ -481,19 +459,36 @@ def unitary_columns(circuit: Circuit, backend: str | None = None, column_indices
                      backend, max_support)
 
 
-def _dense(width, ops, backend) -> DenseMatrix:
-    """Every column of the circuit's unitary, run here."""
-    if backend == "ring":
-        ops = fuse_ops(ops)
-        starts = range(1 << width)
-        results = [({i: RingElement(*c, k) for i, c in amps.items()}, ms)
-                   for n in range(0, len(starts), BATCH_COLUMNS)
-                   for amps, k, ms in run_column_ring(ops, starts[n:n + BATCH_COLUMNS], width)]
-    else:
-        results = [(amps, ms) for amps, _, ms in
-                   (run_column_float(ops, s) for s in range(1 << width))]
-    columns, supports = zip(*results)
-    return DenseMatrix(width, columns, backend, max(supports))
+def _columns(circuit: Circuit, backend: str):
+    """Every column of the circuit's unitary as {row: amplitude}, in order,
+    ring amplitudes as RingElements; each batch runs when it is reached."""
+    width = circuit.width
+    _width_guard(width)
+    backend = pick_backend(circuit, backend)
+    ops = compile_circuit(circuit)
+    starts = range(1 << width)
+    if backend == "float":
+        return (run_column_float(ops, s)[0] for s in starts)
+    ops = fuse_ops(ops)
+    return ({i: RingElement(*c, k) for i, c in amps.items()}
+            for n in range(0, len(starts), BATCH_COLUMNS)
+            for amps, k, _ in run_column_ring(ops, starts[n:n + BATCH_COLUMNS], width))
+
+
+def _same_columns(xs, ys) -> bool:
+    """Whether two column streams agree under ``same_phase`` on the union
+    of each column pair's rows, a missing row read as 0. Stops at the
+    first column that differs."""
+    return all(same_phase(c.get(r, ZERO), d.get(r, ZERO))
+               for c, d in zip(xs, ys) for r in c.keys() | d.keys())
+
+
+def equivalent(a: Circuit, b: Circuit) -> bool:
+    """Whether two circuits have the same unitary, exactly: both run on
+    the ring backend, one batch at a time each, up to the first column
+    that differs. False for different widths. An odd ry-unit total raises
+    SimulationError, as a ring request does."""
+    return a.width == b.width and _same_columns(_columns(a, "ring"), _columns(b, "ring"))
 
 
 @dataclass(frozen=True)

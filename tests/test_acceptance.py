@@ -32,7 +32,7 @@ from rphase.rewrite import (
     find_conjugations,
 )
 from rphase.ring import IMAG, ONE
-from rphase.simulate import PhasePermutation, unitary_columns
+from rphase.simulate import equivalent, unitary_columns
 from rphase.verify import (
     backends_agree,
     check_implements,
@@ -172,12 +172,6 @@ def _random_conjugation_circuit(rng: random.Random):
     return Circuit(width, gates)
 
 
-def _unitaries_equal(a, b) -> bool:
-    if isinstance(a, PhasePermutation) and isinstance(b, PhasePermutation):
-        return a.perm == b.perm and list(a.phases) == list(b.phases)
-    return type(a) is type(b) and a == b
-
-
 def _expand_markers(circ: Circuit) -> Circuit:
     """Markers to their defining gates; plain tof gates simulate natively."""
     from rphase.circuit import expand
@@ -199,21 +193,19 @@ def test_criterion_5_rewrite_soundness():
         if not matches:
             continue
         circuits += 1
-        base = unitary_columns(_expand_markers(circ))
+        expanded = _expand_markers(circ)
         for m in matches:
             for name in REPLACEMENT_IMPLS:
                 if not admissible(name, m):
                     continue
-                out = _expand_markers(_replaced(circ, m, name))
-                if not _unitaries_equal(base, unitary_columns(out)):
+                if not equivalent(expanded, _expand_markers(_replaced(circ, m, name))):
                     ok = False
                     break
                 replacements += 1
             if not ok:
                 break
-        expanded = _expand_markers(circ)
         cancelled = cancel_adjacent_inverses(expanded)
-        ok &= _unitaries_equal(base, unitary_columns(cancelled))
+        ok &= equivalent(expanded, cancelled)
         ok &= cancel_adjacent_inverses(cancelled).gates == cancelled.gates
     # pinned: a stricter admissible would lower the count without failing
     # the soundness check
@@ -260,11 +252,9 @@ def test_criterion_8_special_form_necessity():
     # the rtof3_long pair that admissible refuses, built by hand
     forced = Circuit(4, [marker("rtof3l", (0, 1), 2), cx(3, 1),
                          marker("rtof3l", (0, 1), 2, dagger=True)])
-    base = unitary_columns(lower(circ))
-    got = unitary_columns(lower(forced))
-    ok &= not _unitaries_equal(base, got)
+    ok &= not equivalent(lower(circ), lower(forced))
     good = _replaced(circ, m, "srts3")
-    ok &= _unitaries_equal(base, unitary_columns(lower(good)))
+    ok &= equivalent(lower(circ), lower(good))
     report(8, ok, "non-special-form substitution in a prop2 match is detected")
 
 

@@ -4,13 +4,14 @@ import ast
 import os
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 
 import rphase
 from rphase import catalog
 from rphase.circuit import BLOCKS, MARKER_BLOCKS, Circuit, marker
-from rphase.rewrite import REPLACEMENT_IMPLS, _invariant
+from rphase.rewrite import REPLACEMENT_IMPLS, ConjugationMatch, _invariant, admissible
 from rphase.verify import check_implements
 
 # Recorded before the block facts moved into one table: per block, the
@@ -46,6 +47,38 @@ def test_impl_info_is_pinned(name):
 
 def test_cost_order_is_pinned():
     assert REPLACEMENT_IMPLS == COST_ORDER
+
+
+# The first block of REPLACEMENT_IMPLS that ``admissible`` takes for a
+# pair of each arity and class, by the pair's touched controls; a case not
+# listed takes none. A block that fills a gap changes this table.
+CHEAPEST = {
+    (3, "prop1", ()): "rtof3_long",
+    (3, "prop2", (0,)): "srts3",
+    (3, "prop2", (1,)): "srts3",
+    (3, "prop2", (0, 1)): "toffoli3",
+    (3, "prop3", ()): "srtof3_ccix",
+    (3, "prop3", (0,)): "toffoli3",
+    (3, "prop3", (1,)): "toffoli3",
+    (3, "prop3", (0, 1)): "toffoli3",
+    (4, "prop1", ()): "rtof4_long",
+}
+
+
+def test_cheapest_admissible_block_is_pinned():
+    """Every arity, class and set of touched controls a match can have:
+    prop1 touches no control, prop2 at least one, prop3 any."""
+    got = {}
+    for arity in (3, 4):
+        controls = tuple(range(arity - 1))
+        for r in range(arity):
+            for touched in combinations(controls, r):
+                for cls in ("prop2" if r else "prop1", "prop3"):
+                    m = ConjugationMatch(0, 1, cls, controls, arity - 1, frozenset(touched))
+                    name = next((n for n in REPLACEMENT_IMPLS if admissible(n, m)), None)
+                    if name is not None:
+                        got[arity, cls, touched] = name
+    assert got == CHEAPEST
 
 
 def test_marker_facts_are_pinned():
@@ -86,13 +119,13 @@ def test_truncations_are_prefixes_of_their_base():
 # is added to or removed from the public surface only together with this list.
 PUBLIC_NAMES = [
     "AncillaBudgetExceeded", "ArityMismatch", "Circuit", "ConjugationMatch",
-    "DenseMatrix", "Gate", "MarkerInSimulation", "NotAPhasePermutation",
+    "Gate", "MarkerInSimulation", "NotAPhasePermutation",
     "PhasePermutation", "QasmError", "REPLACEMENT_IMPLS", "ROLE_CLEAN",
     "ROLE_DIRTY", "ROLE_PRIMARY", "ResourceReport", "RingElement",
     "SpecialFormViolated", "TargetSpec", "VerificationReport", "admissible",
     "apply_replacement", "backends_agree", "cancel_adjacent_inverses",
     "catalog", "check_implements", "circuit", "cnu_clean_chain",
-    "cnu_parallel", "cnu_spec", "count_resources", "emit_qasm",
+    "cnu_parallel", "cnu_spec", "count_resources", "emit_qasm", "equivalent",
     "find_conjugations", "get_entry", "ladder_tofn", "ladder_tofn_spec",
     "lower", "lowering", "margolus_ry", "margolus_t_variant", "parse_qasm",
     "permutation_parity", "qasm", "rewrite", "ring", "rtof3_long",

@@ -37,7 +37,7 @@ from rphase.circuit import BLOCKS, Circuit, ROLE_CLEAN, TargetSpec, cz, h
 from rphase.lowering import lower
 from rphase.qasm import emit_qasm
 from rphase.ring import IMAG, ONE, RingElement
-from rphase.simulate import DenseMatrix, unitary_columns
+from rphase.simulate import compile_circuit, run_column_ring, unitary_columns
 from rphase.verify import check_implements
 
 TOF3_PERM = (0, 1, 2, 3, 4, 5, 7, 6)
@@ -119,16 +119,13 @@ def test_rts3_matrix_product_oracle():
 
 
 def _numpy_unitary(circuit):
-    u = unitary_columns(circuit)
-    dim = 1 << circuit.width
-    m = np.zeros((dim, dim), dtype=complex)
-    if isinstance(u, DenseMatrix):
-        for s, col in enumerate(u.columns):
-            for r, a in col.items():
-                m[r, s] = complex(a)
-    else:
-        for s in range(dim):
-            m[u.perm[s], s] = complex(u.phases[s])
+    """The circuit's matrix, each column read from the ring kernel."""
+    width = circuit.width
+    m = np.zeros((1 << width, 1 << width), dtype=complex)
+    columns = run_column_ring(compile_circuit(circuit), range(1 << width), width)
+    for s, (amps, k, _) in enumerate(columns):
+        for r, a in amps.items():
+            m[r, s] = complex(RingElement(*a, k))
     return m
 
 

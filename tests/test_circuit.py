@@ -1,6 +1,7 @@
 """Circuit IR: gate validation, inversion, resource counting."""
 
 import cmath
+import json
 import pickle
 import random
 from dataclasses import fields, replace
@@ -32,8 +33,9 @@ from rphase.circuit import (
     tof,
     x,
 )
+from rphase.lowering import lower
 from rphase.qasm import emit_qasm, parse_qasm
-from rphase.simulate import PhasePermutation, unitary_columns
+from rphase.simulate import unitary_columns
 
 
 def test_gate_validation():
@@ -154,7 +156,8 @@ def test_resource_report_json_schema():
 
 def _count_reference(circuit):
     """The per-gate loop count_resources replaced: counts summed gate by
-    gate, T-depth over each gate's sorted qubits."""
+    gate, T-depth over each gate's sorted qubits, and None for it when a
+    tof or a marker hides its T gates."""
     totals = [0] * 5
     frontier = [0] * circuit.width
     for g in circuit.gates:
@@ -166,6 +169,8 @@ def _count_reference(circuit):
             depth += 1
         for q in qubits:
             frontier[q] = depth
+    if any(g.kind not in KINDS for g in circuit.gates):
+        return tuple(totals), None
     return tuple(totals), max(frontier, default=0)
 
 
@@ -208,6 +213,20 @@ def test_count_resources_equals_the_per_gate_reference():
         c = _random_countable(rng, rng.randint(5, 8), length)
         r = c.count_resources()
         assert ((r.t, r.cnot, r.h, r.pz, r.other), r.t_depth) == _count_reference(c)
+
+
+def test_a_counted_t_gate_has_a_t_depth_or_none():
+    """T-depth is never 0 next to a T count: an unlowered ccx, whose 7 T
+    gates the layering cannot see, reports None; lowered, a depth."""
+    ccx = Circuit(3, [tof((0, 1), 2)]).count_resources()
+    assert (ccx.t, ccx.t_depth) == (7, None)
+    assert json.loads(ccx.as_json())["t_depth"] is None
+    assert lower(Circuit(3, [tof((0, 1), 2)])).count_resources().t_depth >= 1
+    rng = random.Random(23)
+    for length in [1, 2, 5] + [rng.randint(10, 200) for _ in range(40)]:
+        c = _random_countable(rng, rng.randint(4, 8), length)
+        for r in (c.count_resources(), lower(c).count_resources()):
+            assert r.t == 0 or r.t_depth is None or r.t_depth >= 1, c
 
 
 def test_count_resources_names_the_first_wide_tof():
@@ -307,7 +326,7 @@ def test_a_kinds_omega_exponent_is_its_textbook_diagonal(kind):
     g = _gate_of(kind)
     width = len(g.support)
     u = unitary_columns(Circuit(width, [g]), backend="float")
-    diagonal = isinstance(u, PhasePermutation) and u.perm == tuple(range(1 << width))
+    diagonal = u is not None and u.perm == tuple(range(1 << width))
     omega = KINDS[kind].omega
     assert diagonal == (kind in TEXTBOOK_DIAGONALS) == (omega is not None)
     if diagonal:

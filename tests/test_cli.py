@@ -125,7 +125,9 @@ def test_synth_and_count_outputs_are_pinned(capsys, tmp_path):
     """Exit code, stdout and stderr of synth (QASM and JSON) and of count on
     the QASM, for tof clean and dirty, ladder, cnu-chain and cnu-parallel at
     n = 4..12 and 310, recorded before gates stored their qubit set and
-    before each distinct gate was built, counted and parsed once per call."""
+    before each distinct gate was built, counted and parsed once per call.
+    Re-recorded when an unlowered circuit's t_depth became null: the JSON
+    synth reports changed in that field alone."""
     whole = hashlib.sha256()
     path = tmp_path / "pinned.qasm"
     for gate, extra in (("tof", ("--ancilla", "clean")), ("tof", ("--ancilla", "dirty")),
@@ -137,7 +139,7 @@ def test_synth_and_count_outputs_are_pinned(capsys, tmp_path):
                 results.append(path.read_text())
                 results.append(run(capsys, "count", str(path)))
             whole.update(repr(results).encode())
-    assert whole.hexdigest()[:16] == "32db1d8ddac5df5a"
+    assert whole.hexdigest()[:16] == "5acd97d36a16ebb2"
 
 
 def test_count_file(capsys, tmp_path):

@@ -11,26 +11,34 @@ from rphase.catalog import rtof4_long, toffoli3, tofn
 from rphase.circuit import (
     BLOCKS, Circuit, cx, cz, h, marker, p, pdg, ry, t, tdg, tof, x, y, z)
 from rphase import simulate
+from rphase.rewrite import cancel_adjacent_inverses
 from rphase.ring import IMAG, INV_SQRT2, OMEGA, ONE, ZERO, RingElement
 from rphase.simulate import (
-    DenseMatrix,
     MarkerInSimulation,
+    NotAPhasePermutation,
     PhasePermutation,
     SimulationError,
     WidthLimitExceeded,
     compile_circuit,
+    equivalent,
     fuse_ops,
     run_column_float,
     run_column_ring,
     same_phase,
     unitary_columns,
 )
+from rphase.verify import backends_agree
+
+
+def _ring_columns(c):
+    """Every column of the circuit as {row: RingElement}, run directly."""
+    return [{i: RingElement(*a, k) for i, a in amps.items()}
+            for amps, k, _ in run_column_ring(compile_circuit(c), range(1 << c.width), c.width)]
 
 
 def test_h_on_zero():
-    u = unitary_columns(Circuit(1, [h(0)]))
-    assert u.entry(0, 0) == INV_SQRT2
-    assert u.entry(1, 0) == INV_SQRT2
+    column, _ = _ring_columns(Circuit(1, [h(0)]))
+    assert column == {0: INV_SQRT2, 1: INV_SQRT2}
 
 
 def test_t_on_one():
@@ -44,10 +52,9 @@ def test_y_is_i_times_x_z_in_both_backends():
     assert unitary_columns(Circuit(1, [y(0)]), backend="float") == u
 
 
-def _entry(u, row, col):
-    if isinstance(u, PhasePermutation):
-        return u.phases[col] if u.perm[col] == row else 0
-    return u.entry(row, col)
+def _entry(columns, row, col):
+    """Entry (row, col) of a list of {row: amplitude} columns."""
+    return columns[col].get(row, 0)
 
 
 @pytest.mark.parametrize("units", range(-8, 9))
@@ -58,13 +65,12 @@ def test_ry_is_its_closed_form_exactly_on_the_ring_for_even_units(units):
     c = Circuit(1, [ry(0, units)])
     half = units * math.pi / 8
     want = [[math.cos(half), -math.sin(half)], [math.sin(half), math.cos(half)]]
+    assert simulate.pick_backend(c) == ("float" if units % 2 else "ring")
     if units % 2:
         with pytest.raises(SimulationError):
             unitary_columns(c, backend="ring")
-        assert unitary_columns(c).backend == "float"
     else:
-        ring = unitary_columns(c)
-        assert ring.backend == "ring"
+        ring = _ring_columns(c)
         m = units // 2
         quarter = INV_SQRT2 * INV_SQRT2
         cos = (RingElement.omega_power(m) + RingElement.omega_power(-m)) * quarter
@@ -72,7 +78,8 @@ def test_ry_is_its_closed_form_exactly_on_the_ring_for_even_units(units):
         assert [[_entry(ring, r, s) for s in (0, 1)] for r in (0, 1)] == [[cos, -sin], [sin, cos]]
         assert all(abs(complex(_entry(ring, r, s)) - want[r][s]) < 1e-12
                    for r in (0, 1) for s in (0, 1))
-    floats = unitary_columns(c, backend="float")
+    ops = compile_circuit(c)
+    floats = [run_column_float(ops, s)[0] for s in (0, 1)]
     assert all(abs(_entry(floats, r, s) - want[r][s]) < 1e-9 for r in (0, 1) for s in (0, 1))
 
 
@@ -115,11 +122,11 @@ def test_unitary_columns_toffoli_permutation():
     assert all(p == ONE for p in u.phases)
 
 
-def test_unitary_columns_dense_for_h():
-    u = unitary_columns(Circuit(1, [h(0)]))
-    assert isinstance(u, DenseMatrix)
-    assert u.entry(0, 0) == INV_SQRT2
-    assert u.entry(1, 1) == -INV_SQRT2
+def test_unitary_columns_of_h_is_no_phase_permutation():
+    assert unitary_columns(Circuit(1, [h(0)])) is None
+    with pytest.raises(NotAPhasePermutation, match="column 0 "):
+        unitary_columns(Circuit(1, [h(0)]), column_indices=[0, 1])
+    assert _ring_columns(Circuit(1, [h(0)]))[1] == {0: INV_SQRT2, 1: -INV_SQRT2}
 
 
 def test_rtof4_matrix():
@@ -139,16 +146,19 @@ def test_inverse_unitary_relation():
     conjugated phases (truncated blocks are not phase permutations)."""
     checked = 0
     for name, block in BLOCKS.items():
-        u = unitary_columns(block.circuit)
-        if not isinstance(u, PhasePermutation):
+        if block.junk:
             continue
+        u = unitary_columns(block.circuit)
         v = unitary_columns(block.circuit.inverse())
         assert v == u.inverse(), name
         checked += 1
     assert checked >= 4
 
 
-def test_dense_inverse_is_conjugate_transpose():
+def test_a_circuit_then_its_inverse_is_the_identity():
+    """The inverse circuit's unitary is the conjugate transpose, for
+    circuits that are not phase permutations: c then c^-1 is exactly I,
+    and the columns of c^-1 are the conjugated rows of c."""
     circs = [
         Circuit(1, [h(0)]),
         Circuit(2, [h(0), t(0), cx(0, 1), h(1)]),
@@ -156,17 +166,15 @@ def test_dense_inverse_is_conjugate_transpose():
         Circuit(4, [h(3), t(3), cx(2, 3), cx(0, 1), t(1), h(1), cx(3, 0)]),
     ]
     for c in circs:
-        u = unitary_columns(c)
-        v = unitary_columns(c.inverse())
+        assert equivalent(Circuit(c.width, c.gates + c.inverse().gates), Circuit(c.width))
+        u, v = _ring_columns(c), _ring_columns(c.inverse())
         dim = 1 << c.width
         for col in range(dim):
             for row in range(dim):
-                assert v.entry(row, col) == u.entry(col, row).conj()
+                assert v[col].get(row, ZERO) == u[row].get(col, ZERO).conj()
 
 
 def test_float_and_ring_backends_agree():
-    from rphase.verify import backends_agree
-
     for name, block in BLOCKS.items():
         assert backends_agree(block.circuit), name
 
@@ -193,14 +201,88 @@ def clifford_t_circuits(draw):
 @given(clifford_t_circuits(), st.integers(0, 3))
 def test_ring_and_float_unitaries_compare_equal(c, q):
     """The default backend is the ring exactly when the ry units sum to an
-    even number; ``==`` holds against the float oracle, and one more t on
-    any qubit breaks it."""
-    got = unitary_columns(c)
+    even number. A phase permutation's ``==`` holds against the float
+    oracle and one more t on any qubit breaks it; for an even total the
+    ring columns agree with the float ones whatever their shape, and
+    ``equivalent`` tells the circuit from itself with one more t."""
     odd = sum(g.param for g in c.gates if g.kind == "ry") % 2
-    assert got.backend == ("float" if odd else "ring")
-    assert got == unitary_columns(c, backend="float")
+    assert simulate.pick_backend(c) == ("float" if odd else "ring")
     extended = Circuit(c.width, list(c.gates) + [t(q % c.width)])
-    assert got != unitary_columns(extended, backend="float")
+    got = unitary_columns(c)
+    if got is not None:
+        assert got.backend == ("float" if odd else "ring")
+        assert got == unitary_columns(c, backend="float")
+        assert got != unitary_columns(extended, backend="float")
+    if odd:
+        with pytest.raises(SimulationError):
+            equivalent(c, extended)
+        assert not simulate._same_columns(simulate._columns(c, "float"),
+                                          simulate._columns(extended, "float"))
+    else:
+        assert backends_agree(c)
+        assert equivalent(c, c) and not equivalent(c, extended)
+
+
+# -- equivalent: two streams of ring columns --------------------------------
+
+def _wide_non_permutation():
+    """13 qubits, past any cap but the width guard: h opens qubits 0 and
+    12, and inverse pairs sit between the gates for cancellation."""
+    gates = []
+    for q in range(0, 13, 2):
+        a, b = q, (q + 5) % 13
+        gates += [h(0), t(a), cx(a, b), tdg(b), t(b), cx(a, b), h(12), cz(a, b), cz(a, b)]
+    return Circuit(13, gates)
+
+
+def test_equivalent_compares_a_13_qubit_non_permutation_exactly():
+    c = _wide_non_permutation()
+    short = cancel_adjacent_inverses(c)
+    assert len(short.gates) < len(c.gates)
+    assert unitary_columns(short) is None
+    assert equivalent(c, short)
+    assert not equivalent(c, Circuit(13, short.gates + (t(12),)))
+
+
+def _counting_ring_kernel(monkeypatch):
+    """The column counts of every ring kernel call from here on."""
+    kernel, batches = simulate.run_column_ring, []
+
+    def counted(ops, starts, width):
+        batches.append(len(starts))
+        return kernel(ops, starts, width)
+
+    monkeypatch.setattr(simulate, "run_column_ring", counted)
+    return batches
+
+
+def test_equivalent_stops_at_the_batch_that_differs(monkeypatch):
+    """Column 0 differs (z after h on the last qubit): one batch runs per
+    circuit, not the 256 // BATCH_COLUMNS each of an equal pair."""
+    c = Circuit(8, [h(7), t(7), cx(0, 7)])
+    batches = _counting_ring_kernel(monkeypatch)
+    assert equivalent(c, Circuit(8, c.gates))
+    assert batches == [simulate.BATCH_COLUMNS] * (2 * 256 // simulate.BATCH_COLUMNS)
+    batches.clear()
+    assert not equivalent(c, Circuit(8, c.gates + (z(7),)))
+    assert batches == [simulate.BATCH_COLUMNS] * 2
+
+
+def test_equivalent_is_false_for_different_widths(monkeypatch):
+    batches = _counting_ring_kernel(monkeypatch)
+    assert not equivalent(Circuit(2), Circuit(3))
+    assert not equivalent(Circuit(1, [h(0)]), Circuit(2, [h(0)]))
+    assert batches == []
+
+
+def test_equivalent_refuses_what_the_ring_cannot_hold():
+    odd = Circuit(1, [ry(0, 1)])
+    with pytest.raises(SimulationError, match="odd ry-unit total"):
+        equivalent(odd, odd)
+    with pytest.raises(SimulationError, match="odd ry-unit total"):
+        equivalent(Circuit(1), odd)
+    with pytest.raises(WidthLimitExceeded):
+        equivalent(Circuit(17, [x(0)]), Circuit(17))
 
 
 def test_column_subset():
@@ -217,8 +299,9 @@ def test_float_backend_collapse():
 
 def test_sparse_support_stays_small():
     for name, block in BLOCKS.items():
-        u = unitary_columns(block.circuit)
-        assert u.max_support <= 64, name
+        c = block.circuit
+        ops = compile_circuit(c)
+        assert max(ms for *_, ms in run_column_ring(ops, range(1 << c.width), c.width)) <= 64, name
 
 
 # -- the batched, fused kernel against one-column gate-level runs ----------

@@ -24,7 +24,7 @@ from rphase.catalog import (
 from rphase.circuit import (
     BLOCKS, ROLE_CLEAN, ROLE_PRIMARY, Circuit, TargetSpec, cx, h, t, tdg, tof, x, z)
 from rphase.ring import RingElement
-from rphase.simulate import NotAPhasePermutation, PhasePermutation, unitary_columns
+from rphase.simulate import NotAPhasePermutation, equivalent, unitary_columns
 from rphase.verify import (
     check_implements,
     permutation_parity,
@@ -152,18 +152,24 @@ def test_a_serial_check_stops_at_the_batch_that_fails(monkeypatch):
     assert sum(simulated) == (256 // batch + 1) * batch < 1 << c.width
 
 
-def test_a_dense_result_is_built_from_one_column_runs():
+def test_a_non_permutation_streams_its_one_column_runs():
     """H T (X Tdg X) H on the last qubit, controlled by the first: columns
-    128 on do not collapse, so the full set of 8-qubit columns is a
-    DenseMatrix, built from the one-column runs of every column."""
+    128 on do not collapse, so the full set of 8-qubit columns is no phase
+    permutation, every column requested raises NotAPhasePermutation naming
+    column 128, and the columns ``equivalent`` streams are the one-column
+    runs of every column."""
     c = Circuit(8, [h(7), t(7), cx(0, 7), tdg(7), cx(0, 7), h(7)])
     assert _scan_every_column(c) == 128
-    u = unitary_columns(c)
-    assert isinstance(u, simulate.DenseMatrix) and u.max_support == 2
+    assert unitary_columns(c) is None
+    with pytest.raises(NotAPhasePermutation, match="column 10000000 "):
+        unitary_columns(c, column_indices=range(1 << c.width))
     ops = simulate.compile_circuit(c)
-    for s, column in enumerate(u.columns):
-        (amps, k, _), = simulate.run_column_ring(ops, [s], c.width)
-        assert column == {i: RingElement(*a, k) for i, a in amps.items()}, s
+    alone = [simulate.run_column_ring(ops, [s], c.width)[0] for s in range(1 << c.width)]
+    assert max(ms for *_, ms in alone) == 2
+    assert list(simulate._columns(c, "ring")) == [
+        {i: RingElement(*a, k) for i, a in amps.items()} for amps, k, _ in alone]
+    assert equivalent(c, Circuit(8, c.gates))
+    assert not equivalent(c, Circuit(8, c.gates[:-1]))
 
 
 def _special_form(circuit, xprime, spec) -> bool:
@@ -200,7 +206,7 @@ def test_verdicts_equal_the_phase_class_rule_on_every_block():
     xprime", both computed here from the circuit's columns."""
     covered = 0
     for name, block in BLOCKS.items():
-        if not isinstance(unitary_columns(block.circuit), PhasePermutation):
+        if block.junk:
             continue
         covered += 1
         first, *rest = block.spec.controls
