@@ -263,7 +263,7 @@ def _table_rows(n_list):
                 formula = (16, 14, 6) if n == 4 else (8 * n - 16, 8 * n - 20, 4 * n - 10)
             circuit, _ = cat.tofn(n, flavour)
             r = circuit.count_resources()
-            if n >= 4 and (r.t, r.cnot, r.h) != formula:
+            if (r.t, r.cnot, r.h) != formula:
                 raise AssertionError(
                     f"closed form mismatch for tof{n} {flavour}: "
                     f"built {(r.t, r.cnot, r.h)}, formula {formula}")

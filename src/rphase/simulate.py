@@ -1,31 +1,32 @@
-"""Sparse statevector simulation with an exact ring backend.
+"""Sparse statevector simulation over the exact ring Z[w, 1/sqrt(2)].
 
-States are maps from basis index to amplitude. The ring backend keeps one
+States are maps from basis index to amplitude. The ring kernel keeps one
 global sqrt(2)-denominator exponent k and packs each numerator's four
 coefficients into one integer's base-2^L digits, each at most 2^h in
 magnitude after h Hadamards (see the ring kernel): a Hadamard only bumps
 k and adds integers, so Clifford+T circuits simulate with zero rounding
-error. The float backend stores complex amplitudes: it is the
-``backend="float"`` oracle, and the automatic choice only for an odd
-ry-unit total. Both kernels return (amplitudes, k, max_support) per
-column, ring amplitudes as coefficient 4-tuples, k = 0 for floats: the
-ring kernel for each column of a batch, the float kernel for one.
+error. The float kernel stores complex amplitudes: it is only the oracle
+of ``verify.backends_agree`` and the tests. Both kernels return
+(amplitudes, k, max_support) per column, ring amplitudes as coefficient
+4-tuples, k = 0 for floats: the ring kernel for each column of a batch,
+the float kernel for one.
 
 Every gate but h compiles to "cp" ops: a controlled bit flip times a
 power of w, the action of a phase permutation on one basis index. As
 RY(u pi/4) = w^(-u/2) S H T^u H S^dagger, the w^(-U/2) of a circuit's
-ry-unit total U is one global cp op: in the ring for even U, while an odd
-U leaves w^(1/2) = e^(i pi/8), which only floats hold.
-The ring backend runs a fused op list: ``fuse_ops`` folds each run of cp
+ry-unit total U is one global cp op, w^floor(-U/2). An odd U leaves
+w^(1/2) = e^(i pi/8) outside the ring: results carry it as one bit,
+``half`` (U mod 2), on every phase they list. As e^(i pi/8) is not in
+Q(w), unitaries whose bits differ are never equal.
+The ring kernel runs a fused op list: ``fuse_ops`` folds each run of cp
 ops between Hadamards, on at most FUSE_QUBITS qubits, into one table
 lookup per amplitude. Such a run never changes the number of amplitudes,
 so a fused column returns exactly what the gate-level one does,
 max_support included.
 
 Amplitudes compare through ``same_phase``, the one rule: exactly for two
-ring elements, within FLOAT_TOL = 1e-9 as complex numbers otherwise. It
-decides ``PhasePermutation`` equality and the column comparison below, so
-a ring result equals a float one when they agree within the tolerance.
+ring elements, within FLOAT_TOL = 1e-9 as complex numbers otherwise, which
+only the oracle comparison meets.
 
 ``unitary_columns`` is the one column driver: it applies a circuit to
 every basis state, or to a requested subset, which is how
@@ -35,8 +36,9 @@ basis state carrying a unit-magnitude phase the result is a
 (relative phase) multiple-control Toffoli. Else the full set gives None
 and a subset raises NotAPhasePermutation naming the first column, in
 index order, that does not collapse; either way no column runs past it.
-``equivalent`` compares two circuits' unitaries of any shape exactly, up
-to the first column that differs, one batch of ring columns at a time.
+``equivalent`` compares two circuits' unitaries of any shape exactly: the
+bits first, then the columns up to the first that differs, one batch of
+ring columns at a time.
 
 Columns run in batches of BATCH_COLUMNS. A batch is one sparse state:
 column n's indices carry n in the bits from the circuit width up, which
@@ -84,7 +86,7 @@ class NotAPhasePermutation(SimulationError):
 # Gates become small tuples interpreted by a tight loop:
 #   ("cp", ctl_mask, ctl_value, flip_mask, w_exponent)  every gate but h
 #   ("h", bit_mask)
-#   ("pp", qubit_mask, table)                           fused run, ring only
+#   ("pp", qubit_mask, table)                           fused run
 #
 # A cp op fires on index i iff (i & ctl_mask) == ctl_value, which encodes
 # positive and negative controls uniformly; it then flips flip_mask and
@@ -92,9 +94,7 @@ class NotAPhasePermutation(SimulationError):
 # with an omega exponent: z, p, pdg, t, tdg, cz) is one cp op with its
 # target, and its controls, in the control mask; x, cnot and tof flip the
 # target with no phase; y is Z then iX, two cp ops; ry is S^dagger, H,
-# T^u, H, S. Every exponent is an integer in 0..7, except the global op's
-# for an odd ry-unit total: a half-integer, which only the float kernel
-# takes.
+# T^u, H, S. Every exponent is an integer in 0..7.
 # ``fuse_ops`` folds each run of cp ops between Hadamards into one "pp"
 # op: ``table`` maps the run's bits of an index, i & qubit_mask, to its
 # output bits and the w exponent (mod 8) the run multiplies the amplitude
@@ -131,15 +131,21 @@ def compile_gate(g: Gate, width: int) -> tuple:
 
 
 def compile_circuit(circuit: Circuit):
-    """The circuit's ops, then one mask-0 cp op for its ry gates' w^(-U/2)."""
+    """The circuit's ops, then one mask-0 cp op w^floor(-U/2) for its ry
+    gates' global w^(-U/2), less the e^(i pi/8) that ``_half`` notes."""
     width = circuit.width
     ops = tuple(op for g in circuit.gates for op in compile_gate(g, width))
     # U is the ry-unit total (param is 0 on every other gate), read mod 16
     # (RY(4 pi) = I) in integers, so no angle is ever rounded
-    twice = -sum(g.param for g in circuit.gates) % 16
-    if twice:
-        ops += (("cp", 0, 0, 0, twice // 2 if twice % 2 == 0 else twice / 2),)
+    e = (-sum(g.param for g in circuit.gates) % 16) // 2
+    if e:
+        ops += (("cp", 0, 0, 0, e),)
     return ops
+
+
+def _half(circuit: Circuit) -> bool:
+    """Whether the ry-unit total is odd: e^(i pi/8) is then left out."""
+    return sum(g.param for g in circuit.gates) % 2 == 1
 
 
 def fuse_ops(ops):
@@ -345,13 +351,14 @@ class PhasePermutation:
     ``perm[s]`` is the output basis state for input ``s`` and ``phases[s]``
     its amplitude, so column s of the matrix is phases[s] * e_{perm[s]}.
     Row-indexed phases (the diagonal of the canonic TOF-then-D form) are
-    ``row_phases``.
+    ``row_phases``. With ``half`` set, each phase carries one more
+    e^(i pi/8).
     """
 
     width: int
     perm: tuple[int, ...]
     phases: tuple
-    backend: str = "ring"
+    half: bool = False
     max_support: int = 1
 
     def __post_init__(self):
@@ -374,44 +381,28 @@ class PhasePermutation:
         for s in range(self.dim):
             t_ = self.perm[s]
             perm[t_] = s
-            ph = self.phases[s]
-            phases[t_] = ph.conj() if isinstance(ph, RingElement) else ph.conjugate()
-        return PhasePermutation(self.width, tuple(perm), tuple(phases), self.backend)
+            ph = self.phases[s].conj()
+            # the conjugate of e^(i pi/8) w^j is e^(i pi/8) w^(7 - j)
+            phases[t_] = ph * RingElement.omega_power(7) if self.half else ph
+        return PhasePermutation(self.width, tuple(perm), tuple(phases), self.half)
 
     def __eq__(self, other):
         if not isinstance(other, PhasePermutation):
             return NotImplemented
-        return (self.width, self.perm) == (other.width, other.perm) and all(
-            map(same_phase, self.phases, other.phases))
+        return ((self.width, self.perm, self.half) == (other.width, other.perm, other.half)
+                and all(map(same_phase, self.phases, other.phases)))
 
 
-def pick_backend(circuit: Circuit, backend: str | None = None) -> str:
-    if backend not in (None, "ring", "float"):
-        raise ValueError(f"unknown backend {backend!r}")
-    # an odd ry-unit total leaves a global w^(1/2), which is not in the ring
-    odd = sum(g.param for g in circuit.gates) % 2
-    if odd and backend == "ring":
-        raise SimulationError("an odd ry-unit total needs the float backend: "
-                              "w^(1/2) is not in the ring")
-    return backend or ("float" if odd else "ring")
-
-
-def _run_columns(ops, backend: str, width: int, indices):
+def _run_columns(ops, width: int, indices):
     """The (output, phase) of each column, in order, up to and including
     the None of the first that does not collapse, and the largest
     max_support of the columns run; no batch runs past that one."""
-    if backend == "ring":
-        ops = fuse_ops(ops)
+    ops = fuse_ops(ops)
     entries, max_support = [], 1
     for i in range(0, len(indices), BATCH_COLUMNS):
-        batch = indices[i:i + BATCH_COLUMNS]
-        if backend == "ring":
-            results = run_column_ring(ops, batch, width)
-        else:
-            results = [run_column_float(ops, s) for s in batch]
-        for amps, k, ms in results:
+        for amps, k, ms in run_column_ring(ops, indices[i:i + BATCH_COLUMNS], width):
             max_support = max(max_support, ms)
-            entries.append(_collapse(amps, k, backend))
+            entries.append(_collapse(amps, k))
             if entries[-1] is None:
                 return entries, max_support
     return entries, max_support
@@ -423,13 +414,14 @@ def _width_guard(columns: int) -> None:
             f"width limit exceeded: 2^{columns} columns to simulate, limit 2^{WIDTH_LIMIT}")
 
 
-def unitary_columns(circuit: Circuit, backend: str | None = None, column_indices=None):
+def unitary_columns(circuit: Circuit, backend: str = "ring", column_indices=None):
     """Apply the circuit to each basis state (or to ``column_indices``).
 
     Returns a PhasePermutation when every column collapses to one basis
     state with a unit-magnitude phase, else None. A requested subset
     returns a ColumnSet, and a column of it that does not collapse raises
     NotAPhasePermutation. No column runs past the first that does not.
+    Any ``backend`` but "ring" is a ValueError.
 
     One width guard runs before ``column_indices`` (which may be lazy) is
     consumed: a subset is taken to lie in the clean-ancilla-0 subspace, as
@@ -437,14 +429,15 @@ def unitary_columns(circuit: Circuit, backend: str | None = None, column_indices
     columns; the full set counts 2^width. Either must be at most
     2^WIDTH_LIMIT.
     """
+    if backend != "ring":
+        raise ValueError(f"unknown backend {backend!r}: columns run on the ring only")
     full = column_indices is None
     width = circuit.width
     _width_guard(width - (0 if full else circuit.roles.count(ROLE_CLEAN)))
-    backend = pick_backend(circuit, backend)
     ops = compile_circuit(circuit)
     indices = range(1 << width) if full else list(column_indices)
 
-    entries, max_support = _run_columns(ops, backend, width, indices)
+    entries, max_support = _run_columns(ops, width, indices)
     if entries and entries[-1] is None:
         if full:
             return None
@@ -453,18 +446,19 @@ def unitary_columns(circuit: Circuit, backend: str | None = None, column_indices
             f"does not collapse to one basis state")
     perm = tuple(i for i, _ in entries)
     phases = tuple(phase for _, phase in entries)
+    half = _half(circuit)
     if full:
-        return PhasePermutation(width, perm, phases, backend, max_support)
+        return PhasePermutation(width, perm, phases, half, max_support)
     return ColumnSet(width, dict(zip(indices, perm)), dict(zip(indices, phases)),
-                     backend, max_support)
+                     half, max_support)
 
 
 def _columns(circuit: Circuit, backend: str):
-    """Every column of the circuit's unitary as {row: amplitude}, in order,
-    ring amplitudes as RingElements; each batch runs when it is reached."""
+    """Every column of the circuit's compiled ops (so without ``_half``'s
+    factor) as {row: amplitude}, in order, each ring batch run when it is
+    reached: RingElements, or the oracle's complex numbers for "float"."""
     width = circuit.width
     _width_guard(width)
-    backend = pick_backend(circuit, backend)
     ops = compile_circuit(circuit)
     starts = range(1 << width)
     if backend == "float":
@@ -484,11 +478,11 @@ def _same_columns(xs, ys) -> bool:
 
 
 def equivalent(a: Circuit, b: Circuit) -> bool:
-    """Whether two circuits have the same unitary, exactly: both run on
-    the ring backend, one batch at a time each, up to the first column
-    that differs. False for different widths. An odd ry-unit total raises
-    SimulationError, as a ring request does."""
-    return a.width == b.width and _same_columns(_columns(a, "ring"), _columns(b, "ring"))
+    """Whether two circuits have the same unitary, exactly. False for
+    different widths or ``_half`` bits; else both circuits' ring columns
+    run, one batch at a time each, up to the first column that differs."""
+    return (a.width == b.width and _half(a) == _half(b)
+            and _same_columns(_columns(a, "ring"), _columns(b, "ring")))
 
 
 @dataclass(frozen=True)
@@ -498,23 +492,15 @@ class ColumnSet:
     width: int
     perm: dict
     phases: dict
-    backend: str = "ring"
+    half: bool = False
     max_support: int = 1
 
 
-def _collapse(amps, k, backend):
-    """(output index, phase) of a column holding one unit-magnitude
+def _collapse(amps, k):
+    """(output index, phase) of a ring column holding one unit-magnitude
     amplitude, else None."""
-    if backend == "ring":
-        if len(amps) != 1:
-            return None
-        (i, c), = amps.items()
-        phase = as_omega_power(c, k)
-        return None if phase is None else (i, phase)
-    significant = {i: a for i, a in amps.items() if abs(a) > FLOAT_TOL}
-    if len(significant) != 1:
+    if len(amps) != 1:
         return None
-    (i, a), = significant.items()
-    if abs(abs(a) - 1.0) > FLOAT_TOL:
-        return None
-    return i, a
+    (i, c), = amps.items()
+    phase = as_omega_power(c, k)
+    return None if phase is None else (i, phase)

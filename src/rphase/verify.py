@@ -6,10 +6,10 @@ TargetSpec and reports every verdict at once: exact equality, equality up
 to a global phase, relative-phase equality (permutation matches, every
 phase unit-magnitude), the special-form phase-class condition, and the
 ancilla contract (clean helpers enter and leave |0>, dirty helpers factor
-out). Every phase comparison goes through ``simulate.same_phase``: exact
-for two ring elements, within 1e-9 otherwise, so in the ring backend every
-verdict is tolerance-free. The backend is never read here except to report
-it. It is the one place these verdicts are decided: the rewrite engine
+out). Every phase is a ring element, so every verdict is exact. The
+columns' ``half`` bit (an odd ry-unit total's e^(i pi/8) on every phase)
+only rules out exact equality, the one verdict that reads a global
+phase. It is the one place these verdicts are decided: the rewrite engine
 reads a block's special-form types from it too.
 
 The columns come from ``simulate.unitary_columns``, the one column
@@ -110,8 +110,8 @@ def check_implements(circuit: Circuit, spec: TargetSpec) -> VerificationReport:
     constant = all(same_phase(phase[s], first) for s in columns)
 
     # every collapsed phase is unit-magnitude, so relative phase needs
-    # only the permutation and the ancilla contract
-    exact = perm_ok and all_one and ancilla_ok
+    # only the permutation and the ancilla contract; e^(i pi/8) w^j != 1
+    exact = perm_ok and all_one and ancilla_ok and not cols.half
     global_phase = perm_ok and constant and ancilla_ok
     relative = perm_ok and ancilla_ok
 
@@ -127,7 +127,7 @@ def check_implements(circuit: Circuit, spec: TargetSpec) -> VerificationReport:
         special_form_xprime=xprime,
         special_form_holds=sf_holds,
         ancilla_ok=ancilla_ok,
-        backend=cols.backend,
+        backend="ring",
         max_support=cols.max_support,
     )
 
@@ -182,5 +182,6 @@ def permutation_parity(obj, width: int | None = None) -> int:
 
 def backends_agree(circuit: Circuit) -> bool:
     """Whether every column of the circuit's unitary, of any shape, is
-    the same on the ring and float backends under ``same_phase``."""
+    the same on the ring and float kernels under ``same_phase``; both
+    leave out ``half``'s factor alike."""
     return _same_columns(_columns(circuit, "ring"), _columns(circuit, "float"))

@@ -36,6 +36,7 @@ from rphase.circuit import (
 from rphase.lowering import lower
 from rphase.qasm import emit_qasm, parse_qasm
 from rphase.simulate import unitary_columns
+from rphase.verify import backends_agree
 
 
 def test_gate_validation():
@@ -325,11 +326,13 @@ def test_a_kinds_qasm_name_round_trips(kind):
 def test_a_kinds_omega_exponent_is_its_textbook_diagonal(kind):
     g = _gate_of(kind)
     width = len(g.support)
-    u = unitary_columns(Circuit(width, [g]), backend="float")
+    c = Circuit(width, [g])
+    assert backends_agree(c)
+    u = unitary_columns(c)
     diagonal = u is not None and u.perm == tuple(range(1 << width))
     omega = KINDS[kind].omega
     assert diagonal == (kind in TEXTBOOK_DIAGONALS) == (omega is not None)
     if diagonal:
         want = TEXTBOOK_DIAGONALS[kind]
-        assert all(abs(a - b) < 1e-9 for a, b in zip(u.phases, want))
+        assert all(abs(complex(a) - b) < 1e-9 for a, b in zip(u.phases, want))
         assert abs(_W ** omega - want[-1]) < 1e-9

@@ -19,7 +19,8 @@ import rphase.rewrite as rewrite
 from rphase.cli import _pick_impl, main
 from rphase.qasm import QREG_LIMIT, emit_qasm, parse_qasm
 from rphase.catalog import ConstructionError, toffoli3
-from rphase.circuit import ROLE_CLEAN, ROLE_PRIMARY, Circuit, cx, cz, h, marker, t, tof, x
+from rphase.circuit import (
+    ROLE_CLEAN, ROLE_PRIMARY, Circuit, cx, cz, h, marker, p, pdg, ry, t, tdg, tof, x)
 from rphase.rewrite import apply_replacement, find_conjugations
 
 
@@ -557,6 +558,17 @@ def test_table_n7(capsys):
     assert got[("TOF7", "clean")] == (39, 30, 18, 0, 2)
 
 
+def test_table_n3_is_toffoli3_on_its_clean_closed_form(capsys):
+    """n = 3 is checked against the clean closed form (7, 6, 2) like any
+    other n, and has no dirty row."""
+    code, out, _ = run(capsys, "table", "--n-list", "3,4", "--csv")
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [tuple(r[:2]) for r in rows] == [("TOF3", "clean"), ("TOF4", "clean"),
+                                            ("TOF4", "dirty")]
+    assert tuple(int(v) for v in rows[0][2:]) == (7, 6, 2, 0, 0)
+
+
 def test_table_text_mode_has_general_row(capsys):
     code, out, _ = run(capsys, "table", "--n-list", "5")
     assert code == 0
@@ -639,6 +651,19 @@ def test_huge_ry_angles_that_cancel_verify_exact(capsys, tmp_path):
     path.write_text(_HEADER + "ccx q[0],q[1],q[2];\n" + "ry(1000000000000000000*pi) q[0];\n" * 2)
     code, out, _ = run(capsys, "verify", str(path), "--class", "exact")
     assert code == 0 and json.loads(out)["exact"] is True
+
+
+def test_an_odd_ry_total_verifies_on_the_ring_up_to_a_global_phase(capsys, tmp_path):
+    """TOF times e^(-i pi/8): its ry units sum to 1, so it is exact only up
+    to a global phase, and the report says so from the ring."""
+    path = tmp_path / "odd_ry.qasm"
+    gates = list(toffoli3().gates) + [ry(0, 1), pdg(0), h(0), tdg(0), h(0), p(0)]
+    path.write_text(emit_qasm(Circuit(3, gates)))
+    for cls, want in (("exact", 1), ("global_phase", 0)):
+        code, out, _ = run(capsys, "verify", str(path), "--class", cls)
+        report = json.loads(out)
+        assert code == want and report["backend"] == "ring", cls
+        assert (report["exact"], report["global_phase"]) == (False, True), cls
 
 
 _FUZZ_SOURCES = (("--gate", "margolus-ry"), ("--gate", "tof", "--n", "5", "--ancilla", "dirty"),

@@ -1,5 +1,6 @@
 """Sparse simulator: gate semantics, exact norms, whole-circuit unitaries."""
 
+import cmath
 import itertools
 import math
 import random
@@ -17,7 +18,6 @@ from rphase.simulate import (
     MarkerInSimulation,
     NotAPhasePermutation,
     PhasePermutation,
-    SimulationError,
     WidthLimitExceeded,
     compile_circuit,
     equivalent,
@@ -48,8 +48,8 @@ def test_t_on_one():
 
 def test_y_is_i_times_x_z_in_both_backends():
     u = unitary_columns(Circuit(1, [y(0)]))
-    assert u.perm == (1, 0) and u.phases == (IMAG, -IMAG)
-    assert unitary_columns(Circuit(1, [y(0)]), backend="float") == u
+    assert u.perm == (1, 0) and u.phases == (IMAG, -IMAG) and not u.half
+    assert backends_agree(Circuit(1, [y(0)]))
 
 
 def _entry(columns, row, col):
@@ -60,38 +60,38 @@ def _entry(columns, row, col):
 @pytest.mark.parametrize("units", range(-8, 9))
 def test_ry_is_its_closed_form_exactly_on_the_ring_for_even_units(units):
     """RY(u pi/4) = [[cos, -sin], [sin, cos]] of u pi/8: for even u the
-    ring result equals the exact form, (w^m +- w^-m) / 2 with m = u/2, and
-    for odd u, whose w^(1/2) is not in the ring, floats hold it alone."""
+    ring result equals the exact form, (w^m +- w^-m) / 2 with m = u/2. For
+    odd u the ring columns leave out the w^(1/2) = e^(i pi/8) that is not
+    in the ring: times it, they are the closed form."""
     c = Circuit(1, [ry(0, units)])
     half = units * math.pi / 8
     want = [[math.cos(half), -math.sin(half)], [math.sin(half), math.cos(half)]]
-    assert simulate.pick_backend(c) == ("float" if units % 2 else "ring")
-    if units % 2:
-        with pytest.raises(SimulationError):
-            unitary_columns(c, backend="ring")
-    else:
-        ring = _ring_columns(c)
+    ring = _ring_columns(c)
+    factor = cmath.exp(1j * math.pi / 8) if units % 2 else 1
+    assert all(abs(complex(_entry(ring, r, s)) * factor - want[r][s]) < 1e-12
+               for r in (0, 1) for s in (0, 1))
+    if units % 2 == 0:
         m = units // 2
         quarter = INV_SQRT2 * INV_SQRT2
         cos = (RingElement.omega_power(m) + RingElement.omega_power(-m)) * quarter
         sin = (RingElement.omega_power(m + 6) - RingElement.omega_power(6 - m)) * quarter
         assert [[_entry(ring, r, s) for s in (0, 1)] for r in (0, 1)] == [[cos, -sin], [sin, cos]]
-        assert all(abs(complex(_entry(ring, r, s)) - want[r][s]) < 1e-12
-                   for r in (0, 1) for s in (0, 1))
+    assert backends_agree(c)
     ops = compile_circuit(c)
     floats = [run_column_float(ops, s)[0] for s in (0, 1)]
-    assert all(abs(_entry(floats, r, s) - want[r][s]) < 1e-9 for r in (0, 1) for s in (0, 1))
+    assert all(abs(_entry(floats, r, s) * factor - want[r][s]) < 1e-9
+               for r in (0, 1) for s in (0, 1))
 
 
 def test_every_gate_kind_compiles_to_cp_and_h_ops_only():
-    """No gate keeps an op code of its own, and every exponent of an even
-    ry-unit total is an integer in 0..7, however large the units."""
+    """No gate keeps an op code of its own, and every exponent is an
+    integer in 0..7, for an even or an odd ry-unit total, however large
+    the units."""
     gates = [x(0), y(1), z(2), p(0), pdg(1), t(2), tdg(0), h(1), cx(0, 1), cz(1, 2),
              tof((0, 1), 2), tof((0, 2), 1, neg=(2,)), ry(2, 3), ry(0, -10**30 - 1)]
     for ops in (compile_circuit(Circuit(3, gates)), compile_circuit(Circuit(3, gates[:-1]))):
         assert {op[0] for op in ops} == {"cp", "h"}
-    assert all(type(op[4]) is int and 0 <= op[4] < 8
-               for op in compile_circuit(Circuit(3, gates)) if op[0] == "cp")
+        assert all(type(op[4]) is int and 0 <= op[4] < 8 for op in ops if op[0] == "cp")
 
 
 def test_cnot_basis():
@@ -141,16 +141,25 @@ def test_width_limit():
         unitary_columns(Circuit(17, [x(0)]))
 
 
+# e^(-i pi/8) I: RY(pi/4) = w^(-1/2) S H T H S^dagger, undone up to w^(-1/2)
+_HALF_PHASE = (ry(0, 1), pdg(0), h(0), tdg(0), h(0), p(0))
+
+
 def test_inverse_unitary_relation():
     """Columns of the inverse circuit are the inverse permutation with
-    conjugated phases (truncated blocks are not phase permutations)."""
+    conjugated phases (truncated blocks are not phase permutations), also
+    with the half bit of an odd ry-unit total: e^(-i pi/8) I after the
+    block."""
     checked = 0
     for name, block in BLOCKS.items():
         if block.junk:
             continue
-        u = unitary_columns(block.circuit)
-        v = unitary_columns(block.circuit.inverse())
-        assert v == u.inverse(), name
+        c = block.circuit
+        for circuit in (c, Circuit(c.width, c.gates + _HALF_PHASE)):
+            u = unitary_columns(circuit)
+            v = unitary_columns(circuit.inverse())
+            assert v == u.inverse() and v.half == u.half == (circuit is not c), name
+            assert u.inverse().inverse() == u, name
         checked += 1
     assert checked >= 4
 
@@ -200,27 +209,21 @@ def clifford_t_circuits(draw):
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(clifford_t_circuits(), st.integers(0, 3))
 def test_ring_and_float_unitaries_compare_equal(c, q):
-    """The default backend is the ring exactly when the ry units sum to an
-    even number. A phase permutation's ``==`` holds against the float
-    oracle and one more t on any qubit breaks it; for an even total the
-    ring columns agree with the float ones whatever their shape, and
-    ``equivalent`` tells the circuit from itself with one more t."""
-    odd = sum(g.param for g in c.gates if g.kind == "ry") % 2
-    assert simulate.pick_backend(c) == ("float" if odd else "ring")
+    """Every circuit runs on the ring, an odd ry-unit total with its half
+    bit set. The ring columns agree with the float oracle's whatever their
+    shape, and ``equivalent`` tells the circuit from itself with one more
+    t on any qubit, as a phase permutation's ``==`` does; the inverse
+    circuit's unitary is the inverse phase permutation."""
+    odd = sum(g.param for g in c.gates) % 2 == 1
     extended = Circuit(c.width, list(c.gates) + [t(q % c.width)])
+    assert backends_agree(c)
+    assert equivalent(c, c) and not equivalent(c, extended)
     got = unitary_columns(c)
     if got is not None:
-        assert got.backend == ("float" if odd else "ring")
-        assert got == unitary_columns(c, backend="float")
-        assert got != unitary_columns(extended, backend="float")
-    if odd:
-        with pytest.raises(SimulationError):
-            equivalent(c, extended)
-        assert not simulate._same_columns(simulate._columns(c, "float"),
-                                          simulate._columns(extended, "float"))
-    else:
-        assert backends_agree(c)
-        assert equivalent(c, c) and not equivalent(c, extended)
+        assert got.half == odd
+        assert got == unitary_columns(Circuit(c.width, c.gates))
+        assert got != unitary_columns(extended)
+        assert unitary_columns(c.inverse()) == got.inverse()
 
 
 # -- equivalent: two streams of ring columns --------------------------------
@@ -275,12 +278,17 @@ def test_equivalent_is_false_for_different_widths(monkeypatch):
     assert batches == []
 
 
-def test_equivalent_refuses_what_the_ring_cannot_hold():
+def test_equivalent_takes_odd_ry_totals_and_refuses_past_the_width_limit():
+    """An odd ry-unit total runs on the ring with its half bit. e^(-i pi/8) I
+    and I have equal ring columns (w^7 times I's): only the bit tells them
+    apart."""
     odd = Circuit(1, [ry(0, 1)])
-    with pytest.raises(SimulationError, match="odd ry-unit total"):
-        equivalent(odd, odd)
-    with pytest.raises(SimulationError, match="odd ry-unit total"):
-        equivalent(Circuit(1), odd)
+    assert equivalent(odd, odd) and equivalent(odd, Circuit(1, [ry(0, 17)]))
+    assert not equivalent(Circuit(1), odd) and not equivalent(odd, Circuit(1, [ry(0, -1)]))
+    shifted = Circuit(1, _HALF_PHASE)
+    u = unitary_columns(shifted)
+    assert u.half and u.perm == (0, 1) and u.phases == (OMEGA ** 7,) * 2
+    assert not equivalent(Circuit(1), shifted)
     with pytest.raises(WidthLimitExceeded):
         equivalent(Circuit(17, [x(0)]), Circuit(17))
 
@@ -291,10 +299,17 @@ def test_column_subset():
 
 
 def test_float_backend_collapse():
-    u = unitary_columns(toffoli3(), backend="float")
-    assert isinstance(u, PhasePermutation)
-    assert u.perm == (0, 1, 2, 3, 4, 5, 7, 6)
-    assert all(abs(p - 1) < 1e-9 for p in u.phases)
+    """The float oracle's columns of TOF collapse to its permutation with
+    phase 1, and the ring driver takes no other backend."""
+    ops = compile_circuit(toffoli3())
+    columns = [run_column_float(ops, s)[0] for s in range(8)]
+    significant = [{i: a for i, a in col.items() if abs(a) > simulate.FLOAT_TOL}
+                   for col in columns]
+    assert [list(col) for col in significant] == [[0], [1], [2], [3], [4], [5], [7], [6]]
+    assert all(abs(a - 1) < 1e-9 for col in significant for a in col.values())
+    for backend in ("float", "bogus"):
+        with pytest.raises(ValueError, match=repr(backend)):
+            unitary_columns(toffoli3(), backend=backend)
 
 
 def test_sparse_support_stays_small():

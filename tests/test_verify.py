@@ -22,9 +22,11 @@ from rphase.catalog import (
     tofn_dirty_spec,
 )
 from rphase.circuit import (
-    BLOCKS, ROLE_CLEAN, ROLE_PRIMARY, Circuit, TargetSpec, cx, h, t, tdg, tof, x, z)
+    BLOCKS, ROLE_CLEAN, ROLE_PRIMARY, Circuit, TargetSpec, cx, h, p, pdg, ry, t, tdg, tof, x,
+    z)
 from rphase.ring import RingElement
-from rphase.simulate import NotAPhasePermutation, equivalent, unitary_columns
+from rphase.simulate import (
+    NotAPhasePermutation, PhasePermutation, equivalent, run_column_float, unitary_columns)
 from rphase.verify import (
     check_implements,
     permutation_parity,
@@ -125,7 +127,7 @@ def _scan_every_column(circuit):
     results = [simulate.run_column_ring(ops, [s], circuit.width)[0]
                for s in range(1 << circuit.width)]
     return next((s for s, (amps, k, _) in enumerate(results)
-                 if simulate._collapse(amps, k, "ring") is None), None)
+                 if simulate._collapse(amps, k) is None), None)
 
 
 def test_the_first_failing_column_past_the_first_batch_is_named():
@@ -241,23 +243,56 @@ def test_global_phase_equal():
     assert report.relative_phase and not report.global_phase
 
 
+# e^(-i pi/8) I on qubit 0: an odd ry-unit total, so the half bit is set
+_HALF_PHASE = [ry(0, 1), pdg(0), h(0), tdg(0), h(0), p(0)]
+
+
+def test_an_odd_ry_total_is_a_global_phase_and_never_exact():
+    """TOF times e^(-i pi/8): its ring phases are all w^7, and with the
+    half bit no power of w makes it 1. The verdicts that read no global
+    phase hold as for TOF; rtof3_long's relative phases stay relative."""
+    spec = TargetSpec("tof", (0, 1), 2)
+    tof3 = list(toffoli3().gates)
+    omega = [t(0), x(0), t(0), x(0)]  # w I
+    report = check_implements(Circuit(3, tof3 + _HALF_PHASE), spec)
+    assert not report.exact and report.global_phase and report.relative_phase
+    assert report.special_form_holds and report.ancilla_ok and report.backend == "ring"
+    # w^7 w = 1 on the ring part, still e^(i pi/8) off
+    report = check_implements(Circuit(3, tof3 + _HALF_PHASE + omega), spec)
+    assert not report.exact and report.global_phase
+    report = check_implements(Circuit(3, list(rtof3_long().gates) + _HALF_PHASE), spec)
+    assert report.relative_phase and not report.global_phase and not report.exact
+    # two of them are e^(-i pi/4) = w^7, back in the ring
+    assert check_implements(Circuit(3, tof3 + _HALF_PHASE * 2 + omega), spec).exact
+
+
 def _negated(u):
     return replace(u, phases=tuple(-p for p in u.phases))
+
+
+def _float_unitary(circuit):
+    """The circuit's unitary from the float oracle's columns, as a
+    PhasePermutation of complex phases: each column's one amplitude past
+    1e-9."""
+    ops = simulate.compile_circuit(circuit)
+    entries = []
+    for s in range(1 << circuit.width):
+        (i, a), = ((i, a) for i, a in run_column_float(ops, s)[0].items() if abs(a) > 1e-9)
+        entries.append((i, a))
+    return PhasePermutation(circuit.width, *map(tuple, zip(*entries)))
 
 
 def test_global_phase_equal_on_float_and_mixed_pairs():
     """Margolus's R_Y circuit is TOF then -1 on row 101, in floats; a
     Z X Z X tail turns every phase to its negative."""
-    u = unitary_columns(margolus_ry(), backend="float")
-    v = unitary_columns(Circuit(3, list(margolus_ry().gates) + [z(0), x(0), z(0), x(0)]),
-                        backend="float")
-    assert u.backend == v.backend == "float"
+    u = _float_unitary(margolus_ry())
+    v = _float_unitary(Circuit(3, list(margolus_ry().gates) + [z(0), x(0), z(0), x(0)]))
     assert v == _negated(u) and u != v
-    assert unitary_columns(toffoli3(), backend="float") not in (u, _negated(u))
+    assert _float_unitary(toffoli3()) not in (u, _negated(u))
     # the same unitary over the ring: TOF, then X(1) CCZ X(1) with CCZ = H(2) TOF H(2)
     tof3 = list(toffoli3().gates)
     ring = unitary_columns(Circuit(3, tof3 + [x(1), h(2)] + tof3 + [h(2), x(1)]))
-    assert ring.backend == "ring" and ring == u
+    assert not ring.half and ring == u and unitary_columns(margolus_ry()) == u
     assert v == _negated(ring) and _negated(v) == ring
     assert unitary_columns(toffoli3()) not in (u, _negated(u))
     assert unitary_columns(rtof3_long()) not in (v, _negated(v))
