@@ -13,13 +13,15 @@ Constructs QASM has no word for ride along in structured comments::
     // rphase: {"gate": "tof"|..., "neg": [...], "gates": N}
                                                      negative controls / wide tof
 
-A directive with ``"gates": N`` is followed by its N-statement expansion,
-``circuit.expand`` of its gate; the parser checks that the N statements
-are exactly that expansion, swallows them and restores the high-level
-gate, so other QASM consumers still see a runnable program of the same
-unitary. A tof with three or more controls cannot be expanded without
-ancillae and is emitted with an empty expansion (``"gates": 0``); any
-other directive with ``"gates": 0`` is an error.
+A file holds at most one roles directive: a list under its one key, never
+inside an expansion. A directive with ``"gates": N`` is followed by its
+N-statement expansion, ``circuit.expand`` of its gate; the parser checks
+that the N statements are exactly that expansion, swallows them and
+restores the high-level gate, so other QASM consumers still see a
+runnable program of the same unitary. A tof with three or more controls
+cannot be expanded without ancillae and is emitted with an empty
+expansion (``"gates": 0``); any other directive with ``"gates": 0`` is an
+error.
 
 ``parse_qasm`` parses, validates and register-checks each distinct
 statement text once, on its first line, and reuses that gate for later
@@ -158,7 +160,7 @@ def parse_qasm(text: str) -> Circuit:
     """Parse the supported subset back into a circuit."""
     reg = None
     width = 0
-    roles = None
+    roles = roles_at = None  # the roles directive and its line
     gates: list[Gate] = []
     pending = None  # (high-level Gate, directive line, statement count, statements so far)
     stmts: dict[str, Gate] = {}
@@ -174,11 +176,23 @@ def parse_qasm(text: str) -> Circuit:
                 continue
             try:
                 info = json.loads(payload[len("rphase:"):].strip())
-                if "roles" in info:
-                    roles = tuple(info["roles"])
+                if isinstance(info, dict) and "roles" in info:
+                    if pending is not None:
+                        raise _nested(pending, lineno)
+                    if roles is not None:
+                        raise QasmError(f"second roles directive; the first is on line {roles_at}",
+                                        lineno, 1)
+                    roles, roles_at = info.pop("roles"), lineno
+                    if info:
+                        raise QasmError("bad rphase directive: a roles directive takes no other "
+                                        f"key, got {json.dumps(sorted(info))}", lineno, 1)
+                    if not isinstance(roles, list):
+                        raise QasmError('bad rphase directive: "roles" must be a list, got '
+                                        f"{json.dumps(roles)}", lineno, 1)
                     for r in roles:
                         if r not in ROLES:
                             raise QasmError(f"unknown ancilla role {r!r}", lineno, 1)
+                    roles = tuple(roles)
                     continue
                 count = info["gates"]
                 for v in (count, info["target"], *info["controls"], *info.get("neg", ())):
@@ -204,8 +218,7 @@ def parse_qasm(text: str) -> Circuit:
                 raise QasmError("gate before qreg declaration", lineno, 1)
             _check_register(g, width, lineno)
             if pending is not None:
-                raise QasmError("rphase directive inside the expansion of the "
-                                f"directive on line {pending[1]}", lineno, 1)
+                raise _nested(pending, lineno)
             if count == 0:
                 if not _wide(g):
                     raise QasmError(f"rphase directive for {g} without its expansion", lineno, 1)
@@ -266,6 +279,11 @@ def parse_qasm(text: str) -> Circuit:
     if roles is not None and len(roles) != width:
         raise QasmError("roles directive does not match register size", None, None)
     return Circuit(width, gates, roles)
+
+
+def _nested(pending, lineno: int) -> QasmError:
+    return QasmError("rphase directive inside the expansion of the "
+                     f"directive on line {pending[1]}", lineno, 1)
 
 
 def _is_index(v) -> bool:

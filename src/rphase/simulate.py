@@ -28,14 +28,15 @@ Amplitudes compare through ``same_phase``, the one rule: exactly for two
 ring elements, within FLOAT_TOL = 1e-9 as complex numbers otherwise, which
 only the oracle comparison meets.
 
-``unitary_columns`` is the one column driver: it applies a circuit to
-every basis state, or to a requested subset, which is how
-``verify.check_implements`` runs. If every column collapses to a single
-basis state carrying a unit-magnitude phase the result is a
-``PhasePermutation`` (a ``ColumnSet`` for a subset) -- the shape of every
-(relative phase) multiple-control Toffoli. Else the full set gives None
-and a subset raises NotAPhasePermutation naming the first column, in
-index order, that does not collapse; either way no column runs past it.
+Every ring column runs through one lazy stream, ``_ring_columns``: it
+compiles and fuses a circuit once and yields its ring columns for a
+sequence of basis states, one batch at a time. ``_collapsed`` reads it into the
+(output, phase) of each column -- the shape of every (relative phase)
+multiple-control Toffoli -- and raises NotAPhasePermutation naming the
+first column, in the order given, that does not collapse; no batch runs
+past that one. ``unitary_columns`` runs it on every basis state and
+returns a ``PhasePermutation``, or None for a circuit that is none;
+``verify.check_implements`` runs it on the columns it chooses.
 ``equivalent`` compares two circuits' unitaries of any shape exactly: the
 bits first, then the columns up to the first that differs, one batch of
 ring columns at a time.
@@ -43,9 +44,7 @@ ring columns at a time.
 Columns run in batches of BATCH_COLUMNS. A batch is one sparse state:
 column n's indices carry n in the bits from the circuit width up, which
 no op reads or writes, so each op runs once over the whole batch. The
-batches run in index order in the calling process, each column is
-collapsed as its batch returns, and the run stops at the first column
-that does not collapse: no later batch runs.
+batches run in order in the calling process.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .circuit import KINDS, ROLE_CLEAN, Circuit, Gate, basis_bit
+from .circuit import KINDS, Circuit, Gate, basis_bit
 from .ring import ZERO, RingElement, as_omega_power
 
 FLOAT_TOL = 1e-9
@@ -393,80 +392,67 @@ class PhasePermutation:
                 and all(map(same_phase, self.phases, other.phases)))
 
 
-def _run_columns(ops, width: int, indices):
-    """The (output, phase) of each column, in order, up to and including
-    the None of the first that does not collapse, and the largest
-    max_support of the columns run; no batch runs past that one."""
-    ops = fuse_ops(ops)
-    entries, max_support = [], 1
-    for i in range(0, len(indices), BATCH_COLUMNS):
-        for amps, k, ms in run_column_ring(ops, indices[i:i + BATCH_COLUMNS], width):
-            max_support = max(max_support, ms)
-            entries.append(_collapse(amps, k))
-            if entries[-1] is None:
-                return entries, max_support
-    return entries, max_support
-
-
 def _width_guard(columns: int) -> None:
     if columns > WIDTH_LIMIT:
         raise WidthLimitExceeded(
             f"width limit exceeded: 2^{columns} columns to simulate, limit 2^{WIDTH_LIMIT}")
 
 
-def unitary_columns(circuit: Circuit, backend: str = "ring", column_indices=None):
-    """Apply the circuit to each basis state (or to ``column_indices``).
+def _ring_columns(circuit: Circuit, starts):
+    """(amplitudes, k, max_support) of the ring column of each basis state
+    in ``starts`` (a sequence), in order: the fused ops run on one batch of
+    BATCH_COLUMNS at a time, each when it is reached."""
+    width = circuit.width
+    ops = fuse_ops(compile_circuit(circuit))
+    for n in range(0, len(starts), BATCH_COLUMNS):
+        yield from run_column_ring(ops, starts[n:n + BATCH_COLUMNS], width)
 
-    Returns a PhasePermutation when every column collapses to one basis
-    state with a unit-magnitude phase, else None. A requested subset
-    returns a ColumnSet, and a column of it that does not collapse raises
-    NotAPhasePermutation. No column runs past the first that does not.
-    Any ``backend`` but "ring" is a ValueError.
 
-    One width guard runs before ``column_indices`` (which may be lazy) is
-    consumed: a subset is taken to lie in the clean-ancilla-0 subspace, as
-    check_implements requests, so it counts 2^(width - clean ancillae)
-    columns; the full set counts 2^width. Either must be at most
-    2^WIDTH_LIMIT.
-    """
+def _collapsed(circuit: Circuit, starts):
+    """The (output, phase) of each column of ``starts``, in order, and the
+    largest max_support among them. A column that does not collapse to one
+    basis state with a unit-magnitude phase raises NotAPhasePermutation
+    naming it; no batch runs past its own."""
+    entries, max_support = [], 1
+    for s, (amps, k, ms) in zip(starts, _ring_columns(circuit, starts)):
+        max_support = max(max_support, ms)
+        entry = _collapse(amps, k)
+        if entry is None:
+            raise NotAPhasePermutation(
+                f"not a phase permutation: column {s:0{circuit.width}b} "
+                f"does not collapse to one basis state")
+        entries.append(entry)
+    return entries, max_support
+
+
+def unitary_columns(circuit: Circuit, backend: str = "ring"):
+    """Apply the circuit to every basis state: a PhasePermutation when each
+    column collapses to one basis state with a unit-magnitude phase, else
+    None, with no column run past the first that does not. At most
+    2^WIDTH_LIMIT columns; any ``backend`` but "ring" is a ValueError."""
     if backend != "ring":
         raise ValueError(f"unknown backend {backend!r}: columns run on the ring only")
-    full = column_indices is None
     width = circuit.width
-    _width_guard(width - (0 if full else circuit.roles.count(ROLE_CLEAN)))
-    ops = compile_circuit(circuit)
-    indices = range(1 << width) if full else list(column_indices)
-
-    entries, max_support = _run_columns(ops, width, indices)
-    if entries and entries[-1] is None:
-        if full:
-            return None
-        raise NotAPhasePermutation(
-            f"not a phase permutation: column {indices[len(entries) - 1]:0{width}b} "
-            f"does not collapse to one basis state")
-    perm = tuple(i for i, _ in entries)
-    phases = tuple(phase for _, phase in entries)
-    half = _half(circuit)
-    if full:
-        return PhasePermutation(width, perm, phases, half, max_support)
-    return ColumnSet(width, dict(zip(indices, perm)), dict(zip(indices, phases)),
-                     half, max_support)
+    _width_guard(width)
+    try:
+        entries, max_support = _collapsed(circuit, range(1 << width))
+    except NotAPhasePermutation:
+        return None
+    perm, phases = zip(*entries)
+    return PhasePermutation(width, perm, phases, _half(circuit), max_support)
 
 
 def _columns(circuit: Circuit, backend: str):
     """Every column of the circuit's compiled ops (so without ``_half``'s
     factor) as {row: amplitude}, in order, each ring batch run when it is
     reached: RingElements, or the oracle's complex numbers for "float"."""
-    width = circuit.width
-    _width_guard(width)
-    ops = compile_circuit(circuit)
-    starts = range(1 << width)
+    _width_guard(circuit.width)
+    starts = range(1 << circuit.width)
     if backend == "float":
+        ops = compile_circuit(circuit)
         return (run_column_float(ops, s)[0] for s in starts)
-    ops = fuse_ops(ops)
     return ({i: RingElement(*c, k) for i, c in amps.items()}
-            for n in range(0, len(starts), BATCH_COLUMNS)
-            for amps, k, _ in run_column_ring(ops, starts[n:n + BATCH_COLUMNS], width))
+            for amps, k, _ in _ring_columns(circuit, starts))
 
 
 def _same_columns(xs, ys) -> bool:
@@ -483,17 +469,6 @@ def equivalent(a: Circuit, b: Circuit) -> bool:
     run, one batch at a time each, up to the first column that differs."""
     return (a.width == b.width and _half(a) == _half(b)
             and _same_columns(_columns(a, "ring"), _columns(b, "ring")))
-
-
-@dataclass(frozen=True)
-class ColumnSet:
-    """Phase-permutation data restricted to a subset of input columns."""
-
-    width: int
-    perm: dict
-    phases: dict
-    half: bool = False
-    max_support: int = 1
 
 
 def _collapse(amps, k):

@@ -12,13 +12,13 @@ only rules out exact equality, the one verdict that reads a global
 phase. It is the one place these verdicts are decided: the rewrite engine
 reads a block's special-form types from it too.
 
-The columns come from ``simulate.unitary_columns``, the one column
-driver. Clean ancillae restrict the checked subspace: only columns whose
-clean bits are 0 are simulated, which is the whole contract for such
-circuits, and the width guard counts only those. Those columns are
-enumerated directly, and each is checked against the target's flip on
-its own, so a check costs 2^(width - clean ancillae), never 2^width.
-Dirty ancillae are enumerated and must factor out exactly.
+The columns come from ``simulate._collapsed``, the ring column stream,
+and this module alone chooses them. Clean ancillae restrict the checked
+subspace: only columns whose clean bits are 0 are simulated, which is the
+whole contract for such circuits, and the width guard counts only those.
+Those columns are enumerated directly, and each is checked against the
+target's flip on its own, so a check costs 2^(width - clean ancillae),
+never 2^width. Dirty ancillae are enumerated and must factor out exactly.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 from .circuit import Circuit, ROLE_CLEAN, ROLE_DIRTY, TargetSpec, basis_bit, tof
 from .ring import ONE
-from .simulate import PhasePermutation, compile_gate, same_phase, unitary_columns
-from .simulate import _columns, _same_columns
+from .simulate import PhasePermutation, compile_gate, same_phase
+from .simulate import _collapsed, _columns, _half, _same_columns, _width_guard
 # perfbench/tracer.py binds its simulate spans to these names in this module
 from .simulate import compile_circuit, run_column_float, run_column_ring  # noqa: F401
 
@@ -42,7 +42,6 @@ class VerificationReport:
     special_form_xprime: tuple[int, ...]
     special_form_holds: bool
     ancilla_ok: bool
-    backend: str
     max_support: int = 0
 
     def as_dict(self) -> dict:
@@ -55,7 +54,6 @@ class VerificationReport:
                 "holds": self.special_form_holds,
             },
             "ancilla_ok": self.ancilla_ok,
-            "backend": self.backend,
             "max_support": self.max_support,
         }
 
@@ -90,35 +88,37 @@ def check_implements(circuit: Circuit, spec: TargetSpec) -> VerificationReport:
     width = circuit.width
     clean_mask = sum(basis_bit(width, q) for q, r in enumerate(circuit.roles) if r == ROLE_CLEAN)
     dirty_mask = sum(basis_bit(width, q) for q, r in enumerate(circuit.roles) if r == ROLE_DIRTY)
-    cols = unitary_columns(circuit, column_indices=_submasks(((1 << width) - 1) & ~clean_mask))
-    perm, phase = cols.perm, cols.phases
-    columns = list(perm)
+    _width_guard(width - clean_mask.bit_count())
+    columns = list(_submasks(((1 << width) - 1) & ~clean_mask))
+    entries, max_support = _collapsed(circuit, columns)
+    pairs = list(zip(columns, entries))
     cm, cv, flip = _flip(spec, width)
 
-    clean_ok = all(not perm[s] & clean_mask for s in columns)
-    dirty_preserved = all(perm[s] & dirty_mask == s & dirty_mask for s in columns)
-    perm_ok = all(perm[s] == (s ^ flip if s & cm == cv else s) for s in columns)
+    clean_ok = all(not o & clean_mask for o, _ in entries)
+    dirty_preserved = all(o & dirty_mask == s & dirty_mask for s, (o, _) in pairs)
+    perm_ok = all(o == (s ^ flip if s & cm == cv else s) for s, (o, _) in pairs)
 
     # dirty factorization: action and phase independent of the dirty bits
     factor_ok = not dirty_mask or _constant_on_classes(
-        {s: (perm[s] ^ s, phase[s]) for s in columns}, dirty_mask,
+        ((s, (o ^ s, ph)) for s, (o, ph) in pairs), dirty_mask,
         lambda a, b: a[0] == b[0] and same_phase(a[1], b[1]))
     ancilla_ok = clean_ok and dirty_preserved and factor_ok
 
-    all_one = all(same_phase(phase[s], ONE) for s in columns)
-    first = phase[columns[0]]
-    constant = all(same_phase(phase[s], first) for s in columns)
+    first = entries[0][1]
+    all_one = all(same_phase(ph, ONE) for _, ph in entries)
+    constant = all(same_phase(ph, first) for _, ph in entries)
 
     # every collapsed phase is unit-magnitude, so relative phase needs
     # only the permutation and the ancilla contract; e^(i pi/8) w^j != 1
-    exact = perm_ok and all_one and ancilla_ok and not cols.half
+    exact = perm_ok and all_one and ancilla_ok and not _half(circuit)
     global_phase = perm_ok and constant and ancilla_ok
     relative = perm_ok and ancilla_ok
 
-    # special form is read on the canonic row-indexed diagonal
+    # special form is read on the canonic row-indexed diagonal: the
+    # (output, phase) entries, one per row once perm_ok holds
     xprime = tuple(sorted(spec.xprime))
     sf_holds = perm_ok and _constant_on_classes(
-        {perm[s]: phase[s] for s in columns}, sum(basis_bit(width, q) for q in xprime))
+        entries, sum(basis_bit(width, q) for q in xprime))
 
     return VerificationReport(
         exact=exact,
@@ -127,8 +127,7 @@ def check_implements(circuit: Circuit, spec: TargetSpec) -> VerificationReport:
         special_form_xprime=xprime,
         special_form_holds=sf_holds,
         ancilla_ok=ancilla_ok,
-        backend="ring",
-        max_support=cols.max_support,
+        max_support=max_support,
     )
 
 
@@ -142,11 +141,12 @@ def _submasks(mask: int):
         s = (s - mask) & mask
 
 
-def _constant_on_classes(values: dict, mask: int, same=same_phase) -> bool:
-    """True iff ``values`` agree under ``same`` within every class of
-    indices that differ only in the ``mask`` bits."""
+def _constant_on_classes(pairs, mask: int, same=same_phase) -> bool:
+    """True iff the values of the (index, value) ``pairs`` agree under
+    ``same`` within every class of indices that differ only in the
+    ``mask`` bits."""
     first = {}
-    return all(same(v, first.setdefault(i & ~mask, v)) for i, v in values.items())
+    return all(same(v, first.setdefault(i & ~mask, v)) for i, v in pairs)
 
 
 # -- phase-permutation level predicates -------------------------------------

@@ -209,7 +209,7 @@ def test_tof4_clean():
     rep = check_implements(c, tofn_clean_spec(4))
     assert rep.exact and rep.ancilla_ok
     # truth table: |1101 0> -> |1101 1> in the (a,b,anc,c,d) layout
-    u = unitary_columns(c, column_indices=[0b11010])
+    u = unitary_columns(c)
     assert u.perm[0b11010] == 0b11011 and u.phases[0b11010] == ONE
 
 
@@ -230,7 +230,7 @@ def test_tof5_clean():
     rep = check_implements(c, tofn_clean_spec(5))
     assert rep.exact and rep.ancilla_ok
     # all-zero input is a fixed point
-    u = unitary_columns(c, column_indices=[0])
+    u = unitary_columns(c)
     assert u.perm[0] == 0 and u.phases[0] == ONE
 
 

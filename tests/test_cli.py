@@ -618,6 +618,35 @@ def test_bad_file_is_an_input_error_naming_the_line(capsys, tmp_path, command, p
     assert code == 2 and err.startswith("error:") and "line 4" in err
 
 
+_ROLES = '// rphase: {"roles": ["primary", "primary", "clean_ancilla"]}\n'
+# a bad roles directive, and the line the error names
+_BAD_ROLES_FILES = {
+    "second roles directive": (
+        _ROLES + _ROLES.replace('"primary", "clean_ancilla"', '"clean_ancilla", "primary"')
+        + "cx q[0],q[2];\n", 5),
+    "roles directive with a marker": (
+        _RTOF3L.replace('{"marker"', '{"roles": ["primary", "primary", "primary"], "marker"'), 4),
+    "roles directive inside an expansion": (_RTOF3L.replace("\n", "\n" + _ROLES, 1), 5),
+    "roles that are a string": ('// rphase: {"roles": "primary"}\n', 4),
+    "roles that are an object": (
+        '// rphase: {"roles": {"primary": 0, "clean_ancilla": 1, "dirty_ancilla": 2}}\n', 4),
+    "roles that are null": ('// rphase: {"roles": null}\ncx q[0],q[1];\n', 4),
+}
+
+
+@pytest.mark.parametrize("problem", sorted(_BAD_ROLES_FILES))
+def test_a_bad_roles_directive_is_an_input_error_naming_its_line(capsys, tmp_path, problem):
+    """One roles directive per file, holding only a list of roles, outside
+    any expansion: any other is an input error, so no role layout is read
+    from a directive that was dropped, replaced or nested."""
+    text, line = _BAD_ROLES_FILES[problem]
+    path = tmp_path / "bad_roles.qasm"
+    path.write_text(_HEADER + text)
+    for command in ("count", "verify", "rewrite"):
+        code, _, err = run(capsys, command, str(path))
+        assert code == 2 and err.startswith("error:") and f"line {line}," in err, (command, err)
+
+
 def test_tampered_expansion_fails_verify_without_its_directive(capsys, tmp_path):
     """The directive check is what stops the tampered file: read as plain
     QASM, its body is not even a phase permutation."""
@@ -662,7 +691,7 @@ def test_an_odd_ry_total_verifies_on_the_ring_up_to_a_global_phase(capsys, tmp_p
     for cls, want in (("exact", 1), ("global_phase", 0)):
         code, out, _ = run(capsys, "verify", str(path), "--class", cls)
         report = json.loads(out)
-        assert code == want and report["backend"] == "ring", cls
+        assert code == want and "backend" not in report, cls
         assert (report["exact"], report["global_phase"]) == (False, True), cls
 
 
@@ -969,13 +998,14 @@ def test_wide_tof_is_an_input_error_naming_the_gate(capsys, tmp_path, command):
 @pytest.mark.parametrize("value", ["ring", "bogus"])
 def test_verify_picks_the_backend_from_the_circuit(capsys, tmp_path, monkeypatch, value):
     # RPHASE_BACKEND is no longer read: an ry circuit whose units sum to an
-    # even number runs on the ring
+    # even number runs on the ring, the only backend, which no report names
     path = tmp_path / "margolus_ry.qasm"
     assert run(capsys, "synth", "--gate", "margolus-ry", "--out", str(path))[0] == 0
     monkeypatch.setenv("RPHASE_BACKEND", value)
     code, out, _ = run(capsys, "verify", str(path), "--layout", "ctrl,ctrl,target",
                        "--class", "relative_phase")
-    assert code == 0 and json.loads(out)["backend"] == "ring"
+    report = json.loads(out)
+    assert code == 0 and report["relative_phase"] is True and "backend" not in report
 
 
 def test_table_bad_n_list_is_a_usage_error(capsys):

@@ -22,11 +22,12 @@ from rphase.catalog import (
     tofn_dirty_spec,
 )
 from rphase.circuit import (
-    BLOCKS, ROLE_CLEAN, ROLE_PRIMARY, Circuit, TargetSpec, cx, h, p, pdg, ry, t, tdg, tof, x,
-    z)
+    BLOCKS, ROLE_CLEAN, ROLE_DIRTY, ROLE_PRIMARY, Circuit, TargetSpec, cx, h, p, pdg, ry, t,
+    tdg, tof, x, z)
 from rphase.ring import RingElement
 from rphase.simulate import (
-    NotAPhasePermutation, PhasePermutation, equivalent, run_column_float, unitary_columns)
+    NotAPhasePermutation, PhasePermutation, WidthLimitExceeded, equivalent, run_column_float,
+    unitary_columns)
 from rphase.verify import (
     check_implements,
     permutation_parity,
@@ -37,7 +38,8 @@ from rphase.verify import (
 def test_check_tof4_clean_exact():
     rep = check_implements(tofn_clean(4), tofn_clean_spec(4))
     assert rep.exact and rep.global_phase and rep.relative_phase and rep.ancilla_ok
-    assert rep.backend == "ring"
+    # columns run on the ring only, so no report names a backend
+    assert not hasattr(rep, "backend") and "backend" not in rep.as_dict()
 
 
 def test_an_exact_check_compares_shared_phases_by_identity(monkeypatch):
@@ -77,7 +79,7 @@ def test_check_report_schema():
     rep = check_implements(toffoli3(), TargetSpec("tof", (0, 1), 2))
     d = rep.as_dict()
     assert set(d) == {"exact", "global_phase", "relative_phase", "special_form",
-                      "ancilla_ok", "backend", "max_support"}
+                      "ancilla_ok", "max_support"}
     assert d["special_form"] == {"xprime": [], "holds": True}
     # toffoli3's two Hadamards act on the target in turn: support 2 at most
     assert d["max_support"] == rep.max_support == 2
@@ -154,17 +156,39 @@ def test_a_serial_check_stops_at_the_batch_that_fails(monkeypatch):
     assert sum(simulated) == (256 // batch + 1) * batch < 1 << c.width
 
 
+def test_only_the_check_restricts_columns_to_clean_ancillae_at_zero(monkeypatch):
+    """A CNOT routed through one clean ancilla, with 14 dirty ancillae: 17
+    qubits. check_implements runs the 2^16 columns whose clean bit is 0 and
+    finds it exact; unitary_columns, which has no subspace, counts 2^17
+    columns and raises WidthLimitExceeded before any column runs."""
+    roles = [ROLE_PRIMARY, ROLE_PRIMARY, ROLE_CLEAN] + [ROLE_DIRTY] * 14
+    c = Circuit(17, [cx(0, 2), cx(2, 1), cx(0, 2)], roles)
+    kernel, simulated = simulate.run_column_ring, []
+
+    def counted(ops, starts, width):
+        simulated.append(len(starts))
+        return kernel(ops, starts, width)
+
+    monkeypatch.setattr(simulate, "run_column_ring", counted)
+    assert check_implements(c, TargetSpec("tof", (0,), 1)).exact
+    assert sum(simulated) == 1 << 16
+    simulated.clear()
+    with pytest.raises(WidthLimitExceeded, match=r"2\^17 columns"):
+        unitary_columns(c)
+    assert simulated == []
+
+
 def test_a_non_permutation_streams_its_one_column_runs():
     """H T (X Tdg X) H on the last qubit, controlled by the first: columns
     128 on do not collapse, so the full set of 8-qubit columns is no phase
-    permutation, every column requested raises NotAPhasePermutation naming
+    permutation, collapsing every column raises NotAPhasePermutation naming
     column 128, and the columns ``equivalent`` streams are the one-column
     runs of every column."""
     c = Circuit(8, [h(7), t(7), cx(0, 7), tdg(7), cx(0, 7), h(7)])
     assert _scan_every_column(c) == 128
     assert unitary_columns(c) is None
     with pytest.raises(NotAPhasePermutation, match="column 10000000 "):
-        unitary_columns(c, column_indices=range(1 << c.width))
+        simulate._collapsed(c, range(1 << c.width))
     ops = simulate.compile_circuit(c)
     alone = [simulate.run_column_ring(ops, [s], c.width)[0] for s in range(1 << c.width)]
     assert max(ms for *_, ms in alone) == 2
@@ -256,7 +280,8 @@ def test_an_odd_ry_total_is_a_global_phase_and_never_exact():
     omega = [t(0), x(0), t(0), x(0)]  # w I
     report = check_implements(Circuit(3, tof3 + _HALF_PHASE), spec)
     assert not report.exact and report.global_phase and report.relative_phase
-    assert report.special_form_holds and report.ancilla_ok and report.backend == "ring"
+    assert report.special_form_holds and report.ancilla_ok
+    assert "backend" not in report.as_dict()
     # w^7 w = 1 on the ring part, still e^(i pi/8) off
     report = check_implements(Circuit(3, tof3 + _HALF_PHASE + omega), spec)
     assert not report.exact and report.global_phase
