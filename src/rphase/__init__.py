@@ -55,12 +55,12 @@ from .simulate import (
     MarkerInSimulation,
     NotAPhasePermutation,
     PhasePermutation,
+    backends_agree,
     equivalent,
     unitary_columns,
 )
 from .verify import (
     VerificationReport,
-    backends_agree,
     check_implements,
     permutation_parity,
     target_permutation,

@@ -161,7 +161,7 @@ def _tofn_clean(n: int) -> tuple[Circuit, TargetSpec]:
     clean = set(ancs)
     roles = [ROLE_CLEAN if q in clean else ROLE_PRIMARY for q in range(width)]
     controls = tuple(q for q in range(width - 1) if q not in clean)
-    return Circuit(width, gates, roles), TargetSpec("tof", controls, width - 1)
+    return Circuit(width, gates, roles), TargetSpec(controls, width - 1)
 
 
 def tofn_clean(n: int) -> Circuit:
@@ -189,7 +189,7 @@ def _borrowed_pair(kind: str) -> tuple[Circuit, TargetSpec]:
     fold, blk = marker(kind, range(x), x), marker("srts3", (x + 1, x), x + 2)
     roles = [ROLE_DIRTY if q == x else ROLE_PRIMARY for q in range(x + 3)]
     return (Circuit(x + 3, _expand(_commutator([fold], [blk])), roles),
-            TargetSpec("tof", (*range(x), x + 1), x + 2))
+            TargetSpec((*range(x), x + 1), x + 2))
 
 
 def tof4_dirty() -> Circuit:
@@ -244,7 +244,7 @@ def _tofn_dirty(n: int) -> tuple[Circuit, TargetSpec]:
     roles = [ROLE_PRIMARY if q in primaries else ROLE_DIRTY for q in used]
     gates = _expand(map_once(lambda g: g.remap(remap), seq))
     controls = tuple(remap[q] for q in range(1, n))
-    return Circuit(len(used), gates, roles), TargetSpec("tof", controls, remap[2 * n - 3])
+    return Circuit(len(used), gates, roles), TargetSpec(controls, remap[2 * n - 3])
 
 
 def tofn_dirty(n: int) -> Circuit:
@@ -268,7 +268,7 @@ def tofn(n: int, ancilla: str) -> tuple[Circuit, TargetSpec]:
         raise ConstructionError(f"TOF needs n >= 3 qubits, got {n}")
     _within_qreg_limit(f"TOF{n}", n + (n - 2) // 2)  # ceil((n-3)/2) helpers
     if n == 3:
-        return toffoli3(), TargetSpec("tof", (0, 1), 2)
+        return toffoli3(), TargetSpec((0, 1), 2)
     if ancilla == "clean":
         return _tofn_clean(n)
     return _borrowed_pair("rtof3l") if n == 4 else _tofn_dirty(n)
@@ -302,7 +302,7 @@ def ladder_tofn(n: int) -> Circuit:
 
 
 def ladder_tofn_spec(n: int) -> TargetSpec:
-    return TargetSpec("tof", tuple(range(n - 1)), 2 * n - 4)
+    return TargetSpec(tuple(range(n - 1)), 2 * n - 4)
 
 
 def two_block_tofn(n: int, k: int) -> Circuit:
@@ -339,7 +339,7 @@ def two_block_tofn(n: int, k: int) -> Circuit:
 
 
 def two_block_tofn_spec(n: int, k: int) -> TargetSpec:
-    return TargetSpec("tof", tuple(range(n - 1)), n)
+    return TargetSpec(tuple(range(n - 1)), n)
 
 
 def _cu_gates(u: str, control: int, target: int) -> list[Gate]:
@@ -393,5 +393,5 @@ def cnu_parallel(n: int, u: str = "x") -> Circuit:
 
 def cnu_spec(n: int) -> TargetSpec:
     """C^n X viewed as a Toffoli with n controls (U = x only)."""
-    return TargetSpec("tof", tuple(range(n)), 2 * n - 1)
+    return TargetSpec(tuple(range(n)), 2 * n - 1)
 

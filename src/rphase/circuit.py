@@ -268,15 +268,13 @@ class Circuit:
 
 @dataclass(frozen=True)
 class TargetSpec:
-    """What a circuit claims to implement.
-
-    ``kind`` is "tof", "rtof" or "srtof"; for "srtof" the phase classes are
-    constant across flips of the qubits in ``xprime``. ``equivalence`` names
-    the class the claim is made at: exact, global_phase, relative_phase or
-    special_form.
+    """What a circuit claims to implement: the tof on ``controls`` (those in
+    ``neg`` firing on |0>) and ``target``, at the ``equivalence`` class
+    exact, global_phase, relative_phase or special_form. ``xprime``, a
+    subset of the gate's qubits, names the flips across which the special
+    form's phase classes are constant.
     """
 
-    kind: str
     controls: tuple[int, ...]
     target: int
     neg: frozenset[int] = frozenset()
@@ -284,11 +282,9 @@ class TargetSpec:
     equivalence: str = "exact"
 
     def __post_init__(self):
-        if self.kind not in ("tof", "rtof", "srtof"):
-            raise ValueError(f"unknown target kind {self.kind!r}")
         if self.equivalence not in ("exact", "global_phase", "relative_phase", "special_form"):
             raise ValueError(f"unknown equivalence class {self.equivalence!r}")
-        if self.kind == "srtof" and not self.xprime <= (set(self.controls) | {self.target}):
+        if not self.xprime <= self.qubits:
             raise ValueError("xprime must be a subset of the gate's qubits")
 
     @property
@@ -398,28 +394,28 @@ _BLOCK_ROWS = (
     ("toffoli3", None,
      (h(2), cx(2, 1), tdg(1), cx(0, 1), t(1), cx(2, 1), tdg(1), cx(0, 1), t(1),
       cx(0, 2), tdg(2), cx(0, 2), t(0), t(2), h(2)),
-     TargetSpec("tof", (0, 1), 2), (7, 6, 2),
+     TargetSpec((0, 1), 2), (7, 6, 2),
      "exact 3-qubit Toffoli, minimal T and CNOT counts"),
     ("srtof3_ccix", "srtof3", (cz(0, 2),) + _RTOF3_LONG,
-     TargetSpec("srtof", (0, 1), 2, xprime=frozenset({2}), equivalence="special_form"),
+     TargetSpec((0, 1), 2, xprime=frozenset({2}), equivalence="special_form"),
      (4, 4, 2), "doubly-controlled iX; phases constant across the target"),
     ("rtof3_long", "rtof3l", _RTOF3_LONG,
-     TargetSpec("rtof", (0, 1), 2, equivalence="relative_phase"),
+     TargetSpec((0, 1), 2, equivalence="relative_phase"),
      (4, 3, 2), "9-gate relative-phase Toffoli, self-inverse"),
     ("rts3", "rtof3s", ("rtof3_long", 5),
-     TargetSpec("rtof", (0, 1), 2, equivalence="relative_phase"),
+     TargetSpec((0, 1), 2, equivalence="relative_phase"),
      (2, 2, 1), "truncated rtof3_long; undo of the tail acts on (b, target)"),
     ("srts3", "srts3", ("toffoli3", 9),
-     TargetSpec("srtof", (0, 1), 2, xprime=frozenset({0, 1, 2}), equivalence="special_form"),
+     TargetSpec((0, 1), 2, xprime=frozenset({0, 1, 2}), equivalence="special_form"),
      (4, 4, 1), "truncated toffoli3; undo of the tail acts on (a, target)"),
     ("rtof4_long", "rtof4l",
      (h(3), t(3), cx(2, 3), tdg(3), h(3),
       cx(0, 3), t(3), cx(1, 3), tdg(3), cx(0, 3), t(3), cx(1, 3), tdg(3),
       h(3), t(3), cx(2, 3), tdg(3), h(3)),
-     TargetSpec("rtof", (0, 1, 2), 3, equivalence="relative_phase"),
+     TargetSpec((0, 1, 2), 3, equivalence="relative_phase"),
      (8, 6, 4), "18-gate relative-phase Toffoli-4"),
     ("rt4s", "rt4s", ("rtof4_long", 10),
-     TargetSpec("rtof", (0, 1, 2), 3, equivalence="relative_phase"),
+     TargetSpec((0, 1, 2), 3, equivalence="relative_phase"),
      (4, 4, 2), "truncated rtof4_long; undo of the tail acts on (b, c, target)"),
 )
 

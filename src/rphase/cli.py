@@ -164,9 +164,7 @@ def cmd_verify(args) -> int:
     stray = set(args.xprime or ()) - set(controls) - {target}
     if stray:
         raise UsageError(f"--xprime names qubits {sorted(stray)} outside the gate")
-    kind = {"exact": "tof", "global_phase": "tof",
-            "relative_phase": "rtof", "special_form": "srtof"}[args.cls]
-    spec = TargetSpec(kind, tuple(controls), target, neg=neg,
+    spec = TargetSpec(tuple(controls), target, neg=neg,
                       xprime=frozenset(args.xprime or ()), equivalence=args.cls)
     report = check_implements(circuit, spec)
     print(report.as_json())

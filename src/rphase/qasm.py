@@ -13,6 +13,9 @@ Constructs QASM has no word for ride along in structured comments::
     // rphase: {"gate": "tof"|..., "neg": [...], "gates": N}
                                                      negative controls / wide tof
 
+A directive is a JSON object that names each key once and no key beyond
+those above, and a gate directive's keys build one ``Gate``, which
+refuses ``"neg"`` on a marker and ``"dagger"`` on any other gate.
 A file holds at most one roles directive: a list under its one key, never
 inside an expansion. A directive with ``"gates": N`` is followed by its
 N-statement expansion, ``circuit.expand`` of its gate; the parser checks
@@ -36,7 +39,7 @@ import json
 import re
 from math import gcd
 
-from .circuit import KINDS, Circuit, Gate, ROLE_PRIMARY, ROLES, expand, marker
+from .circuit import KINDS, Circuit, Gate, ROLE_PRIMARY, ROLES, expand
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
 # Widest qreg the parser accepts, far above the widest circuit synth
@@ -175,7 +178,8 @@ def parse_qasm(text: str) -> Circuit:
             if not payload.startswith("rphase:"):
                 continue
             try:
-                info = json.loads(payload[len("rphase:"):].strip())
+                info = json.loads(payload[len("rphase:"):].strip(),
+                                  object_pairs_hook=_unique_keys)
                 if isinstance(info, dict) and "roles" in info:
                     if pending is not None:
                         raise _nested(pending, lineno)
@@ -195,22 +199,23 @@ def parse_qasm(text: str) -> Circuit:
                     roles = tuple(roles)
                     continue
                 count = info["gates"]
+                kind_key = "marker" if "marker" in info else "gate"
+                extra = info.keys() - {kind_key, "controls", "target", "gates", "neg", "dagger"}
+                if extra:
+                    raise QasmError(f"bad rphase directive: a {kind_key} directive takes no "
+                                    f"key {json.dumps(sorted(extra))}", lineno, 1)
                 for v in (count, info["target"], *info["controls"], *info.get("neg", ())):
                     if not _is_index(v):
                         raise QasmError("bad rphase directive: qubits and \"gates\" must be "
                                         f"integers, got {json.dumps(v)}", lineno, 1)
                 if count < 0:
                     raise QasmError(f'bad rphase directive: "gates" is {count}', lineno, 1)
-                if "marker" in info:
-                    dagger = info.get("dagger", False)
-                    if not isinstance(dagger, bool):
-                        raise QasmError('bad rphase directive: "dagger" must be true or false, '
-                                        f"got {json.dumps(dagger)}", lineno, 1)
-                    g = marker(info["marker"], tuple(info["controls"]), info["target"],
-                               dagger=dagger)
-                else:
-                    g = Gate(info["gate"], tuple(info["controls"]), info["target"],
-                             frozenset(info.get("neg", ())))
+                dagger = info.get("dagger", False)
+                if not isinstance(dagger, bool):
+                    raise QasmError('bad rphase directive: "dagger" must be true or false, '
+                                    f"got {json.dumps(dagger)}", lineno, 1)
+                g = Gate(info[kind_key], tuple(info["controls"]), info["target"],
+                         frozenset(info.get("neg", ())), dagger=dagger)
             except (ValueError, KeyError, TypeError) as exc:
                 what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
                 raise QasmError(f"bad rphase directive: {what}", lineno, 1) from None
@@ -284,6 +289,17 @@ def parse_qasm(text: str) -> Circuit:
 def _nested(pending, lineno: int) -> QasmError:
     return QasmError("rphase directive inside the expansion of the "
                      f"directive on line {pending[1]}", lineno, 1)
+
+
+def _unique_keys(pairs) -> dict:
+    """The dict of one JSON object's (key, value) pairs; a key named twice
+    is a ValueError."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"repeated key {json.dumps(key)}")
+        out[key] = value
+    return out
 
 
 def _is_index(v) -> bool:

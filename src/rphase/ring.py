@@ -200,11 +200,9 @@ def _scale_up(c: tuple[int, int, int, int], d: int) -> tuple[int, int, int, int]
     return (a0, a1, a2, a3)
 
 
-_OMEGA_POWERS = tuple(map(RingElement.omega_power, range(8)))
+OMEGA_POWERS = tuple(map(RingElement.omega_power, range(8)))
 ZERO = RingElement(0, 0, 0, 0)
-# w^0: the one object every collapsed phase of 1 is, so that comparing
-# such a phase with ONE is an identity test
-ONE = _OMEGA_POWERS[0]
+ONE = OMEGA_POWERS[0]
 OMEGA = RingElement(0, 1, 0, 0)
 IMAG = RingElement(0, 0, 1, 0)
 SQRT2 = RingElement(0, 1, 0, -1)
@@ -213,13 +211,13 @@ INV_SQRT2 = RingElement(1, 0, 0, 0, 1)
 
 @functools.cache
 def _omega_numerators(k: int) -> dict:
-    """{numerator of w^j over sqrt(2)^k: w^j} for j = 0..7."""
-    return {_scale_up((e.a0, e.a1, e.a2, e.a3), k): e for e in _OMEGA_POWERS}
+    """{numerator of w^j over sqrt(2)^k: j} for j = 0..7."""
+    return {_scale_up((e.a0, e.a1, e.a2, e.a3), k): j for j, e in enumerate(OMEGA_POWERS)}
 
 
-def as_omega_power(c: tuple[int, int, int, int], k: int) -> RingElement | None:
-    """The shared w^j equal to numerator ``c`` over sqrt(2)^k, or None when
-    that number does not have unit magnitude.
+def omega_exponent(c: tuple[int, int, int, int], k: int) -> int | None:
+    """The j in 0..7 with numerator ``c`` over sqrt(2)^k equal to w^j, or
+    None when that number does not have unit magnitude.
 
     One lookup: a number has exactly one numerator over a given
     sqrt(2)^k, so ``c`` over sqrt(2)^k equals w^j iff ``c`` is w^j's

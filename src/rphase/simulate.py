@@ -6,7 +6,7 @@ coefficients into one integer's base-2^L digits, each at most 2^h in
 magnitude after h Hadamards (see the ring kernel): a Hadamard only bumps
 k and adds integers, so Clifford+T circuits simulate with zero rounding
 error. The float kernel stores complex amplitudes: it is only the oracle
-of ``verify.backends_agree`` and the tests. Both kernels return
+of ``backends_agree`` and the tests. Both kernels return
 (amplitudes, k, max_support) per column, ring amplitudes as coefficient
 4-tuples, k = 0 for floats: the ring kernel for each column of a batch,
 the float kernel for one.
@@ -26,17 +26,18 @@ max_support included.
 
 Amplitudes compare through ``same_phase``, the one rule: exactly for two
 ring elements, within FLOAT_TOL = 1e-9 as complex numbers otherwise, which
-only the oracle comparison meets.
+only the oracle comparison, ``backends_agree``, meets.
 
 Every ring column runs through one lazy stream, ``_ring_columns``: it
 compiles and fuses a circuit once and yields its ring columns for a
 sequence of basis states, one batch at a time. ``_collapsed`` reads it into the
-(output, phase) of each column -- the shape of every (relative phase)
-multiple-control Toffoli -- and raises NotAPhasePermutation naming the
+(output, j) of each column, its phase w^j -- the shape of every (relative
+phase) multiple-control Toffoli -- and raises NotAPhasePermutation naming the
 first column, in the order given, that does not collapse; no batch runs
 past that one. ``unitary_columns`` runs it on every basis state and
-returns a ``PhasePermutation``, or None for a circuit that is none;
-``verify.check_implements`` runs it on the columns it chooses.
+returns a ``PhasePermutation`` of the shared ``ring.OMEGA_POWERS``, or
+None for a circuit that is none; ``verify.check_implements`` runs it on
+the columns it chooses and decides its verdicts on the exponents.
 ``equivalent`` compares two circuits' unitaries of any shape exactly: the
 bits first, then the columns up to the first that differs, one batch of
 ring columns at a time.
@@ -54,7 +55,7 @@ import math
 from dataclasses import dataclass
 
 from .circuit import KINDS, Circuit, Gate, basis_bit
-from .ring import ZERO, RingElement, as_omega_power
+from .ring import OMEGA_POWERS, ZERO, RingElement, omega_exponent
 
 FLOAT_TOL = 1e-9
 WIDTH_LIMIT = 16
@@ -333,11 +334,7 @@ def run_column_float(ops, start: int):
 
 def same_phase(a, b) -> bool:
     """The one rule for comparing two amplitudes: two ring elements are
-    equal exactly, any other pair within FLOAT_TOL as complex numbers. The
-    same object is equal to itself at once: each collapsed ring phase is
-    one of eight shared w^j objects."""
-    if a is b:
-        return True
+    equal exactly, any other pair within FLOAT_TOL as complex numbers."""
     if isinstance(a, RingElement) and isinstance(b, RingElement):
         return a == b
     return abs(complex(a) - complex(b)) < FLOAT_TOL
@@ -409,10 +406,10 @@ def _ring_columns(circuit: Circuit, starts):
 
 
 def _collapsed(circuit: Circuit, starts):
-    """The (output, phase) of each column of ``starts``, in order, and the
-    largest max_support among them. A column that does not collapse to one
-    basis state with a unit-magnitude phase raises NotAPhasePermutation
-    naming it; no batch runs past its own."""
+    """The (output, j) of each column of ``starts``, its phase w^j, in
+    order, and the largest max_support among them. A column that does not
+    collapse to one basis state with a unit-magnitude phase raises
+    NotAPhasePermutation naming it; no batch runs past its own."""
     entries, max_support = [], 1
     for s, (amps, k, ms) in zip(starts, _ring_columns(circuit, starts)):
         max_support = max(max_support, ms)
@@ -438,7 +435,8 @@ def unitary_columns(circuit: Circuit, backend: str = "ring"):
         entries, max_support = _collapsed(circuit, range(1 << width))
     except NotAPhasePermutation:
         return None
-    perm, phases = zip(*entries)
+    perm, exponents = zip(*entries)
+    phases = tuple(OMEGA_POWERS[j] for j in exponents)
     return PhasePermutation(width, perm, phases, _half(circuit), max_support)
 
 
@@ -463,6 +461,13 @@ def _same_columns(xs, ys) -> bool:
                for c, d in zip(xs, ys) for r in c.keys() | d.keys())
 
 
+def backends_agree(circuit: Circuit) -> bool:
+    """Whether every column of the circuit's unitary, of any shape, is
+    the same on the ring and float kernels under ``same_phase``; both
+    leave out ``half``'s factor alike."""
+    return _same_columns(_columns(circuit, "ring"), _columns(circuit, "float"))
+
+
 def equivalent(a: Circuit, b: Circuit) -> bool:
     """Whether two circuits have the same unitary, exactly. False for
     different widths or ``_half`` bits; else both circuits' ring columns
@@ -472,10 +477,10 @@ def equivalent(a: Circuit, b: Circuit) -> bool:
 
 
 def _collapse(amps, k):
-    """(output index, phase) of a ring column holding one unit-magnitude
-    amplitude, else None."""
+    """(output index, j) of a ring column holding the one amplitude w^j,
+    else None."""
     if len(amps) != 1:
         return None
     (i, c), = amps.items()
-    phase = as_omega_power(c, k)
-    return None if phase is None else (i, phase)
+    j = omega_exponent(c, k)
+    return None if j is None else (i, j)

@@ -6,7 +6,8 @@ TargetSpec and reports every verdict at once: exact equality, equality up
 to a global phase, relative-phase equality (permutation matches, every
 phase unit-magnitude), the special-form phase-class condition, and the
 ancilla contract (clean helpers enter and leave |0>, dirty helpers factor
-out). Every phase is a ring element, so every verdict is exact. The
+out). Each column collapses to one output and a phase w^j, and every
+verdict is decided on those integers j, so every verdict is exact. The
 columns' ``half`` bit (an odd ry-unit total's e^(i pi/8) on every phase)
 only rules out exact equality, the one verdict that reads a global
 phase. It is the one place these verdicts are decided: the rewrite engine
@@ -27,9 +28,7 @@ import json
 from dataclasses import dataclass
 
 from .circuit import Circuit, ROLE_CLEAN, ROLE_DIRTY, TargetSpec, basis_bit, tof
-from .ring import ONE
-from .simulate import PhasePermutation, compile_gate, same_phase
-from .simulate import _collapsed, _columns, _half, _same_columns, _width_guard
+from .simulate import compile_gate, _collapsed, _half, _width_guard
 # perfbench/tracer.py binds its simulate spans to these names in this module
 from .simulate import compile_circuit, run_column_float, run_column_ring  # noqa: F401
 
@@ -84,8 +83,12 @@ def target_permutation(spec: TargetSpec, width: int) -> list[int]:
 
 
 def check_implements(circuit: Circuit, spec: TargetSpec) -> VerificationReport:
-    """Exhaustive basis simulation of ``circuit`` against ``spec``."""
+    """Exhaustive basis simulation of ``circuit`` against ``spec``; a spec
+    naming a qubit outside the circuit is a ValueError."""
     width = circuit.width
+    for q in sorted(spec.qubits):
+        if not 0 <= q < width:
+            raise ValueError(f"spec names qubit {q} outside width {width}")
     clean_mask = sum(basis_bit(width, q) for q, r in enumerate(circuit.roles) if r == ROLE_CLEAN)
     dirty_mask = sum(basis_bit(width, q) for q, r in enumerate(circuit.roles) if r == ROLE_DIRTY)
     _width_guard(width - clean_mask.bit_count())
@@ -100,22 +103,18 @@ def check_implements(circuit: Circuit, spec: TargetSpec) -> VerificationReport:
 
     # dirty factorization: action and phase independent of the dirty bits
     factor_ok = not dirty_mask or _constant_on_classes(
-        ((s, (o ^ s, ph)) for s, (o, ph) in pairs), dirty_mask,
-        lambda a, b: a[0] == b[0] and same_phase(a[1], b[1]))
+        ((s, (o ^ s, j)) for s, (o, j) in pairs), dirty_mask)
     ancilla_ok = clean_ok and dirty_preserved and factor_ok
 
-    first = entries[0][1]
-    all_one = all(same_phase(ph, ONE) for _, ph in entries)
-    constant = all(same_phase(ph, first) for _, ph in entries)
-
-    # every collapsed phase is unit-magnitude, so relative phase needs
-    # only the permutation and the ancilla contract; e^(i pi/8) w^j != 1
-    exact = perm_ok and all_one and ancilla_ok and not _half(circuit)
-    global_phase = perm_ok and constant and ancilla_ok
+    # every collapsed phase is some w^j, so relative phase needs only the
+    # permutation and the ancilla contract; e^(i pi/8) w^j != 1
+    exponents = {j for _, j in entries}
+    exact = perm_ok and exponents == {0} and ancilla_ok and not _half(circuit)
+    global_phase = perm_ok and len(exponents) == 1 and ancilla_ok
     relative = perm_ok and ancilla_ok
 
     # special form is read on the canonic row-indexed diagonal: the
-    # (output, phase) entries, one per row once perm_ok holds
+    # (output, j) entries, one per row once perm_ok holds
     xprime = tuple(sorted(spec.xprime))
     sf_holds = perm_ok and _constant_on_classes(
         entries, sum(basis_bit(width, q) for q in xprime))
@@ -141,29 +140,19 @@ def _submasks(mask: int):
         s = (s - mask) & mask
 
 
-def _constant_on_classes(pairs, mask: int, same=same_phase) -> bool:
-    """True iff the values of the (index, value) ``pairs`` agree under
-    ``same`` within every class of indices that differ only in the
-    ``mask`` bits."""
+def _constant_on_classes(pairs, mask: int) -> bool:
+    """True iff the values of the (index, value) ``pairs`` are equal
+    within every class of indices that differ only in the ``mask`` bits."""
     first = {}
-    return all(same(v, first.setdefault(i & ~mask, v)) for i, v in pairs)
+    return all(v == first.setdefault(i & ~mask, v) for i, v in pairs)
 
 
 # -- phase-permutation level predicates -------------------------------------
 
-def permutation_parity(obj, width: int | None = None) -> int:
-    """Sign of the permutation part: +1 or -1.
-
-    Accepts a PhasePermutation, an explicit permutation sequence, or a
-    TargetSpec (width defaults to the tightest register holding it)."""
-    if isinstance(obj, PhasePermutation):
-        perm = list(obj.perm)
-    elif isinstance(obj, TargetSpec):
-        if width is None:
-            width = max(obj.qubits) + 1
-        perm = target_permutation(obj, width)
-    else:
-        perm = list(obj)
+def permutation_parity(perm) -> int:
+    """Sign of a permutation given as the sequence of its images: +1 or -1.
+    Pass ``target_permutation(spec, width)`` or a ``PhasePermutation``'s
+    ``perm``."""
     seen = [False] * len(perm)
     sign = 1
     for s in range(len(perm)):
@@ -179,9 +168,3 @@ def permutation_parity(obj, width: int | None = None) -> int:
             sign = -sign
     return sign
 
-
-def backends_agree(circuit: Circuit) -> bool:
-    """Whether every column of the circuit's unitary, of any shape, is
-    the same on the ring and float kernels under ``same_phase``; both
-    leave out ``half``'s factor alike."""
-    return _same_columns(_columns(circuit, "ring"), _columns(circuit, "float"))

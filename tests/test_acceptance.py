@@ -32,11 +32,11 @@ from rphase.rewrite import (
     find_conjugations,
 )
 from rphase.ring import IMAG, ONE
-from rphase.simulate import equivalent, unitary_columns
+from rphase.simulate import backends_agree, equivalent, unitary_columns
 from rphase.verify import (
-    backends_agree,
     check_implements,
     permutation_parity,
+    target_permutation,
 )
 
 
@@ -235,7 +235,7 @@ def test_criterion_7_inverse_structure():
         block = BLOCKS[name]
         u = unitary_columns(block.circuit)
         v = unitary_columns(block.circuit.inverse())
-        spec = TargetSpec("tof", block.spec.controls, block.spec.target)
+        spec = TargetSpec(block.spec.controls, block.spec.target)
         ok &= check_implements(block.circuit.inverse(), spec).relative_phase
         zr, wr = u.row_phases(), v.row_phases()
         for i in range(u.dim):
@@ -261,17 +261,17 @@ def test_criterion_8_special_form_necessity():
 def test_criterion_9_backend_agreement():
     ok = all(backends_agree(block.circuit) for block in BLOCKS.values())
     u = unitary_columns(margolus_ry())
-    ok &= check_implements(margolus_ry(), TargetSpec("tof", (0, 1), 2)).relative_phase
+    ok &= check_implements(margolus_ry(), TargetSpec((0, 1), 2)).relative_phase
     ok &= all(abs(abs(p) - 1) < 1e-9 for p in u.phases)
     u = unitary_columns(rtof3_ry_negctrl())
     ok &= check_implements(
-        rtof3_ry_negctrl(), TargetSpec("tof", (0, 1), 2, neg=frozenset({1}))).relative_phase
+        rtof3_ry_negctrl(), TargetSpec((0, 1), 2, neg=frozenset({1}))).relative_phase
     ok &= all(abs(abs(p) - 1) < 1e-9 for p in u.phases)
     report(9, ok, "float/ring agreement at 1e-9 and R_Y relative-phase checks")
 
 
 def test_criterion_10_determinant_argument():
-    spec = TargetSpec("tof", (0, 1, 2), 3)
-    ok = permutation_parity(spec) == -1
-    ok &= permutation_parity(spec, width=5) == 1
+    spec = TargetSpec((0, 1, 2), 3)
+    ok = permutation_parity(target_permutation(spec, 4)) == -1
+    ok &= permutation_parity(target_permutation(spec, 5)) == 1
     report(10, ok, "parity -1 on 4 qubits, +1 with one ancilla appended")

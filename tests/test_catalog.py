@@ -77,7 +77,7 @@ def test_rtof3_long_self_inverse_and_control_swap():
     # interchanging the two controls still gives a relative-phase Toffoli
     swapped = Circuit(3, [g.remap({0: 1, 1: 0, 2: 2}) for g in c.gates])
     u = u_of(swapped)
-    assert check_implements(swapped, TargetSpec("rtof", (0, 1), 2)).relative_phase
+    assert check_implements(swapped, TargetSpec((0, 1), 2)).relative_phase
     assert all(p.is_unit_magnitude() for p in u.phases)
 
 
@@ -182,7 +182,7 @@ def test_t_variant_h_conjugated_is_negctrl_rtof():
     tv = margolus_t_variant()
     conj = Circuit(3, [h(2)] + list(tv.gates) + [h(2)])
     u = u_of(conj)
-    spec = TargetSpec("rtof", (0, 1), 2, neg=frozenset({1}))
+    spec = TargetSpec((0, 1), 2, neg=frozenset({1}))
     assert check_implements(conj, spec).relative_phase
     assert all(p.is_unit_magnitude() for p in u.phases)
 
@@ -190,12 +190,12 @@ def test_t_variant_h_conjugated_is_negctrl_rtof():
 def test_margolus_ry_is_relative_phase_toffoli():
     u = unitary_columns(margolus_ry())
     assert not u.half
-    assert check_implements(margolus_ry(), TargetSpec("rtof", (0, 1), 2)).relative_phase
+    assert check_implements(margolus_ry(), TargetSpec((0, 1), 2)).relative_phase
     assert all(abs(abs(p) - 1) < 1e-9 for p in u.phases)
 
 
 def test_ry_negctrl_variant():
-    spec = TargetSpec("rtof", (0, 1), 2, neg=frozenset({1}))
+    spec = TargetSpec((0, 1), 2, neg=frozenset({1}))
     assert check_implements(rtof3_ry_negctrl(), spec).relative_phase
 
 
@@ -264,7 +264,8 @@ def _digest(circuit, spec):
     items = [circuit.width, circuit.roles]
     items += [(g.kind, g.controls, g.target, sorted(g.neg), g.param, g.dagger)
               for g in circuit.gates]
-    items.append((spec.kind, spec.controls, spec.target))
+    # specs name no kind; the literal keeps the digests recorded with one
+    items.append(("tof", spec.controls, spec.target))
     return hashlib.sha256(repr(items).encode()).hexdigest()[:16]
 
 
@@ -276,7 +277,7 @@ def test_tofn_matches_per_site_builders():
     for n in range(3, 17):
         for ancilla in ("clean", "dirty"):
             if n == 3:
-                want = toffoli3(), TargetSpec("tof", (0, 1), 2)
+                want = toffoli3(), TargetSpec((0, 1), 2)
             elif ancilla == "clean":
                 want = tofn_clean(n), tofn_clean_spec(n)
             elif n == 4:
@@ -299,7 +300,7 @@ def test_wide_dirty_ladder_is_pinned():
     for n in list(range(17, 65)) + [310]:
         c, spec = tofn(n, "dirty")
         whole.update(emit_qasm(c).encode())
-        whole.update(repr((spec.kind, spec.controls, spec.target, sorted(spec.neg))).encode())
+        whole.update(repr(("tof", spec.controls, spec.target, sorted(spec.neg))).encode())
     assert whole.hexdigest()[:16] == "8448fb8410619d4a"
 
 
@@ -387,7 +388,7 @@ def test_two_block_degenerate_k_collapses():
 def test_two_block_simulation():
     c = two_block_tofn(5, 3)
     wide = Circuit(7, c.gates, c.roles + (ROLE_CLEAN,))  # room to lower the tof4
-    rep = check_implements(lower(wide), TargetSpec("tof", (0, 1, 2, 3), 5))
+    rep = check_implements(lower(wide), TargetSpec((0, 1, 2, 3), 5))
     assert rep.exact and rep.ancilla_ok
 
 
@@ -422,7 +423,7 @@ def test_fold_pattern_cnot_bound():
     )
     low = lower(fold4)
     assert low.count_resources().cnot == 2 * rt4l_cnots + 1
-    rep = check_implements(low, TargetSpec("tof", (0, 1, 2), 3))
+    rep = check_implements(low, TargetSpec((0, 1, 2), 3))
     assert rep.exact and rep.ancilla_ok
 
 

@@ -35,8 +35,7 @@ from rphase.circuit import (
 )
 from rphase.lowering import lower
 from rphase.qasm import emit_qasm, parse_qasm
-from rphase.simulate import unitary_columns
-from rphase.verify import backends_agree
+from rphase.simulate import backends_agree, unitary_columns
 
 
 def test_gate_validation():

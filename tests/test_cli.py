@@ -583,6 +583,7 @@ _HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\n'
 _RTOF3L = emit_qasm(Circuit(3, [marker("rtof3l", (0, 1), 2)])).removeprefix(_HEADER)
 # the rtof3l directive with the first t of its expansion turned into tdg
 _TAMPERED_RTOF3L = _RTOF3L.replace("\nt q[2];\n", "\ntdg q[2];\n", 1)
+_NEG_TOF = emit_qasm(Circuit(3, [tof((0, 1), 2, neg=(1,))])).removeprefix(_HEADER)
 _BAD_FILES = {
     "invalid directive JSON": "// rphase: {bad json\nccx q[0],q[1],q[2];\n",
     "unknown marker kind":
@@ -606,6 +607,15 @@ _BAD_FILES = {
     "boolean qubit":
         '// rphase: {"gate": "tof", "controls": [0], "target": true, "neg": [], "gates": 1}\n'
         'cx q[0],q[1];\n',
+    "repeated directive key": _RTOF3L.replace('"dagger": false', '"dagger": false, "dagger": true'),
+    "repeated roles key":
+        '// rphase: {"roles": ["primary", "primary", "clean_ancilla"], '
+        '"roles": ["primary", "primary", "primary"]}\nccx q[0],q[1],q[2];\n',
+    "unknown directive key": _RTOF3L.replace('"dagger": false', '"dagger": false, "foo": 1'),
+    "param in a directive": _RTOF3L.replace('"dagger": false', '"dagger": false, "param": 2'),
+    "neg on a marker directive": _RTOF3L.replace('"dagger": false', '"dagger": false, "neg": [1]'),
+    "dagger on a gate directive": _NEG_TOF.replace('"neg": [1]', '"neg": [1], "dagger": true'),
+    "marker and gate in one directive": _RTOF3L.replace('{"marker"', '{"gate": "tof", "marker"'),
 }
 
 

@@ -67,7 +67,7 @@ def test_lower_wide_tof_with_clean_ancillae():
                 roles=("primary",) * 5 + (ROLE_CLEAN, ROLE_CLEAN))
     low = lower(c)
     assert low.is_lowered()
-    rep = check_implements(low, TargetSpec("tof", (0, 1, 2, 3), 4))
+    rep = check_implements(low, TargetSpec((0, 1, 2, 3), 4))
     assert rep.exact and rep.ancilla_ok
 
 
@@ -75,7 +75,7 @@ def test_lower_wide_tof_with_dirty_ancilla():
     c = Circuit(6, [tof((0, 1, 2, 3), 4)],
                 roles=("primary",) * 5 + (ROLE_DIRTY,))
     low = lower(c)
-    rep = check_implements(low, TargetSpec("tof", (0, 1, 2, 3), 4))
+    rep = check_implements(low, TargetSpec((0, 1, 2, 3), 4))
     assert rep.exact and rep.ancilla_ok
     # dirty pattern costs more CNOTs than the clean one
     assert low.count_resources().cnot == 20
@@ -85,7 +85,7 @@ def test_lower_three_control_tof_with_dirty_ancilla():
     c = Circuit(5, [tof((0, 1, 2), 3)],
                 roles=("primary",) * 4 + (ROLE_DIRTY,))
     low = lower(c)
-    rep = check_implements(low, TargetSpec("tof", (0, 1, 2), 3))
+    rep = check_implements(low, TargetSpec((0, 1, 2), 3))
     assert rep.exact and rep.ancilla_ok
     assert low.count_resources().counts() == (16, 14, 6, 0)
 

@@ -178,7 +178,7 @@ def test_replacement_leaves_middle_untouched():
 
 def _canonic(u, controls, target):
     """D of ``u``, once its permutation is the flip of tof(controls; target)."""
-    assert list(u.perm) == target_permutation(TargetSpec("tof", controls, target), u.width)
+    assert list(u.perm) == target_permutation(TargetSpec(controls, target), u.width)
     return u.row_phases()
 
 
@@ -187,7 +187,7 @@ def test_canonic_decompose_rtof3_long():
     d = _canonic(u, (0, 1), 2)
     assert list(d) == [ONE] * 5 + [-ONE, -IMAG, IMAG]
     # multiplying back: column s carries d[perm(s)]
-    perm = target_permutation(TargetSpec("tof", (0, 1), 2), 3)
+    perm = target_permutation(TargetSpec((0, 1), 2), 3)
     assert all(u.phases[s] == d[perm[s]] for s in range(8))
 
 
@@ -215,7 +215,7 @@ def test_canonic_decompose_rejects_non_rtof():
                 for controls in combinations(rest, r):
                     for k in range(r + 1):
                         for neg in combinations(controls, k):
-                            spec = TargetSpec("rtof", controls, target, neg=frozenset(neg))
+                            spec = TargetSpec(controls, target, neg=frozenset(neg))
                             assert not check_implements(c, spec).relative_phase, (c, spec)
 
 

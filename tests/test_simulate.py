@@ -19,6 +19,7 @@ from rphase.simulate import (
     NotAPhasePermutation,
     PhasePermutation,
     WidthLimitExceeded,
+    backends_agree,
     compile_circuit,
     equivalent,
     fuse_ops,
@@ -27,7 +28,6 @@ from rphase.simulate import (
     same_phase,
     unitary_columns,
 )
-from rphase.verify import backends_agree
 
 
 def _ring_columns(c):
@@ -295,7 +295,7 @@ def test_equivalent_takes_odd_ry_totals_and_refuses_past_the_width_limit():
 
 def test_column_subset():
     entries, max_support = simulate._collapsed(toffoli3(), [6, 7])
-    assert entries == [(7, ONE), (6, ONE)] and max_support == 2
+    assert entries == [(7, 0), (6, 0)] and max_support == 2
 
 
 def test_float_backend_collapse():

@@ -11,7 +11,9 @@ import pytest
 from rphase import simulate
 from rphase.catalog import (
     margolus_ry,
+    margolus_t_variant,
     rtof3_long,
+    rtof3_ry_negctrl,
     rtof4_long,
     srtof3_ccix,
     toffoli3,
@@ -43,10 +45,9 @@ def test_check_tof4_clean_exact():
 
 
 def test_an_exact_check_compares_shared_phases_by_identity(monkeypatch):
-    """Every collapsed ring phase is one of the eight shared w^j objects,
-    and ring.ONE is w^0, so an exact check of a construction whose phases
-    are all 1 decides every phase verdict by identity, with no
-    RingElement.__eq__ call."""
+    """Every collapsed ring phase is some w^j, and the check decides every
+    phase verdict on the exponents j, so an exact check of a construction
+    whose phases are all 1 makes no RingElement.__eq__ call."""
     circuit, spec = tofn(6, "clean")
     calls = []
     real = RingElement.__eq__
@@ -62,13 +63,13 @@ def test_an_exact_check_compares_shared_phases_by_identity(monkeypatch):
 
 
 def test_check_rtof3_long_relative_only():
-    spec = TargetSpec("rtof", (0, 1), 2, equivalence="relative_phase")
+    spec = TargetSpec((0, 1), 2, equivalence="relative_phase")
     rep = check_implements(rtof3_long(), spec)
     assert rep.relative_phase and not rep.exact and not rep.global_phase
 
 
 def test_check_ccix_special_form():
-    spec = TargetSpec("srtof", (0, 1), 2, xprime=frozenset({2}),
+    spec = TargetSpec((0, 1), 2, xprime=frozenset({2}),
                       equivalence="special_form")
     rep = check_implements(srtof3_ccix(), spec)
     assert rep.relative_phase and rep.special_form_holds
@@ -76,7 +77,7 @@ def test_check_ccix_special_form():
 
 
 def test_check_report_schema():
-    rep = check_implements(toffoli3(), TargetSpec("tof", (0, 1), 2))
+    rep = check_implements(toffoli3(), TargetSpec((0, 1), 2))
     d = rep.as_dict()
     assert set(d) == {"exact", "global_phase", "relative_phase", "special_form",
                       "ancilla_ok", "max_support"}
@@ -87,7 +88,7 @@ def test_check_report_schema():
 
 def test_check_non_phase_permutation():
     with pytest.raises(NotAPhasePermutation):
-        check_implements(Circuit(1, [h(0)]), TargetSpec("tof", (), 0))
+        check_implements(Circuit(1, [h(0)]), TargetSpec((), 0))
 
 
 def test_check_names_the_column_that_does_not_collapse():
@@ -95,7 +96,7 @@ def test_check_names_the_column_that_does_not_collapse():
     # H S H up to a phase (two outputs) when it is 1
     c = Circuit(2, [h(1), t(1), cx(0, 1), tdg(1), cx(0, 1), h(1)])
     with pytest.raises(NotAPhasePermutation, match="column 10 "):
-        check_implements(c, TargetSpec("tof", (0,), 1))
+        check_implements(c, TargetSpec((0,), 1))
 
 
 def _no_process(*args, **kwargs):
@@ -170,7 +171,7 @@ def test_only_the_check_restricts_columns_to_clean_ancillae_at_zero(monkeypatch)
         return kernel(ops, starts, width)
 
     monkeypatch.setattr(simulate, "run_column_ring", counted)
-    assert check_implements(c, TargetSpec("tof", (0,), 1)).exact
+    assert check_implements(c, TargetSpec((0,), 1)).exact
     assert sum(simulated) == 1 << 16
     simulated.clear()
     with pytest.raises(WidthLimitExceeded, match=r"2\^17 columns"):
@@ -203,14 +204,14 @@ def _special_form(circuit, xprime, spec) -> bool:
 
 
 def test_is_relative_phase_of():
-    assert check_implements(rtof4_long(), TargetSpec("tof", (0, 1, 2), 3)).relative_phase
-    assert check_implements(toffoli3(), TargetSpec("tof", (0, 1), 2)).relative_phase
+    assert check_implements(rtof4_long(), TargetSpec((0, 1, 2), 3)).relative_phase
+    assert check_implements(toffoli3(), TargetSpec((0, 1), 2)).relative_phase
     cnot_only = Circuit(3, [cx(0, 2)])
-    assert not check_implements(cnot_only, TargetSpec("tof", (0, 1), 2)).relative_phase
+    assert not check_implements(cnot_only, TargetSpec((0, 1), 2)).relative_phase
 
 
 def test_is_special_form_cases():
-    spec = TargetSpec("tof", (0, 1), 2)
+    spec = TargetSpec((0, 1), 2)
     assert _special_form(srtof3_ccix(), {2}, spec)
     # full-set special form would mean Toffoli up to global phase; ccix is not
     assert not _special_form(srtof3_ccix(), {0, 1, 2}, spec)
@@ -218,7 +219,7 @@ def test_is_special_form_cases():
 
 
 def test_exact_toffoli_is_special_form_of_every_type():
-    spec = TargetSpec("tof", (0, 1), 2)
+    spec = TargetSpec((0, 1), 2)
     for xp in [set(), {0}, {1}, {2}, {0, 1}, {0, 1, 2}]:
         assert _special_form(toffoli3(), xp, spec)
 
@@ -236,7 +237,7 @@ def test_verdicts_equal_the_phase_class_rule_on_every_block():
             continue
         covered += 1
         first, *rest = block.spec.controls
-        swapped = TargetSpec("tof", (block.spec.target, *rest), first)
+        swapped = TargetSpec((block.spec.target, *rest), first)
         z_tail = Circuit(block.arity, block.gates + (z(block.spec.target),))
         for circuit in (block.circuit, z_tail):
             u = unitary_columns(circuit)
@@ -256,7 +257,7 @@ def test_verdicts_equal_the_phase_class_rule_on_every_block():
 
 
 def test_global_phase_equal():
-    spec = TargetSpec("tof", (0, 1), 2)
+    spec = TargetSpec((0, 1), 2)
     same = check_implements(toffoli3(), spec)
     assert same.exact and same.global_phase
     # Z X Z X = -identity: a global phase circuit
@@ -275,7 +276,7 @@ def test_an_odd_ry_total_is_a_global_phase_and_never_exact():
     """TOF times e^(-i pi/8): its ring phases are all w^7, and with the
     half bit no power of w makes it 1. The verdicts that read no global
     phase hold as for TOF; rtof3_long's relative phases stay relative."""
-    spec = TargetSpec("tof", (0, 1), 2)
+    spec = TargetSpec((0, 1), 2)
     tof3 = list(toffoli3().gates)
     omega = [t(0), x(0), t(0), x(0)]  # w I
     report = check_implements(Circuit(3, tof3 + _HALF_PHASE), spec)
@@ -324,11 +325,12 @@ def test_global_phase_equal_on_float_and_mixed_pairs():
 
 
 def test_permutation_parity():
-    spec4 = TargetSpec("tof", (0, 1, 2), 3)
-    assert permutation_parity(spec4) == -1
-    assert permutation_parity(spec4, width=5) == 1  # det(A (x) I2) = det(A)^2
+    spec4 = TargetSpec((0, 1, 2), 3)
+    assert permutation_parity(target_permutation(spec4, 4)) == -1
+    # det(A (x) I2) = det(A)^2
+    assert permutation_parity(target_permutation(spec4, 5)) == 1
     assert permutation_parity(range(16)) == 1
-    assert permutation_parity(unitary_columns(toffoli3())) == -1
+    assert permutation_parity(unitary_columns(toffoli3()).perm) == -1
 
 
 def test_every_catalog_rtof_inverse_is_an_rtof():
@@ -337,7 +339,7 @@ def test_every_catalog_rtof_inverse_is_an_rtof():
     for name in ("toffoli3", "rtof3_long", "srtof3_ccix", "rtof4_long"):
         block = BLOCKS[name]
         u = unitary_columns(block.circuit)
-        spec = TargetSpec("tof", block.spec.controls, block.spec.target)
+        spec = TargetSpec(block.spec.controls, block.spec.target)
         v = unitary_columns(block.circuit.inverse())
         assert check_implements(block.circuit.inverse(), spec).relative_phase, name
         zr, wr = u.row_phases(), v.row_phases()
@@ -347,7 +349,7 @@ def test_every_catalog_rtof_inverse_is_an_rtof():
 
 
 def test_target_permutation_negative_controls():
-    spec = TargetSpec("tof", (0, 1), 2, neg=frozenset({1}))
+    spec = TargetSpec((0, 1), 2, neg=frozenset({1}))
     perm = target_permutation(spec, 3)
     assert perm[0b100] == 0b101 and perm[0b110] == 0b110
 
@@ -365,8 +367,83 @@ def test_check_with_scattered_clean_qubits_and_negative_controls():
         clean = [q for q in range(width) if q not in qubits and rng.random() < 0.6]
         roles = [ROLE_CLEAN if q in clean else ROLE_PRIMARY for q in range(width)]
         c = Circuit(width, [tof(controls, target, neg)], roles)
-        spec = TargetSpec("tof", controls, target, neg=neg)
+        spec = TargetSpec(controls, target, neg=neg)
         assert check_implements(c, spec).exact
         for q in controls:
-            report = check_implements(c, TargetSpec("tof", controls, target, neg=neg ^ {q}))
+            report = check_implements(c, TargetSpec(controls, target, neg=neg ^ {q}))
             assert not report.exact and not report.relative_phase
+
+
+def test_a_spec_naming_a_qubit_outside_the_circuit_is_refused(monkeypatch):
+    """xprime lies within the gate's qubits for every spec, and
+    check_implements refuses a gate qubit outside the circuit, naming it,
+    before it compiles anything."""
+    with pytest.raises(ValueError, match="xprime"):
+        TargetSpec((0, 1), 2, xprime=frozenset({5}))
+
+    def no_compile(circuit):
+        raise AssertionError("compiled before the spec was checked")
+
+    monkeypatch.setattr(simulate, "compile_circuit", no_compile)
+    for spec, q in ((TargetSpec((0, 1), 4), 4), (TargetSpec((-1, 1), 2), -1)):
+        with pytest.raises(ValueError, match=f"qubit {q} outside width 3"):
+            check_implements(toffoli3(), spec)
+
+
+def _reference_verdicts(u, controls, target, neg):
+    """(exact, global phase, relative phase, {gate qubit: special form}) of a
+    PhasePermutation of primary qubits only, from its perm and phases with
+    RingElement ==, and a flip of the spec's tof written out here."""
+    width = u.width
+    bit = [1 << (width - 1 - q) for q in range(width)]
+    want = [s ^ bit[target] if all(bool(s & bit[q]) != (q in neg) for q in controls) else s
+            for s in range(u.dim)]
+    perm_ok = list(u.perm) == want
+    rows = [None] * u.dim
+    for s, ph in enumerate(u.phases):
+        rows[u.perm[s]] = ph
+    one = RingElement.from_int(1)
+    exact = perm_ok and not u.half and all(ph == one for ph in u.phases)
+    global_phase = perm_ok and all(ph == u.phases[0] for ph in u.phases)
+    special = {p: perm_ok and all(rows[r] == rows[r ^ bit[p]] for r in range(u.dim))
+               for p in (*controls, target)}
+    return exact, global_phase, perm_ok, special
+
+
+def test_exponent_verdicts_equal_a_ring_element_reference():
+    """check_implements decides its verdicts on w exponents; on every
+    junk-free block and the three Margolus-style variants, each also with
+    one gate deleted and times e^(-i pi/8) or w, they equal verdicts
+    recomputed from unitary_columns' ring phases, and a circuit that is no
+    phase permutation is refused by both."""
+    base = [(b.circuit, b.spec) for b in BLOCKS.values() if not b.junk]
+    base += [(margolus_t_variant(), TargetSpec((0,), 2)),
+             (margolus_ry(), TargetSpec((0, 1), 2)),
+             (rtof3_ry_negctrl(), TargetSpec((0, 1), 2, neg=frozenset({1})))]
+    omega = (t(0), x(0), t(0), x(0))  # w I
+    cases = base + [(Circuit(c.width, c.gates + tuple(extra)), spec)
+                    for c, spec in base for extra in (_HALF_PHASE, omega)]
+    cases += [(Circuit(c.width, c.gates[:i] + c.gates[i + 1:]), spec)
+              for c, spec in base for i in range(len(c.gates))]
+    patterns = set()
+    for c, spec in cases:
+        u = unitary_columns(c)
+        if u is None:
+            with pytest.raises(NotAPhasePermutation):
+                check_implements(c, spec)
+            patterns.add(None)
+            continue
+        exact, global_phase, relative, special = _reference_verdicts(
+            u, spec.controls, spec.target, spec.neg)
+        rep = check_implements(c, spec)
+        assert (rep.exact, rep.global_phase, rep.relative_phase) == (
+            exact, global_phase, relative), str(c)
+        for p in special:
+            got = check_implements(c, replace(spec, xprime=frozenset({p})))
+            assert got.special_form_holds == special[p], (str(c), p)
+        patterns.add((u.half, exact, global_phase, relative, sum(special.values())))
+    # (half, exact, global, relative, special-form qubits): every verdict
+    # both ways, with and without the half bit, and a non-permutation
+    assert {None, (False, True, True, True, 3), (False, False, True, True, 3),
+            (True, False, True, True, 3), (False, False, False, True, 1),
+            (False, False, False, False, 0)} <= patterns
