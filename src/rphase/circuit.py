@@ -388,35 +388,34 @@ _RTOF3_LONG = (h(2), t(2), cx(1, 2), tdg(2), cx(0, 2), t(2), cx(1, 2), tdg(2), h
 
 # One row per block: catalog name, marker kind (None: the rewrite emits the
 # exact tof), gates on qubits 0..n-1 with the target last (a truncation as
-# (base, kept prefix)), the spec it claims, the paper's (T, CNOT, H), and a
-# description.
+# (base, kept prefix)), the spec it claims and the paper's (T, CNOT, H); the
+# module docstring's table says what each block is.
 _BLOCK_ROWS = (
     ("toffoli3", None,
      (h(2), cx(2, 1), tdg(1), cx(0, 1), t(1), cx(2, 1), tdg(1), cx(0, 1), t(1),
       cx(0, 2), tdg(2), cx(0, 2), t(0), t(2), h(2)),
-     TargetSpec((0, 1), 2), (7, 6, 2),
-     "exact 3-qubit Toffoli, minimal T and CNOT counts"),
+     TargetSpec((0, 1), 2), (7, 6, 2)),
     ("srtof3_ccix", "srtof3", (cz(0, 2),) + _RTOF3_LONG,
      TargetSpec((0, 1), 2, xprime=frozenset({2}), equivalence="special_form"),
-     (4, 4, 2), "doubly-controlled iX; phases constant across the target"),
+     (4, 4, 2)),
     ("rtof3_long", "rtof3l", _RTOF3_LONG,
      TargetSpec((0, 1), 2, equivalence="relative_phase"),
-     (4, 3, 2), "9-gate relative-phase Toffoli, self-inverse"),
+     (4, 3, 2)),
     ("rts3", "rtof3s", ("rtof3_long", 5),
      TargetSpec((0, 1), 2, equivalence="relative_phase"),
-     (2, 2, 1), "truncated rtof3_long; undo of the tail acts on (b, target)"),
+     (2, 2, 1)),
     ("srts3", "srts3", ("toffoli3", 9),
      TargetSpec((0, 1), 2, xprime=frozenset({0, 1, 2}), equivalence="special_form"),
-     (4, 4, 1), "truncated toffoli3; undo of the tail acts on (a, target)"),
+     (4, 4, 1)),
     ("rtof4_long", "rtof4l",
      (h(3), t(3), cx(2, 3), tdg(3), h(3),
       cx(0, 3), t(3), cx(1, 3), tdg(3), cx(0, 3), t(3), cx(1, 3), tdg(3),
       h(3), t(3), cx(2, 3), tdg(3), h(3)),
      TargetSpec((0, 1, 2), 3, equivalence="relative_phase"),
-     (8, 6, 4), "18-gate relative-phase Toffoli-4"),
+     (8, 6, 4)),
     ("rt4s", "rt4s", ("rtof4_long", 10),
      TargetSpec((0, 1, 2), 3, equivalence="relative_phase"),
-     (4, 4, 2), "truncated rtof4_long; undo of the tail acts on (b, c, target)"),
+     (4, 4, 2)),
 )
 
 
@@ -429,7 +428,6 @@ class Block:
     gates: tuple[Gate, ...]
     spec: TargetSpec
     stated: tuple[int, int, int]
-    description: str
     base: str                              # the untruncated block
     junk: frozenset[int]                   # qubits the dropped tail acts on
     counts: tuple[int, int, int, int, int]  # lowered (t, cnot, h, pz, other)
@@ -445,7 +443,7 @@ class Block:
 
 def _blocks() -> dict[str, Block]:
     out: dict[str, Block] = {}
-    for name, kind, gates, spec, stated, description in _BLOCK_ROWS:
+    for name, kind, gates, spec, stated in _BLOCK_ROWS:
         base, junk = name, frozenset()
         if isinstance(gates[0], str):
             base, keep = gates
@@ -455,7 +453,7 @@ def _blocks() -> dict[str, Block]:
         counts = tuple(map(sum, zip(*map(_gate_counts, gates))))
         if counts[:4] != stated + (0,):
             raise ValueError(f"{name}: stated counts {stated + (0,)} != built {counts[:4]}")
-        out[name] = Block(name, kind, gates, spec, stated, description, base, junk, counts)
+        out[name] = Block(name, kind, gates, spec, stated, base, junk, counts)
     return out
 
 

@@ -4,7 +4,10 @@ Exit codes: 0 success / verified, 1 verification failed, 2 usage or
 input error (including a file that is not UTF-8 text, a circuit too wide
 to simulate, and a qreg read or a circuit requested wider than
 ``qasm.QREG_LIMIT``), 3 internal error:
-any other exception, reported on one line without a traceback.
+any other exception, reported on one line without a traceback. Every
+option with a fixed set of values (``--ancilla``, ``--format``,
+``--target``, ``--class``) is an argparse choice, so argparse refuses any
+other value (exit 2) before a file is read.
 ``verify`` runs every column in this process (see ``simulate``), and
 ``main`` builds one argument parser per process, on its first call.
 """
@@ -44,43 +47,38 @@ class UsageError(Exception):
     pass
 
 
-# --gate name -> (needs --n, builder of (circuit, spec or None) from the
-# parsed arguments); any other name is a block. Builders are looked up in
-# ``cat`` at call time. Only tof reads --ancilla (clean by default).
+# --gate name -> (needs --n, builder of the circuit from the parsed
+# arguments); any other name is a block. Builders are looked up in ``cat``
+# at call time. Only tof reads --ancilla (clean by default).
 _SYNTH_GATES = {
-    "tof": (True, lambda a: cat.tofn(a.n, a.ancilla or "clean")),
-    "ladder": (True, lambda a: (cat.ladder_tofn(a.n), cat.ladder_tofn_spec(a.n))),
-    "cnu-chain": (True, lambda a: (cat.cnu_clean_chain(a.n), cat.cnu_spec(a.n))),
-    "cnu-parallel": (True, lambda a: (cat.cnu_parallel(a.n), cat.cnu_spec(a.n))),
-    "margolus-t": (False, lambda a: (cat.margolus_t_variant(), None)),
-    "margolus-ry": (False, lambda a: (cat.margolus_ry(), None)),
-    "rtof3-ry": (False, lambda a: (cat.rtof3_ry_negctrl(), None)),
-    "rtof3": (False, lambda a: _block("rtof3_long")),
-    "rtof4": (False, lambda a: _block("rtof4_long")),
-    "ccix": (False, lambda a: _block("srtof3_ccix")),
+    "tof": (True, lambda a: cat.tofn(a.n, a.ancilla or "clean")[0]),
+    "ladder": (True, lambda a: cat.ladder_tofn(a.n)),
+    "cnu-chain": (True, lambda a: cat.cnu_clean_chain(a.n)),
+    "cnu-parallel": (True, lambda a: cat.cnu_parallel(a.n)),
+    "margolus-t": (False, lambda a: cat.margolus_t_variant()),
+    "margolus-ry": (False, lambda a: cat.margolus_ry()),
+    "rtof3-ry": (False, lambda a: cat.rtof3_ry_negctrl()),
+    "rtof3": (False, lambda a: cat.get_entry("rtof3_long").circuit),
+    "rtof4": (False, lambda a: cat.get_entry("rtof4_long").circuit),
+    "ccix": (False, lambda a: cat.get_entry("srtof3_ccix").circuit),
 }
 
 
-def _block(name: str):
-    block = cat.get_entry(name)
-    return block.circuit, block.spec
-
-
-def _synth_build(args):
-    """Resolve a --gate request to (circuit, spec-or-None)."""
-    sized, build = _SYNTH_GATES.get(args.gate, (False, lambda a: _block(a.gate)))
+def _synth_build(args) -> Circuit:
+    """Resolve a --gate request to its circuit."""
+    sized, build = _SYNTH_GATES.get(args.gate, (False, lambda a: cat.get_entry(a.gate).circuit))
     if sized and args.n is None:
         raise UsageError(f"--gate {args.gate} requires --n")
-    circuit, spec = build(args)
+    circuit = build(args)
     if args.gate != "tof" and args.ancilla is not None:
         raise UsageError(f"--gate {args.gate} takes no --ancilla")
     if not sized and args.n is not None and args.n != circuit.width:
         raise UsageError(f"--gate {args.gate} has {circuit.width} qubits, got --n {args.n}")
-    return circuit, spec
+    return circuit
 
 
 def cmd_synth(args) -> int:
-    circuit, _ = _synth_build(args)
+    circuit = _synth_build(args)
     if args.format == "qasm":
         if not circuit.is_lowered():
             circuit = lower(circuit)
@@ -156,8 +154,6 @@ def cmd_verify(args) -> int:
         if len(primaries) < 2:
             raise UsageError("cannot infer layout; pass --layout")
         controls, neg, target = list(primaries[:-1]), frozenset(), primaries[-1]
-    if args.target != "tof":
-        raise UsageError("only --target tof is supported")
     if args.n is not None and args.n != len(controls) + 1:
         raise UsageError(
             f"--n {args.n} does not match layout with {len(controls)} controls")
@@ -174,7 +170,7 @@ def cmd_verify(args) -> int:
 def cmd_rewrite(args) -> int:
     with open(args.input) as fh:
         text = fh.read()
-    circuit = parse_qasm(text)
+    circuit = source = parse_qasm(text)
     rules = [r.strip() for r in args.rules.split(",") if r.strip()]
     bad = [r for r in rules if r not in ("prop1", "prop2", "prop3", "cancel")]
     if bad:
@@ -188,7 +184,6 @@ def cmd_rewrite(args) -> int:
         except LoweringError:
             pass
     before = counted.count_resources()
-    changed = False
 
     enabled = {r for r in rules if r != "cancel"}
     if enabled:
@@ -207,7 +202,6 @@ def cmd_rewrite(args) -> int:
                 if impl is not None:
                     gates[i], gates[j] = apply_replacement(m, impl)
                     used |= {i, j}
-                    changed = True
                     break
                 if m.classification in enabled or m.classification == "prop3":
                     # no later j is replaced either: the middle only grows
@@ -220,14 +214,10 @@ def cmd_rewrite(args) -> int:
     if "cancel" in rules:
         if not circuit.is_lowered():
             circuit = lower(circuit)
-            changed = True
-        cancelled = cancel_adjacent_inverses(circuit)
-        if cancelled.gates != circuit.gates:
-            changed = True
-        circuit = cancelled
+        circuit = cancel_adjacent_inverses(circuit)
 
     after = circuit.count_resources()
-    out_text = text if not changed else emit_qasm(circuit)
+    out_text = text if circuit == source else emit_qasm(circuit)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(out_text)
@@ -319,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="simulate a QASM file against a target")
     p.add_argument("input")
-    p.add_argument("--target", default="tof")
+    p.add_argument("--target", default="tof", choices=("tof",))
     p.add_argument("--n", type=int)
     p.add_argument("--layout", help="comma list of ctrl,nctrl,target,clean,dirty per qubit "
                                     "(nctrl: a negative control)")

@@ -15,7 +15,8 @@ Constructs QASM has no word for ride along in structured comments::
 
 A directive is a JSON object that names each key once and no key beyond
 those above, and a gate directive's keys build one ``Gate``, which
-refuses ``"neg"`` on a marker and ``"dagger"`` on any other gate.
+refuses ``"neg"`` on a marker and ``"dagger"`` on any other gate;
+``"marker"`` must name a marker kind and ``"gate"`` any other kind.
 A file holds at most one roles directive: a list under its one key, never
 inside an expansion. A directive with ``"gates": N`` is followed by its
 N-statement expansion, ``circuit.expand`` of its gate; the parser checks
@@ -216,6 +217,9 @@ def parse_qasm(text: str) -> Circuit:
                                     f"got {json.dumps(dagger)}", lineno, 1)
                 g = Gate(info[kind_key], tuple(info["controls"]), info["target"],
                          frozenset(info.get("neg", ())), dagger=dagger)
+                if g.is_marker != (kind_key == "marker"):
+                    raise QasmError(f"bad rphase directive: {g.kind!r} is not a {kind_key} kind",
+                                    lineno, 1)
             except (ValueError, KeyError, TypeError) as exc:
                 what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
                 raise QasmError(f"bad rphase directive: {what}", lineno, 1) from None

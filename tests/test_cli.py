@@ -17,6 +17,7 @@ import rphase.catalog as catalog
 import rphase.cli as cli
 import rphase.rewrite as rewrite
 from rphase.cli import _pick_impl, main
+from rphase.lowering import lower
 from rphase.qasm import QREG_LIMIT, emit_qasm, parse_qasm
 from rphase.catalog import ConstructionError, toffoli3
 from rphase.circuit import (
@@ -309,6 +310,42 @@ def test_rewrite_no_matches_is_byte_identical(capsys, tmp_path):
                        "--out", str(out_path))
     assert code == 0
     assert out_path.read_bytes() == src.read_bytes()
+
+
+# hand-formatted files: blank lines, a plain comment, indentation and odd
+# spacing, none of which emit_qasm writes
+_HAND_LOWERED = ('OPENQASM 2.0;\ninclude "qelib1.inc";\n\n// written by hand\n'
+                 'qreg q[3];\n\n  h   q[2];\ncx q[0] , q[2];\nt q[2] ;\n'
+                 '    cx  q[1],q[2];\n\ntdg q[2];\nh q[2];\n')
+_HAND_PROP3 = ('OPENQASM 2.0;\ninclude "qelib1.inc";\n// a prop3 pair\n\nqreg q[4];\n'
+               'ccx q[0], q[1], q[2];\n  cx q[3],q[2];\nccx  q[0],q[1],q[2];\n\n')
+
+
+def test_rewrite_echoes_an_unchanged_input_byte_for_byte(capsys, tmp_path):
+    """The input text is written back exactly when the rewritten circuit
+    equals the parsed one, whatever its formatting; any change, lowering
+    included, is emitted."""
+    src = tmp_path / "in.qasm"
+    out_path = tmp_path / "out.qasm"
+
+    def rewrite_both_ways(text, rules):
+        src.write_bytes(text.encode())
+        code, out, _ = run(capsys, "rewrite", str(src), "--rules", rules,
+                           "--out", str(out_path))
+        assert code == 0 and len(out.splitlines()) == 1
+        code, out, _ = run(capsys, "rewrite", str(src), "--rules", rules)
+        assert code == 0
+        report = out.splitlines(keepends=True)[-1]
+        assert set(json.loads(report)) == {"before", "after"}
+        return out_path.read_bytes().decode(), out.removesuffix(report)
+
+    for text, rules in ((_HAND_LOWERED, "cancel"), (_HAND_LOWERED, "prop1,prop2,cancel"),
+                        (_HAND_PROP3, "prop1,prop2")):
+        assert rewrite_both_ways(text, rules) == (text, text), rules
+    lone_ccx = _HAND_LOWERED.split("qreg")[0] + "qreg q[3];\n ccx q[0],q[1],q[2];\n"
+    lowered = emit_qasm(lower(parse_qasm(lone_ccx)))
+    assert parse_qasm(lowered).is_lowered() and lowered != lone_ccx
+    assert rewrite_both_ways(lone_ccx, "cancel") == (lowered, lowered)
 
 
 def test_rewrite_ladder_end_to_end(capsys, tmp_path):
@@ -616,6 +653,8 @@ _BAD_FILES = {
     "neg on a marker directive": _RTOF3L.replace('"dagger": false', '"dagger": false, "neg": [1]'),
     "dagger on a gate directive": _NEG_TOF.replace('"neg": [1]', '"neg": [1], "dagger": true'),
     "marker and gate in one directive": _RTOF3L.replace('{"marker"', '{"gate": "tof", "marker"'),
+    "gate directive naming a marker": _RTOF3L.replace('{"marker"', '{"gate"'),
+    "marker directive naming a tof": _NEG_TOF.replace('{"gate"', '{"marker"'),
 }
 
 
@@ -1091,7 +1130,7 @@ def test_sized_width_formula_is_the_built_width_and_the_guard(monkeypatch, gate,
 
     def build(n):
         return cli._synth_build(argparse.Namespace(
-            gate=gate, n=n, ancilla=ancilla if gate == "tof" else None))[0]
+            gate=gate, n=n, ancilla=ancilla if gate == "tof" else None))
 
     for n in range(smallest, 14):
         circuit = build(n)
