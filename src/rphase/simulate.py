@@ -24,9 +24,11 @@ lookup per amplitude. Such a run never changes the number of amplitudes,
 so a fused column returns exactly what the gate-level one does,
 max_support included.
 
-Amplitudes compare through ``same_phase``, the one rule: exactly for two
-ring elements, within FLOAT_TOL = 1e-9 as complex numbers otherwise, which
-only the oracle comparison, ``backends_agree``, meets.
+Every exact decision reads the (output, j) of collapsed ring columns, so
+none builds a RingElement or meets a tolerance. FLOAT_TOL = 1e-9 lives in
+``same_phase`` alone: the oracle comparison, ``backends_agree``, holds
+ring columns against the float kernel's under it, and ``PhasePermutation``
+``==`` calls it on two ring elements, which compare exactly.
 
 Every ring column runs through one lazy stream, ``_ring_columns``: it
 compiles and fuses a circuit once and yields its ring columns for a
@@ -38,9 +40,10 @@ past that one. ``unitary_columns`` runs it on every basis state and
 returns a ``PhasePermutation`` of the shared ``ring.OMEGA_POWERS``, or
 None for a circuit that is none; ``verify.check_implements`` runs it on
 the columns it chooses and decides its verdicts on the exponents.
-``equivalent`` compares two circuits' unitaries of any shape exactly: the
-bits first, then the columns up to the first that differs, one batch of
-ring columns at a time.
+``equivalent`` decides U = V for two circuits of any shape as V^-1 U = I:
+the bits first, then one circuit, U's gates followed by V's inverse's,
+whose every column s must collapse to (s, 0), up to the first that does
+not, one batch of ring columns at a time.
 
 Columns run in batches of BATCH_COLUMNS. A batch is one sparse state:
 column n's indices carry n in the bits from the circuit width up, which
@@ -55,7 +58,7 @@ import math
 from dataclasses import dataclass
 
 from .circuit import KINDS, Circuit, Gate, basis_bit
-from .ring import OMEGA_POWERS, ZERO, RingElement, omega_exponent
+from .ring import OMEGA_POWERS, RingElement, omega_exponent
 
 FLOAT_TOL = 1e-9
 WIDTH_LIMIT = 16
@@ -167,17 +170,21 @@ def fuse_ops(ops):
                  for mask, run in groups)
 
 
+def _submasks(mask: int):
+    """Every index whose set bits lie in ``mask``, in ascending order."""
+    s = 0
+    while True:
+        yield s
+        if s == mask:
+            return
+        s = (s - mask) & mask
+
+
 def _run_table(run, mask):
     """{local input bits: (local output bits, w exponent mod 8)} of a run
     of cp ops, from each of the 2^m basis states on its m qubits."""
-    states = [0]
-    rest = mask
-    while rest:
-        b = rest & -rest
-        states += [s | b for s in states]
-        rest ^= b
     table = {}
-    for start in states:
+    for start in _submasks(mask):
         i, e = start, 0
         for _, cm, cv, flip, step in run:
             if (i & cm) == cv:
@@ -213,12 +220,10 @@ def run_column_ring(ops, starts, width: int):
     recounted, so each column's max_support is its own."""
     digit = sum(op[0] == "h" for op in ops) + 2  # L: bits per coefficient
     modulus = (1 << 4 * digit) + 1               # N = B^4 + 1
-    half = modulus >> 1
+    top = modulus >> 1                           # the largest balanced residue
     amps = {n << width | s: 1 for n, s in enumerate(starts)}
-    k = 0
-    base = [1] * len(amps)  # each column's support at the last recount
-    peak = list(base)       # each column's max_support up to that recount
-    doubled = 0             # h ops since then, each doubling every support
+    support = [1] * len(amps)  # each column's support
+    peak = list(support)       # each column's max_support so far
     for op in ops:
         code = op[0]
         if code == "pp":
@@ -229,13 +234,12 @@ def run_column_ring(ops, starts, width: int):
                 o, e = table[i & mask]
                 if e:
                     a = (a << e * digit) % modulus
-                    if a > half:
+                    if a > top:
                         a -= modulus
                 new[i & keep | o] = a
             amps = new
         elif code == "h":
             tb = op[1]
-            k += 1
             new = {}
             partner = amps.get
             paired = False
@@ -257,17 +261,14 @@ def run_column_ring(ops, starts, width: int):
                     if a:
                         new[i | tb] = a
             amps = new
-            if not paired:
-                # every column's support doubled
-                doubled += 1
-                continue
-            # supports only doubled since the last recount, so each
-            # column's largest support since then is its latest
-            peak = [max(p, b << doubled) for p, b in zip(peak, base)]
-            base = [0] * len(base)
-            for i in amps:
-                base[i >> width] += 1
-            doubled = 0
+            if paired:
+                support = [0] * len(support)
+                for i in amps:
+                    support[i >> width] += 1
+            else:
+                # no term met another: every column's support doubled
+                support = [n << 1 for n in support]
+            peak = list(map(max, peak, support))
         else:
             _, cm, cv, flip, e = op
             s = e * digit
@@ -277,7 +278,7 @@ def run_column_ring(ops, starts, width: int):
                     i ^= flip
                     if s:
                         a = (a << s) % modulus
-                        if a > half:
+                        if a > top:
                             a -= modulus
                 new[i] = a
             amps = new
@@ -286,14 +287,14 @@ def run_column_ring(ops, starts, width: int):
     lift = 1 << digit - 1
     offset = sum(lift << j * digit for j in range(4))
     low_digit = (1 << digit) - 1
-    columns = [{} for _ in base]
+    columns = [{} for _ in support]
     low = (1 << width) - 1
     for i, a in amps.items():
         u = a + offset
         columns[i >> width][i & low] = (
             (u & low_digit) - lift, (u >> digit & low_digit) - lift,
             (u >> 2 * digit & low_digit) - lift, (u >> 3 * digit) - lift)
-    return [(c, k, max(p, b << doubled)) for c, p, b in zip(columns, peak, base)]
+    return [(c, digit - 2, p) for c, p in zip(columns, peak)]
 
 
 def run_column_float(ops, start: int):
@@ -333,8 +334,9 @@ def run_column_float(ops, start: int):
 # -- whole-circuit unitaries ----------------------------------------------
 
 def same_phase(a, b) -> bool:
-    """The one rule for comparing two amplitudes: two ring elements are
-    equal exactly, any other pair within FLOAT_TOL as complex numbers."""
+    """Two amplitudes compared: two ring elements exactly, any other pair
+    within FLOAT_TOL as complex numbers, which only oracle comparisons
+    meet; exact decisions read collapsed exponents instead."""
     if isinstance(a, RingElement) and isinstance(b, RingElement):
         return a == b
     return abs(complex(a) - complex(b)) < FLOAT_TOL
@@ -440,40 +442,34 @@ def unitary_columns(circuit: Circuit, backend: str = "ring"):
     return PhasePermutation(width, perm, phases, _half(circuit), max_support)
 
 
-def _columns(circuit: Circuit, backend: str):
-    """Every column of the circuit's compiled ops (so without ``_half``'s
-    factor) as {row: amplitude}, in order, each ring batch run when it is
-    reached: RingElements, or the oracle's complex numbers for "float"."""
-    _width_guard(circuit.width)
-    starts = range(1 << circuit.width)
-    if backend == "float":
-        ops = compile_circuit(circuit)
-        return (run_column_float(ops, s)[0] for s in starts)
-    return ({i: RingElement(*c, k) for i, c in amps.items()}
-            for amps, k, _ in _ring_columns(circuit, starts))
-
-
-def _same_columns(xs, ys) -> bool:
-    """Whether two column streams agree under ``same_phase`` on the union
-    of each column pair's rows, a missing row read as 0. Stops at the
-    first column that differs."""
-    return all(same_phase(c.get(r, ZERO), d.get(r, ZERO))
-               for c, d in zip(xs, ys) for r in c.keys() | d.keys())
-
-
 def backends_agree(circuit: Circuit) -> bool:
     """Whether every column of the circuit's unitary, of any shape, is
-    the same on the ring and float kernels under ``same_phase``; both
-    leave out ``half``'s factor alike."""
-    return _same_columns(_columns(circuit, "ring"), _columns(circuit, "float"))
+    the same on the ring and float kernels under ``same_phase`` on the
+    union of its rows, a missing row read as 0; both leave out ``half``'s
+    factor alike. Stops at the first column that differs."""
+    _width_guard(circuit.width)
+    starts = range(1 << circuit.width)
+    ops = compile_circuit(circuit)
+    for s, (amps, k, _) in zip(starts, _ring_columns(circuit, starts)):
+        floats = run_column_float(ops, s)[0]
+        if not all(same_phase(RingElement(*amps[r], k) if r in amps else 0, floats.get(r, 0))
+                   for r in amps.keys() | floats.keys()):
+            return False
+    return True
 
 
 def equivalent(a: Circuit, b: Circuit) -> bool:
-    """Whether two circuits have the same unitary, exactly. False for
-    different widths or ``_half`` bits; else both circuits' ring columns
-    run, one batch at a time each, up to the first column that differs."""
-    return (a.width == b.width and _half(a) == _half(b)
-            and _same_columns(_columns(a, "ring"), _columns(b, "ring")))
+    """Whether two circuits have the same unitary U = V, exactly, decided
+    as V^-1 U = I. False for different widths or ``_half`` bits; else the
+    ring columns of ``a`` then ``b.inverse()`` run, one batch at a time,
+    up to the first column s that does not collapse to (s, 0)."""
+    if a.width != b.width or _half(a) != _half(b):
+        return False
+    _width_guard(a.width)
+    starts = range(1 << a.width)
+    composite = Circuit(a.width, a.gates + b.inverse().gates)
+    return all(_collapse(amps, k) == (s, 0)
+               for s, (amps, k, _) in zip(starts, _ring_columns(composite, starts)))
 
 
 def _collapse(amps, k):

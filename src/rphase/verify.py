@@ -28,7 +28,7 @@ import json
 from dataclasses import dataclass
 
 from .circuit import Circuit, ROLE_CLEAN, ROLE_DIRTY, TargetSpec, basis_bit, tof
-from .simulate import compile_gate, _collapsed, _half, _width_guard
+from .simulate import compile_gate, _collapsed, _half, _submasks, _width_guard
 # perfbench/tracer.py binds its simulate spans to these names in this module
 from .simulate import compile_circuit, run_column_float, run_column_ring  # noqa: F401
 
@@ -128,16 +128,6 @@ def check_implements(circuit: Circuit, spec: TargetSpec) -> VerificationReport:
         ancilla_ok=ancilla_ok,
         max_support=max_support,
     )
-
-
-def _submasks(mask: int):
-    """Every index whose set bits lie in ``mask``, in ascending order."""
-    s = 0
-    while True:
-        yield s
-        if s == mask:
-            return
-        s = (s - mask) & mask
 
 
 def _constant_on_classes(pairs, mask: int) -> bool:

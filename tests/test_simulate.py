@@ -100,8 +100,11 @@ def test_cnot_basis():
 
 
 def test_marker_gate_rejected():
-    with pytest.raises(MarkerInSimulation):
-        unitary_columns(Circuit(3, [marker("rtof3l", (0, 1), 2)]))
+    marked = Circuit(3, [marker("rtof3l", (0, 1), 2)])
+    for run in (unitary_columns, lambda c: equivalent(c, Circuit(3)),
+                lambda c: equivalent(Circuit(3), c)):
+        with pytest.raises(MarkerInSimulation):
+            run(marked)
 
 
 def test_exact_unit_norm():
@@ -260,15 +263,16 @@ def _counting_ring_kernel(monkeypatch):
 
 
 def test_equivalent_stops_at_the_batch_that_differs(monkeypatch):
-    """Column 0 differs (z after h on the last qubit): one batch runs per
-    circuit, not the 256 // BATCH_COLUMNS each of an equal pair."""
+    """One circuit runs, U's gates then V's inverse's: an equal pair runs
+    its 256 // BATCH_COLUMNS batches, and a pair whose column 0 differs (z
+    after h on the last qubit) runs one."""
     c = Circuit(8, [h(7), t(7), cx(0, 7)])
     batches = _counting_ring_kernel(monkeypatch)
     assert equivalent(c, Circuit(8, c.gates))
-    assert batches == [simulate.BATCH_COLUMNS] * (2 * 256 // simulate.BATCH_COLUMNS)
+    assert batches == [simulate.BATCH_COLUMNS] * (256 // simulate.BATCH_COLUMNS)
     batches.clear()
     assert not equivalent(c, Circuit(8, c.gates + (z(7),)))
-    assert batches == [simulate.BATCH_COLUMNS] * 2
+    assert batches == [simulate.BATCH_COLUMNS]
 
 
 def test_equivalent_is_false_for_different_widths(monkeypatch):
@@ -291,6 +295,77 @@ def test_equivalent_takes_odd_ry_totals_and_refuses_past_the_width_limit():
     assert not equivalent(Circuit(1), shifted)
     with pytest.raises(WidthLimitExceeded):
         equivalent(Circuit(17, [x(0)]), Circuit(17))
+
+
+def _random_gate(rng, width):
+    """One of h, t, p, y, ry of odd or even units, and on two or more
+    qubits cx, cz or a tof with some negative controls."""
+    q = rng.randrange(width)
+    kinds = ("h", "t", "p", "y", "ry") + (("cx", "cz", "tof") if width > 1 else ())
+    kind = rng.choice(kinds)
+    if kind == "ry":
+        return ry(q, rng.choice((-3, -2, -1, 1, 2, 3, 6, 17)))
+    if kind in ("cx", "cz"):
+        a, b = rng.sample(range(width), 2)
+        return (cx if kind == "cx" else cz)(a, b)
+    if kind == "tof":
+        *controls, target = rng.sample(range(width), rng.randint(2, min(width, 4)))
+        return tof(controls, target, neg=[c for c in controls if rng.random() < 0.4])
+    return {"h": h, "t": t, "p": p, "y": y}[kind](q)
+
+
+def _dense(c):
+    """The circuit's unitary from the float oracle's columns, times the
+    e^(i pi/8) its half bit leaves out."""
+    ops = compile_circuit(c)
+    factor = cmath.exp(1j * math.pi / 8) if sum(g.param for g in c.gates) % 2 else 1
+    return [{i: a * factor for i, a in run_column_float(ops, s)[0].items()}
+            for s in range(1 << c.width)]
+
+
+def _dense_equal(u, v, phase=1):
+    """Whether ``phase`` times the dense unitary u is v within 1e-9."""
+    return all(abs(phase * a.get(r, 0) - b.get(r, 0)) < 1e-9
+               for a, b in zip(u, v) for r in a.keys() | b.keys())
+
+
+def test_equivalent_matches_a_dense_float_comparison():
+    """Seeded 1-5 qubit circuits, each against itself, a g g^-1 insertion
+    after ``cancel_adjacent_inverses``, a one-gate mutant, itself times -I
+    (z x z x) and times e^(-i pi/8) (whose ring columns are its own times
+    w^7), and an ry(16) and an ry(1) tail: ``equivalent`` says what
+    the float oracle's dense unitaries say within 1e-9. Some equal pairs
+    are no phase permutation, and some unequal pairs differ only by a
+    global phase."""
+    rng = random.Random(20261020)
+    pairs = equal_non_permutations = phase_only = 0
+    for _ in range(120):
+        width = rng.randint(1, 5)
+        gates = [_random_gate(rng, width) for _ in range(rng.randint(0, 14))]
+        c = Circuit(width, gates)
+        q = rng.randrange(width)
+        i = rng.randint(0, len(gates))
+        g = _random_gate(rng, width)
+        inserted = cancel_adjacent_inverses(
+            Circuit(width, gates[:i] + [g, g.inverse()] + gates[i:]))
+        mutant = list(gates)
+        if mutant:
+            mutant[rng.randrange(len(mutant))] = _random_gate(rng, width)
+        else:
+            mutant.append(g)
+        u = _dense(c)
+        r = max(u[0], key=lambda i: abs(u[0][i]))  # a row where column 0 is not 0
+        for other in (c, inserted, Circuit(width, mutant),
+                     Circuit(width, gates + [z(q), x(q), z(q), x(q)]),
+                     Circuit(width, gates + list(_HALF_PHASE)),
+                     Circuit(width, gates + [ry(q, 16)]), Circuit(width, gates + [ry(q, 1)])):
+            v = _dense(other)
+            same = equivalent(c, other)
+            assert same == _dense_equal(u, v), (c, other)
+            pairs += 1
+            equal_non_permutations += same and unitary_columns(c) is None
+            phase_only += not same and _dense_equal(u, v, v[0].get(r, 0) / u[0][r])
+    assert pairs == 840 and equal_non_permutations and phase_only
 
 
 def test_column_subset():

@@ -183,8 +183,8 @@ def test_a_non_permutation_streams_its_one_column_runs():
     """H T (X Tdg X) H on the last qubit, controlled by the first: columns
     128 on do not collapse, so the full set of 8-qubit columns is no phase
     permutation, collapsing every column raises NotAPhasePermutation naming
-    column 128, and the columns ``equivalent`` streams are the one-column
-    runs of every column."""
+    column 128, and the ring column stream's batches return the one-column
+    runs of every column, k and max_support included."""
     c = Circuit(8, [h(7), t(7), cx(0, 7), tdg(7), cx(0, 7), h(7)])
     assert _scan_every_column(c) == 128
     assert unitary_columns(c) is None
@@ -193,8 +193,7 @@ def test_a_non_permutation_streams_its_one_column_runs():
     ops = simulate.compile_circuit(c)
     alone = [simulate.run_column_ring(ops, [s], c.width)[0] for s in range(1 << c.width)]
     assert max(ms for *_, ms in alone) == 2
-    assert list(simulate._columns(c, "ring")) == [
-        {i: RingElement(*a, k) for i, a in amps.items()} for amps, k, _ in alone]
+    assert list(simulate._ring_columns(c, range(1 << c.width))) == alone
     assert equivalent(c, Circuit(8, c.gates))
     assert not equivalent(c, Circuit(8, c.gates[:-1]))
 
