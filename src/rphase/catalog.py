@@ -17,16 +17,19 @@ raw material for the rewrite engine. ``tofn``, ``ladder_tofn`` and the
 ``cnu_*`` generators refuse, before building, a circuit wider than
 ``qasm.QREG_LIMIT`` qubits: no such circuit could be read back.
 
-Every construction is one expression over two combinators. The clean
-chains (``tofn_clean``, the ``cnu_*``) are compute-uncompute,
-``_conj(F, M)`` = F M F^-1; the borrowed-ancilla circuits of Barenco et
-al. (``tof4_dirty``, ``tof5_dirty``, ``tofn_dirty``, ``ladder_tofn``,
-``two_block_tofn``) are commutators, ``_commutator(A, B)`` = A B A^-1
-B^-1. ``_expand`` then replaces each marker by its gates where a
-construction is emitted gate by gate. A commutator repeats each marker
-and its inverse, so the combinators expand and invert each distinct gate
-once per call (``circuit.map_once``) and reuse that gate object; nothing
-is cached between calls.
+Every construction is written once, as one marker-level expression
+over two combinators. The clean chains (``tofn_clean``, the ``cnu_*``)
+are compute-uncompute, ``_conj(F, M)`` = F M F^-1; the borrowed-ancilla
+circuits of Barenco et al. (``tof4_dirty``, ``tof5_dirty``,
+``tofn_dirty``, ``ladder_tofn``, ``two_block_tofn``) are commutators,
+``_commutator(A, B)`` = A B A^-1 B^-1; the combinators invert each
+distinct marker once per call (``circuit.map_once``). Expansion happens
+in one place, ``circuit.expand_all``, which ``lowering`` uses too.
+``tofn`` and the builders of its constructions return the expansion of
+their expression, made of markers and 2-control tofs; ``_tofn_markers``
+returns it unexpanded, and ``table`` counts that. ``expand_all`` builds
+each distinct block once per call and takes a daggered marker's gates
+from its forward marker's; nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -43,10 +46,9 @@ from .circuit import (
     ROLE_DIRTY,
     ROLE_PRIMARY,
     TargetSpec,
-    block_gates,
     cx,
     cz,
-    expand,
+    expand_all,
     map_once,
     marker,
     ry,
@@ -133,15 +135,15 @@ def _commutator(a: list[Gate], b: list[Gate]) -> list[Gate]:
     return [*_conj(a, b), *_inverse(b)]
 
 
-def _expand(markers: list[Gate]) -> list[Gate]:
-    """Each marker replaced by its defining gates."""
-    return [gg for body in map_once(expand, markers) for gg in body]
+def _expanded(circuit: Circuit) -> Circuit:
+    """The gate-level circuit of a marker-level construction."""
+    return Circuit(circuit.width, expand_all(circuit.gates), circuit.roles)
 
 
 # -- clean-ancilla multiple-control Toffolis --------------------------------
 
 def _tofn_clean(n: int) -> tuple[Circuit, TargetSpec]:
-    """Circuit and spec of tofn_clean from one gadget plan.
+    """Marker-level circuit and spec of tofn_clean from one gadget plan.
 
     ceil((n-3)/2) gadgets fold controls into fresh ancillae: all rtof4l
     except an innermost rtof3l when n is even (the parity leftover). Each
@@ -157,7 +159,7 @@ def _tofn_clean(n: int) -> tuple[Circuit, TargetSpec]:
     chain = [marker("rtof4l" if b - a == 3 else "rtof3l", range(a, b), b)
              for a, b in zip([0] + ancs, ancs)]
     width = ancs[-1] + 3  # the last ancilla, the last control, the target
-    gates = _conj(_expand(chain), block_gates("toffoli3", range(width - 3, width)))
+    gates = _conj(chain, [tof((width - 3, width - 2), width - 1)])
     clean = set(ancs)
     roles = [ROLE_CLEAN if q in clean else ROLE_PRIMARY for q in range(width)]
     controls = tuple(q for q in range(width - 1) if q not in clean)
@@ -172,7 +174,7 @@ def tofn_clean(n: int) -> Circuit:
     and the inverse chain restores every ancilla. Totals: 8n-17 T,
     6n-12 CNOT, 4n-10 H.
     """
-    return _tofn_clean(n)[0]
+    return _expanded(_tofn_clean(n)[0])
 
 
 def tofn_clean_spec(n: int) -> TargetSpec:
@@ -182,20 +184,20 @@ def tofn_clean_spec(n: int) -> TargetSpec:
 # -- dirty-ancilla multiple-control Toffolis --------------------------------
 
 def _borrowed_pair(kind: str) -> tuple[Circuit, TargetSpec]:
-    """TOF over (controls, x, c, t) with x borrowed, and its spec: a
-    ``kind`` gadget folding the leading controls into x, commuted with
-    srts3(c, x; t)."""
+    """Marker-level TOF over (controls, x, c, t) with x borrowed, and its
+    spec: a ``kind`` gadget folding the leading controls into x, commuted
+    with srts3(c, x; t)."""
     x = MARKER_BLOCKS[kind].arity - 1
     fold, blk = marker(kind, range(x), x), marker("srts3", (x + 1, x), x + 2)
     roles = [ROLE_DIRTY if q == x else ROLE_PRIMARY for q in range(x + 3)]
-    return (Circuit(x + 3, _expand(_commutator([fold], [blk])), roles),
+    return (Circuit(x + 3, _commutator([fold], [blk]), roles),
             TargetSpec((*range(x), x + 1), x + 2))
 
 
 def tof4_dirty() -> Circuit:
     """TOF(a,b,c;d) over (a, b, x, c, d) with x a borrowed qubit in an
     unknown state: rtof3_long / srts3 commutator. 16 T, 14 CNOT, 6 H."""
-    return _borrowed_pair("rtof3l")[0]
+    return _expanded(_borrowed_pair("rtof3l")[0])
 
 
 def tof4_dirty_spec() -> TargetSpec:
@@ -207,21 +209,22 @@ def tof5_dirty() -> Circuit:
 
     A reference circuit, not what ``tofn(5, "dirty")`` builds: the tests
     check that ``tofn_dirty(5)`` matches its counts and ancilla use."""
-    return _borrowed_pair("rtof4l")[0]
+    return _expanded(_borrowed_pair("rtof4l")[0])
 
 
 def tof5_dirty_spec() -> TargetSpec:
     return _borrowed_pair("rtof4l")[1]
 
 
-def _dirty_markers(n: int):
-    """Marker-level dirty construction over the 1..2n-3 numbering.
+def _tofn_dirty(n: int) -> tuple[Circuit, TargetSpec]:
+    """Marker-level circuit and spec of tofn_dirty.
 
-    The borrowed-ancilla ladder: the commutator of srts3 at the target end
-    with rtof4l(1, 2, 3; n+1) at the bottom conjugated by a descending
-    chain of rungs. Each rt4s rung folds two controls into the next
-    ancilla down, so every other ancilla is free; for even n one rtof3s
-    rung heads the chain.
+    The borrowed-ancilla ladder, over the 1..2n-3 numbering: the
+    commutator of srts3 at the target end with rtof4l(1, 2, 3; n+1) at the
+    bottom conjugated by a descending chain of rungs. Each rt4s rung folds
+    two controls into the next ancilla down, so every other ancilla is
+    free; for even n one rtof3s rung heads the chain. The qubits it uses
+    are then numbered from 0 in order.
     """
     if n < 5:
         raise ConstructionError("tofn_dirty requires n >= 5")
@@ -232,17 +235,12 @@ def _dirty_markers(n: int):
         for k in range(2 - n % 2, n - 4, 2)
     ]
     bottom = marker("rtof4l", (1, 2, 3), n + 1)
-    return _commutator([head], _conj(chain, [bottom]))
-
-
-def _tofn_dirty(n: int) -> tuple[Circuit, TargetSpec]:
-    """Circuit and spec of tofn_dirty from one marker sequence."""
-    seq = _dirty_markers(n)
-    used = sorted({q for g in seq for q in g.support})
+    used = sorted({q for g in (head, bottom, *chain) for q in g.support})
     remap = {q: i for i, q in enumerate(used)}
+    head, bottom, *chain = (g.remap(remap) for g in (head, bottom, *chain))
     primaries = set(range(1, n)) | {2 * n - 3}
     roles = [ROLE_PRIMARY if q in primaries else ROLE_DIRTY for q in used]
-    gates = _expand(map_once(lambda g: g.remap(remap), seq))
+    gates = _commutator([head], _conj(chain, [bottom]))
     controls = tuple(remap[q] for q in range(1, n))
     return Circuit(len(used), gates, roles), TargetSpec(controls, remap[2 * n - 3])
 
@@ -250,11 +248,27 @@ def _tofn_dirty(n: int) -> tuple[Circuit, TargetSpec]:
 def tofn_dirty(n: int) -> Circuit:
     """TOF with n-1 controls using ceil((n-3)/2) borrowed (dirty) ancillae,
     returned unchanged. Totals: 8n-16 T, 8n-20 CNOT, 4n-10 H."""
-    return _tofn_dirty(n)[0]
+    return _expanded(_tofn_dirty(n)[0])
 
 
 def tofn_dirty_spec(n: int) -> TargetSpec:
     return _tofn_dirty(n)[1]
+
+
+def _tofn_markers(n: int, ancilla: str) -> tuple[Circuit, TargetSpec]:
+    """``tofn(n, ancilla)`` before expansion: its markers and 2-control
+    tofs, whose counts are the gate-level ones (``count_resources``
+    counts a marker as its block and such a tof as toffoli3)."""
+    if ancilla not in ("clean", "dirty"):
+        raise ConstructionError(f"ancilla must be 'clean' or 'dirty', got {ancilla!r}")
+    if n < 3:
+        raise ConstructionError(f"TOF needs n >= 3 qubits, got {n}")
+    _within_qreg_limit(f"TOF{n}", n + (n - 2) // 2)  # ceil((n-3)/2) helpers
+    if n == 3:
+        return Circuit(3, [tof((0, 1), 2)]), TargetSpec((0, 1), 2)
+    if ancilla == "clean":
+        return _tofn_clean(n)
+    return _borrowed_pair("rtof3l") if n == 4 else _tofn_dirty(n)
 
 
 def tofn(n: int, ancilla: str) -> tuple[Circuit, TargetSpec]:
@@ -262,16 +276,8 @@ def tofn(n: int, ancilla: str) -> tuple[Circuit, TargetSpec]:
     or "dirty") helpers, and the spec it implements: toffoli3 for n = 3
     (no helper), else tofn_clean, or tof4_dirty for n = 4 and tofn_dirty
     above. Every request for a multiple-control Toffoli comes here."""
-    if ancilla not in ("clean", "dirty"):
-        raise ConstructionError(f"ancilla must be 'clean' or 'dirty', got {ancilla!r}")
-    if n < 3:
-        raise ConstructionError(f"TOF needs n >= 3 qubits, got {n}")
-    _within_qreg_limit(f"TOF{n}", n + (n - 2) // 2)  # ceil((n-3)/2) helpers
-    if n == 3:
-        return toffoli3(), TargetSpec((0, 1), 2)
-    if ancilla == "clean":
-        return _tofn_clean(n)
-    return _borrowed_pair("rtof3l") if n == 4 else _tofn_dirty(n)
+    circuit, spec = _tofn_markers(n, ancilla)
+    return _expanded(circuit), spec
 
 
 # -- marker-level skeletons --------------------------------------------------

@@ -48,15 +48,18 @@ Markers carry an ordered control tuple because the truncated blocks are
 not symmetric in their controls, plus a ``dagger`` flag for inverses.
 ``expand`` is the one rule for high-level gates: a marker becomes its
 block's gates, a negative control an X pair around the positive gate,
-and a tof of 0 or 1 controls an x or a cnot.
+and a tof of 0 or 1 controls an x or a cnot. ``expand_all`` takes a gate
+list to ``KINDS`` gates with that rule, a 2-control tof as toffoli3 and a
+wider one through a callback; the catalog and lowering both use it.
 ``ry`` angles are integer multiples of pi/4 stored in ``param``.
 
 A gate is validated once, when it is built, and its qubit set
 ``support`` is computed then and stored on it; ``support`` takes no part
-in equality, hashing or repr. Per-gate work that repeats for equal gates
-(remapping a block, inverting, counting) goes through ``map_once`` or a
-dict local to one call, so it is paid once per distinct gate per call.
-Nothing is cached across calls: each command pays for its own work.
+in equality, hashing or repr. Equal gates of a block are one object.
+Per-gate work that repeats for equal gates (remapping a block,
+inverting, counting) goes through ``map_once`` or a dict local to one
+call, so it is paid once per distinct gate per call. Nothing is cached
+across calls: each command pays for its own work.
 """
 
 from __future__ import annotations
@@ -382,6 +385,20 @@ def count_resources(circuit: Circuit) -> ResourceReport:
     )
 
 
+def map_once(fn, items) -> list:
+    """``[fn(x) for x in items]``, calling ``fn`` once per distinct ``x``
+    (equal items share one result object); the memo lives for this call
+    only."""
+    done: dict = {}
+    out = []
+    for item in items:
+        y = done.get(item)
+        if y is None:
+            y = done[item] = fn(item)
+        out.append(y)
+    return out
+
+
 # -- the building blocks --------------------------------------------------
 
 _RTOF3_LONG = (h(2), t(2), cx(1, 2), tdg(2), cx(0, 2), t(2), cx(1, 2), tdg(2), h(2))
@@ -431,6 +448,8 @@ class Block:
     base: str                              # the untruncated block
     junk: frozenset[int]                   # qubits the dropped tail acts on
     counts: tuple[int, int, int, int, int]  # lowered (t, cnot, h, pz, other)
+    undo: tuple[int, ...] | None           # of a marker's block: positions in
+    #                                        gates of its inverse's gates
 
     @property
     def arity(self) -> int:
@@ -450,29 +469,24 @@ def _blocks() -> dict[str, Block]:
             whole = out[base].gates
             gates = whole[:keep]
             junk = frozenset().union(*(g.support for g in whole[keep:]))
+        # equal gates of a block become one object, so that block_gates'
+        # memo finds each repeat by identity, without comparing fields
+        gates = tuple(map_once(lambda g: g, gates))
         counts = tuple(map(sum, zip(*map(_gate_counts, gates))))
         if counts[:4] != stated + (0,):
             raise ValueError(f"{name}: stated counts {stated + (0,)} != built {counts[:4]}")
-        out[name] = Block(name, kind, gates, spec, stated, base, junk, counts)
+        undo = None
+        if kind:  # a marker's inverse is built from the marker's own gates
+            at = {g: i for i, g in enumerate(gates)}
+            undo = tuple(at.get(g.inverse(), -1) for g in reversed(gates))
+            if -1 in undo:
+                raise ValueError(f"{name}: the inverse of one of its gates is not one of them")
+        out[name] = Block(name, kind, gates, spec, stated, base, junk, counts, undo)
     return out
 
 
 BLOCKS = _blocks()
 MARKER_BLOCKS = {b.kind: b for b in BLOCKS.values() if b.kind}
-
-
-def map_once(fn, items) -> list:
-    """``[fn(x) for x in items]``, calling ``fn`` once per distinct ``x``
-    (equal items share one result object); the memo lives for this call
-    only."""
-    done: dict = {}
-    out = []
-    for item in items:
-        y = done.get(item)
-        if y is None:
-            y = done[item] = fn(item)
-        out.append(y)
-    return out
 
 
 def block_gates(name: str, wires) -> list[Gate]:
@@ -487,13 +501,47 @@ def expand(g: Gate) -> list[Gate]:
     a ``KINDS`` gate without negative controls or a tof of two or more
     positive controls, and such a gate expands to itself."""
     if g.kind in MARKER_BLOCKS:
-        gates = block_gates(MARKER_BLOCKS[g.kind].name, g.controls + (g.target,))
-        if g.dagger:
-            gates = map_once(Gate.inverse, reversed(gates))
-        return gates
+        blk = MARKER_BLOCKS[g.kind]
+        gates = block_gates(blk.name, g.controls + (g.target,))
+        return [gates[i] for i in blk.undo] if g.dagger else gates
     if g.neg:
         wraps = [x(q) for q in sorted(g.neg)]
         return wraps + expand(Gate(g.kind, g.controls, g.target, param=g.param)) + wraps[::-1]
     if g.kind == "tof" and len(g.controls) < 2:
         return [Gate("cnot" if g.controls else "x", g.controls, g.target)]
     return [g]
+
+
+def expand_all(gates, wide=None) -> list[Gate]:
+    """``gates`` with each one taken to ``KINDS`` gates: ``expand(g)``, a
+    tof of two positive controls as toffoli3's gates and one of three or
+    more as the expansion of ``wide(g)``, a list of markers, 2-control
+    tofs and ``KINDS`` gates. Each distinct gate is expanded once per
+    call, and a marker and its inverse on the same wires share one
+    ``block_gates`` call: the uncompute half of a construction builds no
+    gate."""
+    bodies: dict[Gate, list[Gate]] = {}
+    forward: dict[tuple, list[Gate]] = {}  # (marker kind, wires) -> its gates
+    out: list[Gate] = []
+    for g in gates:
+        body = bodies.get(g)
+        if body is None:
+            blk = MARKER_BLOCKS.get(g.kind)
+            if blk is not None:
+                wires = g.controls + (g.target,)
+                fwd = forward.get((g.kind, wires))
+                if fwd is None:
+                    fwd = forward[g.kind, wires] = block_gates(blk.name, wires)
+                body = [fwd[i] for i in blk.undo] if g.dagger else fwd
+            else:
+                body = []
+                for gg in expand(g):
+                    if gg.kind != "tof":
+                        body.append(gg)
+                    elif len(gg.controls) == 2:
+                        body += block_gates("toffoli3", gg.controls + (gg.target,))
+                    else:
+                        body += expand_all(wide(gg))
+            bodies[g] = body
+        out += body
+    return out

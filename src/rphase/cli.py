@@ -7,7 +7,9 @@ to simulate, and a qreg read or a circuit requested wider than
 any other exception, reported on one line without a traceback. Every
 option with a fixed set of values (``--ancilla``, ``--format``,
 ``--target``, ``--class``) is an argparse choice, so argparse refuses any
-other value (exit 2) before a file is read.
+other value (exit 2) before a file is read, and every integer option
+(``--n``, ``--xprime``, each item of ``--n-list``) takes ASCII decimal
+numerals only.
 ``verify`` runs every column in this process (see ``simulate``), and
 ``main`` builds one argument parser per process, on its first call.
 """
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 
 from . import catalog as cat
@@ -45,6 +48,15 @@ EXIT_INTERNAL = 3
 
 class UsageError(Exception):
     pass
+
+
+def decimal(text: str) -> int:
+    """The integer an ASCII decimal numeral names, sign and surrounding
+    blanks allowed: ``int`` alone also takes underscores and non-ASCII
+    digits. argparse names it in its message for a bad value."""
+    if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", text, re.ASCII):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
 
 
 # --gate name -> (needs --n, builder of the circuit from the parsed
@@ -249,7 +261,7 @@ def _table_rows(n_list):
                 # the dirty closed form starts at n = 5; the explicit
                 # 4-control borrowed-ancilla circuit costs 16/14/6
                 formula = (16, 14, 6) if n == 4 else (8 * n - 16, 8 * n - 20, 4 * n - 10)
-            circuit, _ = cat.tofn(n, flavour)
+            circuit, _ = cat._tofn_markers(n, flavour)  # counted unexpanded
             r = circuit.count_resources()
             if (r.t, r.cnot, r.h) != formula:
                 raise AssertionError(
@@ -261,7 +273,7 @@ def _table_rows(n_list):
 
 def cmd_table(args) -> int:
     try:
-        n_list = [4, 5, 6, 11] if args.n_list is None else [int(x) for x in args.n_list.split(",")]
+        n_list = [4, 5, 6, 11] if args.n_list is None else [decimal(x) for x in args.n_list.split(",")]
     except ValueError:
         raise UsageError(f"--n-list takes comma-separated integers, got {args.n_list!r}") from None
     rows = _table_rows(n_list)
@@ -296,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gate", required=True,
                    help="tof | ladder | cnu-chain | cnu-parallel | "
                         "margolus-t | margolus-ry | rtof3-ry | catalog entry name")
-    p.add_argument("--n", type=int, help="total qubit count of the target gate")
+    p.add_argument("--n", type=decimal, help="total qubit count of the target gate")
     p.add_argument("--ancilla", choices=("clean", "dirty"),
                    help="helpers of --gate tof (default clean); no other gate takes it")
     p.add_argument("--out", help="write the circuit here instead of stdout")
@@ -310,12 +322,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="simulate a QASM file against a target")
     p.add_argument("input")
     p.add_argument("--target", default="tof", choices=("tof",))
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=decimal)
     p.add_argument("--layout", help="comma list of ctrl,nctrl,target,clean,dirty per qubit "
                                     "(nctrl: a negative control)")
     p.add_argument("--class", dest="cls", default="exact",
                    choices=("exact", "global_phase", "relative_phase", "special_form"))
-    p.add_argument("--xprime", type=int, nargs="*")
+    p.add_argument("--xprime", type=decimal, nargs="*")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("rewrite", help="apply conjugation replacements / cancellation")

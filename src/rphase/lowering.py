@@ -2,15 +2,17 @@
 elementary set ``circuit.KINDS``, {x, y, z, p, pdg, t, tdg, h, ry, cnot,
 cz}, with no negative controls.
 
-``circuit.expand`` takes each gate to elementary gates and tofs of two or
-more positive controls: a marker to its block's gates, a negative control
-to an X pair around the positive gate, and a tof of 0/1 controls to x or
-cnot. Here a tof of 2 controls becomes the 15-gate toffoli3 block, and
-one of 3+ controls a clean- or dirty-helper chain built over ancilla
-qubits the circuit declares but the gate does not touch ("ancilla budget
-exceeded" otherwise).
+``circuit.expand_all``, the expansion the catalog builds its
+constructions with, does the work: a marker becomes its block's gates, a
+negative control an X pair around the positive gate, a tof of 0/1
+controls an x or a cnot, and a tof of 2 controls the 15-gate toffoli3
+block. Here a tof of 3+ controls becomes ``catalog.tofn``'s clean- or
+dirty-helper chain, placed at marker level over ancilla qubits the
+circuit declares but the gate does not touch ("ancilla budget exceeded"
+otherwise), then expanded.
 
-Each distinct gate of a circuit is lowered once per ``lower`` call.
+Each distinct gate of a circuit is lowered once per ``lower`` call, and
+a daggered marker reuses its forward marker's gates, inverted.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ from .circuit import (
     Gate,
     ROLE_CLEAN,
     ROLE_DIRTY,
-    block_gates,
-    expand,
+    expand_all,
     map_once,
 )
 
@@ -40,20 +41,8 @@ class AncillaBudgetExceeded(LoweringError):
 def lower(circuit: Circuit) -> Circuit:
     """Expand every marker and tof gate; unitary semantics preserved per
     the chosen constructions' verified contracts."""
-    bodies = map_once(lambda g: _lower_gate(g, circuit), circuit.gates)
-    return Circuit(circuit.width, [gg for body in bodies for gg in body], circuit.roles)
-
-
-def _lower_gate(g: Gate, circuit: Circuit) -> list[Gate]:
-    out = []
-    for gg in expand(g):
-        if gg.kind != "tof":
-            out.append(gg)
-        elif len(gg.controls) == 2:
-            out += block_gates("toffoli3", gg.controls + (gg.target,))
-        else:
-            out += _expand_big_tof(gg, circuit)
-    return out
+    gates = expand_all(circuit.gates, lambda g: _expand_big_tof(g, circuit))
+    return Circuit(circuit.width, gates, circuit.roles)
 
 
 def _free_ancillae(g: Gate, circuit: Circuit, role: str) -> list[int]:
@@ -65,7 +54,8 @@ def _free_ancillae(g: Gate, circuit: Circuit, role: str) -> list[int]:
 
 def _expand_big_tof(g: Gate, circuit: Circuit) -> list[Gate]:
     """The helper chain over free clean ancillae if there are enough of
-    them, else over free dirty ones."""
+    them, else over free dirty ones, at marker level: ``expand_all``
+    expands it."""
     n = len(g.controls) + 1
     need = ceil((n - 3) / 2)
     flavour, pool = "clean", _free_ancillae(g, circuit, ROLE_CLEAN)
@@ -75,7 +65,7 @@ def _expand_big_tof(g: Gate, circuit: Circuit) -> list[Gate]:
         raise AncillaBudgetExceeded(
             f"ancilla budget exceeded: lowering {g} needs "
             f"{need} {flavour} ancillae, circuit offers {len(pool)}")
-    template, tspec = cat.tofn(n, flavour)
+    template, tspec = cat._tofn_markers(n, flavour)
     mapping = {}
     for i, q in enumerate(tspec.controls):
         mapping[q] = g.controls[i]

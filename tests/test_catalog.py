@@ -1,6 +1,7 @@
 """Construction generators: matrices, counts, and functional verification."""
 
 import hashlib
+from dataclasses import replace
 from math import ceil
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from rphase.catalog import (
     ConstructionError,
+    _tofn_markers,
     cnu_clean_chain,
     cnu_parallel,
     cnu_spec,
@@ -322,6 +324,18 @@ def test_skeletons_and_reference_circuits_are_pinned():
     whole.update(_digest(tof4_dirty(), tof4_dirty_spec()).encode())
     whole.update(_digest(tof5_dirty(), tof5_dirty_spec()).encode())
     assert whole.hexdigest()[:16] == "811e9275430d5a15"
+
+
+@pytest.mark.parametrize("ancilla", ["clean", "dirty"])
+def test_marker_level_counts_equal_gate_level_counts(ancilla):
+    """``table`` counts tofn's constructions before expansion: for every n
+    it lists by default or up to 40, that count is the built circuit's,
+    T-depth aside (a marker hides its T gates)."""
+    for n in range(3, 41):  # the default list, 4, 5, 6 and 11, included
+        markers = _tofn_markers(n, ancilla)[0].count_resources()
+        gates = tofn(n, ancilla)[0].count_resources()
+        assert markers.t_depth is None and gates.t_depth is not None
+        assert replace(markers, t_depth=0) == replace(gates, t_depth=0), n
 
 
 def test_tofn_dirty_5_matches_tof5_dirty_counts():

@@ -612,6 +612,69 @@ def test_table_text_mode_has_general_row(capsys):
     assert "8n-17" in out and "8n-16" in out and "ceil((n-3)/2)" in out
 
 
+# sha256 of stdout per table request, recorded while table still counted
+# each construction from its gates
+_TABLE_DIGESTS = {
+    ("--csv", "--n-list", ",".join(map(str, range(3, 41)))):
+        "473fc4196d4ea1b28c2dc3d1dbc8ac91badbc001a97d8f59e248fa64b0e5570f",
+    (): "6be6d78cd8d2d39828b71d321c1ef7edd087092e81465b029fc502915dd8575a",
+    ("--n-list", ",".join(map(str, range(4, 41)))):
+        "67139e1420ad693776fc31c40ce6f23e1754e097c2bcbd0e9ba074bc6749a6c8",
+}
+
+
+def _table_digest(capsys, argv):
+    code, out, err = run(capsys, "table", *argv)
+    return code, hashlib.sha256(out.encode()).hexdigest(), err
+
+
+@pytest.mark.parametrize("argv", list(_TABLE_DIGESTS))
+def test_table_output_is_pinned(capsys, argv):
+    assert _table_digest(capsys, argv) == (0, _TABLE_DIGESTS[argv], "")
+
+
+def test_table_builds_no_gates(capsys, monkeypatch):
+    """table counts each construction unexpanded: with every block
+    expansion refused, it still prints the pinned rows."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("table built a block's gates")
+
+    monkeypatch.setattr("rphase.circuit.block_gates", refuse)
+    for argv, digest in _TABLE_DIGESTS.items():
+        assert _table_digest(capsys, argv) == (0, digest, ""), argv
+
+
+@pytest.mark.parametrize("n_list", ["\u0664,1_1", "1_1", "\u0664", "4,\uff15", "4,5\u2003"])
+def test_table_n_list_takes_ascii_decimals_only(capsys, n_list):
+    """int() would read each of these (an Arabic-Indic 4, 1_1 as 11, a
+    fullwidth 5, an em space)."""
+    code, out, err = run(capsys, "table", "--csv", "--n-list", n_list)
+    assert (code, out) == (2, "")
+    assert err == f"error: --n-list takes comma-separated integers, got {n_list!r}\n"
+
+
+def test_table_n_list_keeps_blanks_around_commas(capsys):
+    assert run(capsys, "table", "--csv", "--n-list", " 4 ,5 , 6") == \
+        run(capsys, "table", "--csv", "--n-list", "4,5,6")
+
+
+@pytest.mark.parametrize("value", ["\uff15", "1_1", "\u0664"])
+def test_synth_n_takes_ascii_decimals_only(capsys, value):
+    code, out, err = run(capsys, "synth", "--gate", "tof", "--n", value)
+    assert (code, out) == (2, "")
+    assert f"error: argument --n: invalid decimal value: {value!r}" in err
+
+
+@pytest.mark.parametrize("option", ["--n", "--xprime"])
+@pytest.mark.parametrize("value", ["\uff13", "0_2", "\u0662"])
+def test_verify_integer_options_take_ascii_decimals_only(capsys, tmp_path, option, value):
+    path = tmp_path / "t3.qasm"
+    path.write_text(emit_qasm(toffoli3()))
+    code, out, err = run(capsys, "verify", str(path), option, value)
+    assert (code, out) == (2, "")
+    assert f"error: argument {option}: invalid decimal value: {value!r}" in err
+
+
 def test_missing_file(capsys):
     assert run(capsys, "count", "/nonexistent/file.qasm")[0] == 2
 
