@@ -18,11 +18,16 @@ ry-unit total U is one global cp op, w^floor(-U/2). An odd U leaves
 w^(1/2) = e^(i pi/8) outside the ring: results carry it as one bit,
 ``half`` (U mod 2), on every phase they list. As e^(i pi/8) is not in
 Q(w), unitaries whose bits differ are never equal.
-The ring kernel runs a fused op list: ``fuse_ops`` folds each run of cp
-ops between Hadamards, on at most FUSE_QUBITS qubits, into one table
-lookup per amplitude. Such a run never changes the number of amplitudes,
-so a fused column returns exactly what the gate-level one does,
-max_support included.
+The ring kernel runs a fused op list (``fuse_ops``): each run of ops on
+at most FUSE_QUBITS qubits becomes one op. In the plain list, h ops end
+the runs, and a run of cp ops is one table lookup per amplitude; it never
+changes the number of amplitudes. In the memoised list, h ops join the
+runs, and a run with h ops inside runs once per distinct local state:
+the terms whose indices agree outside the run's qubits form a class, and
+a class whose (local bits, amplitude) pairs were met before takes the
+run's cached output (see ``_hp_step``). Either way a fused column
+returns exactly what the gate-level one does, max_support included: a
+column's support after each inner h op is the sum of its classes'.
 
 Every exact decision reads the (output, j) of collapsed ring columns, so
 none builds a RingElement or meets a tolerance. FLOAT_TOL = 1e-9 lives in
@@ -48,7 +53,14 @@ not, one batch of ring columns at a time.
 Columns run in batches of BATCH_COLUMNS. A batch is one sparse state:
 column n's indices carry n in the bits from the circuit width up, which
 no op reads or writes, so each op runs once over the whole batch. The
-batches run in order in the calling process.
+batches run in order in the calling process. The first runs the plain
+list, so a call of one batch, or one that fails in its first, builds no
+memo; the later ones share one memoised list, whose memos live as long
+as the call. Once they hold more than MEMO_STATES local states after a
+batch, the columns share too little: the memos go, and the rest run the
+plain list. So the memos never hold more than MEMO_STATES local states
+plus one per class visit of one batch, each at most 2^FUSE_QUBITS terms
+in and out.
 """
 
 from __future__ import annotations
@@ -64,8 +76,12 @@ FLOAT_TOL = 1e-9
 WIDTH_LIMIT = 16
 # Columns run together as one tagged sparse state (see run_column_ring).
 BATCH_COLUMNS = 64
-# Most qubits one fused cp run may touch: its table has 2^4 rows.
+# Most qubits one fused run may touch: a pp op's table has 2^4 rows, and
+# an hp op's class holds at most 2^4 terms.
 FUSE_QUBITS = 4
+# Most local states the memos of one call keep past a batch (see
+# _ring_columns); the tofn constructions up to n = 11 need at most 5082.
+MEMO_STATES = 1 << 14
 
 
 class SimulationError(Exception):
@@ -89,7 +105,8 @@ class NotAPhasePermutation(SimulationError):
 # Gates become small tuples interpreted by a tight loop:
 #   ("cp", ctl_mask, ctl_value, flip_mask, w_exponent)  every gate but h
 #   ("h", bit_mask)
-#   ("pp", qubit_mask, table)                           fused run
+#   ("pp", qubit_mask, table)                           fused cp run
+#   ("hp", qubit_mask, run, memo)                       fused run with h
 #
 # A cp op fires on index i iff (i & ctl_mask) == ctl_value, which encodes
 # positive and negative controls uniformly; it then flips flip_mask and
@@ -101,7 +118,9 @@ class NotAPhasePermutation(SimulationError):
 # ``fuse_ops`` folds each run of cp ops between Hadamards into one "pp"
 # op: ``table`` maps the run's bits of an index, i & qubit_mask, to its
 # output bits and the w exponent (mod 8) the run multiplies the amplitude
-# by.
+# by. In the memoised list it folds a run with h ops into one "hp" op:
+# ``run`` is the run's own plain fused list, and ``memo`` maps each local
+# state the op has met to the run's output on it (see _hp_step).
 
 def _control_masks(width: int, g: Gate) -> tuple[int, int]:
     mask = value = 0
@@ -151,23 +170,36 @@ def _half(circuit: Circuit) -> bool:
     return sum(g.param for g in circuit.gates) % 2 == 1
 
 
-def fuse_ops(ops):
-    """The ring kernel's op list with each maximal run of cp ops touching
-    at most FUSE_QUBITS qubits folded into one pp op. A run ends at an h
-    op or where one more op would pass the cap; a run of one op stays that
-    op. No cp op changes the support, so a column through the fused list
-    returns what it returns through ``ops``."""
-    groups = []  # [touched mask, ops] per run; mask None for h
+def fuse_ops(ops, memoised: bool = False):
+    """The ring kernel's op list with each maximal run of ops touching at
+    most FUSE_QUBITS qubits folded into one op; a run ends where one more
+    op would pass the cap, and a run of one op stays that op. A run of cp
+    ops becomes one pp op, which changes no support.
+
+    Without ``memoised``, an h op ends every run. With it, h ops join the
+    runs (a mask-0 cp op joins any), and a run holding one becomes an hp
+    op: the run's own plain fused list and an empty memo, which lives as
+    long as the returned list (see ``_hp_step``). A column through either
+    list returns what it returns through ``ops``, max_support included."""
+    groups = []  # [touched mask, ops] per run; mask None for an unfused h
     for op in ops:
-        touched = op[1] | op[3] if op[0] == "cp" else None
+        touched = op[1] | op[3] if op[0] == "cp" else op[1] if memoised else None
         last = groups[-1][0] if groups else None
         if touched is not None and last is not None and (last | touched).bit_count() <= FUSE_QUBITS:
             groups[-1][0] |= touched
             groups[-1][1].append(op)
         else:
             groups.append([touched, [op]])
-    return tuple(run[0] if len(run) == 1 else ("pp", mask, _run_table(run, mask))
-                 for mask, run in groups)
+    return tuple(_fused(mask, run) for mask, run in groups)
+
+
+def _fused(mask, run):
+    """One run of ``fuse_ops`` as one op."""
+    if len(run) == 1:
+        return run[0]
+    if any(op[0] == "h" for op in run):
+        return ("hp", mask, fuse_ops(run), {})
+    return ("pp", mask, _run_table(run, mask))
 
 
 def _submasks(mask: int):
@@ -217,50 +249,26 @@ def run_column_ring(ops, starts, width: int):
     an h op changes a column's support. An h op that finds no term's
     partner (its index with the h bit flipped) writes no output twice and
     doubles every column's support; after any other, the supports are
-    recounted, so each column's max_support is its own."""
-    digit = sum(op[0] == "h" for op in ops) + 2  # L: bits per coefficient
-    modulus = (1 << 4 * digit) + 1               # N = B^4 + 1
-    top = modulus >> 1                           # the largest balanced residue
+    recounted, so each column's max_support is its own. An hp op gives
+    each column's support after each of its h ops (see ``_hp_step``)."""
+    digit = _hadamards(ops) + 2   # L: bits per coefficient
+    modulus = (1 << 4 * digit) + 1  # N = B^4 + 1
+    top = modulus >> 1              # the largest balanced residue
     amps = {n << width | s: 1 for n, s in enumerate(starts)}
     support = [1] * len(amps)  # each column's support
     peak = list(support)       # each column's max_support so far
     for op in ops:
         code = op[0]
         if code == "pp":
-            _, mask, table = op
-            keep = ~mask
-            new = {}
-            for i, a in amps.items():
-                o, e = table[i & mask]
-                if e:
-                    a = (a << e * digit) % modulus
-                    if a > top:
-                        a -= modulus
-                new[i & keep | o] = a
-            amps = new
+            amps = _pp_step(amps, op, digit, modulus, top)
+        elif code == "hp":
+            amps, packed = _hp_step(amps, op, len(support), width, digit, modulus, top)
+            after = [[p >> f & _SUPPORT_FIELD for p in packed]
+                     for f in range(0, _hadamards(op[2]) * _SUPPORT_BITS, _SUPPORT_BITS)]
+            support = after[-1]
+            peak = list(map(max, peak, *after))
         elif code == "h":
-            tb = op[1]
-            new = {}
-            partner = amps.get
-            paired = False
-            for i, c in amps.items():
-                d = partner(i ^ tb)
-                if d is None:
-                    # a lone term: no other term meets it, so nothing cancels
-                    if i & tb:
-                        new[i ^ tb] = c
-                        new[i] = -c
-                    else:
-                        new[i] = new[i | tb] = c
-                elif not i & tb:
-                    paired = True
-                    a = c + d
-                    if a:
-                        new[i] = a
-                    a = c - d
-                    if a:
-                        new[i | tb] = a
-            amps = new
+            amps, paired = _h_step(amps, op[1])
             if paired:
                 support = [0] * len(support)
                 for i in amps:
@@ -270,18 +278,7 @@ def run_column_ring(ops, starts, width: int):
                 support = [n << 1 for n in support]
             peak = list(map(max, peak, support))
         else:
-            _, cm, cv, flip, e = op
-            s = e * digit
-            new = {}
-            for i, a in amps.items():
-                if (i & cm) == cv:
-                    i ^= flip
-                    if s:
-                        a = (a << s) % modulus
-                        if a > top:
-                            a -= modulus
-                new[i] = a
-            amps = new
+            amps = _cp_step(amps, op, digit, modulus, top)
     # E + offset has every balanced digit raised by B/2 into [0, B): read
     # the four digits with no borrow, then lower each again
     lift = 1 << digit - 1
@@ -295,6 +292,126 @@ def run_column_ring(ops, starts, width: int):
             (u & low_digit) - lift, (u >> digit & low_digit) - lift,
             (u >> 2 * digit & low_digit) - lift, (u >> 3 * digit) - lift)
     return [(c, digit - 2, p) for c, p in zip(columns, peak)]
+
+
+def _hadamards(ops) -> int:
+    """The number of h ops in an op list, those inside hp ops included."""
+    return sum(_hadamards(op[2]) if op[0] == "hp" else op[0] == "h" for op in ops)
+
+
+def _pp_step(amps, op, digit, modulus, top):
+    """The sparse state after one pp op."""
+    _, mask, table = op
+    keep = ~mask
+    new = {}
+    for i, a in amps.items():
+        o, e = table[i & mask]
+        if e:
+            a = (a << e * digit) % modulus
+            if a > top:
+                a -= modulus
+        new[i & keep | o] = a
+    return new
+
+
+def _cp_step(amps, op, digit, modulus, top):
+    """The sparse state after one cp op."""
+    _, cm, cv, flip, e = op
+    s = e * digit
+    new = {}
+    for i, a in amps.items():
+        if (i & cm) == cv:
+            i ^= flip
+            if s:
+                a = (a << s) % modulus
+                if a > top:
+                    a -= modulus
+        new[i] = a
+    return new
+
+
+def _h_step(amps, tb):
+    """The sparse state after one h op on bit ``tb``, and whether any term
+    met its partner."""
+    new = {}
+    partner = amps.get
+    paired = False
+    for i, c in amps.items():
+        d = partner(i ^ tb)
+        if d is None:
+            # a lone term: no other term meets it, so nothing cancels
+            if i & tb:
+                new[i ^ tb] = c
+                new[i] = -c
+            else:
+                new[i] = new[i | tb] = c
+        elif not i & tb:
+            paired = True
+            a = c + d
+            if a:
+                new[i] = a
+            a = c - d
+            if a:
+                new[i | tb] = a
+    return new, paired
+
+
+# A class's support after each h op of an hp op, one field per h op, so
+# that adding two packed values adds the supports field by field: no
+# support, bounded by the terms of a state, reaches 2^32.
+_SUPPORT_BITS = 32
+_SUPPORT_FIELD = (1 << _SUPPORT_BITS) - 1
+
+
+def _hp_step(amps, op, columns, width, digit, modulus, top):
+    """The sparse state after one hp op, and each of the ``columns``'
+    supports after each of its h ops, packed as in ``_SUPPORT_BITS``.
+
+    The op's run reads and writes only its mask bits, so it runs on each
+    class of indices equal outside the mask alone, and what it makes of a
+    class depends only on the class's local state: the (mask bits,
+    amplitude) of its terms in ascending order. Packed amplitudes are
+    canonical, so equal local states are equal states: the memo maps each
+    local state met to the run's output terms and supports, and a state
+    met again costs one lookup. A column's support is the sum of its
+    classes', so its max_support stays exact."""
+    _, mask, run, memo = op
+    keep = ~mask
+    classes = {}  # class -> its local state, flat (mask bits, amplitude) pairs
+    get = classes.get
+    for i, a in sorted(amps.items()):
+        c = i & keep
+        t = get(c)
+        classes[c] = (i & mask, a) if t is None else t + (i & mask, a)
+    new = {}
+    packed = [0] * columns
+    for c, key in classes.items():
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = _local_run(run, key, digit, modulus, top)
+        items, supports = hit
+        for o, a in items:
+            new[c | o] = a
+        packed[c >> width] += supports
+    return new, packed
+
+
+def _local_run(run, terms, digit, modulus, top):
+    """(output (mask bits, amplitude) pairs, packed supports) of an hp
+    op's ``run`` on one class's local state, its flat ``terms``."""
+    state = dict(zip(terms[::2], terms[1::2]))
+    supports = shift = 0
+    for op in run:
+        code = op[0]
+        if code == "h":
+            state = _h_step(state, op[1])[0]
+            supports |= len(state) << shift
+            shift += _SUPPORT_BITS
+        elif code == "pp":
+            state = _pp_step(state, op, digit, modulus, top)
+        else:
+            state = _cp_step(state, op, digit, modulus, top)
+    return tuple(state.items()), supports
 
 
 def run_column_float(ops, start: int):
@@ -400,11 +517,18 @@ def _width_guard(columns: int) -> None:
 def _ring_columns(circuit: Circuit, starts):
     """(amplitudes, k, max_support) of the ring column of each basis state
     in ``starts`` (a sequence), in order: the fused ops run on one batch of
-    BATCH_COLUMNS at a time, each when it is reached."""
+    BATCH_COLUMNS at a time, each when it is reached. The first batch runs
+    the plain fused list; later ones share one memoised list, whose memos
+    end with this call, until they hold more than MEMO_STATES states."""
     width = circuit.width
-    ops = fuse_ops(compile_circuit(circuit))
+    ops = compile_circuit(circuit)
+    plain = fused = fuse_ops(ops)
     for n in range(0, len(starts), BATCH_COLUMNS):
-        yield from run_column_ring(ops, starts[n:n + BATCH_COLUMNS], width)
+        if n == BATCH_COLUMNS:
+            fused = fuse_ops(ops, memoised=True)
+        elif fused is not plain and sum(len(op[3]) for op in fused if op[0] == "hp") > MEMO_STATES:
+            fused = plain  # the columns share too little: drop the memos
+        yield from run_column_ring(fused, starts[n:n + BATCH_COLUMNS], width)
 
 
 def _collapsed(circuit: Circuit, starts):

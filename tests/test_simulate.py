@@ -4,6 +4,7 @@ import cmath
 import itertools
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -397,20 +398,24 @@ def test_sparse_support_stays_small():
 # -- the batched, fused kernel against one-column gate-level runs ----------
 
 def _assert_fused_columns_equal(circuit, columns):
-    """Every listed column, run in batches through the fused op list,
-    returns the (amplitudes, k, max_support) of its one-column run through
-    the gate-level list, and the float kernel's column under
-    ``same_phase``: that kernel shares no code with the ring one. Batches
-    of 5 and of BATCH_COLUMNS columns mix columns of different support."""
+    """Every listed column, run in batches through the plain and the
+    memoised fused op list, and through ``_ring_columns``, returns the
+    (amplitudes, k, max_support) of its one-column run through the
+    gate-level list, and the float kernel's column under ``same_phase``:
+    that kernel shares no code with the ring one. Batches of 5 and of
+    BATCH_COLUMNS columns mix columns of different support; one memoised
+    list serves every batch of a size, so later batches hit states that
+    earlier ones met."""
     ops = compile_circuit(circuit)
-    fused = fuse_ops(ops)
     width = circuit.width
     columns = list(columns)
     alone = [run_column_ring(ops, [s], width)[0] for s in columns]
     for size in (5, simulate.BATCH_COLUMNS):
-        batched = [r for i in range(0, len(columns), size)
-                   for r in run_column_ring(fused, columns[i:i + size], width)]
-        assert batched == alone, size
+        for fused in (fuse_ops(ops), fuse_ops(ops, memoised=True)):
+            batched = [r for i in range(0, len(columns), size)
+                       for r in run_column_ring(fused, columns[i:i + size], width)]
+            assert batched == alone, size
+    assert list(simulate._ring_columns(circuit, columns)) == alone
     for s, (amps, k, max_support) in zip(columns, alone):
         floats, _, float_support = run_column_float(ops, s)
         assert amps.keys() == floats.keys() and max_support == float_support, s
@@ -429,17 +434,32 @@ def test_a_batch_keeps_each_columns_own_max_support():
     assert batched == [run_column_ring(ops, [s], 3)[0] for s in range(8)]
 
 
+def test_an_hp_op_leaves_each_columns_support_after_its_last_h():
+    """h(0) h(0) is one hp op whose support goes 2 then 1; a wide tof ends
+    it, and the lone h(1) after it doubles the 1: max_support is 2."""
+    wide = tof((1, 2, 3, 4), 5)
+    c = Circuit(6, [h(0), h(0), wide, h(1), wide])
+    fused = fuse_ops(compile_circuit(c), memoised=True)
+    assert [op[0] for op in fused] == ["hp", "cp", "h", "cp"]
+    assert {ms for *_, ms in run_column_ring(fused, range(64), 6)} == {2}
+    _assert_fused_columns_equal(c, range(64))
+
+
 @st.composite
 def fusable_circuits(draw):
-    """Circuits of 1-6 qubits mixing every perm/phase kind, negatively
-    controlled tofs up to 5 controls, and h gates that cut the runs."""
-    width = draw(st.integers(1, 6))
+    """Circuits of 1-8 qubits mixing every perm/phase kind, ry gates (whose
+    mask-0 global cp op joins any run), negatively controlled tofs up to 5
+    controls, and h gates. Past 6 qubits more than BATCH_COLUMNS columns
+    run through one memoised list."""
+    width = draw(st.integers(1, 8))
     qubit = st.integers(0, width - 1)
     gates = []
     for _ in range(draw(st.integers(0, 30))):
-        arity = draw(st.integers(1, width))
+        arity = draw(st.integers(1, min(width, 6)))
         if arity == 1:
-            gates.append(draw(st.sampled_from((h, t, tdg, p, pdg, x, y, z)))(draw(qubit)))
+            kind = draw(st.sampled_from((h, t, tdg, p, pdg, x, y, z, ry)))
+            gates.append(ry(draw(qubit), draw(st.integers(-9, 9))) if kind is ry
+                         else kind(draw(qubit)))
         elif arity == 2:
             a, b = draw(st.lists(qubit, min_size=2, max_size=2, unique=True))
             gates.append(draw(st.sampled_from((cx, cz)))(a, b))
@@ -450,23 +470,112 @@ def fusable_circuits(draw):
     return Circuit(width, gates)
 
 
+def _inner_hadamards(fused):
+    """The h ops of a fused list, in order, each with the mask of the one
+    fused op that holds it."""
+    for op in fused:
+        if op[0] == "h":
+            yield op, op[1]
+        elif op[0] == "hp":
+            yield from ((inner, op[1]) for inner, _ in _inner_hadamards(op[2]))
+
+
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(fusable_circuits())
 def test_fused_kernel_equals_the_gate_level_kernel(c):
+    """Each h op of ``ops`` lies, in order, in exactly one op of each fused
+    list, whose mask covers it; a pp or hp op touches at most FUSE_QUBITS
+    qubits, and an hp op's own run is plain."""
     ops = compile_circuit(c)
-    fused = fuse_ops(ops)
-    assert [op for op in fused if op[0] == "h"] == [op for op in ops if op[0] == "h"]
-    assert all(op[1].bit_count() <= simulate.FUSE_QUBITS for op in fused if op[0] == "pp")
+    hadamards = [op for op in ops if op[0] == "h"]
+    for fused in (fuse_ops(ops), fuse_ops(ops, memoised=True)):
+        inner = list(_inner_hadamards(fused))
+        assert [op for op, _ in inner] == hadamards
+        assert all(op[1] & mask == op[1] for op, mask in inner)
+        assert all(op[1].bit_count() <= simulate.FUSE_QUBITS
+                   for op in fused if op[0] in ("pp", "hp"))
+        assert not any(o[0] == "hp" for op in fused if op[0] == "hp" for o in op[2])
     _assert_fused_columns_equal(c, range(1 << c.width))
 
 
 def test_fusion_folds_every_run_between_hadamards():
+    """tofn(8, "dirty")'s 114 ops fold into 42 with h ops between the runs,
+    and into 12 with h ops inside them."""
     ops = compile_circuit(tofn(8, "dirty")[0])
     assert (len(ops), len(fuse_ops(ops))) == (114, 42)
+    assert (len(ops), len(fuse_ops(ops, memoised=True))) == (114, 12)
     # a run wider than the cap splits; an op wider than it stays alone
     wide = tof((0, 1, 2, 3), 4)
     ops = compile_circuit(Circuit(5, [t(0), cx(0, 1), x(4), cz(2, 3), wide, t(4)]))
     assert [op[0] for op in fuse_ops(ops)] == ["pp", "cp", "cp", "cp"]
+    ops = compile_circuit(Circuit(5, [h(0), t(0), h(1), cx(0, 1), wide, h(4), t(4)]))
+    assert [op[0] for op in fuse_ops(ops, memoised=True)] == ["hp", "cp", "hp"]
+
+
+def _counting_local_runs(monkeypatch):
+    """The class visits of every hp op and the local runs (memo misses)
+    from here on."""
+    counts = {"visits": 0, "runs": 0}
+    step, local_run = simulate._hp_step, simulate._local_run
+
+    def visited(amps, op, *args):
+        counts["visits"] += len({i & ~op[1] for i in amps})
+        return step(amps, op, *args)
+
+    def ran(*args):
+        counts["runs"] += 1
+        return local_run(*args)
+
+    monkeypatch.setattr(simulate, "_hp_step", visited)
+    monkeypatch.setattr(simulate, "_local_run", ran)
+    return counts
+
+
+def test_memoised_batches_run_few_local_states(monkeypatch):
+    """On tofn(8, "dirty")'s 2048 columns, fewer than one class visit in
+    five runs the hp op's run. A memo never outlives its ``_ring_columns``
+    call: once the call is done nothing but this test holds it, a second
+    call runs every local state again, and a call of one batch builds no
+    memo."""
+    c, _ = tofn(8, "dirty")
+    starts = range(1 << c.width)
+    counts = _counting_local_runs(monkeypatch)
+    memos, fuse = [], simulate.fuse_ops
+
+    def recorded(ops, memoised=False):
+        fused = fuse(ops, memoised)
+        memos.extend(op[3] for op in fused if op[0] == "hp")
+        return fused
+
+    monkeypatch.setattr(simulate, "fuse_ops", recorded)
+    first = list(simulate._ring_columns(c, starts))
+    runs, visits = counts["runs"], counts["visits"]
+    assert 0 < 5 * runs < visits
+    assert len(memos) == 12 and sum(map(len, memos)) == runs
+    held_here = [{}]  # a dict that only a list holds, counted the same way
+    assert {sys.getrefcount(m) for m in memos} == {sys.getrefcount(m) for m in held_here}
+    counts.update(runs=0, visits=0)
+    assert list(simulate._ring_columns(c, starts)) == first
+    assert (counts["runs"], counts["visits"]) == (runs, visits)
+    counts.update(runs=0, visits=0)
+    list(simulate._ring_columns(c, range(simulate.BATCH_COLUMNS)))
+    assert counts == {"runs": 0, "visits": 0}
+
+
+def test_memos_past_their_cap_give_way_to_the_plain_list(monkeypatch):
+    """Once the memos hold more than MEMO_STATES states after a batch, the
+    batches left run the plain list: with a cap of 0 only the second batch
+    runs the memoised one, and every column is unchanged."""
+    c, _ = tofn(8, "dirty")
+    starts = range(1 << c.width)
+    expected = list(simulate._ring_columns(c, starts))
+    counts = _counting_local_runs(monkeypatch)
+    list(simulate._ring_columns(c, starts[:2 * simulate.BATCH_COLUMNS]))
+    two_batches = dict(counts)
+    counts.update(runs=0, visits=0)
+    monkeypatch.setattr(simulate, "MEMO_STATES", 0)
+    assert list(simulate._ring_columns(c, starts)) == expected
+    assert counts == two_batches
 
 
 def _rotated(c, e):
@@ -568,7 +677,7 @@ def test_the_packed_kernel_equals_ring_element_arithmetic(c):
     ops = compile_circuit(c)
     starts = range(1 << c.width)
     expected = [_ring_column(c, s) for s in starts]
-    for variant in (ops, fuse_ops(ops)):
+    for variant in (ops, fuse_ops(ops), fuse_ops(ops, memoised=True)):
         for s, (amps, k, _) in zip(starts, run_column_ring(variant, starts, c.width)):
             assert {i: RingElement(*a, k) for i, a in amps.items()} == expected[s], s
 
