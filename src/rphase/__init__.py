@@ -5,6 +5,7 @@ exact verification by cyclotomic-ring simulation."""
 from .circuit import (
     Circuit,
     Gate,
+    InputError,
     ResourceReport,
     TargetSpec,
     ROLE_CLEAN,
@@ -39,20 +40,17 @@ from .catalog import (
     two_block_tofn,
     two_block_tofn_spec,
 )
-from .lowering import AncillaBudgetExceeded, lower
+from .lowering import lower
 from .qasm import QasmError, emit_qasm, parse_qasm
 from .rewrite import (
-    ArityMismatch,
     ConjugationMatch,
     REPLACEMENT_IMPLS,
-    SpecialFormViolated,
     admissible,
     apply_replacement,
     cancel_adjacent_inverses,
     find_conjugations,
 )
 from .simulate import (
-    MarkerInSimulation,
     NotAPhasePermutation,
     PhasePermutation,
     backends_agree,

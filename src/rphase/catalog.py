@@ -41,6 +41,7 @@ from .circuit import (
     Block,
     Circuit,
     Gate,
+    InputError,
     MARKER_BLOCKS,
     ROLE_CLEAN,
     ROLE_DIRTY,
@@ -59,14 +60,10 @@ from .circuit import (
 from .qasm import QREG_LIMIT
 
 
-class ConstructionError(Exception):
-    pass
-
-
 def _within_qreg_limit(name: str, width: int) -> None:
     """Refuse, before building, a circuit wider than a QASM file can be."""
     if width > QREG_LIMIT:
-        raise ConstructionError(
+        raise InputError(
             f"{name} needs {width} qubits, wider than the limit of {QREG_LIMIT}")
 
 
@@ -77,7 +74,7 @@ def get_entry(name: str) -> Block:
     try:
         return BLOCKS[name]
     except KeyError:
-        raise ConstructionError(f"no construction for gate {name!r}") from None
+        raise InputError(f"no construction for gate {name!r}") from None
 
 
 def toffoli3() -> Circuit:
@@ -152,7 +149,7 @@ def _tofn_clean(n: int) -> tuple[Circuit, TargetSpec]:
     matching the explicit 4- and 5-control circuits.
     """
     if n < 4:
-        raise ConstructionError("tofn_clean requires n >= 4")
+        raise InputError("tofn_clean requires n >= 4")
     ancs = [3 * i for i in range(1, ceil((n - 3) / 2) + 1)]
     if n % 2 == 0:
         ancs[-1] -= 1  # the innermost gadget is an rtof3l
@@ -227,7 +224,7 @@ def _tofn_dirty(n: int) -> tuple[Circuit, TargetSpec]:
     are then numbered from 0 in order.
     """
     if n < 5:
-        raise ConstructionError("tofn_dirty requires n >= 5")
+        raise InputError("tofn_dirty requires n >= 5")
     head = marker("srts3", (n - 1, 2 * n - 4), 2 * n - 3)
     chain = [marker("rtof3s", (2 * n - 5, n - 2), 2 * n - 4)] if n % 2 == 0 else []
     chain += [
@@ -260,9 +257,9 @@ def _tofn_markers(n: int, ancilla: str) -> tuple[Circuit, TargetSpec]:
     tofs, whose counts are the gate-level ones (``count_resources``
     counts a marker as its block and such a tof as toffoli3)."""
     if ancilla not in ("clean", "dirty"):
-        raise ConstructionError(f"ancilla must be 'clean' or 'dirty', got {ancilla!r}")
+        raise InputError(f"ancilla must be 'clean' or 'dirty', got {ancilla!r}")
     if n < 3:
-        raise ConstructionError(f"TOF needs n >= 3 qubits, got {n}")
+        raise InputError(f"TOF needs n >= 3 qubits, got {n}")
     _within_qreg_limit(f"TOF{n}", n + (n - 2) // 2)  # ceil((n-3)/2) helpers
     if n == 3:
         return Circuit(3, [tof((0, 1), 2)]), TargetSpec((0, 1), 2)
@@ -295,7 +292,7 @@ def ladder_tofn(n: int) -> Circuit:
     order lets the trailing CNOT pair cancel too and lands at 8k-8.
     """
     if n < 6:
-        raise ConstructionError("ladder_tofn requires n >= 6")
+        raise InputError("ladder_tofn requires n >= 6")
     _within_qreg_limit(f"ladder_tofn({n})", 2 * n - 3)
     head = marker("srts3", (n - 2, 2 * n - 5), 2 * n - 4)
     rungs = [
@@ -324,7 +321,7 @@ def two_block_tofn(n: int, k: int) -> Circuit:
     simulation tests rather than a stated general rule.
     """
     if not 3 <= k <= n - 1:
-        raise ConstructionError("two_block_tofn requires 3 <= k <= n-1")
+        raise InputError("two_block_tofn requires 3 <= k <= n-1")
     anc = n - 1  # layout: controls 0..n-2, ancilla, target
     target = n
     first_ctl = tuple(range(k - 1))
@@ -357,7 +354,7 @@ def _cu_gates(u: str, control: int, target: int) -> list[Gate]:
     if u == "p":
         # controlled-P = diag(1,1,1,i) from T gates and CNOTs
         return [t(control), t(target), cx(control, target), tdg(target), cx(control, target)]
-    raise ConstructionError(f"unsupported controlled-U choice {u!r}")
+    raise InputError(f"unsupported controlled-U choice {u!r}")
 
 
 def cnu_clean_chain(n: int, u: str = "x") -> Circuit:
@@ -365,7 +362,7 @@ def cnu_clean_chain(n: int, u: str = "x") -> Circuit:
     into n-1 clean ancillae, one CU fires from the last ancilla.
     Layout: controls 0..n-1, ancillae n..2n-2, target 2n-1."""
     if n < 2:
-        raise ConstructionError("cnu_clean_chain requires n >= 2")
+        raise InputError("cnu_clean_chain requires n >= 2")
     _within_qreg_limit(f"cnu_clean_chain({n})", 2 * n)
     chain = [marker("rtof3l", (0, 1), n)]
     chain += [marker("rtof3l", (i, n + i - 2), n + i - 1) for i in range(2, n)]
@@ -378,7 +375,7 @@ def cnu_parallel(n: int, u: str = "x") -> Circuit:
     """C^n U via a balanced tree of rtof3l markers: same 2n-2 marker count
     and n-1 clean ancillae as the chain, logarithmic marker depth."""
     if n < 2:
-        raise ConstructionError("cnu_parallel requires n >= 2")
+        raise InputError("cnu_parallel requires n >= 2")
     _within_qreg_limit(f"cnu_parallel({n})", 2 * n)
     forward = []
     nodes = list(range(n))  # frontier of not-yet-folded wires

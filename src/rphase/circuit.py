@@ -102,6 +102,12 @@ ROLE_DIRTY = "dirty_ancilla"
 ROLES = (ROLE_PRIMARY, ROLE_CLEAN, ROLE_DIRTY)
 
 
+class InputError(Exception):
+    """A file, flag or request the tools refuse: the command line reports
+    its message and exits 2. Not a ValueError, so that no handler meant
+    for a malformed value re-wraps it."""
+
+
 def basis_bit(width: int, q: int) -> int:
     """The bit of qubit ``q`` in a basis-state index over ``width`` qubits:
     qubit 0 is the most significant bit."""
@@ -295,10 +301,6 @@ class TargetSpec:
         return frozenset(self.controls) | {self.target}
 
 
-class UncountableGate(ValueError):
-    """A tof with three or more controls: its cost depends on the lowering."""
-
-
 @dataclass(frozen=True)
 class ResourceReport:
     t: int = 0
@@ -335,7 +337,7 @@ def _gate_counts(g: Gate) -> tuple[int, int, int, int, int]:
     if g.kind in MARKER_BLOCKS:
         return MARKER_BLOCKS[g.kind].counts
     if g.kind == "tof" and len(g.controls) > 2:
-        raise UncountableGate(
+        raise InputError(
             f"resource count of {g} depends on the lowering; lower first")
     if g.kind == "tof" and len(g.controls) == 2 and not g.neg:
         return BLOCKS["toffoli3"].counts

@@ -1,11 +1,11 @@
 """Command-line surface: synthesize, count, verify, rewrite, table.
 
-Exit codes: 0 success / verified, 1 verification failed, 2 usage or
-input error (including a file that is not UTF-8 text, a circuit too wide
-to simulate, and a qreg read or a circuit requested wider than
-``qasm.QREG_LIMIT``), 3 internal error:
-any other exception, reported on one line without a traceback. Every
-option with a fixed set of values (``--ancilla``, ``--format``,
+Exit codes: 0 success / verified; 1 verification failed, a failing
+verdict or a ``NotAPhasePermutation``; 2 usage or input error, an
+``InputError`` (``QasmError`` among them) raised where the input is
+refused, an ``OSError`` or a file that is not UTF-8 text; 3 internal
+error: any other exception, reported on one line without a traceback.
+Every option with a fixed set of values (``--ancilla``, ``--format``,
 ``--target``, ``--class``) is an argparse choice, so argparse refuses any
 other value (exit 2) before a file is read, and every integer option
 (``--n``, ``--xprime``, each item of ``--n-list``) takes ASCII decimal
@@ -23,12 +23,10 @@ import re
 import sys
 
 from . import catalog as cat
-from .circuit import (
-    Circuit, TargetSpec, ROLE_CLEAN, ROLE_DIRTY, ROLE_PRIMARY, UncountableGate)
-from .lowering import LoweringError, lower
-from .qasm import QasmError, emit_qasm, parse_qasm
+from .circuit import Circuit, InputError, TargetSpec, ROLE_CLEAN, ROLE_DIRTY, ROLE_PRIMARY
+from .lowering import lower
+from .qasm import emit_qasm, parse_qasm
 from .rewrite import (
-    RewriteError,
     _equal_tof_pairs,
     admissible,
     apply_replacement,
@@ -37,17 +35,13 @@ from .rewrite import (
     find_conjugations,  # noqa: F401 -- perfbench's tracer wraps it by this name
     REPLACEMENT_IMPLS,
 )
-from .simulate import NotAPhasePermutation, WidthLimitExceeded
+from .simulate import NotAPhasePermutation
 from .verify import check_implements
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
-
-
-class UsageError(Exception):
-    pass
 
 
 def decimal(text: str) -> int:
@@ -80,12 +74,12 @@ def _synth_build(args) -> Circuit:
     """Resolve a --gate request to its circuit."""
     sized, build = _SYNTH_GATES.get(args.gate, (False, lambda a: cat.get_entry(a.gate).circuit))
     if sized and args.n is None:
-        raise UsageError(f"--gate {args.gate} requires --n")
+        raise InputError(f"--gate {args.gate} requires --n")
     circuit = build(args)
     if args.gate != "tof" and args.ancilla is not None:
-        raise UsageError(f"--gate {args.gate} takes no --ancilla")
+        raise InputError(f"--gate {args.gate} takes no --ancilla")
     if not sized and args.n is not None and args.n != circuit.width:
-        raise UsageError(f"--gate {args.gate} has {circuit.width} qubits, got --n {args.n}")
+        raise InputError(f"--gate {args.gate} has {circuit.width} qubits, got --n {args.n}")
     return circuit
 
 
@@ -140,15 +134,15 @@ def _roles_from_layout(layout: str, width: int):
     nctrl qubit is a control that fires on |0>."""
     tokens = [tok.strip() for tok in layout.split(",")]
     if len(tokens) != width:
-        raise UsageError(f"--layout names {len(tokens)} qubits, circuit has {width}")
+        raise InputError(f"--layout names {len(tokens)} qubits, circuit has {width}")
     unknown = [tok for tok in tokens if tok not in _LAYOUT_ROLES]
     if unknown:
-        raise UsageError(f"unknown layout tokens {unknown}; use {','.join(_LAYOUT_ROLES)}")
+        raise InputError(f"unknown layout tokens {unknown}; use {','.join(_LAYOUT_ROLES)}")
     controls = [i for i, tok in enumerate(tokens) if tok in ("ctrl", "nctrl")]
     neg = frozenset(i for i, tok in enumerate(tokens) if tok == "nctrl")
     targets = [i for i, tok in enumerate(tokens) if tok == "target"]
     if len(targets) != 1:
-        raise UsageError("--layout must name exactly one target")
+        raise InputError("--layout must name exactly one target")
     roles = tuple(_LAYOUT_ROLES[tok] for tok in tokens)
     return controls, neg, targets[0], roles
 
@@ -164,14 +158,14 @@ def cmd_verify(args) -> int:
     else:
         primaries = circuit.primary_qubits()
         if len(primaries) < 2:
-            raise UsageError("cannot infer layout; pass --layout")
+            raise InputError("cannot infer layout; pass --layout")
         controls, neg, target = list(primaries[:-1]), frozenset(), primaries[-1]
     if args.n is not None and args.n != len(controls) + 1:
-        raise UsageError(
+        raise InputError(
             f"--n {args.n} does not match layout with {len(controls)} controls")
     stray = set(args.xprime or ()) - set(controls) - {target}
     if stray:
-        raise UsageError(f"--xprime names qubits {sorted(stray)} outside the gate")
+        raise InputError(f"--xprime names qubits {sorted(stray)} outside the gate")
     spec = TargetSpec(tuple(controls), target, neg=neg,
                       xprime=frozenset(args.xprime or ()), equivalence=args.cls)
     report = check_implements(circuit, spec)
@@ -186,14 +180,14 @@ def cmd_rewrite(args) -> int:
     rules = [r.strip() for r in args.rules.split(",") if r.strip()]
     bad = [r for r in rules if r not in ("prop1", "prop2", "prop3", "cancel")]
     if bad:
-        raise UsageError(f"unknown rules {bad}")
+        raise InputError(f"unknown rules {bad}")
     counted = circuit
     if "cancel" in rules and any(g.kind == "tof" and len(g.controls) > 2 for g in circuit.gates):
         # cancel lowers wide tofs, so count them lowered; when lower cannot,
         # count_resources rejects the input naming a wide tof
         try:
             counted = lower(circuit)
-        except LoweringError:
+        except InputError:
             pass
     before = counted.count_resources()
 
@@ -275,7 +269,7 @@ def cmd_table(args) -> int:
     try:
         n_list = [4, 5, 6, 11] if args.n_list is None else [decimal(x) for x in args.n_list.split(",")]
     except ValueError:
-        raise UsageError(f"--n-list takes comma-separated integers, got {args.n_list!r}") from None
+        raise InputError(f"--n-list takes comma-separated integers, got {args.n_list!r}") from None
     rows = _table_rows(n_list)
     if args.csv:
         print(",".join(_TABLE_COLUMNS))
@@ -352,8 +346,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (UsageError, QasmError, cat.ConstructionError, LoweringError,
-            RewriteError, OSError, UnicodeDecodeError, WidthLimitExceeded, UncountableGate) as exc:
+    except (InputError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NotAPhasePermutation as exc:

@@ -8,8 +8,8 @@ negative control an X pair around the positive gate, a tof of 0/1
 controls an x or a cnot, and a tof of 2 controls the 15-gate toffoli3
 block. Here a tof of 3+ controls becomes ``catalog.tofn``'s clean- or
 dirty-helper chain, placed at marker level over ancilla qubits the
-circuit declares but the gate does not touch ("ancilla budget exceeded"
-otherwise), then expanded.
+circuit declares but the gate does not touch (an "ancilla budget
+exceeded" ``InputError`` otherwise), then expanded.
 
 Each distinct gate of a circuit is lowered once per ``lower`` call, and
 a daggered marker reuses its forward marker's gates, inverted.
@@ -23,19 +23,12 @@ from . import catalog as cat
 from .circuit import (
     Circuit,
     Gate,
+    InputError,
     ROLE_CLEAN,
     ROLE_DIRTY,
     expand_all,
     map_once,
 )
-
-
-class LoweringError(Exception):
-    pass
-
-
-class AncillaBudgetExceeded(LoweringError):
-    pass
 
 
 def lower(circuit: Circuit) -> Circuit:
@@ -62,7 +55,7 @@ def _expand_big_tof(g: Gate, circuit: Circuit) -> list[Gate]:
     if len(pool) < need:
         flavour, pool = "dirty", _free_ancillae(g, circuit, ROLE_DIRTY)
     if len(pool) < need:
-        raise AncillaBudgetExceeded(
+        raise InputError(
             f"ancilla budget exceeded: lowering {g} needs "
             f"{need} {flavour} ancillae, circuit offers {len(pool)}")
     template, tspec = cat._tofn_markers(n, flavour)

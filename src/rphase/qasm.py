@@ -27,6 +27,10 @@ cannot be expanded without ancillae and is emitted with an empty
 expansion (``"gates": 0``); any other directive with ``"gates": 0`` is an
 error.
 
+A line that starts with ``OPENQASM`` or ``include`` is skipped only as
+a whole ``OPENQASM <version>;`` or ``include "<file>";`` statement, and
+is an error otherwise.
+
 ``parse_qasm`` parses, validates and register-checks each distinct
 statement text once, on its first line, and reuses that gate for later
 copies; it builds each directive gate's expansion once, and compares it
@@ -40,7 +44,7 @@ import json
 import re
 from math import gcd
 
-from .circuit import KINDS, Circuit, Gate, ROLE_PRIMARY, ROLES, expand
+from .circuit import KINDS, Circuit, Gate, InputError, ROLE_PRIMARY, ROLES, expand
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
 # Widest qreg the parser accepts, far above the widest circuit synth
@@ -55,17 +59,16 @@ _KIND = {name: kind for kind, name in _NAME.items()}
 _QUBIT_WORDS = {2: "two", 3: "three"}
 
 
-class QasmError(Exception):
+class QasmError(InputError):
+    """An input error in a QASM file, naming its line and column when it
+    has one."""
+
     def __init__(self, message: str, line: int | None = None, col: int | None = None):
         if line is not None:
             message = f"line {line}, col {col or 1}: {message}"
         super().__init__(message)
         self.line = line
         self.col = col
-
-
-class UnsupportedGate(QasmError):
-    pass
 
 
 def _theta_str(units: int) -> str:
@@ -237,7 +240,10 @@ def parse_qasm(text: str) -> Circuit:
             continue
         g = stmts.get(line)
         if g is None:
-            if line.startswith("OPENQASM") or line.startswith("include"):
+            if line.startswith(("OPENQASM", "include")):
+                if not re.fullmatch(r'OPENQASM\s+[0-9]+(\.[0-9]+)?\s*;|include\s*"[^"]*"\s*;',
+                                    line):
+                    raise QasmError(f"cannot parse header {line!r}", lineno, 1)
                 continue
             if not line.endswith(";"):
                 raise QasmError("missing ';'", lineno, len(raw))
@@ -321,7 +327,7 @@ def _parse_gate(name: str, param: str | None, rest: str, reg: str, lineno: int) 
     args = _parse_args(rest, reg, lineno)
     kind = _KIND.get(name)
     if kind is None:
-        raise UnsupportedGate(f"unsupported gate {name!r}", lineno, 1)
+        raise QasmError(f"unsupported gate {name!r}", lineno, 1)
     row = KINDS.get(kind)
     arity = row.controls + 1 if row else 3
     # ry, and only ry, takes a parameter

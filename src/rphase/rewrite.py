@@ -35,20 +35,8 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from .circuit import BLOCKS, KINDS, Block, Circuit, Gate, marker, tof
+from .circuit import BLOCKS, KINDS, Block, Circuit, Gate, InputError, marker, tof
 from .verify import check_implements
-
-
-class RewriteError(Exception):
-    pass
-
-
-class ArityMismatch(RewriteError):
-    pass
-
-
-class SpecialFormViolated(RewriteError):
-    pass
 
 
 def _block_diagonal_controls(g: Gate) -> frozenset[int]:
@@ -175,7 +163,7 @@ def admissible(impl_name: str, m: ConjugationMatch) -> bool:
     """Whether ``apply_replacement`` accepts ``impl_name`` for the match."""
     try:
         apply_replacement(m, impl_name)
-    except RewriteError:
+    except InputError:
         return False
     return True
 
@@ -207,18 +195,18 @@ def apply_replacement(m: ConjugationMatch, impl_name: str) -> tuple[Gate, Gate]:
     between untouched, so gate counts change only at those two positions.
     """
     if m.neg:
-        raise RewriteError(
+        raise InputError(
             "pair has negative controls; no catalog implementation carries them")
     block = BLOCKS.get(impl_name)
     if block is None:
-        raise RewriteError(f"{impl_name} is not usable as a conjugation replacement")
+        raise InputError(f"{impl_name} is not usable as a conjugation replacement")
     if block.arity != m.arity:
-        raise ArityMismatch(
+        raise InputError(
             f"arity mismatch: {impl_name} has {block.arity} qubits, "
             f"pair has {m.arity}")
     wires = next(_wire_maps(block, m), None)
     if wires is None:
-        raise SpecialFormViolated(
+        raise InputError(
             f"special-form type violated: {impl_name} does not provide a "
             f"type-{sorted(m.touched)} special form for this {m.classification} match")
     if block.kind is None:

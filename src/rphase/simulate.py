@@ -12,7 +12,10 @@ of ``backends_agree`` and the tests. Both kernels return
 the float kernel for one.
 
 Every gate but h compiles to "cp" ops: a controlled bit flip times a
-power of w, the action of a phase permutation on one basis index. As
+power of w, the action of a phase permutation on one basis index. A
+marker compiles as the gates it expands to, so any circuit that
+``parse_qasm`` returns simulates as it stands, and a marker-level one
+gives the columns of its lowering. As
 RY(u pi/4) = w^(-u/2) S H T^u H S^dagger, the w^(-U/2) of a circuit's
 ry-unit total U is one global cp op, w^floor(-U/2). An odd U leaves
 w^(1/2) = e^(i pi/8) outside the ring: results carry it as one bit,
@@ -50,6 +53,10 @@ the bits first, then one circuit, U's gates followed by V's inverse's,
 whose every column s must collapse to (s, 0), up to the first that does
 not, one batch of ring columns at a time.
 
+A request for more than 2^WIDTH_LIMIT columns is an ``InputError``,
+raised before any column runs; a column that does not collapse where
+one must is a ``NotAPhasePermutation``, a failed verification.
+
 Columns run in batches of BATCH_COLUMNS. A batch is one sparse state:
 column n's indices carry n in the bits from the circuit width up, which
 no op reads or writes, so each op runs once over the whole batch. The
@@ -69,7 +76,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .circuit import KINDS, Circuit, Gate, basis_bit
+from .circuit import KINDS, Circuit, Gate, InputError, basis_bit, expand
 from .ring import OMEGA_POWERS, RingElement, omega_exponent
 
 FLOAT_TOL = 1e-9
@@ -84,20 +91,9 @@ FUSE_QUBITS = 4
 MEMO_STATES = 1 << 14
 
 
-class SimulationError(Exception):
-    pass
-
-
-class MarkerInSimulation(SimulationError):
-    """A relative-phase marker reached the simulator; lower the circuit first."""
-
-
-class WidthLimitExceeded(SimulationError):
-    pass
-
-
-class NotAPhasePermutation(SimulationError):
-    pass
+class NotAPhasePermutation(Exception):
+    """A column that does not collapse to one basis state and a phase: a
+    verification failure, not an input error."""
 
 
 # -- gate compilation -----------------------------------------------------
@@ -133,9 +129,10 @@ def _control_masks(width: int, g: Gate) -> tuple[int, int]:
 
 
 def compile_gate(g: Gate, width: int) -> tuple:
-    """The ops of one gate: one op, two for y, five for ry."""
+    """The ops of one gate: one op, two for y, five for ry; a marker's are
+    those of the gates it expands to."""
     if g.is_marker:
-        raise MarkerInSimulation(f"marker gate in simulation: {g}")
+        return tuple(op for gg in expand(g) for op in compile_gate(gg, width))
     tb = basis_bit(width, g.target)
     kind = g.kind
     if kind == "h":
@@ -510,7 +507,7 @@ class PhasePermutation:
 
 def _width_guard(columns: int) -> None:
     if columns > WIDTH_LIMIT:
-        raise WidthLimitExceeded(
+        raise InputError(
             f"width limit exceeded: 2^{columns} columns to simulate, limit 2^{WIDTH_LIMIT}")
 
 

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from rphase.catalog import (
-    ConstructionError,
     _tofn_markers,
     cnu_clean_chain,
     cnu_parallel,
@@ -35,7 +34,7 @@ from rphase.catalog import (
     two_block_tofn,
     two_block_tofn_spec,
 )
-from rphase.circuit import BLOCKS, Circuit, ROLE_CLEAN, TargetSpec, cz, h
+from rphase.circuit import BLOCKS, Circuit, InputError, ROLE_CLEAN, TargetSpec, cz, h
 from rphase.lowering import lower
 from rphase.qasm import emit_qasm
 from rphase.ring import IMAG, ONE, RingElement
@@ -56,7 +55,7 @@ def test_every_entry_claim_matches_count():
 
 
 def test_unknown_entry():
-    with pytest.raises(ConstructionError):
+    with pytest.raises(InputError, match="^no construction for gate 'margolus'$"):
         get_entry("margolus")
 
 
@@ -290,8 +289,10 @@ def test_tofn_matches_per_site_builders():
             assert got == want, (n, ancilla)
             whole.update(_digest(*got).encode())
     assert whole.hexdigest()[:16] == "018cee853981c78f"
-    for bad in ((2, "clean"), (2, "dirty"), (5, "borrowed")):
-        with pytest.raises(ConstructionError):
+    for bad, message in (((2, "clean"), "TOF needs n >= 3 qubits, got 2"),
+                         ((2, "dirty"), "TOF needs n >= 3 qubits, got 2"),
+                         ((5, "borrowed"), "ancilla must be 'clean' or 'dirty', got 'borrowed'")):
+        with pytest.raises(InputError, match=f"^{message}$"):
             tofn(*bad)
 
 
@@ -345,9 +346,9 @@ def test_tofn_dirty_5_matches_tof5_dirty_counts():
 
 
 def test_tofn_rejects_small_n():
-    with pytest.raises(ConstructionError):
+    with pytest.raises(InputError, match="^tofn_clean requires n >= 4$"):
         tofn_clean(3)
-    with pytest.raises(ConstructionError):
+    with pytest.raises(InputError, match="^tofn_dirty requires n >= 5$"):
         tofn_dirty(4)
 
 

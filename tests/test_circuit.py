@@ -20,7 +20,7 @@ from rphase.circuit import (
     MARKER_BLOCKS,
     ROLE_CLEAN,
     ROLE_DIRTY,
-    UncountableGate,
+    InputError,
     _gate_counts,
     cx,
     cz,
@@ -51,6 +51,8 @@ def test_gate_validation():
         Gate("frobnicate", (), 0)
     with pytest.raises(ValueError):
         Gate("h", (), 0, dagger=True)
+    with pytest.raises(ValueError, match="^param is only meaningful for ry$"):
+        Gate("h", (), 0, param=1)
 
 
 def test_circuit_validation():
@@ -121,7 +123,8 @@ def test_marker_counts_match_their_definitions():
 
 def test_count_wide_tof_requires_lowering():
     c = Circuit(5, [tof((0, 1, 2, 3), 4)])
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match=r"^resource count of tof\(0,1,2,3;4\) depends on the "
+                       r"lowering; lower first$"):
         c.count_resources()
 
 
@@ -236,8 +239,8 @@ def test_count_resources_names_the_first_wide_tof():
         c = _random_countable(rng, 7, rng.randint(1, 60), wide=True)
         try:
             want = _count_reference(c)
-        except UncountableGate as exc:
-            with pytest.raises(UncountableGate) as err:
+        except InputError as exc:
+            with pytest.raises(InputError, match="depends on the lowering; lower first$") as err:
                 c.count_resources()
             assert str(err.value) == str(exc)
             raised += 1

@@ -2,8 +2,10 @@
 
 import argparse
 import hashlib
+import importlib
 import json
 import os
+import pkgutil
 import random
 import re
 import subprocess
@@ -13,16 +15,18 @@ from math import ceil
 
 import pytest
 
+import rphase
 import rphase.catalog as catalog
 import rphase.cli as cli
 import rphase.rewrite as rewrite
 from rphase.cli import _pick_impl, main
 from rphase.lowering import lower
-from rphase.qasm import QREG_LIMIT, emit_qasm, parse_qasm
-from rphase.catalog import ConstructionError, toffoli3
+from rphase.qasm import QREG_LIMIT, QasmError, emit_qasm, parse_qasm
+from rphase.catalog import toffoli3
 from rphase.circuit import (
-    ROLE_CLEAN, ROLE_PRIMARY, Circuit, cx, cz, h, marker, p, pdg, ry, t, tdg, tof, x)
+    ROLE_CLEAN, ROLE_PRIMARY, Circuit, InputError, cx, cz, h, marker, p, pdg, ry, t, tdg, tof, x)
 from rphase.rewrite import apply_replacement, find_conjugations
+from rphase.simulate import NotAPhasePermutation
 
 
 def _replaced(circ, m, name):
@@ -79,6 +83,9 @@ def test_synth_json_format(capsys):
     payload = json.loads(out.splitlines()[0])
     assert payload["width"] == 9
     assert sum(1 for g in payload["gates"] if g["kind"] == "rtof3l") == 10
+    code, out, _ = run(capsys, "synth", "--gate", "margolus-ry", "--format", "json")
+    gates = json.loads(out.splitlines()[0])["gates"]
+    assert code == 0 and [g.get("param") for g in gates] == [1, None, 1, None, -1, None, -1]
 
 
 def test_synth_usage_errors(capsys):
@@ -718,6 +725,10 @@ _BAD_FILES = {
     "marker and gate in one directive": _RTOF3L.replace('{"marker"', '{"gate": "tof", "marker"'),
     "gate directive naming a marker": _RTOF3L.replace('{"marker"', '{"gate"'),
     "marker directive naming a tof": _NEG_TOF.replace('{"gate"', '{"marker"'),
+    "cx on three qubits": "cx q[0],q[1],q[2];\n",
+    "ccx on two qubits": "ccx q[0],q[1];\n",
+    "include as a prefix": "includex q[0];\n",
+    "OPENQASM as a prefix": "OPENQASMfoo q[1];\n",
 }
 
 
@@ -728,6 +739,28 @@ def test_bad_file_is_an_input_error_naming_the_line(capsys, tmp_path, command, p
     path.write_text(_HEADER + _BAD_FILES[problem])
     code, _, err = run(capsys, command, str(path))
     assert code == 2 and err.startswith("error:") and "line 4" in err
+
+
+# whole files that are input errors, and the one line each prints
+_BAD_WHOLE_FILES = {
+    "no qreg": ('OPENQASM 2.0;\ninclude "qelib1.inc";\n', "error: no qreg declaration found"),
+    "directive before the qreg": (
+        'OPENQASM 2.0;\n// rphase: {"gate": "tof", "controls": [0, 1, 2], "target": 3, '
+        '"neg": [], "gates": 0}\nqreg q[4];\n',
+        "error: line 2, col 1: gate before qreg declaration"),
+    "roles for another register size": (
+        _HEADER + '// rphase: {"roles": ["primary", "clean_ancilla"]}\nx q[0];\n',
+        "error: roles directive does not match register size"),
+}
+
+
+@pytest.mark.parametrize("problem", sorted(_BAD_WHOLE_FILES))
+def test_a_bad_whole_file_is_an_input_error(capsys, tmp_path, problem):
+    text, line = _BAD_WHOLE_FILES[problem]
+    path = tmp_path / "bad.qasm"
+    path.write_text(text)
+    for command in ("count", "verify", "rewrite"):
+        assert run(capsys, command, str(path)) == (2, "", line + "\n"), command
 
 
 _ROLES = '// rphase: {"roles": ["primary", "primary", "clean_ancilla"]}\n'
@@ -1200,7 +1233,8 @@ def test_sized_width_formula_is_the_built_width_and_the_guard(monkeypatch, gate,
         assert circuit.width == width(n), n
         monkeypatch.setattr(catalog, "QREG_LIMIT", circuit.width)
         assert build(n).width == circuit.width
-        with pytest.raises(ConstructionError, match="wider than the limit"):
+        with pytest.raises(InputError, match=rf"^\S+ needs {width(n + 1)} qubits, wider than "
+                           rf"the limit of {circuit.width}$"):
             build(n + 1)
         monkeypatch.undo()
 
@@ -1216,3 +1250,26 @@ def test_unexpected_exception_is_an_internal_error(capsys, tmp_path, monkeypatch
     code, _, err = run(capsys, "count", str(path))
     assert code == 3 and err.startswith(f"internal error: {type(exc).__name__}")
     assert "Traceback" not in err
+
+
+def test_every_error_type_has_its_exit_code(capsys, tmp_path, monkeypatch):
+    """rphase defines three exception types: InputError (exit 2), its
+    QasmError, and NotAPhasePermutation (exit 1). Any other would escape
+    main's exit-2 clause as an internal error, so none may be added; a bare
+    InputError exits 2 with its message."""
+    defined = set()
+    for info in pkgutil.iter_modules(rphase.__path__):
+        module = importlib.import_module(f"rphase.{info.name}")
+        defined |= {obj for obj in vars(module).values()
+                    if isinstance(obj, type) and issubclass(obj, BaseException)
+                    and obj.__module__ == module.__name__}
+    assert defined == {InputError, QasmError, NotAPhasePermutation}
+
+    def refused(text):
+        raise InputError("refused")
+
+    path = tmp_path / "t3.qasm"
+    path.write_text(emit_qasm(toffoli3()))
+    monkeypatch.setattr(cli, "parse_qasm", refused)
+    for command in ("count", "verify", "rewrite"):
+        assert run(capsys, command, str(path)) == (2, "", "error: refused\n"), command

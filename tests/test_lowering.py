@@ -9,6 +9,7 @@ from rphase.catalog import cnu_parallel, ladder_tofn, rtof3_long, toffoli3, two_
 from rphase.circuit import (
     Circuit,
     Gate,
+    InputError,
     MARKER_BLOCKS,
     ROLE_CLEAN,
     ROLE_PRIMARY,
@@ -23,7 +24,7 @@ from rphase.circuit import (
     y,
     z,
 )
-from rphase.lowering import AncillaBudgetExceeded, lower
+from rphase.lowering import lower
 from rphase.qasm import emit_qasm, parse_qasm
 from rphase.verify import check_implements
 
@@ -92,11 +93,13 @@ def test_lower_three_control_tof_with_dirty_ancilla():
 
 def test_ancilla_budget_exceeded():
     c = Circuit(5, [tof((0, 1, 2, 3), 4)])
-    with pytest.raises(AncillaBudgetExceeded):
+    with pytest.raises(InputError, match="^ancilla budget exceeded: lowering .* needs 1 dirty "
+                       "ancillae, circuit offers 0$"):
         lower(c)
     # two_block with a 4-qubit fold block needs one helper to lower
     tb = two_block_tofn(5, 3)
-    with pytest.raises(AncillaBudgetExceeded):
+    with pytest.raises(InputError, match="^ancilla budget exceeded: lowering .* needs 1 dirty "
+                       "ancillae, circuit offers 0$"):
         lower(tb)
 
 

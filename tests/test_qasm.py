@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,9 +14,9 @@ from rphase.catalog import (
     tofn_clean,
 )
 from rphase.circuit import (
-    BLOCKS, KINDS, MARKER_BLOCKS, ROLES, Circuit, Gate, cx, cz, h, marker, ry, tof)
-from rphase.lowering import AncillaBudgetExceeded, lower
-from rphase.qasm import QasmError, UnsupportedGate, emit_qasm, parse_qasm
+    BLOCKS, KINDS, MARKER_BLOCKS, ROLES, Circuit, Gate, InputError, cx, cz, h, marker, ry, tof)
+from rphase.lowering import lower
+from rphase.qasm import QasmError, emit_qasm, parse_qasm
 
 
 def test_emit_cnot():
@@ -119,8 +120,21 @@ def test_parse_error_has_line_number():
 
 def test_unsupported_gate():
     text = 'OPENQASM 2.0;\nqreg q[2];\nswap q[0],q[1];\n'
-    with pytest.raises(UnsupportedGate):
+    with pytest.raises(QasmError, match="^line 3, col 1: unsupported gate 'swap'$"):
         parse_qasm(text)
+
+
+def test_a_header_is_only_a_whole_statement():
+    """OPENQASM and include lines are skipped only as whole header
+    statements; any other line starting with either word is refused at its
+    line, so no statement on it is dropped."""
+    for header in ("OPENQASM 2.0;", "OPENQASM  3 ;", 'include "qelib1.inc";', 'include"x.inc" ;'):
+        assert parse_qasm(f"{header}\nqreg q[1];\nh q[0];\n").gates == (h(0),), header
+    for line in ("includex q[0];", "OPENQASMfoo q[0];", "OPENQASM 2.0", "OPENQASM 2.0; h q[0];",
+                 'include "qelib1.inc"; x q[0];'):
+        message = f"line 2, col 1: cannot parse header {line!r}"
+        with pytest.raises(QasmError, match=f"^{re.escape(message)}$"):
+            parse_qasm(f"qreg q[1];\n{line}\nh q[0];\n")
 
 
 def test_gate_before_qreg():
@@ -291,7 +305,8 @@ def test_a_circuit_is_lowered_iff_lower_leaves_it_as_it_is(c):
     lowered circuit emits no gate directive."""
     try:
         low = lower(c)
-    except AncillaBudgetExceeded:
+    except InputError as exc:
+        assert str(exc).startswith("ancilla budget exceeded: ")
         assert not c.is_lowered()
         return
     assert c.is_lowered() == (low == c)

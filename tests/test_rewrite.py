@@ -8,11 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from rphase.catalog import rtof3_long, srtof3_ccix, toffoli3
 from rphase.circuit import (
-    Circuit, Gate, TargetSpec, cx, cz, h, marker, p, pdg, t, tdg, tof, x, y, z)
+    Circuit, Gate, InputError, TargetSpec, cx, cz, h, marker, p, pdg, t, tdg, tof, x, y, z)
 from rphase.lowering import lower
 from rphase.rewrite import (
-    ArityMismatch,
-    SpecialFormViolated,
     _cancels,
     apply_replacement,
     cancel_adjacent_inverses,
@@ -114,22 +112,24 @@ def test_apply_toffoli3_is_identity_replacement():
 def test_apply_errors():
     c = Circuit(5, [tof((0, 1), 2), tof((2, 3), 4), tof((0, 1), 2)], CLEAN5)
     m = find_conjugations(c)[0]
-    with pytest.raises(ArityMismatch):
+    with pytest.raises(InputError, match="^arity mismatch: rtof4_long has 4 qubits, pair has 3$"):
         _replaced(c, m, "rtof4_long")
     on_control = Circuit(4, [tof((0, 1), 2), cx(3, 1), tof((0, 1), 2)])
     m2 = find_conjugations(on_control)[0]
-    with pytest.raises(SpecialFormViolated):
+    with pytest.raises(InputError, match=r"^special-form type violated: rtof3_long does not "
+                       r"provide a type-\[1\] special form for this prop2 match$"):
         _replaced(on_control, m2, "rtof3_long")
 
 
 def test_negative_control_pairs_are_refused():
-    from rphase.rewrite import RewriteError, admissible
+    from rphase.rewrite import admissible
 
     c = Circuit(4, [tof((0, 1), 2, neg=(1,)), cx(2, 3), tof((0, 1), 2, neg=(1,))])
     m = find_conjugations(c)[0]
     assert m.neg == frozenset({1})
     assert not admissible("rtof3_long", m)
-    with pytest.raises(RewriteError):
+    with pytest.raises(InputError, match="^pair has negative controls; no catalog "
+                       "implementation carries them$"):
         _replaced(c, m, "rtof3_long")
 
 

@@ -5,21 +5,22 @@ import itertools
 import math
 import random
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rphase.catalog import rtof4_long, toffoli3, tofn
+from rphase.catalog import _tofn_markers, rtof4_long, toffoli3, tofn
 from rphase.circuit import (
-    BLOCKS, Circuit, cx, cz, h, marker, p, pdg, ry, t, tdg, tof, x, y, z)
+    BLOCKS, MARKER_BLOCKS, ROLE_DIRTY, Circuit, InputError, cx, cz, h, marker, p, pdg, ry, t,
+    tdg, tof, x, y, z)
+from rphase.lowering import lower
 from rphase import simulate
 from rphase.rewrite import cancel_adjacent_inverses
 from rphase.ring import IMAG, INV_SQRT2, OMEGA, ONE, ZERO, RingElement
 from rphase.simulate import (
-    MarkerInSimulation,
     NotAPhasePermutation,
     PhasePermutation,
-    WidthLimitExceeded,
     backends_agree,
     compile_circuit,
     equivalent,
@@ -29,6 +30,7 @@ from rphase.simulate import (
     same_phase,
     unitary_columns,
 )
+from rphase.verify import VerificationReport, check_implements
 
 
 def _ring_columns(c):
@@ -100,12 +102,42 @@ def test_cnot_basis():
     assert u.perm[0b10] == 0b11 and u.phases[0b10] == ONE
 
 
-def test_marker_gate_rejected():
-    marked = Circuit(3, [marker("rtof3l", (0, 1), 2)])
-    for run in (unitary_columns, lambda c: equivalent(c, Circuit(3)),
-                lambda c: equivalent(Circuit(3), c)):
-        with pytest.raises(MarkerInSimulation):
-            run(marked)
+def _verdicts(circuit, spec):
+    """check_implements' report, or the NotAPhasePermutation it raises."""
+    try:
+        return check_implements(circuit, spec)
+    except NotAPhasePermutation as exc:
+        return str(exc)
+
+
+def test_markers_simulate_like_their_lowering():
+    """A marker compiles as the gates it expands to, so every marker kind,
+    either way round, and every marker-level tofn construction for n = 4..9
+    give the verdicts, equivalence answers and unitary of their lowering,
+    max_support included unless the circuit holds a 2-control tof, which
+    runs as one op where its lowering runs toffoli3's Hadamards."""
+    cases = [(Circuit(b.arity, [marker(kind, range(b.arity - 1), b.arity - 1, dagger)]), b.spec)
+             for kind, b in sorted(MARKER_BLOCKS.items()) for dagger in (False, True)]
+    cases += [_tofn_markers(n, ancilla) for n in range(4, 10) for ancilla in ("clean", "dirty")]
+    outcomes = set()
+    for circuit, spec in cases:
+        low = lower(circuit)
+        assert not circuit.is_lowered() and low.is_lowered()
+        ideal = Circuit(circuit.width, [tof(spec.controls, spec.target)])
+        assert equivalent(circuit, low), circuit
+        dirty = ROLE_DIRTY in circuit.roles  # only the dirty constructions are exact
+        assert equivalent(circuit, ideal) == equivalent(low, ideal) == dirty, circuit
+        got, want = _verdicts(circuit, spec), _verdicts(low, spec)
+        outcomes.add(type(got))
+        u, v = unitary_columns(circuit), unitary_columns(low)
+        assert u == v, circuit
+        if isinstance(got, str) or not any(g.kind == "tof" for g in circuit.gates):
+            assert got == want, circuit
+            assert u is None or u.max_support == v.max_support, circuit
+        else:
+            assert replace(got, max_support=0) == replace(want, max_support=0), circuit
+    assert outcomes == {str, VerificationReport}
+    assert all(backends_agree(c) for c, _ in cases[:2 * len(MARKER_BLOCKS)])
 
 
 def test_exact_unit_norm():
@@ -124,6 +156,8 @@ def test_unitary_columns_toffoli_permutation():
     assert isinstance(u, PhasePermutation)
     assert u.perm == (0, 1, 2, 3, 4, 5, 7, 6)
     assert all(p == ONE for p in u.phases)
+    with pytest.raises(ValueError, match="^not a bijection over basis states$"):
+        PhasePermutation(u.width, u.perm[:-1] + (7,), u.phases)
 
 
 def test_unitary_columns_of_h_is_no_phase_permutation():
@@ -140,8 +174,11 @@ def test_rtof4_matrix():
     assert list(rp) == [ONE] * 12 + [IMAG, -IMAG, ONE, -ONE]
 
 
+_TOO_WIDE = r"^width limit exceeded: 2\^17 columns to simulate, limit 2\^16$"
+
+
 def test_width_limit():
-    with pytest.raises(WidthLimitExceeded):
+    with pytest.raises(InputError, match=_TOO_WIDE):
         unitary_columns(Circuit(17, [x(0)]))
 
 
@@ -187,9 +224,23 @@ def test_a_circuit_then_its_inverse_is_the_identity():
                 assert v[col].get(row, ZERO) == u[row].get(col, ZERO).conj()
 
 
-def test_float_and_ring_backends_agree():
+def test_float_and_ring_backends_agree(monkeypatch):
+    """Every block agrees on the two kernels, and none does once the float
+    kernel negates one amplitude of column 6."""
     for name, block in BLOCKS.items():
         assert backends_agree(block.circuit), name
+    kernel = simulate.run_column_float
+
+    def one_negated(ops, start):
+        amps, k, support = kernel(ops, start)
+        if start == 6:
+            row = min(amps)
+            amps[row] = -amps[row]
+        return amps, k, support
+
+    monkeypatch.setattr(simulate, "run_column_float", one_negated)
+    for name, block in BLOCKS.items():
+        assert not backends_agree(block.circuit), name
 
 
 @st.composite
@@ -294,7 +345,7 @@ def test_equivalent_takes_odd_ry_totals_and_refuses_past_the_width_limit():
     u = unitary_columns(shifted)
     assert u.half and u.perm == (0, 1) and u.phases == (OMEGA ** 7,) * 2
     assert not equivalent(Circuit(1), shifted)
-    with pytest.raises(WidthLimitExceeded):
+    with pytest.raises(InputError, match=_TOO_WIDE):
         equivalent(Circuit(17, [x(0)]), Circuit(17))
 
 

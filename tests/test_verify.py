@@ -24,11 +24,11 @@ from rphase.catalog import (
     tofn_dirty_spec,
 )
 from rphase.circuit import (
-    BLOCKS, ROLE_CLEAN, ROLE_DIRTY, ROLE_PRIMARY, Circuit, TargetSpec, cx, h, p, pdg, ry, t,
-    tdg, tof, x, z)
+    BLOCKS, ROLE_CLEAN, ROLE_DIRTY, ROLE_PRIMARY, Circuit, InputError, TargetSpec, cx, h, p,
+    pdg, ry, t, tdg, tof, x, z)
 from rphase.ring import RingElement
 from rphase.simulate import (
-    NotAPhasePermutation, PhasePermutation, WidthLimitExceeded, equivalent, run_column_float,
+    NotAPhasePermutation, PhasePermutation, equivalent, run_column_float,
     unitary_columns)
 from rphase.verify import (
     check_implements,
@@ -161,7 +161,7 @@ def test_only_the_check_restricts_columns_to_clean_ancillae_at_zero(monkeypatch)
     """A CNOT routed through one clean ancilla, with 14 dirty ancillae: 17
     qubits. check_implements runs the 2^16 columns whose clean bit is 0 and
     finds it exact; unitary_columns, which has no subspace, counts 2^17
-    columns and raises WidthLimitExceeded before any column runs."""
+    columns and raises an InputError before any column runs."""
     roles = [ROLE_PRIMARY, ROLE_PRIMARY, ROLE_CLEAN] + [ROLE_DIRTY] * 14
     c = Circuit(17, [cx(0, 2), cx(2, 1), cx(0, 2)], roles)
     kernel, simulated = simulate.run_column_ring, []
@@ -174,7 +174,8 @@ def test_only_the_check_restricts_columns_to_clean_ancillae_at_zero(monkeypatch)
     assert check_implements(c, TargetSpec((0,), 1)).exact
     assert sum(simulated) == 1 << 16
     simulated.clear()
-    with pytest.raises(WidthLimitExceeded, match=r"2\^17 columns"):
+    with pytest.raises(InputError, match=r"^width limit exceeded: 2\^17 columns to "
+                                         r"simulate, limit 2\^16$"):
         unitary_columns(c)
     assert simulated == []
 
@@ -374,9 +375,11 @@ def test_check_with_scattered_clean_qubits_and_negative_controls():
 
 
 def test_a_spec_naming_a_qubit_outside_the_circuit_is_refused(monkeypatch):
-    """xprime lies within the gate's qubits for every spec, and
-    check_implements refuses a gate qubit outside the circuit, naming it,
-    before it compiles anything."""
+    """A spec names one of the four equivalence classes and an xprime
+    within the gate's qubits, and check_implements refuses a gate qubit
+    outside the circuit, naming it, before it compiles anything."""
+    with pytest.raises(ValueError, match="^unknown equivalence class 'foo'$"):
+        TargetSpec((0, 1), 2, equivalence="foo")
     with pytest.raises(ValueError, match="xprime"):
         TargetSpec((0, 1), 2, xprime=frozenset({5}))
 
