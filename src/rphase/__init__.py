@@ -53,7 +53,6 @@ from .rewrite import (
 from .simulate import (
     NotAPhasePermutation,
     PhasePermutation,
-    backends_agree,
     equivalent,
     unitary_columns,
 )

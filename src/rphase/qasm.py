@@ -29,7 +29,9 @@ error.
 
 A line that starts with ``OPENQASM`` or ``include`` is skipped only as
 a whole ``OPENQASM <version>;`` or ``include "<file>";`` statement, and
-is an error otherwise.
+is an error otherwise. Names, register sizes, qubit indices and angles
+are read in ASCII only, and a directive nested too deeply for ``json``
+is a bad directive like any other.
 
 ``parse_qasm`` parses, validates and register-checks each distinct
 statement text once, on its first line, and reuses that gate for later
@@ -85,7 +87,7 @@ def _theta_str(units: int) -> str:
     return sign + s
 
 
-_THETA_RE = re.compile(r"^(-?)(?:(\d+)\*)?pi(?:/(\d+))?$")
+_THETA_RE = re.compile(r"^(-?)(?:(\d+)\*)?pi(?:/(\d+))?$", re.ASCII)
 
 
 def _parse_theta(text: str, line: int, col: int) -> int:
@@ -146,8 +148,8 @@ def emit_qasm(circuit: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-_STMT_RE = re.compile(r"^(\w+)\s*(\(([^)]*)\))?\s*(.*)$")
-_ARG_RE = re.compile(r"^(\w+)\[(\d+)\]$")
+_STMT_RE = re.compile(r"^(\w+)\s*(\(([^)]*)\))?\s*(.*)$", re.ASCII)
+_ARG_RE = re.compile(r"^(\w+)\[(\d+)\]$", re.ASCII)
 
 
 def _parse_args(text: str, reg: str, line: int) -> list[int]:
@@ -223,7 +225,7 @@ def parse_qasm(text: str) -> Circuit:
                 if g.is_marker != (kind_key == "marker"):
                     raise QasmError(f"bad rphase directive: {g.kind!r} is not a {kind_key} kind",
                                     lineno, 1)
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, RecursionError) as exc:
                 what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
                 raise QasmError(f"bad rphase directive: {what}", lineno, 1) from None
             if reg is None:
@@ -242,7 +244,7 @@ def parse_qasm(text: str) -> Circuit:
         if g is None:
             if line.startswith(("OPENQASM", "include")):
                 if not re.fullmatch(r'OPENQASM\s+[0-9]+(\.[0-9]+)?\s*;|include\s*"[^"]*"\s*;',
-                                    line):
+                                    line, re.ASCII):
                     raise QasmError(f"cannot parse header {line!r}", lineno, 1)
                 continue
             if not line.endswith(";"):

@@ -5,11 +5,12 @@ global sqrt(2)-denominator exponent k and packs each numerator's four
 coefficients into one integer's base-2^L digits, each at most 2^h in
 magnitude after h Hadamards (see the ring kernel): a Hadamard only bumps
 k and adds integers, so Clifford+T circuits simulate with zero rounding
-error. The float kernel stores complex amplitudes: it is only the oracle
-of ``backends_agree`` and the tests. Both kernels return
-(amplitudes, k, max_support) per column, ring amplitudes as coefficient
-4-tuples, k = 0 for floats: the ring kernel for each column of a batch,
-the float kernel for one.
+error. The float kernel stores complex amplitudes: no verdict reads it;
+perfbench's tracer binds it through ``verify``, and the tests hold it,
+as they hold the ring kernel, against their textbook oracle. Both
+kernels return (amplitudes, k, max_support) per column, ring amplitudes
+as coefficient 4-tuples, k = 0 for floats: the ring kernel for each
+column of a batch, the float kernel for one.
 
 Every gate but h compiles to "cp" ops: a controlled bit flip times a
 power of w, the action of a phase permutation on one basis index. A
@@ -32,11 +33,10 @@ run's cached output (see ``_hp_step``). Either way a fused column
 returns exactly what the gate-level one does, max_support included: a
 column's support after each inner h op is the sum of its classes'.
 
-Every exact decision reads the (output, j) of collapsed ring columns, so
-none builds a RingElement or meets a tolerance. FLOAT_TOL = 1e-9 lives in
-``same_phase`` alone: the oracle comparison, ``backends_agree``, holds
-ring columns against the float kernel's under it, and ``PhasePermutation``
-``==`` calls it on two ring elements, which compare exactly.
+Every decision reads the (output, j) of collapsed ring columns, so none
+does ring-element arithmetic or reads a tolerance; the only ring
+elements built here are the shared ``ring.OMEGA_POWERS`` that
+``PhasePermutation`` lists.
 
 Every ring column runs through one lazy stream, ``_ring_columns``: it
 compiles and fuses a circuit once and yields its ring columns for a
@@ -74,12 +74,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .circuit import KINDS, Circuit, Gate, InputError, basis_bit, expand
-from .ring import OMEGA_POWERS, RingElement, omega_exponent
+from .ring import OMEGA_POWERS, omega_exponent
 
-FLOAT_TOL = 1e-9
 WIDTH_LIMIT = 16
 # Columns run together as one tagged sparse state (see run_column_ring).
 BATCH_COLUMNS = 64
@@ -447,15 +446,6 @@ def run_column_float(ops, start: int):
 
 # -- whole-circuit unitaries ----------------------------------------------
 
-def same_phase(a, b) -> bool:
-    """Two amplitudes compared: two ring elements exactly, any other pair
-    within FLOAT_TOL as complex numbers, which only oracle comparisons
-    meet; exact decisions read collapsed exponents instead."""
-    if isinstance(a, RingElement) and isinstance(b, RingElement):
-        return a == b
-    return abs(complex(a) - complex(b)) < FLOAT_TOL
-
-
 @dataclass(frozen=True)
 class PhasePermutation:
     """Permutation with a unit-magnitude phase per column.
@@ -464,14 +454,15 @@ class PhasePermutation:
     its amplitude, so column s of the matrix is phases[s] * e_{perm[s]}.
     Row-indexed phases (the diagonal of the canonic TOF-then-D form) are
     ``row_phases``. With ``half`` set, each phase carries one more
-    e^(i pi/8).
+    e^(i pi/8). Two are equal, and hash equal, when their width, perm,
+    phases and half are; max_support, a cost of the run, takes no part.
     """
 
     width: int
     perm: tuple[int, ...]
     phases: tuple
     half: bool = False
-    max_support: int = 1
+    max_support: int = field(default=1, compare=False)
 
     def __post_init__(self):
         if sorted(self.perm) != list(range(len(self.perm))):
@@ -486,23 +477,6 @@ class PhasePermutation:
         for s in range(self.dim):
             out[self.perm[s]] = self.phases[s]
         return tuple(out)
-
-    def inverse(self) -> "PhasePermutation":
-        perm = [0] * self.dim
-        phases = [None] * self.dim
-        for s in range(self.dim):
-            t_ = self.perm[s]
-            perm[t_] = s
-            ph = self.phases[s].conj()
-            # the conjugate of e^(i pi/8) w^j is e^(i pi/8) w^(7 - j)
-            phases[t_] = ph * RingElement.omega_power(7) if self.half else ph
-        return PhasePermutation(self.width, tuple(perm), tuple(phases), self.half)
-
-    def __eq__(self, other):
-        if not isinstance(other, PhasePermutation):
-            return NotImplemented
-        return ((self.width, self.perm, self.half) == (other.width, other.perm, other.half)
-                and all(map(same_phase, self.phases, other.phases)))
 
 
 def _width_guard(columns: int) -> None:
@@ -561,22 +535,6 @@ def unitary_columns(circuit: Circuit, backend: str = "ring"):
     perm, exponents = zip(*entries)
     phases = tuple(OMEGA_POWERS[j] for j in exponents)
     return PhasePermutation(width, perm, phases, _half(circuit), max_support)
-
-
-def backends_agree(circuit: Circuit) -> bool:
-    """Whether every column of the circuit's unitary, of any shape, is
-    the same on the ring and float kernels under ``same_phase`` on the
-    union of its rows, a missing row read as 0; both leave out ``half``'s
-    factor alike. Stops at the first column that differs."""
-    _width_guard(circuit.width)
-    starts = range(1 << circuit.width)
-    ops = compile_circuit(circuit)
-    for s, (amps, k, _) in zip(starts, _ring_columns(circuit, starts)):
-        floats = run_column_float(ops, s)[0]
-        if not all(same_phase(RingElement(*amps[r], k) if r in amps else 0, floats.get(r, 0))
-                   for r in amps.keys() | floats.keys()):
-            return False
-    return True
 
 
 def equivalent(a: Circuit, b: Circuit) -> bool:

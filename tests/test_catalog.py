@@ -7,6 +7,7 @@ from math import ceil
 import numpy as np
 import pytest
 
+import oracle
 from rphase.catalog import (
     _tofn_markers,
     cnu_clean_chain,
@@ -38,7 +39,7 @@ from rphase.circuit import BLOCKS, Circuit, InputError, ROLE_CLEAN, TargetSpec, 
 from rphase.lowering import lower
 from rphase.qasm import emit_qasm
 from rphase.ring import IMAG, ONE, RingElement
-from rphase.simulate import compile_circuit, run_column_ring, unitary_columns
+from rphase.simulate import unitary_columns
 from rphase.verify import check_implements
 
 TOF3_PERM = (0, 1, 2, 3, 4, 5, 7, 6)
@@ -113,21 +114,10 @@ def test_rts3_is_rtof3_long_prefix():
 def test_rts3_matrix_product_oracle():
     """unitary(rts3) followed by the tail equals unitary(rtof3_long)."""
     tail = Circuit(3, rtof3_long().gates[5:])
-    m_rts = _numpy_unitary(BLOCKS["rts3"].circuit)
-    m_tail = _numpy_unitary(tail)
-    m_rtl = _numpy_unitary(rtof3_long())
+    m_rts = oracle.unitary(BLOCKS["rts3"].circuit)
+    m_tail = oracle.unitary(tail)
+    m_rtl = oracle.unitary(rtof3_long())
     assert np.allclose(m_tail @ m_rts, m_rtl, atol=1e-12)
-
-
-def _numpy_unitary(circuit):
-    """The circuit's matrix, each column read from the ring kernel."""
-    width = circuit.width
-    m = np.zeros((1 << width, 1 << width), dtype=complex)
-    columns = run_column_ring(compile_circuit(circuit), range(1 << width), width)
-    for s, (amps, k, _) in enumerate(columns):
-        for r, a in amps.items():
-            m[r, s] = complex(RingElement(*a, k))
-    return m
 
 
 def test_srts3_is_toffoli3_prefix():
@@ -139,8 +129,8 @@ def test_srts3_is_toffoli3_prefix():
     assert (r.t, r.cnot, r.h) == (4, 4, 1)
     tail = full[len(prefix):]
     assert set().union(*(g.support for g in tail)) == {0, 2}
-    m_tail = _numpy_unitary(Circuit(3, tail))
-    assert np.allclose(m_tail @ _numpy_unitary(srts3), _numpy_unitary(toffoli3()),
+    m_tail = oracle.unitary(Circuit(3, tail))
+    assert np.allclose(m_tail @ oracle.unitary(srts3), oracle.unitary(toffoli3()),
                        atol=1e-12)
 
 
@@ -163,8 +153,8 @@ def test_rt4s_is_rtof4_prefix():
     assert (r.t, r.cnot, r.h) == (4, 4, 2)
     tail = Circuit(4, full[len(prefix):])
     assert set().union(*(g.support for g in tail.gates)) == {1, 2, 3}
-    assert np.allclose(_numpy_unitary(tail) @ _numpy_unitary(rt4s),
-                       _numpy_unitary(rtof4_long()), atol=1e-12)
+    assert np.allclose(oracle.unitary(tail) @ oracle.unitary(rt4s),
+                       oracle.unitary(rtof4_long()), atol=1e-12)
 
 
 # -- Margolus-style variants -------------------------------------------------

@@ -729,6 +729,11 @@ _BAD_FILES = {
     "ccx on two qubits": "ccx q[0],q[1];\n",
     "include as a prefix": "includex q[0];\n",
     "OPENQASM as a prefix": "OPENQASMfoo q[1];\n",
+    # json.loads raises RecursionError, not ValueError, on deep nesting
+    "deeply nested directive": "// rphase: " + "[" * 100000 + "]" * 100000 + "\n",
+    "deeply nested roles": '// rphase: {"roles": ' + "[" * 100000 + "]" * 100000 + "}\n",
+    "non-ASCII digits in qubit arguments": "ccx q[\uff10],q[\uff11],q[\u0662];\n",
+    "non-ASCII digits in an angle": "ry(\uff12*pi) q[0];\n",
 }
 
 
@@ -751,6 +756,9 @@ _BAD_WHOLE_FILES = {
     "roles for another register size": (
         _HEADER + '// rphase: {"roles": ["primary", "clean_ancilla"]}\nx q[0];\n',
         "error: roles directive does not match register size"),
+    "non-ASCII digits in the qreg size": (
+        'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[\uff13];\n',
+        "error: line 3, col 1: cannot parse qreg declaration"),
 }
 
 

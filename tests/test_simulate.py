@@ -7,9 +7,11 @@ import random
 import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracle
 from rphase.catalog import _tofn_markers, rtof4_long, toffoli3, tofn
 from rphase.circuit import (
     BLOCKS, MARKER_BLOCKS, ROLE_DIRTY, Circuit, InputError, cx, cz, h, marker, p, pdg, ry, t,
@@ -21,13 +23,11 @@ from rphase.ring import IMAG, INV_SQRT2, OMEGA, ONE, ZERO, RingElement
 from rphase.simulate import (
     NotAPhasePermutation,
     PhasePermutation,
-    backends_agree,
     compile_circuit,
     equivalent,
     fuse_ops,
     run_column_float,
     run_column_ring,
-    same_phase,
     unitary_columns,
 )
 from rphase.verify import VerificationReport, check_implements
@@ -37,6 +37,19 @@ def _ring_columns(c):
     """Every column of the circuit as {row: RingElement}, run directly."""
     return [{i: RingElement(*a, k) for i, a in amps.items()}
             for amps, k, _ in run_column_ring(compile_circuit(c), range(1 << c.width), c.width)]
+
+
+def _ring_is_oracle(c) -> bool:
+    """Whether every ring column of the circuit is the textbook oracle's."""
+    starts = range(1 << c.width)
+    return oracle.agrees(c, starts, simulate._ring_columns(c, starts))
+
+
+def _float_is_oracle(c) -> bool:
+    """Whether every float kernel column of the circuit is the oracle's."""
+    ops = compile_circuit(c)
+    starts = range(1 << c.width)
+    return oracle.agrees(c, starts, (run_column_float(ops, s) for s in starts))
 
 
 def test_h_on_zero():
@@ -52,7 +65,7 @@ def test_t_on_one():
 def test_y_is_i_times_x_z_in_both_backends():
     u = unitary_columns(Circuit(1, [y(0)]))
     assert u.perm == (1, 0) and u.phases == (IMAG, -IMAG) and not u.half
-    assert backends_agree(Circuit(1, [y(0)]))
+    assert _ring_is_oracle(Circuit(1, [y(0)])) and _float_is_oracle(Circuit(1, [y(0)]))
 
 
 def _entry(columns, row, col):
@@ -79,7 +92,7 @@ def test_ry_is_its_closed_form_exactly_on_the_ring_for_even_units(units):
         cos = (RingElement.omega_power(m) + RingElement.omega_power(-m)) * quarter
         sin = (RingElement.omega_power(m + 6) - RingElement.omega_power(6 - m)) * quarter
         assert [[_entry(ring, r, s) for s in (0, 1)] for r in (0, 1)] == [[cos, -sin], [sin, cos]]
-    assert backends_agree(c)
+    assert _ring_is_oracle(c)
     ops = compile_circuit(c)
     floats = [run_column_float(ops, s)[0] for s in (0, 1)]
     assert all(abs(_entry(floats, r, s) * factor - want[r][s]) < 1e-9
@@ -115,7 +128,9 @@ def test_markers_simulate_like_their_lowering():
     either way round, and every marker-level tofn construction for n = 4..9
     give the verdicts, equivalence answers and unitary of their lowering,
     max_support included unless the circuit holds a 2-control tof, which
-    runs as one op where its lowering runs toffoli3's Hadamards."""
+    runs as one op where its lowering runs toffoli3's Hadamards. Those of
+    at most 8 qubits (the markers, and n = 4..6) have the oracle's
+    columns."""
     cases = [(Circuit(b.arity, [marker(kind, range(b.arity - 1), b.arity - 1, dagger)]), b.spec)
              for kind, b in sorted(MARKER_BLOCKS.items()) for dagger in (False, True)]
     cases += [_tofn_markers(n, ancilla) for n in range(4, 10) for ancilla in ("clean", "dirty")]
@@ -137,7 +152,7 @@ def test_markers_simulate_like_their_lowering():
         else:
             assert replace(got, max_support=0) == replace(want, max_support=0), circuit
     assert outcomes == {str, VerificationReport}
-    assert all(backends_agree(c) for c, _ in cases[:2 * len(MARKER_BLOCKS)])
+    assert all(_ring_is_oracle(c) for c, _ in cases if c.width <= 8)
 
 
 def test_exact_unit_norm():
@@ -158,6 +173,15 @@ def test_unitary_columns_toffoli_permutation():
     assert all(p == ONE for p in u.phases)
     with pytest.raises(ValueError, match="^not a bijection over basis states$"):
         PhasePermutation(u.width, u.perm[:-1] + (7,), u.phases)
+
+
+def test_equal_phase_permutations_hash_equal_whatever_their_max_support():
+    """max_support is a cost of the run, not part of the unitary: TOF as
+    one gate and as toffoli3's 15 give equal, hash-equal results."""
+    u = unitary_columns(toffoli3())
+    v = unitary_columns(Circuit(3, [tof((0, 1), 2)]))
+    assert u.max_support > v.max_support == 1
+    assert u == v and hash(u) == hash(v) and len({u, v}) == 1
 
 
 def test_unitary_columns_of_h_is_no_phase_permutation():
@@ -187,20 +211,25 @@ _HALF_PHASE = (ry(0, 1), pdg(0), h(0), tdg(0), h(0), p(0))
 
 
 def test_inverse_unitary_relation():
-    """Columns of the inverse circuit are the inverse permutation with
-    conjugated phases (truncated blocks are not phase permutations), also
-    with the half bit of an odd ry-unit total: e^(-i pi/8) I after the
-    block."""
+    """The inverse circuit's unitary is the conjugate transpose, also with
+    the half bit of an odd ry-unit total (e^(-i pi/8) I after the block),
+    checked two ways: c then c^-1 is exactly I on the ring, and the
+    oracle's U(c^-1) is U(c)^dagger, with the ring's columns of c^-1 the
+    oracle's. Both carry the half bit (truncated blocks are not phase
+    permutations)."""
     checked = 0
     for name, block in BLOCKS.items():
         if block.junk:
             continue
         c = block.circuit
         for circuit in (c, Circuit(c.width, c.gates + _HALF_PHASE)):
-            u = unitary_columns(circuit)
-            v = unitary_columns(circuit.inverse())
-            assert v == u.inverse() and v.half == u.half == (circuit is not c), name
-            assert u.inverse().inverse() == u, name
+            inverse = circuit.inverse()
+            assert equivalent(Circuit(c.width, circuit.gates + inverse.gates), Circuit(c.width))
+            assert np.allclose(oracle.unitary(inverse), oracle.unitary(circuit).conj().T,
+                               rtol=0, atol=oracle.TOL), name
+            assert _ring_is_oracle(inverse), name
+            u, v = unitary_columns(circuit), unitary_columns(inverse)
+            assert v.half == u.half == (circuit is not c), name
         checked += 1
     assert checked >= 4
 
@@ -224,61 +253,52 @@ def test_a_circuit_then_its_inverse_is_the_identity():
                 assert v[col].get(row, ZERO) == u[row].get(col, ZERO).conj()
 
 
-def test_float_and_ring_backends_agree(monkeypatch):
-    """Every block agrees on the two kernels, and none does once the float
-    kernel negates one amplitude of column 6."""
-    for name, block in BLOCKS.items():
-        assert backends_agree(block.circuit), name
-    kernel = simulate.run_column_float
-
-    def one_negated(ops, start):
-        amps, k, support = kernel(ops, start)
-        if start == 6:
-            row = min(amps)
-            amps[row] = -amps[row]
-        return amps, k, support
-
-    monkeypatch.setattr(simulate, "run_column_float", one_negated)
-    for name, block in BLOCKS.items():
-        assert not backends_agree(block.circuit), name
-
-
 @st.composite
 def clifford_t_circuits(draw):
-    """Circuits of 1-4 qubits and at most 20 Clifford+T and R_Y gates,
-    some R_Y angles far past one turn."""
-    width = draw(st.integers(1, 4))
+    """Circuits of 1-5 qubits and at most 20 gates: Clifford+T and R_Y
+    gates, some R_Y angles far past one turn, cx, cz, tofs of 2-4 qubits
+    with some negative controls, and markers either way round."""
+    width = draw(st.integers(1, 5))
     qubit = st.integers(0, width - 1)
     units = st.integers(-16, 16) | st.integers(-2**80, 2**80)
     gates = []
     for _ in range(draw(st.integers(0, 20))):
-        if width > 1 and draw(st.booleans()):
-            a, b = draw(st.lists(qubit, min_size=2, max_size=2, unique=True))
-            gates.append(draw(st.sampled_from((cx, cz)))(a, b))
-        else:
+        arity = draw(st.integers(1, min(width, 4)))
+        if arity == 1:
             kind = draw(st.sampled_from((h, t, tdg, p, pdg, x, y, z, ry)))
             gates.append(ry(draw(qubit), draw(units)) if kind is ry else kind(draw(qubit)))
+            continue
+        *controls, target = draw(st.lists(qubit, min_size=arity, max_size=arity, unique=True))
+        if arity == 2 and draw(st.booleans()):
+            gates.append(draw(st.sampled_from((cx, cz)))(controls[0], target))
+        elif arity == 2 or draw(st.booleans()):
+            gates.append(tof(controls, target, draw(st.sets(st.sampled_from(controls)))))
+        else:
+            kinds = sorted(k for k, b in MARKER_BLOCKS.items() if b.arity == arity)
+            gates.append(marker(draw(st.sampled_from(kinds)), controls, target, draw(st.booleans())))
     return Circuit(width, gates)
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
-@given(clifford_t_circuits(), st.integers(0, 3))
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(clifford_t_circuits(), st.integers(0, 4))
 def test_ring_and_float_unitaries_compare_equal(c, q):
     """Every circuit runs on the ring, an odd ry-unit total with its half
-    bit set. The ring columns agree with the float oracle's whatever their
-    shape, and ``equivalent`` tells the circuit from itself with one more
-    t on any qubit, as a phase permutation's ``==`` does; the inverse
-    circuit's unitary is the inverse phase permutation."""
+    bit set. The ring and the float kernels' columns, and their
+    max_support, each agree with the textbook oracle's whatever their
+    shape; ``equivalent`` tells the circuit from itself with one more t on
+    any qubit, as a phase permutation's ``==`` does, and the circuit then
+    its inverse from I."""
     odd = sum(g.param for g in c.gates) % 2 == 1
     extended = Circuit(c.width, list(c.gates) + [t(q % c.width)])
-    assert backends_agree(c)
+    assert _ring_is_oracle(c) and _float_is_oracle(c) and _ring_is_oracle(c.inverse())
     assert equivalent(c, c) and not equivalent(c, extended)
+    assert equivalent(Circuit(c.width, c.gates + c.inverse().gates), Circuit(c.width))
     got = unitary_columns(c)
     if got is not None:
         assert got.half == odd
-        assert got == unitary_columns(Circuit(c.width, c.gates))
+        same = unitary_columns(Circuit(c.width, c.gates))
+        assert got == same and hash(got) == hash(same)
         assert got != unitary_columns(extended)
-        assert unitary_columns(c.inverse()) == got.inverse()
 
 
 # -- equivalent: two streams of ring columns --------------------------------
@@ -366,29 +386,19 @@ def _random_gate(rng, width):
     return {"h": h, "t": t, "p": p, "y": y}[kind](q)
 
 
-def _dense(c):
-    """The circuit's unitary from the float oracle's columns, times the
-    e^(i pi/8) its half bit leaves out."""
-    ops = compile_circuit(c)
-    factor = cmath.exp(1j * math.pi / 8) if sum(g.param for g in c.gates) % 2 else 1
-    return [{i: a * factor for i, a in run_column_float(ops, s)[0].items()}
-            for s in range(1 << c.width)]
-
-
 def _dense_equal(u, v, phase=1):
-    """Whether ``phase`` times the dense unitary u is v within 1e-9."""
-    return all(abs(phase * a.get(r, 0) - b.get(r, 0)) < 1e-9
-               for a, b in zip(u, v) for r in a.keys() | b.keys())
+    """Whether ``phase`` times the matrix u is v within the oracle's 1e-9."""
+    return np.allclose(phase * u, v, rtol=0, atol=oracle.TOL)
 
 
 def test_equivalent_matches_a_dense_float_comparison():
     """Seeded 1-5 qubit circuits, each against itself, a g g^-1 insertion
     after ``cancel_adjacent_inverses``, a one-gate mutant, itself times -I
     (z x z x) and times e^(-i pi/8) (whose ring columns are its own times
-    w^7), and an ry(16) and an ry(1) tail: ``equivalent`` says what
-    the float oracle's dense unitaries say within 1e-9. Some equal pairs
-    are no phase permutation, and some unequal pairs differ only by a
-    global phase."""
+    w^7), and an ry(16) and an ry(1) tail: ``equivalent`` says what the
+    textbook oracle's matrices say within 1e-9. Some equal pairs are no
+    phase permutation, and some unequal pairs differ only by a global
+    phase."""
     rng = random.Random(20261020)
     pairs = equal_non_permutations = phase_only = 0
     for _ in range(120):
@@ -405,18 +415,18 @@ def test_equivalent_matches_a_dense_float_comparison():
             mutant[rng.randrange(len(mutant))] = _random_gate(rng, width)
         else:
             mutant.append(g)
-        u = _dense(c)
-        r = max(u[0], key=lambda i: abs(u[0][i]))  # a row where column 0 is not 0
+        u = oracle.unitary(c)
+        r = int(np.argmax(abs(u[:, 0])))  # a row where column 0 is not 0
         for other in (c, inserted, Circuit(width, mutant),
                      Circuit(width, gates + [z(q), x(q), z(q), x(q)]),
                      Circuit(width, gates + list(_HALF_PHASE)),
                      Circuit(width, gates + [ry(q, 16)]), Circuit(width, gates + [ry(q, 1)])):
-            v = _dense(other)
+            v = oracle.unitary(other)
             same = equivalent(c, other)
             assert same == _dense_equal(u, v), (c, other)
             pairs += 1
             equal_non_permutations += same and unitary_columns(c) is None
-            phase_only += not same and _dense_equal(u, v, v[0].get(r, 0) / u[0][r])
+            phase_only += not same and _dense_equal(u, v, v[r, 0] / u[r, 0])
     assert pairs == 840 and equal_non_permutations and phase_only
 
 
@@ -426,11 +436,11 @@ def test_column_subset():
 
 
 def test_float_backend_collapse():
-    """The float oracle's columns of TOF collapse to its permutation with
+    """The float kernel's columns of TOF collapse to its permutation with
     phase 1, and the ring driver takes no other backend."""
     ops = compile_circuit(toffoli3())
     columns = [run_column_float(ops, s)[0] for s in range(8)]
-    significant = [{i: a for i, a in col.items() if abs(a) > simulate.FLOAT_TOL}
+    significant = [{i: a for i, a in col.items() if abs(a) > oracle.TOL}
                    for col in columns]
     assert [list(col) for col in significant] == [[0], [1], [2], [3], [4], [5], [7], [6]]
     assert all(abs(a - 1) < 1e-9 for col in significant for a in col.values())
@@ -452,11 +462,11 @@ def _assert_fused_columns_equal(circuit, columns):
     """Every listed column, run in batches through the plain and the
     memoised fused op list, and through ``_ring_columns``, returns the
     (amplitudes, k, max_support) of its one-column run through the
-    gate-level list, and the float kernel's column under ``same_phase``:
-    that kernel shares no code with the ring one. Batches of 5 and of
-    BATCH_COLUMNS columns mix columns of different support; one memoised
-    list serves every batch of a size, so later batches hit states that
-    earlier ones met."""
+    gate-level list, which is the textbook oracle's column; the float
+    kernel's has its rows and max_support and, within 1e-9, its
+    amplitudes. Batches of 5 and of BATCH_COLUMNS columns mix columns of
+    different support; one memoised list serves every batch of a size,
+    so later batches hit states that earlier ones met."""
     ops = compile_circuit(circuit)
     width = circuit.width
     columns = list(columns)
@@ -467,10 +477,11 @@ def _assert_fused_columns_equal(circuit, columns):
                        for r in run_column_ring(fused, columns[i:i + size], width)]
             assert batched == alone, size
     assert list(simulate._ring_columns(circuit, columns)) == alone
+    assert oracle.agrees(circuit, columns, alone)
     for s, (amps, k, max_support) in zip(columns, alone):
         floats, _, float_support = run_column_float(ops, s)
         assert amps.keys() == floats.keys() and max_support == float_support, s
-        assert all(same_phase(RingElement(*amps[i], k), floats[i]) for i in amps), s
+        assert all(abs(oracle.value(amps[i], k) - floats[i]) < oracle.TOL for i in amps), s
 
 
 def test_a_batch_keeps_each_columns_own_max_support():

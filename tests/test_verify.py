@@ -6,8 +6,10 @@ import random
 from dataclasses import replace
 from itertools import combinations
 
+import numpy as np
 import pytest
 
+import oracle
 from rphase import simulate
 from rphase.catalog import (
     margolus_ry,
@@ -27,9 +29,7 @@ from rphase.circuit import (
     BLOCKS, ROLE_CLEAN, ROLE_DIRTY, ROLE_PRIMARY, Circuit, InputError, TargetSpec, cx, h, p,
     pdg, ry, t, tdg, tof, x, z)
 from rphase.ring import RingElement
-from rphase.simulate import (
-    NotAPhasePermutation, PhasePermutation, equivalent, run_column_float,
-    unitary_columns)
+from rphase.simulate import NotAPhasePermutation, equivalent, unitary_columns
 from rphase.verify import (
     check_implements,
     permutation_parity,
@@ -296,32 +296,37 @@ def _negated(u):
     return replace(u, phases=tuple(-p for p in u.phases))
 
 
-def _float_unitary(circuit):
-    """The circuit's unitary from the float oracle's columns, as a
-    PhasePermutation of complex phases: each column's one amplitude past
-    1e-9."""
-    ops = simulate.compile_circuit(circuit)
-    entries = []
-    for s in range(1 << circuit.width):
-        (i, a), = ((i, a) for i, a in run_column_float(ops, s)[0].items() if abs(a) > 1e-9)
-        entries.append((i, a))
-    return PhasePermutation(circuit.width, *map(tuple, zip(*entries)))
+def _matrix(u):
+    """A ring PhasePermutation with no half bit as a complex matrix."""
+    m = np.zeros((u.dim, u.dim), dtype=complex)
+    for s, (r, phase) in enumerate(zip(u.perm, u.phases)):
+        m[r, s] = complex(phase)
+    return m
+
+
+def _close(a, b) -> bool:
+    return np.allclose(a, b, rtol=0, atol=oracle.TOL)
 
 
 def test_global_phase_equal_on_float_and_mixed_pairs():
-    """Margolus's R_Y circuit is TOF then -1 on row 101, in floats; a
-    Z X Z X tail turns every phase to its negative."""
-    u = _float_unitary(margolus_ry())
-    v = _float_unitary(Circuit(3, list(margolus_ry().gates) + [z(0), x(0), z(0), x(0)]))
-    assert v == _negated(u) and u != v
-    assert _float_unitary(toffoli3()) not in (u, _negated(u))
+    """Margolus's R_Y circuit is TOF then -1 on row 101, in the textbook
+    oracle's floats; a Z X Z X tail turns every phase to its negative. The
+    ring's phase permutations say the same exactly, and their matrices are
+    the oracle's."""
+    u = oracle.unitary(margolus_ry())
+    v = oracle.unitary(Circuit(3, list(margolus_ry().gates) + [z(0), x(0), z(0), x(0)]))
+    assert _close(v, -u) and not _close(u, v)
+    tof = oracle.unitary(toffoli3())
+    assert not _close(tof, u) and not _close(tof, -u)
     # the same unitary over the ring: TOF, then X(1) CCZ X(1) with CCZ = H(2) TOF H(2)
     tof3 = list(toffoli3().gates)
     ring = unitary_columns(Circuit(3, tof3 + [x(1), h(2)] + tof3 + [h(2), x(1)]))
-    assert not ring.half and ring == u and unitary_columns(margolus_ry()) == u
-    assert v == _negated(ring) and _negated(v) == ring
-    assert unitary_columns(toffoli3()) not in (u, _negated(u))
-    assert unitary_columns(rtof3_long()) not in (v, _negated(v))
+    assert not ring.half and _close(_matrix(ring), u) and unitary_columns(margolus_ry()) == ring
+    ring_v = unitary_columns(Circuit(3, list(margolus_ry().gates) + [z(0), x(0), z(0), x(0)]))
+    assert ring_v == _negated(ring) and _negated(ring_v) == ring and ring_v != ring
+    assert _close(_matrix(ring_v), v)
+    for m in (_matrix(unitary_columns(toffoli3())), _matrix(unitary_columns(rtof3_long()))):
+        assert not any(_close(m, w) for w in (u, -u, v, -v))
 
 
 def test_permutation_parity():
