@@ -56,12 +56,7 @@ from .simulate import (
     equivalent,
     unitary_columns,
 )
-from .verify import (
-    VerificationReport,
-    check_implements,
-    permutation_parity,
-    target_permutation,
-)
+from .verify import VerificationReport, check_implements
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "1.0.0"

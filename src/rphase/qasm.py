@@ -92,14 +92,14 @@ _THETA_RE = re.compile(r"^(-?)(?:(\d+)\*)?pi(?:/(\d+))?$", re.ASCII)
 
 def _parse_theta(text: str, line: int, col: int) -> int:
     text = text.replace(" ", "")
-    if text == "0":
+    if text in ("0", "-0"):
         return 0
     m = _THETA_RE.match(text)
     if not m:
         raise QasmError(f"unsupported angle {text!r} (multiples of pi/4 only)", line, col)
     sign = -1 if m.group(1) else 1
-    num = int(m.group(2) or 1)
-    den = int(m.group(3) or 1)
+    num = _int(m.group(2) or "1", "angle numerator", line)
+    den = _int(m.group(3) or "1", "angle denominator", line)
     if den not in (1, 2, 4):
         raise QasmError(f"unsupported angle {text!r} (multiples of pi/4 only)", line, col)
     return sign * num * (4 // den)
@@ -161,8 +161,16 @@ def _parse_args(text: str, reg: str, line: int) -> list[int]:
             raise QasmError(f"cannot parse qubit argument {piece!r}", line, 1)
         if m.group(1) != reg:
             raise QasmError(f"unknown register {m.group(1)!r}", line, 1)
-        out.append(int(m.group(2)))
+        out.append(_int(m.group(2), "qubit index", line))
     return out
+
+
+def _int(digits: str, what: str, line: int) -> int:
+    """``int(digits)``; one too long for Python to read is refused by its length."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise QasmError(f"{what} of {len(digits)} digits is too long to read", line, 1) from None
 
 
 def parse_qasm(text: str) -> Circuit:
@@ -184,8 +192,8 @@ def parse_qasm(text: str) -> Circuit:
             if not payload.startswith("rphase:"):
                 continue
             try:
-                info = json.loads(payload[len("rphase:"):].strip(),
-                                  object_pairs_hook=_unique_keys)
+                info = json.loads(payload[len("rphase:"):].strip(), object_pairs_hook=_unique_keys,
+                                  parse_int=lambda s: _int(s, "directive integer", lineno))
                 if isinstance(info, dict) and "roles" in info:
                     if pending is not None:
                         raise _nested(pending, lineno)
@@ -260,11 +268,11 @@ def parse_qasm(text: str) -> Circuit:
                     raise QasmError("cannot parse qreg declaration", lineno, 1)
                 if reg is not None:
                     raise QasmError("multiple qreg declarations are not supported", lineno, 1)
-                size = mm.group(2).lstrip("0") or "0"
-                if len(size) > len(str(QREG_LIMIT)) or int(size) > QREG_LIMIT:
+                size = _int(mm.group(2), "qreg size", lineno)
+                if size > QREG_LIMIT:
                     raise QasmError(f"qreg of {size} qubits is wider than the limit of "
                                     f"{QREG_LIMIT}", lineno, 1)
-                reg, width = mm.group(1), int(size)
+                reg, width = mm.group(1), size
                 continue
             if reg is None:
                 raise QasmError("gate before qreg declaration", lineno, 1)

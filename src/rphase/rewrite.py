@@ -31,12 +31,10 @@ inverse, and is kept otherwise. No cancellable pair is left.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from .circuit import BLOCKS, KINDS, Block, Circuit, Gate, InputError, marker, tof
-from .verify import check_implements
 
 
 def _block_diagonal_controls(g: Gate) -> frozenset[int]:
@@ -127,17 +125,17 @@ def find_conjugations(circ: Circuit) -> list[ConjugationMatch]:
 
 # -- implementation admissibility ------------------------------------------
 
-@lru_cache(maxsize=None)
 def _invariant(name: str) -> frozenset[int]:
     """Positions of block ``name`` whose flips leave its untruncated base's
-    phase diagonal fixed: a type-{p} special form, as ``check_implements``
-    certifies it."""
-    b = BLOCKS[name]
-    if b.base != name:
-        return _invariant(b.base)
-    return frozenset(
-        p for p in range(b.arity)
-        if check_implements(b.circuit, replace(b.spec, xprime=frozenset({p}))).special_form_holds)
+    phase diagonal fixed, read from the base's row: every position for an
+    exact spec, the xprime of a special form, none for a relative phase.
+    The tests certify each row's type against ``check_implements`` and the
+    oracle."""
+    spec = BLOCKS[BLOCKS[name].base].spec
+    return {"exact": spec.qubits, "special_form": spec.xprime}.get(spec.equivalence, frozenset())
+
+
+_INVARIANT = {name: _invariant(name) for name in BLOCKS}
 
 
 def _wire_maps(block: Block, m: ConjugationMatch):
@@ -150,7 +148,7 @@ def _wire_maps(block: Block, m: ConjugationMatch):
         need_invariant, junk_allowed = m.touched, m.untouched | {m.target}
     else:
         need_invariant, junk_allowed = m.touched | {m.target}, m.untouched
-    invariant = _invariant(block.name)
+    invariant = _INVARIANT[block.name]
     for perm in permutations(m.controls):
         wires = perm + (m.target,)
         if all((q not in need_invariant or pos in invariant)

@@ -10,8 +10,7 @@ out). Each column collapses to one output and a phase w^j, and every
 verdict is decided on those integers j, so every verdict is exact. The
 columns' ``half`` bit (an odd ry-unit total's e^(i pi/8) on every phase)
 only rules out exact equality, the one verdict that reads a global
-phase. It is the one place these verdicts are decided: the rewrite engine
-reads a block's special-form types from it too.
+phase. It is the one place these verdicts are decided.
 
 The columns come from ``simulate._collapsed``, the ring column stream,
 and this module alone chooses them. Clean ancillae restrict the checked
@@ -75,13 +74,6 @@ def _flip(spec: TargetSpec, width: int) -> tuple[int, int, int]:
     return cm, cv, flip
 
 
-def target_permutation(spec: TargetSpec, width: int) -> list[int]:
-    """The permutation of ``spec`` acting on ``width`` qubits (identity on
-    qubits the spec does not mention): the flip of its tof gate."""
-    cm, cv, flip = _flip(spec, width)
-    return [(s ^ flip) if (s & cm) == cv else s for s in range(1 << width)]
-
-
 def check_implements(circuit: Circuit, spec: TargetSpec) -> VerificationReport:
     """Exhaustive basis simulation of ``circuit`` against ``spec``; a spec
     naming a qubit outside the circuit is a ValueError."""
@@ -135,26 +127,4 @@ def _constant_on_classes(pairs, mask: int) -> bool:
     within every class of indices that differ only in the ``mask`` bits."""
     first = {}
     return all(v == first.setdefault(i & ~mask, v) for i, v in pairs)
-
-
-# -- phase-permutation level predicates -------------------------------------
-
-def permutation_parity(perm) -> int:
-    """Sign of a permutation given as the sequence of its images: +1 or -1.
-    Pass ``target_permutation(spec, width)`` or a ``PhasePermutation``'s
-    ``perm``."""
-    seen = [False] * len(perm)
-    sign = 1
-    for s in range(len(perm)):
-        if seen[s]:
-            continue
-        length = 0
-        q = s
-        while not seen[q]:
-            seen[q] = True
-            q = perm[q]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from rphase.circuit import Circuit, Gate, expand
+from rphase.circuit import Circuit, Gate, TargetSpec, expand, tof
 
 TOL = 1e-9
 # terms below this are rounding left over from a cancellation
@@ -102,6 +102,13 @@ def unitary(circuit: Circuit) -> np.ndarray:
         for r, a in col.items():
             m[r, s] = a
     return m
+
+
+def permutation(spec: TargetSpec, width: int) -> list[int]:
+    """The basis permutation of the spec's tof on ``width`` qubits: for
+    each column of its matrix, the row holding the column's 1."""
+    m = unitary(Circuit(width, [tof(spec.controls, spec.target, spec.neg)]))
+    return [int(np.argmax(abs(m[:, s]))) for s in range(1 << width)]
 
 
 def value(a, k: int) -> complex:

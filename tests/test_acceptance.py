@@ -9,6 +9,8 @@ import random
 import time
 from math import ceil
 
+import numpy as np
+
 import oracle
 from rphase import simulate
 from rphase.catalog import (
@@ -35,11 +37,7 @@ from rphase.rewrite import (
 )
 from rphase.ring import IMAG, ONE
 from rphase.simulate import compile_circuit, equivalent, run_column_float, unitary_columns
-from rphase.verify import (
-    check_implements,
-    permutation_parity,
-    target_permutation,
-)
+from rphase.verify import check_implements
 
 
 def _replaced(circ, m, name):
@@ -279,7 +277,10 @@ def test_criterion_9_backend_agreement():
 
 
 def test_criterion_10_determinant_argument():
-    spec = TargetSpec((0, 1, 2), 3)
-    ok = permutation_parity(target_permutation(spec, 4)) == -1
-    ok &= permutation_parity(target_permutation(spec, 5)) == 1
-    report(10, ok, "parity -1 on 4 qubits, +1 with one ancilla appended")
+    """The determinant of the oracle's TOF4 matrix, exact because every
+    entry is 0 or 1: -1 on 4 qubits, and +1 with one qubit appended, as
+    det(A (x) I2) = det(A)^2."""
+    tof4 = [tof((0, 1, 2), 3)]
+    ok = np.linalg.det(oracle.unitary(Circuit(4, tof4))) == -1
+    ok &= np.linalg.det(oracle.unitary(Circuit(5, tof4))) == 1
+    report(10, ok, "det -1 on 4 qubits, +1 with one ancilla appended")

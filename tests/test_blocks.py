@@ -4,10 +4,12 @@ import ast
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
 
+import oracle
 import rphase
 from rphase import catalog
 from rphase.circuit import BLOCKS, MARKER_BLOCKS, Circuit, marker
@@ -127,9 +129,9 @@ PUBLIC_NAMES = [
     "cnu_parallel", "cnu_spec", "count_resources", "emit_qasm", "equivalent",
     "find_conjugations", "get_entry", "ladder_tofn", "ladder_tofn_spec",
     "lower", "lowering", "margolus_ry", "margolus_t_variant", "parse_qasm",
-    "permutation_parity", "qasm", "rewrite", "ring", "rtof3_long",
+    "qasm", "rewrite", "ring", "rtof3_long",
     "rtof3_ry_negctrl", "rtof4_long", "simulate", "srtof3_ccix",
-    "target_permutation", "tof4_dirty", "tof4_dirty_spec", "tof5_dirty",
+    "tof4_dirty", "tof4_dirty_spec", "tof5_dirty",
     "tof5_dirty_spec", "toffoli3", "tofn", "tofn_clean", "tofn_clean_spec",
     "tofn_dirty", "tofn_dirty_spec", "two_block_tofn", "two_block_tofn_spec",
     "unitary_columns", "verify",
@@ -152,6 +154,46 @@ def test_every_junk_free_block_meets_the_class_its_row_states(name):
     report = check_implements(b.circuit, b.spec)
     assert report.satisfies(b.spec.equivalence)
     assert report.exact == (b.spec.equivalence == "exact")
+
+
+@pytest.mark.parametrize("name", sorted(n for n, b in BLOCKS.items() if not b.junk))
+def test_every_junk_free_row_states_its_special_form_type(name):
+    """The rewrite reads a block's flip-invariant positions from its row.
+    Two independent readings find exactly those positions p: the ring
+    check of a type-{p} special form, and the oracle's row phases D with
+    D[i] == D[i ^ bit(p)] for every row i."""
+    b = BLOCKS[name]
+    by_check = {p for p in range(b.arity) if check_implements(
+        b.circuit, replace(b.spec, xprime=frozenset({p}))).special_form_holds}
+    m = oracle.unitary(b.circuit)
+    d = [m[i][abs(m[i]) > 0.5][0] for i in range(len(m))]
+    by_oracle = {p for p in range(b.arity) if all(
+        abs(d[i] - d[i ^ 1 << (b.arity - 1 - p)]) < oracle.TOL for i in range(len(d)))}
+    assert _invariant(name) == by_check == by_oracle
+
+
+# Modules of the syntactic pipeline (synth, lower, rewrite, QASM), and the
+# simulation modules none of them may import.
+SYNTACTIC = ("catalog", "circuit", "lowering", "qasm", "rewrite")
+SIMULATION = {"rphase.ring", "rphase.simulate", "rphase.verify"}
+
+
+@pytest.mark.parametrize("module", SYNTACTIC)
+def test_the_syntactic_modules_import_no_simulation(module):
+    """Reading, writing, lowering and rewriting circuits runs no simulation:
+    no import of ``simulate``, ``verify`` or ``ring`` in any form."""
+    with open(os.path.join(os.path.dirname(rphase.__file__), module + ".py")) as fh:
+        tree = ast.parse(fh.read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            base = f"rphase.{module}".rstrip(".") if node.level else module
+            names = {base} | {f"{base}.{alias.name}" for alias in node.names}
+        else:
+            continue
+        assert not names & SIMULATION, (module, node.lineno, sorted(names))
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -691,6 +691,7 @@ _RTOF3L = emit_qasm(Circuit(3, [marker("rtof3l", (0, 1), 2)])).removeprefix(_HEA
 # the rtof3l directive with the first t of its expansion turned into tdg
 _TAMPERED_RTOF3L = _RTOF3L.replace("\nt q[2];\n", "\ntdg q[2];\n", 1)
 _NEG_TOF = emit_qasm(Circuit(3, [tof((0, 1), 2, neg=(1,))])).removeprefix(_HEADER)
+_BIG = "1" + "0" * 5000
 _BAD_FILES = {
     "invalid directive JSON": "// rphase: {bad json\nccx q[0],q[1],q[2];\n",
     "unknown marker kind":
@@ -734,6 +735,13 @@ _BAD_FILES = {
     "deeply nested roles": '// rphase: {"roles": ' + "[" * 100000 + "]" * 100000 + "}\n",
     "non-ASCII digits in qubit arguments": "ccx q[\uff10],q[\uff11],q[\u0662];\n",
     "non-ASCII digits in an angle": "ry(\uff12*pi) q[0];\n",
+    # integers past Python's int-string digit limit
+    "qubit index of 5001 digits": f"h q[{_BIG}];\n",
+    "angle numerator of 5001 digits": f"ry({_BIG}*pi) q[0];\n",
+    "angle denominator of 5001 digits": f"ry(pi/{_BIG}) q[0];\n",
+    "directive integer of 5001 digits":
+        '// rphase: {"gate": "tof", "controls": [0, 1], "target": %s, "neg": [], "gates": 0}\n'
+        % _BIG,
 }
 
 
@@ -744,6 +752,8 @@ def test_bad_file_is_an_input_error_naming_the_line(capsys, tmp_path, command, p
     path.write_text(_HEADER + _BAD_FILES[problem])
     code, _, err = run(capsys, command, str(path))
     assert code == 2 and err.startswith("error:") and "line 4" in err
+    # rphase's own message, short: no number is repeated in full
+    assert "set_int_max_str_digits" not in err and len(err) < 200
 
 
 # whole files that are input errors, and the one line each prints
@@ -759,6 +769,9 @@ _BAD_WHOLE_FILES = {
     "non-ASCII digits in the qreg size": (
         'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[\uff13];\n',
         "error: line 3, col 1: cannot parse qreg declaration"),
+    "qreg size of 5001 digits": (
+        f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[{_BIG}];\n',
+        "error: line 3, col 1: qreg size of 5001 digits is too long to read"),
 }
 
 

@@ -7,6 +7,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rphase import cli
 from rphase.catalog import (
     margolus_ry,
     tof4_dirty,
@@ -145,6 +146,17 @@ def test_gate_before_qreg():
 def test_bad_angle():
     with pytest.raises(QasmError):
         parse_qasm('OPENQASM 2.0;\nqreg q[1];\nry(pi/3) q[0];\n')
+
+
+def test_a_signed_zero_angle_is_zero(capsys, tmp_path):
+    """ry(-0) reads as ry(0), as ry(-0*pi) and ry(0) do, and counts."""
+    text = "OPENQASM 2.0;\nqreg q[1];\n"
+    for angle in ("-0", "0", "-0*pi"):
+        assert parse_qasm(f"{text}ry({angle}) q[0];\n").gates == (ry(0, 0),), angle
+    path = tmp_path / "signed_zero.qasm"
+    path.write_text(f"{text}ry(-0) q[0];\n")
+    assert cli.main(["count", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["other"] == 1
 
 
 def test_truncated_expansion():

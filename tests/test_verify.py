@@ -30,11 +30,7 @@ from rphase.circuit import (
     pdg, ry, t, tdg, tof, x, z)
 from rphase.ring import RingElement
 from rphase.simulate import NotAPhasePermutation, equivalent, unitary_columns
-from rphase.verify import (
-    check_implements,
-    permutation_parity,
-    target_permutation,
-)
+from rphase.verify import check_implements
 
 
 def test_check_tof4_clean_exact():
@@ -243,7 +239,7 @@ def test_verdicts_equal_the_phase_class_rule_on_every_block():
             u = unitary_columns(circuit)
             rows, width = u.row_phases(), u.width
             for spec in (block.spec, swapped):
-                same_perm = list(u.perm) == target_permutation(spec, width)
+                same_perm = list(u.perm) == oracle.permutation(spec, width)
                 for r in range(width + 1):
                     for xprime in combinations(range(width), r):
                         mask = sum(1 << (width - 1 - q) for q in xprime)
@@ -330,12 +326,15 @@ def test_global_phase_equal_on_float_and_mixed_pairs():
 
 
 def test_permutation_parity():
-    spec4 = TargetSpec((0, 1, 2), 3)
-    assert permutation_parity(target_permutation(spec4, 4)) == -1
-    # det(A (x) I2) = det(A)^2
-    assert permutation_parity(target_permutation(spec4, 5)) == 1
-    assert permutation_parity(range(16)) == 1
-    assert permutation_parity(unitary_columns(toffoli3()).perm) == -1
+    """A permutation's sign is the determinant of its 0/1 matrix, which
+    ``np.linalg.det`` gives exactly: the oracle's TOF4 is odd on 4 qubits
+    and even on 5, as det(A (x) I2) = det(A)^2; the identity is even, and
+    the permutation under toffoli3's phases is odd."""
+    tof4 = [tof((0, 1, 2), 3)]
+    assert np.linalg.det(oracle.unitary(Circuit(4, tof4))) == -1
+    assert np.linalg.det(oracle.unitary(Circuit(5, tof4))) == 1
+    assert np.linalg.det(oracle.unitary(Circuit(4, []))) == 1
+    assert np.linalg.det(abs(oracle.unitary(toffoli3())) > 0.5) == -1
 
 
 def test_every_catalog_rtof_inverse_is_an_rtof():
@@ -354,9 +353,12 @@ def test_every_catalog_rtof_inverse_is_an_rtof():
 
 
 def test_target_permutation_negative_controls():
+    """A negative control fires on |0>, in the oracle's permutation of the
+    spec and in the simulator's tof alike."""
     spec = TargetSpec((0, 1), 2, neg=frozenset({1}))
-    perm = target_permutation(spec, 3)
+    perm = oracle.permutation(spec, 3)
     assert perm[0b100] == 0b101 and perm[0b110] == 0b110
+    assert list(unitary_columns(Circuit(3, [tof((0, 1), 2, neg=(1,))])).perm) == perm
 
 
 def test_check_with_scattered_clean_qubits_and_negative_controls():
