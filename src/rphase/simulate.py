@@ -28,10 +28,11 @@ the runs, and a run of cp ops is one table lookup per amplitude; it never
 changes the number of amplitudes. In the memoised list, h ops join the
 runs, and a run with h ops inside runs once per distinct local state:
 the terms whose indices agree outside the run's qubits form a class, and
-a class whose (local bits, amplitude) pairs were met before takes the
-run's cached output (see ``_hp_step``). Either way a fused column
-returns exactly what the gate-level one does, max_support included: a
-column's support after each inner h op is the sum of its classes'.
+a class whose (local bits, amplitude) pairs were met before, in the
+same order, takes the run's cached output and peak (see ``_hp_step``).
+Either way a fused column returns exactly what the gate-level one does,
+max_support included: a column's support after each inner h op is the
+sum of its classes', and a column of one class peaks where it does.
 
 Every decision reads the (output, j) of collapsed ring columns, so none
 does ring-element arithmetic or reads a tolerance; the only ring
@@ -60,12 +61,12 @@ one must is a ``NotAPhasePermutation``, a failed verification.
 Columns run in batches of BATCH_COLUMNS. A batch is one sparse state:
 column n's indices carry n in the bits from the circuit width up, which
 no op reads or writes, so each op runs once over the whole batch. The
-batches run in order in the calling process. The first runs the plain
-list, so a call of one batch, or one that fails in its first, builds no
-memo; the later ones share one memoised list, whose memos live as long
-as the call. Once they hold more than MEMO_STATES local states after a
-batch, the columns share too little: the memos go, and the rest run the
-plain list. So the memos never hold more than MEMO_STATES local states
+batches run in order in the calling process. A call of one batch runs
+the plain list and builds no memo; in a call of more, every batch from
+the first shares one memoised list, whose memos live as long as the
+call. Once they hold more than MEMO_STATES local states after a batch,
+the columns share too little: the memos go, and the rest run the plain
+list. So the memos never hold more than MEMO_STATES local states
 plus one per class visit of one batch, each at most 2^FUSE_QUBITS terms
 in and out.
 """
@@ -86,7 +87,8 @@ BATCH_COLUMNS = 64
 # an hp op's class holds at most 2^4 terms.
 FUSE_QUBITS = 4
 # Most local states the memos of one call keep past a batch (see
-# _ring_columns); the tofn constructions up to n = 11 need at most 5082.
+# _ring_columns); of the tofn constructions up to n = 11, tofn(11, "dirty")
+# needs the most, 5082 over its 32768 columns.
 MEMO_STATES = 1 << 14
 
 
@@ -244,29 +246,29 @@ def run_column_ring(ops, starts, width: int):
     of one is the single-column case. ``ops`` is gate-level or fused; only
     an h op changes a column's support. An h op that finds no term's
     partner (its index with the h bit flipped) writes no output twice and
-    doubles every column's support; after any other, the supports are
-    recounted, so each column's max_support is its own. An hp op gives
-    each column's support after each of its h ops (see ``_hp_step``)."""
+    doubles every column's support; after any other, and after any h op
+    that follows an hp op, the supports are recounted, so each column's
+    max_support is its own. An hp op gives each column's largest support
+    after any of its h ops (see ``_hp_step``)."""
     digit = _hadamards(ops) + 2   # L: bits per coefficient
     modulus = (1 << 4 * digit) + 1  # N = B^4 + 1
     top = modulus >> 1              # the largest balanced residue
     amps = {n << width | s: 1 for n, s in enumerate(starts)}
-    support = [1] * len(amps)  # each column's support
-    peak = list(support)       # each column's max_support so far
+    columns = len(amps)
+    support = [1] * columns  # each column's support; None after an hp op
+    peak = list(support)     # each column's max_support so far
     for op in ops:
         code = op[0]
         if code == "pp":
             amps = _pp_step(amps, op, digit, modulus, top)
         elif code == "hp":
-            amps, packed = _hp_step(amps, op, len(support), width, digit, modulus, top)
-            after = [[p >> f & _SUPPORT_FIELD for p in packed]
-                     for f in range(0, _hadamards(op[2]) * _SUPPORT_BITS, _SUPPORT_BITS)]
-            support = after[-1]
-            peak = list(map(max, peak, *after))
+            amps, peaks = _hp_step(amps, op, columns, width, digit, modulus, top)
+            peak = list(map(max, peak, peaks))
+            support = None
         elif code == "h":
             amps, paired = _h_step(amps, op[1])
-            if paired:
-                support = [0] * len(support)
+            if paired or support is None:
+                support = [0] * columns
                 for i in amps:
                     support[i >> width] += 1
             else:
@@ -280,14 +282,14 @@ def run_column_ring(ops, starts, width: int):
     lift = 1 << digit - 1
     offset = sum(lift << j * digit for j in range(4))
     low_digit = (1 << digit) - 1
-    columns = [{} for _ in support]
+    out = [{} for _ in peak]
     low = (1 << width) - 1
     for i, a in amps.items():
         u = a + offset
-        columns[i >> width][i & low] = (
+        out[i >> width][i & low] = (
             (u & low_digit) - lift, (u >> digit & low_digit) - lift,
             (u >> 2 * digit & low_digit) - lift, (u >> 3 * digit) - lift)
-    return [(c, digit - 2, p) for c, p in zip(columns, peak)]
+    return [(c, digit - 2, p) for c, p in zip(out, peak)]
 
 
 def _hadamards(ops) -> int:
@@ -361,53 +363,69 @@ _SUPPORT_FIELD = (1 << _SUPPORT_BITS) - 1
 
 def _hp_step(amps, op, columns, width, digit, modulus, top):
     """The sparse state after one hp op, and each of the ``columns``'
-    supports after each of its h ops, packed as in ``_SUPPORT_BITS``.
+    largest support after any of its h ops.
 
     The op's run reads and writes only its mask bits, so it runs on each
     class of indices equal outside the mask alone, and what it makes of a
     class depends only on the class's local state: the (mask bits,
-    amplitude) of its terms in ascending order. Packed amplitudes are
-    canonical, so equal local states are equal states: the memo maps each
-    local state met to the run's output terms and supports, and a state
-    met again costs one lookup. A column's support is the sum of its
-    classes', so its max_support stays exact."""
+    amplitude) of its terms in the order they arrive. Packed amplitudes
+    are canonical, so a local state met again, in the same order, is the
+    same state: the memo maps each local state met to the run's output
+    terms, its supports and their peak, and a state met again costs one
+    lookup. A column met by one class takes that class's peak; the
+    supports of a column met by more, after each h op, are the sums of
+    its classes', so its peak is the largest summed field. Either way
+    max_support stays exact."""
     _, mask, run, memo = op
     keep = ~mask
     classes = {}  # class -> its local state, flat (mask bits, amplitude) pairs
     get = classes.get
-    for i, a in sorted(amps.items()):
+    for i, a in amps.items():
         c = i & keep
         t = get(c)
         classes[c] = (i & mask, a) if t is None else t + (i & mask, a)
     new = {}
-    packed = [0] * columns
+    peaks = [0] * columns   # the peak of a column's one class; 0 once a second meets it
+    packed = [0] * columns  # the packed supports of a column's classes, summed
     for c, key in classes.items():
         hit = memo.get(key)
         if hit is None:
             hit = memo[key] = _local_run(run, key, digit, modulus, top)
-        items, supports = hit
+        items, supports, most = hit
         for o, a in items:
             new[c | o] = a
-        packed[c >> width] += supports
-    return new, packed
+        n = c >> width
+        peaks[n] = 0 if packed[n] else most
+        packed[n] += supports
+    for n, most in enumerate(peaks):
+        if not most:
+            p = packed[n]
+            most = p & _SUPPORT_FIELD
+            for f in range(_SUPPORT_BITS, p.bit_length(), _SUPPORT_BITS):
+                if p >> f & _SUPPORT_FIELD > most:
+                    most = p >> f & _SUPPORT_FIELD
+            peaks[n] = most
+    return new, peaks
 
 
 def _local_run(run, terms, digit, modulus, top):
-    """(output (mask bits, amplitude) pairs, packed supports) of an hp
-    op's ``run`` on one class's local state, its flat ``terms``."""
+    """(output (mask bits, amplitude) pairs, packed supports, largest
+    support) of an hp op's ``run`` on one class's local state, its flat
+    ``terms``."""
     state = dict(zip(terms[::2], terms[1::2]))
-    supports = shift = 0
+    supports = shift = most = 0
     for op in run:
         code = op[0]
         if code == "h":
             state = _h_step(state, op[1])[0]
             supports |= len(state) << shift
             shift += _SUPPORT_BITS
+            most = max(most, len(state))
         elif code == "pp":
             state = _pp_step(state, op, digit, modulus, top)
         else:
             state = _cp_step(state, op, digit, modulus, top)
-    return tuple(state.items()), supports
+    return tuple(state.items()), supports, most
 
 
 def run_column_float(ops, start: int):
@@ -488,17 +506,17 @@ def _width_guard(columns: int) -> None:
 def _ring_columns(circuit: Circuit, starts):
     """(amplitudes, k, max_support) of the ring column of each basis state
     in ``starts`` (a sequence), in order: the fused ops run on one batch of
-    BATCH_COLUMNS at a time, each when it is reached. The first batch runs
-    the plain fused list; later ones share one memoised list, whose memos
-    end with this call, until they hold more than MEMO_STATES states."""
+    BATCH_COLUMNS at a time, each when it is reached. A call of one batch
+    runs the plain fused list; in a call of more, the batches share one
+    memoised list from the first, whose memos end with this call, until
+    they hold more than MEMO_STATES states."""
     width = circuit.width
     ops = compile_circuit(circuit)
-    plain = fused = fuse_ops(ops)
+    memoised = len(starts) > BATCH_COLUMNS
+    fused = fuse_ops(ops, memoised)
     for n in range(0, len(starts), BATCH_COLUMNS):
-        if n == BATCH_COLUMNS:
-            fused = fuse_ops(ops, memoised=True)
-        elif fused is not plain and sum(len(op[3]) for op in fused if op[0] == "hp") > MEMO_STATES:
-            fused = plain  # the columns share too little: drop the memos
+        if memoised and sum(len(op[3]) for op in fused if op[0] == "hp") > MEMO_STATES:
+            memoised, fused = False, fuse_ops(ops)  # the columns share too little: drop the memos
         yield from run_column_ring(fused, starts[n:n + BATCH_COLUMNS], width)
 
 

@@ -14,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 import oracle
 from rphase.catalog import _tofn_markers, rtof4_long, toffoli3, tofn
 from rphase.circuit import (
-    BLOCKS, MARKER_BLOCKS, ROLE_DIRTY, Circuit, InputError, cx, cz, h, marker, p, pdg, ry, t,
-    tdg, tof, x, y, z)
+    BLOCKS, MARKER_BLOCKS, ROLE_DIRTY, Circuit, InputError, basis_bit, cx, cz, h, marker, p,
+    pdg, ry, t, tdg, tof, x, y, z)
 from rphase.lowering import lower
 from rphase import simulate
 from rphase.rewrite import cancel_adjacent_inverses
@@ -626,18 +626,88 @@ def test_memoised_batches_run_few_local_states(monkeypatch):
 
 def test_memos_past_their_cap_give_way_to_the_plain_list(monkeypatch):
     """Once the memos hold more than MEMO_STATES states after a batch, the
-    batches left run the plain list: with a cap of 0 only the second batch
+    batches left run the plain list: with a cap of 0 only the first batch
     runs the memoised one, and every column is unchanged."""
     c, _ = tofn(8, "dirty")
     starts = range(1 << c.width)
     expected = list(simulate._ring_columns(c, starts))
     counts = _counting_local_runs(monkeypatch)
-    list(simulate._ring_columns(c, starts[:2 * simulate.BATCH_COLUMNS]))
-    two_batches = dict(counts)
+    fused = fuse_ops(compile_circuit(c), memoised=True)
+    run_column_ring(fused, starts[:simulate.BATCH_COLUMNS], c.width)
+    first_batch = dict(counts)
+    assert first_batch["runs"] > 0
     counts.update(runs=0, visits=0)
     monkeypatch.setattr(simulate, "MEMO_STATES", 0)
     assert list(simulate._ring_columns(c, starts)) == expected
-    assert counts == two_batches
+    assert counts == first_batch
+
+
+def _controlled_h(c, q):
+    """Controlled-H from qubit c on qubit q: A X A^dagger = H for A = P H T,
+    so A^dagger, cx, A."""
+    return [pdg(q), h(q), tdg(q), cx(c, q), t(q), h(q), p(q)]
+
+
+def test_a_column_of_two_classes_peaks_where_their_summed_supports_do():
+    """h(2) and a controlled-H from qubit 2 on qubit 0 leave column 0 at
+    |00> on qubits 0 and 1 where qubit 2 is 0, and at |+0> where it is 1,
+    having held at most 4 terms. After a wide tof, h(1) h(0) is one hp op
+    that meets column 0 in those two classes: one holds 2 then 4 terms,
+    the other 4 then 2. Each class peaks at 4 and their peaks sum to 8,
+    but the column's max_support is 6, in the gate-level kernel, in the
+    memoised list and in the oracle alike."""
+    wide = tof((1, 2, 3, 4), 5)
+    prep = [h(2), *_controlled_h(2, 0), wide]
+    c = Circuit(6, prep + [h(1), h(0)])
+    ops = compile_circuit(c)
+    fused = fuse_ops(ops, memoised=True)
+    assert [op[0] for op in fused] == ["hp", "cp", "hp"]
+    branch = basis_bit(6, 2)
+
+    def class_terms(gates):
+        """Column 0's terms where qubit 2 is 0 and where it is 1."""
+        amps, *_ = run_column_ring(compile_circuit(Circuit(6, gates)), [0], 6)[0]
+        return sum(not i & branch for i in amps), sum(bool(i & branch) for i in amps)
+
+    assert [class_terms(c.gates[:n]) for n in (len(prep), len(prep) + 1, len(prep) + 2)] == [
+        (1, 2), (2, 4), (4, 2)]
+    assert run_column_ring(compile_circuit(Circuit(6, prep)), [0], 6)[0][2] == 4
+    gate_level = run_column_ring(ops, [0], 6)[0]
+    assert gate_level[2] == 6
+    assert run_column_ring(fused, [0], 6) == [gate_level]
+    assert oracle.agrees(c, [0], [gate_level])
+    _assert_fused_columns_equal(c, range(64))
+
+
+def test_an_hp_op_reads_a_state_the_same_in_any_insertion_order(monkeypatch):
+    """Every hp op of a memoised tofn(6, "dirty") batch, rerun on its input
+    state with the terms inserted in shuffled orders, makes the same state
+    and the same per-column peaks, each order with a fresh memo and all of
+    them with one shared memo, which keys each order apart."""
+    c, _ = tofn(6, "dirty")
+    calls, step = [], simulate._hp_step
+
+    def recorded(amps, op, *args):
+        calls.append((dict(amps), op, args))
+        return step(amps, op, *args)
+
+    monkeypatch.setattr(simulate, "_hp_step", recorded)
+    run_column_ring(fuse_ops(compile_circuit(c), memoised=True),
+                    range(simulate.BATCH_COLUMNS), c.width)
+    assert len(calls) > 1
+    rng = random.Random(3)
+    keyed_apart = 0
+    for amps, (code, mask, run, _), args in calls:
+        first = {}
+        expected = step(amps, (code, mask, run, first), *args)
+        shared = {}
+        for _ in range(4):
+            terms = list(amps.items())
+            rng.shuffle(terms)
+            for memo in ({}, shared):
+                assert step(dict(terms), (code, mask, run, memo), *args) == expected
+        keyed_apart += len(shared) > len(first)
+    assert keyed_apart
 
 
 def _rotated(c, e):
