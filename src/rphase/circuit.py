@@ -57,9 +57,15 @@ A gate is validated once, when it is built, and its qubit set
 ``support`` is computed then and stored on it; ``support`` takes no part
 in equality, hashing or repr. Equal gates of a block are one object.
 Per-gate work that repeats for equal gates (remapping a block,
-inverting, counting) goes through ``map_once`` or a dict local to one
-call, so it is paid once per distinct gate per call. Nothing is cached
-across calls: each command pays for its own work.
+inverting) goes through ``map_once`` or a dict local to one call, so it
+is paid once per distinct gate per call. ``count_resources`` and
+``qasm.emit_qasm`` key on gate objects instead, by ``id`` within one
+call, where the circuit's gate tuple keeps every object alive: they visit
+each distinct object once, and equal but distinct objects are just
+visited separately, with the same result. T-depth is layered only for a
+circuit with no marker and no tof of two or more controls, the circuits
+whose report holds a number. Nothing is cached across calls: each
+command pays for its own work.
 """
 
 from __future__ import annotations
@@ -95,6 +101,7 @@ KINDS = {
 }
 # the order of ResourceReport.counts() plus "other"
 _BUCKETS = ("t", "cnot", "h", "pz", "other")
+_T_KINDS = frozenset(k for k, row in KINDS.items() if row.bucket == "t")
 
 ROLE_PRIMARY = "primary"
 ROLE_CLEAN = "clean_ancilla"
@@ -308,7 +315,7 @@ class ResourceReport:
     h: int = 0
     pz: int = 0
     other: int = 0
-    t_depth: int | None = 0  # None: a tof or marker hides its T gates
+    t_depth: int | None = 0  # None: a marker or a tof of 2+ controls hides its T gates
     ancilla_count: int = 0
     ancilla_type: str = "none"
 
@@ -347,32 +354,52 @@ def _gate_counts(g: Gate) -> tuple[int, int, int, int, int]:
 def count_resources(circuit: Circuit) -> ResourceReport:
     """Aggregate gate counts, greedy T-depth, and ancilla usage.
 
-    T-depth layering: two T gates share a layer iff they act on distinct
-    qubits with no intervening gate on either qubit. A tof or a marker
-    hides its T gates, so T-depth is None for a circuit holding one.
     A gate's counts depend only on its kind and its numbers of controls and
-    negative controls; each such triple is looked up once per call.
+    negative controls. The gates are tallied by object in one pass, and
+    each such triple is looked up once per call, on the first gate that
+    has it, so a wide tof is reported at its first occurrence.
+
+    T-depth layering: two T gates share a layer iff they act on distinct
+    qubits with no intervening gate on either qubit. A marker or a tof of
+    two or more controls hides its T gates, so T-depth is None for a
+    circuit holding one, and the layering runs only when it is not.
     """
-    tally: dict[tuple, list] = {}  # (kind, #controls, #neg) -> [a gate, occurrences]
-    t_kinds = {k for k, row in KINDS.items() if row.bucket == "t"}
-    frontier = [0] * circuit.width
-    for g in circuit.gates:
+    gates = circuit.gates
+    # id -> [gate, occurrences], in first-occurrence order; the gates tuple
+    # keeps every object alive, so no id is reused within the call
+    objects: dict[int, list] = {}
+    for g in gates:
+        seen = objects.get(id(g))
+        if seen is None:
+            objects[id(g)] = [g, 1]
+        else:
+            seen[1] += 1
+    tally: dict[tuple, list] = {}  # (kind, #controls, #neg) -> [its first gate, occurrences]
+    for g, k in objects.values():
         key = (g.kind, len(g.controls), len(g.neg))
         seen = tally.get(key)
         if seen is None:
-            tally[key] = [g, 1]
+            tally[key] = [g, k]
         else:
-            seen[1] += 1
-        if g.controls:
-            depth = max([frontier[q] for q in g.support])
-            for q in g.support:
-                frontier[q] = depth
-        elif g.kind in t_kinds:
-            frontier[g.target] += 1
+            seen[1] += k
     t = cnot = hh = pz = other = 0
     for g, k in tally.values():
         dt, dc, dh, dp, do = _gate_counts(g)
         t += k * dt; cnot += k * dc; hh += k * dh; pz += k * dp; other += k * do
+    t_depth = None
+    if all(kind in KINDS or (kind == "tof" and n < 2) for kind, n, _ in tally):
+        # every gate has at most one control and acts as its KINDS gate
+        frontier = [0] * circuit.width
+        for g in gates:
+            if g.controls:
+                c, tgt = g.controls[0], g.target
+                depth = frontier[c]
+                if frontier[tgt] > depth:
+                    depth = frontier[tgt]
+                frontier[c] = frontier[tgt] = depth
+            elif g.kind in _T_KINDS:
+                frontier[g.target] += 1
+        t_depth = max(frontier, default=0)
     ancillae = circuit.ancilla_qubits()
     if not ancillae:
         atype = "none"
@@ -381,8 +408,7 @@ def count_resources(circuit: Circuit) -> ResourceReport:
     else:
         atype = "clean"
     return ResourceReport(
-        t=t, cnot=cnot, h=hh, pz=pz, other=other,
-        t_depth=None if any(k not in KINDS for k, _, _ in tally) else max(frontier, default=0),
+        t=t, cnot=cnot, h=hh, pz=pz, other=other, t_depth=t_depth,
         ancilla_count=len(ancillae), ancilla_type=atype,
     )
 

@@ -33,6 +33,12 @@ is an error otherwise. Names, register sizes, qubit indices and angles
 are read in ASCII only, and a directive nested too deeply for ``json``
 is a bad directive like any other.
 
+``emit_qasm`` formats each distinct gate object once per call, keyed by
+``id`` while the circuit keeps the object alive: its statement, or its
+directive and expansion. Later occurrences of the object reuse that
+text, and an equal but distinct object is formatted again, to the same
+text.
+
 ``parse_qasm`` parses, validates and register-checks each distinct
 statement text once, on its first line, and reuses that gate for later
 copies; it builds each directive gate's expansion once, and compares it
@@ -125,26 +131,33 @@ def _wide(g: Gate) -> bool:
     return g.kind == "tof" and len(g.controls) > 2
 
 
+def _gate_text(g: Gate, reg: str) -> str:
+    """The QASM lines of one gate: its statement, or for a marker, a
+    negative control or a wide tof, its directive and expansion."""
+    if not g.neg and (g.kind in KINDS or (g.kind == "tof" and len(g.controls) == 2)):
+        return _basic_stmt(g, reg)
+    body = [] if _wide(g) else expand(g)
+    info: dict = {"controls": list(g.controls), "target": g.target, "gates": len(body)}
+    if g.is_marker:
+        info = {"marker": g.kind, **info, "dagger": g.dagger}
+    else:
+        info = {"gate": g.kind, **info, "neg": sorted(g.neg)}
+    return "\n".join(["// rphase: " + json.dumps(info)] + [_basic_stmt(gg, reg) for gg in body])
+
+
 def emit_qasm(circuit: Circuit) -> str:
-    """Serialize; markers and negative controls become rphase directives."""
+    """Serialize; markers, negative controls and wide tofs become rphase
+    directives."""
     reg = "q"
     lines = [HEADER.rstrip("\n"), f"qreg {reg}[{circuit.width}];"]
     if any(r != ROLE_PRIMARY for r in circuit.roles):
         lines.append("// rphase: " + json.dumps({"roles": list(circuit.roles)}))
+    text: dict[int, str] = {}  # id of a gate of circuit.gates -> its lines
     for g in circuit.gates:
-        if g.neg or (g.kind not in KINDS and not (g.kind == "tof" and len(g.controls) == 2)):
-            body = [] if _wide(g) else expand(g)
-            info: dict = {"controls": list(g.controls), "target": g.target,
-                          "gates": len(body)}
-            if g.is_marker:
-                info = {"marker": g.kind, **info, "dagger": g.dagger}
-            else:
-                info = {"gate": g.kind, **info, "neg": sorted(g.neg)}
-            lines.append("// rphase: " + json.dumps(info))
-            for gg in body:
-                lines.append(_basic_stmt(gg, reg))
-        else:
-            lines.append(_basic_stmt(g, reg))
+        s = text.get(id(g))
+        if s is None:
+            s = text[id(g)] = _gate_text(g, reg)
+        lines.append(s)
     return "\n".join(lines) + "\n"
 
 

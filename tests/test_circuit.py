@@ -10,8 +10,11 @@ import pytest
 
 import oracle
 from rphase.catalog import (
+    _tofn_markers,
+    ladder_tofn,
     rtof3_long,
     rtof4_long,
+    tofn,
     toffoli3,
 )
 from rphase.circuit import (
@@ -162,7 +165,7 @@ def test_resource_report_json_schema():
 def _count_reference(circuit):
     """The per-gate loop count_resources replaced: counts summed gate by
     gate, T-depth over each gate's sorted qubits, and None for it when a
-    tof or a marker hides its T gates."""
+    marker or a tof of two or more controls hides its T gates."""
     totals = [0] * 5
     frontier = [0] * circuit.width
     for g in circuit.gates:
@@ -174,7 +177,7 @@ def _count_reference(circuit):
             depth += 1
         for q in qubits:
             frontier[q] = depth
-    if any(g.kind not in KINDS for g in circuit.gates):
+    if any(g.is_marker or (g.kind == "tof" and len(g.controls) >= 2) for g in circuit.gates):
         return tuple(totals), None
     return tuple(totals), max(frontier, default=0)
 
@@ -212,12 +215,70 @@ def _random_countable(rng, width, length, wide=False):
     return Circuit(width, gates)
 
 
+def _with_repeats(rng, circuit):
+    """``circuit`` with about a third of its positions holding an earlier
+    gate object again."""
+    gates = list(circuit.gates)
+    for i in range(1, len(gates)):
+        if rng.random() < 0.3:
+            gates[i] = gates[rng.randrange(i)]
+    return Circuit(circuit.width, gates, circuit.roles)
+
+
+def _rebuilt(circuit):
+    """``circuit`` with every gate a fresh ``Gate``: no object is shared."""
+    return Circuit(circuit.width, [Gate(g.kind, g.controls, g.target, g.neg, g.param, g.dagger)
+                                   for g in circuit.gates], circuit.roles)
+
+
+def _assert_counts_as_the_reference(c):
+    try:
+        want = _count_reference(c)
+    except InputError as exc:
+        with pytest.raises(InputError, match="depends on the lowering; lower first$") as err:
+            c.count_resources()
+        assert str(err.value) == str(exc)
+        return False
+    r = c.count_resources()
+    assert ((r.t, r.cnot, r.h, r.pz, r.other), r.t_depth) == want, c
+    return True
+
+
 def test_count_resources_equals_the_per_gate_reference():
+    """Counting and emitting key on gate objects within a call; repeated
+    objects, shared block gates and fresh rebuilds give the same report
+    and the same QASM."""
     rng = random.Random(15)
+    circuits = []
     for length in [0, 1, 2, 5] + [rng.randint(10, 400) for _ in range(40)]:
-        c = _random_countable(rng, rng.randint(5, 8), length)
-        r = c.count_resources()
-        assert ((r.t, r.cnot, r.h, r.pz, r.other), r.t_depth) == _count_reference(c)
+        c = _random_countable(rng, rng.randint(5, 8), length, wide=length % 3 == 0)
+        repeated = _with_repeats(rng, c)
+        circuits += [c, repeated]
+        assert length < 10 or len(set(map(id, repeated.gates))) < length
+    for n in range(4, 13):
+        for ancilla in ("clean", "dirty"):
+            circuits += [tofn(n, ancilla)[0], _tofn_markers(n, ancilla)[0]]
+    circuits += [lower(ladder_tofn(8)), parse_qasm(emit_qasm(lower(tofn(7, "dirty")[0]))),
+                 Circuit(3, [tof((0, 1), 2, neg=(0,)), tof((2,), 0, neg=(2,)), tof((), 1)] * 2)]
+    for c in circuits:
+        _assert_counts_as_the_reference(c)
+        _assert_counts_as_the_reference(_rebuilt(c))
+        assert emit_qasm(c) == emit_qasm(_rebuilt(c)), c
+
+
+def test_t_depth_of_a_tof_of_at_most_one_control():
+    """A tof of 0 or 1 controls expands to x or cnot (plus X wraps) and
+    hides no T gate, so its circuit has a T-depth, that of the same circuit
+    written with x or cx."""
+    assert Circuit(2, [tof((0,), 1), t(1)]).count_resources().t_depth == 1
+    for tofs, plain in (([tof((0,), 1)], [cx(0, 1)]), ([tof((), 1)], [x(1)]),
+                        ([tof((0,), 1, neg=(0,))], [x(0), cx(0, 1), x(0)])):
+        for before in ([], [t(0)], [t(0), t(1)], [t(1), t(1), tdg(0)]):
+            a = Circuit(2, before + tofs + [t(1)]).count_resources()
+            b = Circuit(2, before + plain + [t(1)]).count_resources()
+            assert a == b and a.t_depth >= 1
+    assert Circuit(3, [tof((0, 1), 2), t(2)]).count_resources().t_depth is None
+    assert Circuit(3, [marker("rtof3l", (0, 1), 2), t(2)]).count_resources().t_depth is None
 
 
 def test_a_counted_t_gate_has_a_t_depth_or_none():
@@ -239,17 +300,9 @@ def test_count_resources_names_the_first_wide_tof():
     raised = 0
     for _ in range(40):
         c = _random_countable(rng, 7, rng.randint(1, 60), wide=True)
-        try:
-            want = _count_reference(c)
-        except InputError as exc:
-            with pytest.raises(InputError, match="depends on the lowering; lower first$") as err:
-                c.count_resources()
-            assert str(err.value) == str(exc)
-            raised += 1
-        else:
-            r = c.count_resources()
-            assert ((r.t, r.cnot, r.h, r.pz, r.other), r.t_depth) == want
-    assert raised >= 20
+        for cc in (c, _with_repeats(rng, c)):
+            raised += not _assert_counts_as_the_reference(cc)
+    assert raised >= 40
 
 
 def test_stored_support_leaves_gate_identity_unchanged():

@@ -169,6 +169,19 @@ def test_count_empty_program(capsys, tmp_path):
     assert report["t"] == report["cnot"] == report["h"] == 0
 
 
+def test_count_of_a_negative_one_control_tof_directive_has_a_t_depth(capsys, tmp_path):
+    """The directive's tof expands to x, cx, x and hides no T gate."""
+    path = tmp_path / "negtof.qasm"
+    path.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nt q[1];\n'
+                    '// rphase: {"gate": "tof", "controls": [0], "target": 1, "gates": 3, '
+                    '"neg": [0]}\nx q[0];\ncx q[0],q[1];\nx q[0];\nt q[1];\n')
+    assert parse_qasm(path.read_text()).gates[1] == tof((0,), 1, neg=(0,))
+    code, out, err = run(capsys, "count", str(path))
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert (report["t"], report["cnot"], report["other"], report["t_depth"]) == (2, 1, 2, 2)
+
+
 def test_verify_exit_codes(capsys, tmp_path):
     t4 = tmp_path / "t4.qasm"
     run(capsys, "synth", "--gate", "tof", "--n", "4", "--ancilla", "dirty",
