@@ -152,7 +152,7 @@ def cmd_verify(args) -> int:
         circuit = parse_qasm(fh.read())
     if not circuit.is_lowered():
         circuit = lower(circuit)
-    if args.layout:
+    if args.layout is not None:
         controls, neg, target, roles = _roles_from_layout(args.layout, circuit.width)
         circuit = Circuit(circuit.width, circuit.gates, roles)
     else:

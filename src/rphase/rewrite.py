@@ -24,9 +24,15 @@ implementation's canonic phase diagonal must commute with the middle
 block, which holds exactly when the diagonal is flip-invariant on every
 qubit the middle acts on.
 
+Admissibility reads the wire maps: an implementation fits a match when
+some map of its roles onto the pair's qubits meets the type and junk
+constraints. The test builds no gate; ``apply_replacement`` makes the same
+checks and builds only the pair it returns.
+
 Cancellation is one forward pass over a per-qubit stack of kept gates:
 each gate cancels the latest kept gate on its qubits when the two are
-inverse, and is kept otherwise. No cancellable pair is left.
+inverse, and is kept otherwise. No cancellable pair is left. Each distinct
+gate object's inverse is built at most once per call.
 """
 
 from __future__ import annotations
@@ -157,13 +163,28 @@ def _wire_maps(block: Block, m: ConjugationMatch):
             yield wires
 
 
+def _refusal(m: ConjugationMatch, impl_name: str):
+    """(None, wires) when ``impl_name`` fits the match, with the first wire
+    map that fits; (reason, None) when it does not."""
+    if m.neg:
+        return "pair has negative controls; no catalog implementation carries them", None
+    block = BLOCKS.get(impl_name)
+    if block is None:
+        return f"{impl_name} is not usable as a conjugation replacement", None
+    if block.arity != m.arity:
+        return (f"arity mismatch: {impl_name} has {block.arity} qubits, "
+                f"pair has {m.arity}"), None
+    wires = next(_wire_maps(block, m), None)
+    if wires is None:
+        return (f"special-form type violated: {impl_name} does not provide a "
+                f"type-{sorted(m.touched)} special form for this {m.classification} match"), None
+    return None, wires
+
+
 def admissible(impl_name: str, m: ConjugationMatch) -> bool:
-    """Whether ``apply_replacement`` accepts ``impl_name`` for the match."""
-    try:
-        apply_replacement(m, impl_name)
-    except InputError:
-        return False
-    return True
+    """Whether ``apply_replacement`` accepts ``impl_name`` for the match:
+    the checks it makes, read from the wire maps, building no gate."""
+    return _refusal(m, impl_name)[0] is None
 
 
 def _admits_some_match(block: Block) -> bool:
@@ -192,35 +213,27 @@ def apply_replacement(m: ConjugationMatch, impl_name: str) -> tuple[Gate, Gate]:
     Writing them at ``m.left_index`` and ``m.right_index`` leaves everything
     between untouched, so gate counts change only at those two positions.
     """
-    if m.neg:
-        raise InputError(
-            "pair has negative controls; no catalog implementation carries them")
-    block = BLOCKS.get(impl_name)
-    if block is None:
-        raise InputError(f"{impl_name} is not usable as a conjugation replacement")
-    if block.arity != m.arity:
-        raise InputError(
-            f"arity mismatch: {impl_name} has {block.arity} qubits, "
-            f"pair has {m.arity}")
-    wires = next(_wire_maps(block, m), None)
-    if wires is None:
-        raise InputError(
-            f"special-form type violated: {impl_name} does not provide a "
-            f"type-{sorted(m.touched)} special form for this {m.classification} match")
-    if block.kind is None:
+    reason, wires = _refusal(m, impl_name)
+    if reason is not None:
+        raise InputError(reason)
+    kind = BLOCKS[impl_name].kind
+    if kind is None:
         left = tof(m.controls, m.target)
         return left, left
-    left = marker(block.kind, wires[:-1], m.target)
+    left = marker(kind, wires[:-1], m.target)
     return left, left.inverse()
 
 
 # -- inverse-pair cancellation -----------------------------------------------
 
-def _cancels(a: Gate, b: Gate) -> bool:
+def _cancels(a: Gate, b: Gate, inv: Gate | None = None) -> bool:
+    """Whether b undoes a; ``inv``, when given, is ``a.inverse()``."""
     # an inverse acts on the same qubits: compare those before building one
     if a.support != b.support:
         return False
-    if b == a.inverse():
+    if inv is None:
+        inv = a.inverse()
+    if b is inv or b == inv:
         return True
     # cz is symmetric in its two qubits (positive polarity only)
     return a.kind == "cz" and b.kind == "cz" and not a.neg and not b.neg
@@ -239,14 +252,26 @@ def cancel_adjacent_inverses(circ: Circuit) -> Circuit:
     gates = circ.gates
     kept = [True] * len(gates)
     wires: list[list[int]] = [[] for _ in range(circ.width)]
+    # id of a gate of circ.gates -> its inverse, built once; the gates tuple
+    # keeps every object alive, so no id is reused within the call
+    inverses: dict[int, Gate] = {}
     for i, g in enumerate(gates):
         sup = g.support
-        last = max((wires[q][-1] for q in sup if wires[q]), default=-1)
-        if last >= 0 and _cancels(gates[last], g):
-            kept[last] = kept[i] = False
-            for q in sup:
-                wires[q].pop()
-        else:
-            for q in sup:
-                wires[q].append(i)
+        last = -1
+        for q in sup:
+            stack = wires[q]
+            if stack and stack[-1] > last:
+                last = stack[-1]
+        if last >= 0 and gates[last].support == sup:
+            a = gates[last]
+            inv = inverses.get(id(a))
+            if inv is None:
+                inv = inverses[id(a)] = a.inverse()
+            if _cancels(a, g, inv):
+                kept[last] = kept[i] = False
+                for q in sup:
+                    wires[q].pop()
+                continue
+        for q in sup:
+            wires[q].append(i)
     return Circuit(circ.width, [g for g, k in zip(gates, kept) if k], circ.roles)

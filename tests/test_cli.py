@@ -228,6 +228,19 @@ def test_verify_layout_rows(capsys, tmp_path, gate, layout, cls, code):
     assert (code == 2) == err.startswith("error:")
 
 
+@pytest.mark.parametrize("width", [4, 0])
+def test_verify_empty_layout_is_a_layout(capsys, tmp_path, width):
+    """``--layout ""`` names one empty token: a length error, never the
+    roles inferred from the file (4 qubits) or a request to pass --layout
+    (0 qubits)."""
+    path = tmp_path / "w.qasm"
+    gates = [tof((0, 1), 3), cx(2, 3)] if width else []
+    path.write_text(emit_qasm(Circuit(width, gates)))
+    code, out, err = run(capsys, "verify", str(path), "--layout", "")
+    assert (code, out) == (2, "")
+    assert err == f"error: --layout names 1 qubits, circuit has {width}\n"
+
+
 def test_negative_control_layout_equals_the_flipped_circuit(capsys, tmp_path):
     """verify under a layout with nctrl on some controls prints what verify
     prints for the circuit with X on those qubits before and after, under

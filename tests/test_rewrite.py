@@ -9,15 +9,18 @@ from hypothesis import given, settings, strategies as st
 import oracle
 from rphase.catalog import rtof3_long, srtof3_ccix, toffoli3
 from rphase.circuit import (
-    Circuit, Gate, InputError, TargetSpec, cx, cz, h, marker, p, pdg, t, tdg, tof, x, y, z)
+    BLOCKS, Circuit, Gate, InputError, TargetSpec, cx, cz, h, marker, p, pdg, t, tdg, tof, x, y, z)
 from rphase.lowering import lower
 from rphase.rewrite import (
+    ConjugationMatch,
     _cancels,
+    admissible,
     apply_replacement,
     cancel_adjacent_inverses,
     classify_pair,
     find_conjugations,
 )
+from rphase.qasm import emit_qasm, parse_qasm
 from rphase.ring import IMAG, OMEGA, ONE
 from rphase.simulate import compile_circuit, equivalent, run_column_ring, unitary_columns
 from rphase.verify import check_implements
@@ -123,8 +126,6 @@ def test_apply_errors():
 
 
 def test_negative_control_pairs_are_refused():
-    from rphase.rewrite import admissible
-
     c = Circuit(4, [tof((0, 1), 2, neg=(1,)), cx(2, 3), tof((0, 1), 2, neg=(1,))])
     m = find_conjugations(c)[0]
     assert m.neg == frozenset({1})
@@ -132,6 +133,31 @@ def test_negative_control_pairs_are_refused():
     with pytest.raises(InputError, match="^pair has negative controls; no catalog "
                        "implementation carries them$"):
         _replaced(c, m, "rtof3_long")
+
+
+def test_admissible_is_exactly_what_apply_replacement_accepts():
+    """The predicate against its former definition, exhaustively: every
+    block name and one unknown name, each class with every set of touched
+    controls, no negative control or any one, arities 3 to 5."""
+    names = sorted(BLOCKS) + ["no_such_block"]
+    seen = set()
+    for arity in (3, 4, 5):
+        controls = tuple(range(arity - 1))
+        for r in range(arity):
+            for touched in combinations(controls, r):
+                for neg in [()] + [(q,) for q in controls]:
+                    for cls in ("prop1", "prop2", "prop3"):
+                        m = ConjugationMatch(0, 1, cls, controls, arity - 1,
+                                             frozenset(touched), frozenset(neg))
+                        for name in names:
+                            try:
+                                apply_replacement(m, name)
+                                accepted = True
+                            except InputError:
+                                accepted = False
+                            assert admissible(name, m) == accepted, (name, m)
+                            seen.add(accepted)
+    assert seen == {True, False}
 
 
 def test_junk_marker_middle_still_sound():
@@ -335,6 +361,47 @@ def test_cancel_one_pass_matches_sweep_reference():
         assert once.gates == c.gates or same_unitary(c, once)
 
 
+def test_cancel_builds_one_inverse_per_distinct_gate(monkeypatch):
+    """On a parsed, lowered ladder, whose gates share few objects, the pass
+    builds each distinct object's inverse at most once and cancels as before."""
+    circ = lower(parse_qasm(emit_qasm(ladder_tofn(12))))
+    distinct = len({id(g) for g in circ.gates})
+    assert distinct < len(circ.gates) // 4
+    calls = 0
+    real = Gate.inverse
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        return real(self)
+
+    monkeypatch.setattr(Gate, "inverse", counted)
+    out = cancel_adjacent_inverses(circ)
+    assert 0 < calls <= distinct
+    monkeypatch.undo()
+    assert out.count_resources().t == 12 * 11 - 20
+    assert _cancel_by_sweeps(out).gates == out.gates
+
+
+def test_cancel_shared_and_distinct_gate_objects_agree():
+    """Equal gates as one shared object (the identity shortcut) and as
+    distinct objects (the value comparison) cancel alike, to a fixed point
+    of the sweep reference as short as the one it leaves."""
+    rng = random.Random(5)
+    pool = [t(0), tdg(0), p(1), pdg(1), h(2), x(3), t(3), tdg(3),
+            cx(0, 1), cx(1, 0), cx(2, 3), cz(0, 2), cz(2, 0), cz(1, 3),
+            tof((0, 1), 2), tof((1, 3), 0),
+            marker("rtof3l", (0, 1), 3), marker("rtof3l", (0, 1), 3, dagger=True)]
+    for _ in range(500):
+        shared = Circuit(4, [rng.choice(pool) for _ in range(rng.randint(0, 24))])
+        distinct = Circuit(4, [Gate(g.kind, g.controls, g.target, g.neg, g.param, g.dagger)
+                               for g in shared.gates])
+        once = cancel_adjacent_inverses(shared)
+        assert cancel_adjacent_inverses(distinct).gates == once.gates
+        assert _cancel_by_sweeps(once).gates == once.gates
+        assert len(once.gates) == len(_cancel_by_sweeps(distinct).gates)
+
+
 def test_cancel_ladder_t_count():
     # the 12k-20 law for one ladder size; the acceptance suite sweeps k
     low = lower(ladder_tofn(7))
@@ -388,8 +455,6 @@ def test_engine_rewrites_full_borrowed_ancilla_ladder():
 
     def pick(m):
         order = ["rtof3_long", "srts3", "srtof3_ccix", "rtof4_long"]
-        from rphase.rewrite import admissible
-
         for name in order:
             if admissible(name, m):
                 return name
