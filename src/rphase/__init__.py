@@ -47,6 +47,7 @@ from .rewrite import (
     REPLACEMENT_IMPLS,
     admissible,
     apply_replacement,
+    apply_rules,
     cancel_adjacent_inverses,
     find_conjugations,
 )

@@ -11,6 +11,8 @@ other value (exit 2) before a file is read, and every integer option
 (``--n``, ``--xprime``, each item of ``--n-list``) takes ASCII decimal
 numerals only.
 ``verify`` runs every column in this process (see ``simulate``), and
+``rewrite`` runs ``rewrite.apply_rules``, the pass that decides which
+pair becomes which block; here it only reads, counts and writes.
 ``main`` builds one argument parser per process, on its first call.
 """
 
@@ -26,14 +28,13 @@ from . import catalog as cat
 from .circuit import Circuit, InputError, TargetSpec, ROLE_CLEAN, ROLE_DIRTY, ROLE_PRIMARY
 from .lowering import lower
 from .qasm import emit_qasm, parse_qasm
+from .rewrite import RULES, apply_rules
+# perfbench's tracer wraps these four by name in this module
 from .rewrite import (
-    _equal_tof_pairs,
-    admissible,
-    apply_replacement,
-    cancel_adjacent_inverses,
-    classify_pair,
-    find_conjugations,  # noqa: F401 -- perfbench's tracer wraps it by this name
-    REPLACEMENT_IMPLS,
+    admissible,  # noqa: F401
+    apply_replacement,  # noqa: F401
+    cancel_adjacent_inverses,  # noqa: F401
+    find_conjugations,  # noqa: F401
 )
 from .simulate import NotAPhasePermutation
 from .verify import check_implements
@@ -176,52 +177,18 @@ def cmd_verify(args) -> int:
 def cmd_rewrite(args) -> int:
     with open(args.input) as fh:
         text = fh.read()
-    circuit = source = parse_qasm(text)
+    source = parse_qasm(text)
     rules = [r.strip() for r in args.rules.split(",") if r.strip()]
-    bad = [r for r in rules if r not in ("prop1", "prop2", "prop3", "cancel")]
-    if bad:
-        raise InputError(f"unknown rules {bad}")
-    counted = circuit
-    if "cancel" in rules and any(g.kind == "tof" and len(g.controls) > 2 for g in circuit.gates):
+    circuit = apply_rules(source, rules)
+    counted = source
+    if "cancel" in rules and any(g.kind == "tof" and len(g.controls) > 2 for g in source.gates):
         # cancel lowers wide tofs, so count them lowered; when lower cannot,
         # count_resources rejects the input naming a wide tof
         try:
-            counted = lower(circuit)
+            counted = lower(source)
         except InputError:
             pass
     before = counted.count_resources()
-
-    enabled = {r for r in rules if r != "cancel"}
-    if enabled:
-        # one pair search suffices: a replacement leaves markers on the same
-        # qubits; a pair is classified only while neither gate is replaced
-        gates = list(circuit.gates)
-        used: set[int] = set()
-        for i, later in _equal_tof_pairs(circuit):
-            if i in used:
-                continue
-            for j in later:
-                if j in used:
-                    continue
-                m = classify_pair(circuit, i, j)
-                impl = _pick_impl(m) if m.classification in enabled else None
-                if impl is not None:
-                    gates[i], gates[j] = apply_replacement(m, impl)
-                    used |= {i, j}
-                    break
-                if m.classification in enabled or m.classification == "prop3":
-                    # no later j is replaced either: the middle only grows
-                    # with j, so the class only goes prop1 -> prop2 -> prop3
-                    # and the touched controls only grow, and with them the
-                    # blocks that fit only get fewer; a prop1 pair fails only
-                    # on its arity or negative controls, which j leaves as is
-                    break
-        circuit = Circuit(circuit.width, gates, circuit.roles)
-    if "cancel" in rules:
-        if not circuit.is_lowered():
-            circuit = lower(circuit)
-        circuit = cancel_adjacent_inverses(circuit)
-
     after = circuit.count_resources()
     out_text = text if circuit == source else emit_qasm(circuit)
     if args.out:
@@ -231,13 +198,6 @@ def cmd_rewrite(args) -> int:
         sys.stdout.write(out_text)
     print(json.dumps({"before": before.as_dict(), "after": after.as_dict()}))
     return EXIT_OK
-
-
-def _pick_impl(m) -> str | None:
-    """The first admissible implementation in cost order, or None when
-    that is toffoli3: replacing a tof pair with exact tofs is a no-op."""
-    name = next((name for name in REPLACEMENT_IMPLS if admissible(name, m)), None)
-    return None if name == "toffoli3" else name
 
 
 _TABLE_COLUMNS = ("gate", "ancilla", "t", "cnot", "h", "pz", "ancillae")
@@ -327,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rewrite", help="apply conjugation replacements / cancellation")
     p.add_argument("input")
     p.add_argument("--rules", default="prop1,prop2,cancel",
-                   help="comma list from prop1,prop2,prop3,cancel")
+                   help="comma list from " + ",".join(RULES))
     p.add_argument("--out")
     p.set_defaults(func=cmd_rewrite)
 

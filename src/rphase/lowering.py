@@ -8,8 +8,10 @@ negative control an X pair around the positive gate, a tof of 0/1
 controls an x or a cnot, and a tof of 2 controls the 15-gate toffoli3
 block. Here a tof of 3+ controls becomes ``catalog.tofn``'s clean- or
 dirty-helper chain, placed at marker level over ancilla qubits the
-circuit declares but the gate does not touch (an "ancilla budget
-exceeded" ``InputError`` otherwise), then expanded.
+circuit declares (an "ancilla budget exceeded" ``InputError`` otherwise),
+then expanded. A clean helper goes only on a clean ancilla that no gate
+of the circuit acts on, so it is |0> when the chain starts; a dirty
+helper goes on any dirty ancilla the gate does not touch.
 
 Each distinct gate of a circuit is lowered once per ``lower`` call, and
 a daggered marker reuses its forward marker's gates, inverted.
@@ -34,26 +36,32 @@ from .circuit import (
 def lower(circuit: Circuit) -> Circuit:
     """Expand every marker and tof gate; unitary semantics preserved per
     the chosen constructions' verified contracts."""
-    gates = expand_all(circuit.gates, lambda g: _expand_big_tof(g, circuit))
+    idle = None  # clean ancillae no gate acts on, found at the first wide tof
+
+    def wide(g: Gate) -> list[Gate]:
+        nonlocal idle
+        if idle is None:
+            busy = set().union(*(h.support for h in circuit.gates))
+            idle = [q for q in range(circuit.width)
+                    if circuit.roles[q] == ROLE_CLEAN and q not in busy]
+        return _expand_big_tof(g, circuit, idle)
+
+    gates = expand_all(circuit.gates, wide)
     return Circuit(circuit.width, gates, circuit.roles)
 
 
-def _free_ancillae(g: Gate, circuit: Circuit, role: str) -> list[int]:
-    return [
-        q for q in range(circuit.width)
-        if circuit.roles[q] == role and q not in g.support
-    ]
-
-
-def _expand_big_tof(g: Gate, circuit: Circuit) -> list[Gate]:
-    """The helper chain over free clean ancillae if there are enough of
-    them, else over free dirty ones, at marker level: ``expand_all``
-    expands it."""
+def _expand_big_tof(g: Gate, circuit: Circuit, idle: list[int]) -> list[Gate]:
+    """The helper chain over idle clean ancillae if there are enough of
+    them, else over dirty ones the gate does not touch, at marker level:
+    ``expand_all`` expands it. A clean helper must start and end in |0>,
+    which only a clean ancilla no gate acts on is known to do."""
     n = len(g.controls) + 1
     need = ceil((n - 3) / 2)
-    flavour, pool = "clean", _free_ancillae(g, circuit, ROLE_CLEAN)
+    flavour, pool = "clean", idle
     if len(pool) < need:
-        flavour, pool = "dirty", _free_ancillae(g, circuit, ROLE_DIRTY)
+        flavour = "dirty"
+        pool = [q for q in range(circuit.width)
+                if circuit.roles[q] == ROLE_DIRTY and q not in g.support]
     if len(pool) < need:
         raise InputError(
             f"ancilla budget exceeded: lowering {g} needs "

@@ -1,4 +1,10 @@
-"""Peephole engine: conjugation replacements and inverse-pair cancellation.
+"""The rewrite pass: conjugation replacements and inverse-pair cancellation.
+
+``apply_rules(circuit, rules)`` is the whole pass ``rphase rewrite`` runs.
+It walks the pairs of equal tofs once, replaces each pair of an enabled
+class with the cheapest block that fits (none when that is the exact
+toffoli3: a tof pair for a tof pair changes nothing), and under
+``cancel`` lowers the result and removes adjacent inverse pairs.
 
 The central move replaces a pair of identical multi-control tof gates that
 conjugate a compatible middle block with a cheaper relative-phase
@@ -27,7 +33,8 @@ qubit the middle acts on.
 Admissibility reads the wire maps: an implementation fits a match when
 some map of its roles onto the pair's qubits meets the type and junk
 constraints. The test builds no gate; ``apply_replacement`` makes the same
-checks and builds only the pair it returns.
+checks and builds only the pair it returns, and the pass builds the chosen
+pair from the wires its one check found.
 
 Cancellation is one forward pass over a per-qubit stack of kept gates:
 each gate cancels the latest kept gate on its qubits when the two are
@@ -41,6 +48,11 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from .circuit import BLOCKS, KINDS, Block, Circuit, Gate, InputError, marker, tof
+from .lowering import lower
+
+# Rule names ``apply_rules`` takes: the classes of pairs it may replace,
+# and the lowering and inverse-pair cancellation of the result.
+RULES = ("prop1", "prop2", "prop3", "cancel")
 
 
 def _block_diagonal_controls(g: Gate) -> frozenset[int]:
@@ -216,12 +228,28 @@ def apply_replacement(m: ConjugationMatch, impl_name: str) -> tuple[Gate, Gate]:
     reason, wires = _refusal(m, impl_name)
     if reason is not None:
         raise InputError(reason)
+    return _replacement(m, impl_name, wires)
+
+
+def _replacement(m: ConjugationMatch, impl_name: str, wires) -> tuple[Gate, Gate]:
+    """``impl_name`` and its inverse on ``wires``, a fitting wire map."""
     kind = BLOCKS[impl_name].kind
     if kind is None:
         left = tof(m.controls, m.target)
         return left, left
     left = marker(kind, wires[:-1], m.target)
     return left, left.inverse()
+
+
+def _chosen_pair(m: ConjugationMatch) -> tuple[Gate, Gate] | None:
+    """The pair that replaces the match: the first block in cost order that
+    fits, on the wires its check found. None when none fits, or when that
+    is toffoli3: replacing a tof pair with exact tofs is a no-op."""
+    for name in REPLACEMENT_IMPLS:
+        reason, wires = _refusal(m, name)
+        if reason is None:
+            return None if name == "toffoli3" else _replacement(m, name, wires)
+    return None
 
 
 # -- inverse-pair cancellation -----------------------------------------------
@@ -275,3 +303,48 @@ def cancel_adjacent_inverses(circ: Circuit) -> Circuit:
         for q in sup:
             wires[q].append(i)
     return Circuit(circ.width, [g for g, k in zip(gates, kept) if k], circ.roles)
+
+
+# -- the pass ----------------------------------------------------------------
+
+def apply_rules(circuit: Circuit, rules) -> Circuit:
+    """``circuit`` rewritten by ``rules``, names from ``RULES``: each enabled
+    class of pair replaced by a cheaper block and its inverse, then under
+    ``cancel`` the result lowered (when it is not yet) and rid of adjacent
+    inverse pairs. The unitary is unchanged. An unknown rule name, or a wide
+    tof that ``cancel`` cannot lower, raises ``InputError``."""
+    rules = tuple(rules)
+    bad = [r for r in rules if r not in RULES]
+    if bad:
+        raise InputError(f"unknown rules {bad}")
+    enabled = {r for r in rules if r != "cancel"}
+    if enabled:
+        # one pair search suffices: a replacement leaves markers on the same
+        # qubits; a pair is classified only while neither gate is replaced
+        gates = list(circuit.gates)
+        used: set[int] = set()
+        for i, later in _equal_tof_pairs(circuit):
+            if i in used:
+                continue
+            for j in later:
+                if j in used:
+                    continue
+                m = classify_pair(circuit, i, j)
+                pair = _chosen_pair(m) if m.classification in enabled else None
+                if pair is not None:
+                    gates[i], gates[j] = pair
+                    used |= {i, j}
+                    break
+                if m.classification in enabled or m.classification == "prop3":
+                    # no later j is replaced either: the middle only grows
+                    # with j, so the class only goes prop1 -> prop2 -> prop3
+                    # and the touched controls only grow, and with them the
+                    # blocks that fit only get fewer; a prop1 pair fails only
+                    # on its arity or negative controls, which j leaves as is
+                    break
+        circuit = Circuit(circuit.width, gates, circuit.roles)
+    if "cancel" in rules:
+        if not circuit.is_lowered():
+            circuit = lower(circuit)
+        circuit = cancel_adjacent_inverses(circuit)
+    return circuit

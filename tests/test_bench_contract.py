@@ -11,6 +11,7 @@ from collections import Counter
 
 import rphase.catalog
 import rphase.cli
+import rphase.rewrite
 import rphase.verify
 from rphase.circuit import Circuit, cx, t, tof
 from rphase.qasm import emit_qasm
@@ -51,23 +52,31 @@ def test_tracer_binds_every_name():
     assert all(vars(m)[a] is fn for (m, a), fn in before.items())
 
 
-def test_rewrite_goes_through_the_cli_bound_rewrite_names(tmp_path, monkeypatch, capsys):
-    """``rewrite`` calls these names in ``rphase.cli``: one search for pairs
-    of equal tofs, at most one classification per pair whose gates are not
-    yet replaced, one admissibility test per candidate and one replacement
-    per rewritten pair. ``find_conjugations`` stays bound there for the tracer
-    but is no longer called: its spans read 0 on the rewrite workload."""
+def test_rewrite_pass_searches_pairs_once_and_builds_one_pair_per_replacement(
+        tmp_path, monkeypatch, capsys):
+    """``rewrite`` runs ``rphase.rewrite.apply_rules``, which calls these
+    names in ``rphase.rewrite``: one search for pairs of equal tofs, at most
+    one classification per pair whose gates are not yet replaced, at least
+    one admissibility check per classified pair and one pair built per
+    rewritten pair. The names the tracer wraps in ``rphase.cli`` stay bound
+    there but the pass does not call them: ``find_conjugations``,
+    ``admissible`` and ``apply_replacement`` spans read 0 on the rewrite
+    workload."""
     calls = Counter()
 
-    def counted(name, real):
+    def counted(module, name):
+        real = vars(module)[name]
+
         def wrapper(*args):
             calls[name] += 1
             return real(*args)
-        return wrapper
+        monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("find_conjugations", "_equal_tof_pairs", "classify_pair", "admissible",
-                 "apply_replacement"):
-        monkeypatch.setattr(rphase.cli, name, counted(name, vars(rphase.cli)[name]))
+    for name in ("find_conjugations", "_equal_tof_pairs", "classify_pair", "_refusal",
+                 "_replacement"):
+        counted(rphase.rewrite, name)
+    for name in ("find_conjugations", "admissible", "apply_replacement"):
+        counted(rphase.cli, name)
     src = tmp_path / "two_pairs.qasm"
     src.write_text(emit_qasm(Circuit(7, [
         tof((0, 1), 2), tof((3, 4), 5), cx(2, 6), t(4), tof((3, 4), 5), tof((0, 1), 2)])))
@@ -75,5 +84,6 @@ def test_rewrite_goes_through_the_cli_bound_rewrite_names(tmp_path, monkeypatch,
     capsys.readouterr()
     assert calls["_equal_tof_pairs"] == 1 and calls["find_conjugations"] == 0
     assert calls["classify_pair"] == 2
-    assert calls["apply_replacement"] == 2
-    assert calls["admissible"] >= 2
+    assert calls["_replacement"] == 2
+    assert calls["_refusal"] >= 2
+    assert calls["admissible"] == calls["apply_replacement"] == 0

@@ -124,7 +124,7 @@ PUBLIC_NAMES = [
     "NotAPhasePermutation", "PhasePermutation", "QasmError",
     "REPLACEMENT_IMPLS", "ROLE_CLEAN", "ROLE_DIRTY", "ROLE_PRIMARY",
     "ResourceReport", "RingElement", "TargetSpec", "VerificationReport", "admissible",
-    "apply_replacement", "cancel_adjacent_inverses",
+    "apply_replacement", "apply_rules", "cancel_adjacent_inverses",
     "catalog", "check_implements", "circuit", "cnu_clean_chain",
     "cnu_parallel", "cnu_spec", "count_resources", "emit_qasm", "equivalent",
     "find_conjugations", "get_entry", "ladder_tofn", "ladder_tofn_spec",

@@ -1,6 +1,7 @@
 """Command-line driver: verbs, exit codes, output formats."""
 
 import argparse
+import ast
 import hashlib
 import importlib
 import json
@@ -19,13 +20,13 @@ import rphase
 import rphase.catalog as catalog
 import rphase.cli as cli
 import rphase.rewrite as rewrite
-from rphase.cli import _pick_impl, main
+from rphase.cli import main
 from rphase.lowering import lower
 from rphase.qasm import QREG_LIMIT, QasmError, emit_qasm, parse_qasm
 from rphase.catalog import toffoli3
 from rphase.circuit import (
     ROLE_CLEAN, ROLE_PRIMARY, Circuit, InputError, cx, cz, h, marker, p, pdg, ry, t, tdg, tof, x)
-from rphase.rewrite import apply_replacement, find_conjugations
+from rphase.rewrite import REPLACEMENT_IMPLS, admissible, apply_replacement, find_conjugations
 from rphase.simulate import NotAPhasePermutation
 
 
@@ -429,6 +430,13 @@ def _conjugation_circuit(rng, length, tof_share=0.4):
                        for _ in range(length)])
 
 
+def _pick_impl(m):
+    """The first admissible implementation in cost order, or None when
+    that is toffoli3: the references' block choice, from the public names."""
+    name = next((name for name in REPLACEMENT_IMPLS if admissible(name, m)), None)
+    return None if name == "toffoli3" else name
+
+
 def _rewrite_by_restarts(circuit, enabled):
     """The loop the one-pass rewrite replaced, kept as a reference: apply the
     first usable match, then search the new circuit again from scratch."""
@@ -478,16 +486,9 @@ def test_rewrite_classifies_only_pairs_it_can_still_replace(capsys, tmp_path, mo
     """The rewrite writes what the eager walk writes, byte for byte, and
     classifies a pair only while neither of its gates is replaced, so on
     800 gates with about 400 tofs it classifies fewer pairs."""
-    calls = {"eager": 0, "rewrite": 0}
-
-    def counted(side, real):
-        def classify(*args):
-            calls[side] += 1
-            return real(*args)
-        return classify
-
-    monkeypatch.setattr(rewrite, "classify_pair", counted("eager", rewrite.classify_pair))
-    monkeypatch.setattr(cli, "classify_pair", counted("rewrite", cli.classify_pair))
+    calls = []
+    real = rewrite.classify_pair
+    monkeypatch.setattr(rewrite, "classify_pair", lambda *args: calls.append(args) or real(*args))
     rng = random.Random(800)
     src, dst = tmp_path / "in.qasm", tmp_path / "out.qasm"
     cases = [(_conjugation_circuit(rng, rng.randint(4, 60)), rules)
@@ -495,20 +496,23 @@ def test_rewrite_classifies_only_pairs_it_can_still_replace(capsys, tmp_path, mo
     cases.append((_conjugation_circuit(rng, 800, tof_share=0.5), "prop1,prop2,prop3"))
     for circuit, rules in cases:
         src.write_text(emit_qasm(circuit))
-        calls.update(eager=0, rewrite=0)
+        calls.clear()
         assert run(capsys, "rewrite", str(src), "--rules", rules, "--out", str(dst))[0] == 0
+        by_rewrite = len(calls)
+        calls.clear()
         want = _rewrite_eager(circuit, set(rules.split(",")))
+        by_eager = len(calls)
         assert dst.read_text() == (src.read_text() if want == circuit else emit_qasm(want))
-        assert calls["rewrite"] <= calls["eager"]
+        assert by_rewrite <= by_eager
     assert sum(g.kind == "tof" for g in circuit.gates) > 350
-    assert calls["rewrite"] < calls["eager"]
+    assert by_rewrite < by_eager
 
 
 def test_rewrite_finds_conjugations_once(capsys, tmp_path, monkeypatch):
     """One search for pairs of equal tofs serves the whole rewrite."""
     calls = []
-    real = cli._equal_tof_pairs
-    monkeypatch.setattr(cli, "_equal_tof_pairs", lambda c: calls.append(c) or real(c))
+    real = rewrite._equal_tof_pairs
+    monkeypatch.setattr(rewrite, "_equal_tof_pairs", lambda c: calls.append(c) or real(c))
     src = tmp_path / "pairs.qasm"
     src.write_text(emit_qasm(Circuit(7, [
         tof((0, 1), 2), tof((3, 4), 5), cx(2, 6), t(4), tof((3, 4), 5), tof((0, 1), 2)])))
@@ -526,8 +530,8 @@ def test_rewrite_stops_each_tofs_scan_at_a_pair_it_cannot_replace(capsys, tmp_pa
     of the same tof can be: each tof's scan stops at its first pair, where
     the eager walk classifies all 79,800 pairs."""
     calls = []
-    real = cli.classify_pair
-    monkeypatch.setattr(cli, "classify_pair", lambda *args: calls.append(args) or real(*args))
+    real = rewrite.classify_pair
+    monkeypatch.setattr(rewrite, "classify_pair", lambda *args: calls.append(args) or real(*args))
     src = tmp_path / "neg.qasm"
     for middle in (cx(0, 1), t(2)):
         circuit = Circuit(3, [tof((0, 1), 2, neg=(0,)) if k % 2 == 0 else middle
@@ -603,6 +607,58 @@ def test_rewrite_lowers_a_wide_tof_it_can_expand(capsys, tmp_path, rules):
     assert report["before"]["t"] == 23 and report["after"]["t"] <= 23
     code, out, _ = run(capsys, "verify", str(dst), "--layout", "ctrl,ctrl,ctrl,ctrl,target,clean")
     assert code == 0 and json.loads(out)["exact"]
+
+
+def test_rewrite_refuses_a_clean_helper_on_a_busy_clean_ancilla(capsys, tmp_path):
+    """The file's cx pair writes its only clean ancilla, so the wide tof has
+    no helper to lower onto: verify and rewrite refuse the file rather than
+    answer for a lowering that is not the file's unitary."""
+    src = tmp_path / "busy.qasm"
+    roles = (ROLE_PRIMARY,) * 5 + (ROLE_CLEAN, ROLE_PRIMARY)
+    src.write_text(emit_qasm(Circuit(7, [cx(0, 5), tof((1, 2, 3, 4), 6), cx(0, 5)], roles)))
+    for argv in (("verify", str(src), "--layout", "ctrl,ctrl,ctrl,ctrl,ctrl,clean,target"),
+                 ("rewrite", str(src), "--rules", "cancel")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == ("error: ancilla budget exceeded: lowering tof(1,2,3,4;6) needs 1 dirty "
+                       "ancillae, circuit offers 0\n")
+
+
+def test_apply_rules_writes_what_the_cli_writes(capsys, tmp_path):
+    """``rewrite.apply_rules`` is the whole pass: for every rules string,
+    its result emits as the CLI's --out text, on random conjugation
+    circuits and on lowered ladders."""
+    rng = random.Random("apply_rules")
+    corpus = [_conjugation_circuit(rng, rng.randint(4, 60)) for _ in range(12)]
+    corpus += [lower(catalog.ladder_tofn(n)) for n in (8, 13)]
+    src, dst = tmp_path / "in.qasm", tmp_path / "out.qasm"
+    rewritten = 0
+    for circuit in corpus:
+        src.write_text(emit_qasm(circuit))
+        for rules in ("prop1,prop2", "prop1,prop2,prop3", "prop3", "prop1,prop2,cancel",
+                      "cancel", "prop3,cancel"):
+            assert run(capsys, "rewrite", str(src), "--rules", rules, "--out", str(dst))[0] == 0
+            got = rewrite.apply_rules(circuit, rules.split(","))
+            rewritten += got != circuit
+            assert emit_qasm(got) == dst.read_text()
+    assert rewritten >= 20
+
+
+def test_apply_rules_refuses_an_unknown_rule():
+    with pytest.raises(InputError, match=r"^unknown rules \['bogus', 'prop4'\]$"):
+        rewrite.apply_rules(Circuit(3, [tof((0, 1), 2)]), ["prop1", "bogus", "cancel", "prop4"])
+
+
+def test_the_cli_holds_no_rewrite_policy():
+    """Which pair becomes which block is decided in ``rphase.rewrite``
+    alone: the CLI imports none of the names the pass decides with."""
+    policy = {"classify_pair", "_equal_tof_pairs", "_refusal", "REPLACEMENT_IMPLS"}
+    with open(cli.__file__) as fh:
+        tree = ast.parse(fh.read())
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = {alias.name.rsplit(".", 1)[-1] for alias in node.names}
+            assert not names & policy, (node.lineno, sorted(names & policy))
 
 
 def test_table_default_rows(capsys):

@@ -103,6 +103,27 @@ def test_ancilla_budget_exceeded():
         lower(tb)
 
 
+def test_a_clean_helper_goes_only_on_a_clean_ancilla_no_gate_acts_on():
+    """A clean-helper chain must start on |0>. Here the file's own cx pair
+    writes the one clean ancilla around the wide tof, so that ancilla is no
+    helper and the tof, with no dirty ancilla either, is refused. A second
+    clean ancilla that no gate touches takes the helper, and the lowering
+    is exact."""
+    roles = (ROLE_PRIMARY,) * 5 + (ROLE_CLEAN, ROLE_PRIMARY)
+    busy = Circuit(7, [cx(0, 5), tof((1, 2, 3, 4), 6), cx(0, 5)], roles)
+    spec = TargetSpec((1, 2, 3, 4), 6)
+    assert check_implements(busy, spec).exact
+    with pytest.raises(InputError, match=r"^ancilla budget exceeded: lowering tof\(1,2,3,4;6\) "
+                       "needs 1 dirty ancillae, circuit offers 0$"):
+        lower(busy)
+    spare = Circuit(8, busy.gates, roles + (ROLE_CLEAN,))
+    low = lower(spare)
+    helpers = {q for g in low.gates[1:-1] for q in g.support} - {1, 2, 3, 4, 6}
+    assert helpers == {7}
+    rep = check_implements(low, spec)
+    assert rep.exact and rep.ancilla_ok
+
+
 def test_lower_preserves_pz_and_other_kinds():
     c = Circuit(2, [p(0), pdg(1), z(0), y(1)])
     assert lower(c).gates == c.gates
