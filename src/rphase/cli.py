@@ -10,9 +10,11 @@ Every option with a fixed set of values (``--ancilla``, ``--format``,
 other value (exit 2) before a file is read, and every integer option
 (``--n``, ``--xprime``, each item of ``--n-list``) takes ASCII decimal
 numerals only.
-``verify`` runs every column in this process (see ``simulate``), and
-``rewrite`` runs ``rewrite.apply_rules``, the pass that decides which
-pair becomes which block; here it only reads, counts and writes.
+``verify`` fixes the roles (``--layout``, else the file's), checks its
+flags, then lowers once under those roles and runs every column here.
+``rewrite`` runs the pass ``rewrite.apply_rules`` and only reads, counts
+and writes. Both counts and ``count`` take a tof of 3+ controls as the
+chain ``lower`` places on free ancillae, and refuse a file without them.
 ``main`` builds one argument parser per process, on its first call.
 """
 
@@ -119,10 +121,19 @@ def _circuit_json(circuit: Circuit) -> str:
     ) + "\n"
 
 
+def _counted(circuit: Circuit):
+    """The report of ``circuit``, or of ``lower(circuit)`` when
+    ``count_resources`` refuses a tof of 3+ controls."""
+    try:
+        return circuit.count_resources()
+    except InputError:
+        return lower(circuit).count_resources()
+
+
 def cmd_count(args) -> int:
     with open(args.input) as fh:
         circuit = parse_qasm(fh.read())
-    print(circuit.count_resources().as_json())
+    print(_counted(circuit).as_json())
     return EXIT_OK
 
 
@@ -151,8 +162,6 @@ def _roles_from_layout(layout: str, width: int):
 def cmd_verify(args) -> int:
     with open(args.input) as fh:
         circuit = parse_qasm(fh.read())
-    if not circuit.is_lowered():
-        circuit = lower(circuit)
     if args.layout is not None:
         controls, neg, target, roles = _roles_from_layout(args.layout, circuit.width)
         circuit = Circuit(circuit.width, circuit.gates, roles)
@@ -167,6 +176,9 @@ def cmd_verify(args) -> int:
     stray = set(args.xprime or ()) - set(controls) - {target}
     if stray:
         raise InputError(f"--xprime names qubits {sorted(stray)} outside the gate")
+    # lowered under the roles the report checks: a clean chain needs |0>
+    if not circuit.is_lowered():
+        circuit = lower(circuit)
     spec = TargetSpec(tuple(controls), target, neg=neg,
                       xprime=frozenset(args.xprime or ()), equivalence=args.cls)
     report = check_implements(circuit, spec)
@@ -180,16 +192,8 @@ def cmd_rewrite(args) -> int:
     source = parse_qasm(text)
     rules = [r.strip() for r in args.rules.split(",") if r.strip()]
     circuit = apply_rules(source, rules)
-    counted = source
-    if "cancel" in rules and any(g.kind == "tof" and len(g.controls) > 2 for g in source.gates):
-        # cancel lowers wide tofs, so count them lowered; when lower cannot,
-        # count_resources rejects the input naming a wide tof
-        try:
-            counted = lower(source)
-        except InputError:
-            pass
-    before = counted.count_resources()
-    after = circuit.count_resources()
+    before = _counted(source)
+    after = _counted(circuit)
     out_text = text if circuit == source else emit_qasm(circuit)
     if args.out:
         with open(args.out, "w") as fh:

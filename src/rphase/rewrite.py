@@ -4,7 +4,8 @@
 It walks the pairs of equal tofs once, replaces each pair of an enabled
 class with the cheapest block that fits (none when that is the exact
 toffoli3: a tof pair for a tof pair changes nothing), and under
-``cancel`` lowers the result and removes adjacent inverse pairs.
+``cancel`` lowers the result and removes adjacent inverse pairs. Only
+this module knows what a rule does.
 
 The central move replaces a pair of identical multi-control tof gates that
 conjugate a compatible middle block with a cheaper relative-phase
@@ -37,8 +38,9 @@ checks and builds only the pair it returns, and the pass builds the chosen
 pair from the wires its one check found.
 
 Cancellation is one forward pass over a per-qubit stack of kept gates:
-each gate cancels the latest kept gate on its qubits when the two are
-inverse, and is kept otherwise. No cancellable pair is left. Each distinct
+each gate cancels the latest kept gate on its qubits when it is that
+gate's inverse (or both are positive cz gates on the same two qubits),
+and is kept otherwise. No cancellable pair is left. Each distinct
 gate object's inverse is built at most once per call.
 """
 
@@ -254,19 +256,6 @@ def _chosen_pair(m: ConjugationMatch) -> tuple[Gate, Gate] | None:
 
 # -- inverse-pair cancellation -----------------------------------------------
 
-def _cancels(a: Gate, b: Gate, inv: Gate | None = None) -> bool:
-    """Whether b undoes a; ``inv``, when given, is ``a.inverse()``."""
-    # an inverse acts on the same qubits: compare those before building one
-    if a.support != b.support:
-        return False
-    if inv is None:
-        inv = a.inverse()
-    if b is inv or b == inv:
-        return True
-    # cz is symmetric in its two qubits (positive polarity only)
-    return a.kind == "cz" and b.kind == "cz" and not a.neg and not b.neg
-
-
 def cancel_adjacent_inverses(circ: Circuit) -> Circuit:
     """Remove gate pairs g, g^-1 on identical qubits that are adjacent up
     to commuting through gates on disjoint qubits; the unitary is unchanged.
@@ -290,12 +279,14 @@ def cancel_adjacent_inverses(circ: Circuit) -> Circuit:
             stack = wires[q]
             if stack and stack[-1] > last:
                 last = stack[-1]
+        # an inverse acts on the same qubits: compare those before building one
         if last >= 0 and gates[last].support == sup:
             a = gates[last]
             inv = inverses.get(id(a))
             if inv is None:
                 inv = inverses[id(a)] = a.inverse()
-            if _cancels(a, g, inv):
+            # cz is symmetric in its two qubits (positive polarity only)
+            if g is inv or g == inv or (a.kind == g.kind == "cz" and not a.neg and not g.neg):
                 kept[last] = kept[i] = False
                 for q in sup:
                     wires[q].pop()
@@ -328,6 +319,7 @@ def apply_rules(circuit: Circuit, rules) -> Circuit:
                 continue
             for j in later:
                 if j in used:
+                    # never reached: j's pair would skip tof i, and only toffoli3 fits that
                     continue
                 m = classify_pair(circuit, i, j)
                 pair = _chosen_pair(m) if m.classification in enabled else None

@@ -390,6 +390,12 @@ def test_two_block_degenerate_k_collapses():
     assert c.gates[0].kind == "rtof4l" and c.gates[1].kind == "srts3"
 
 
+@pytest.mark.parametrize("k", [2, 5])
+def test_two_block_refuses_k_outside_its_range(k):
+    with pytest.raises(InputError, match=r"^two_block_tofn requires 3 <= k <= n-1$"):
+        two_block_tofn(5, k)
+
+
 def test_two_block_simulation():
     c = two_block_tofn(5, 3)
     wide = Circuit(7, c.gates, c.roles + (ROLE_CLEAN,))  # room to lower the tof4
@@ -443,6 +449,13 @@ def test_cnu_degenerate():
     kinds = [g.kind for g in c.gates]
     assert kinds == ["rtof3l", "cnot", "rtof3l"]
     assert c.gates[2].dagger
+
+
+def test_cnu_chain_refusals():
+    with pytest.raises(InputError, match=r"^cnu_clean_chain requires n >= 2$"):
+        cnu_clean_chain(1)
+    with pytest.raises(InputError, match=r"^unsupported controlled-U choice 'y'$"):
+        cnu_clean_chain(3, u="y")
 
 
 def test_cnu_exhaustive_n4():

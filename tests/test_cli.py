@@ -651,7 +651,8 @@ def test_apply_rules_refuses_an_unknown_rule():
 
 def test_the_cli_holds_no_rewrite_policy():
     """Which pair becomes which block is decided in ``rphase.rewrite``
-    alone: the CLI imports none of the names the pass decides with."""
+    alone: the CLI imports none of the names the pass decides with, and
+    names no rule."""
     policy = {"classify_pair", "_equal_tof_pairs", "_refusal", "REPLACEMENT_IMPLS"}
     with open(cli.__file__) as fh:
         tree = ast.parse(fh.read())
@@ -659,6 +660,9 @@ def test_the_cli_holds_no_rewrite_policy():
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             names = {alias.name.rsplit(".", 1)[-1] for alias in node.names}
             assert not names & policy, (node.lineno, sorted(names & policy))
+        # nor does it test for a rule by name
+        if isinstance(node, ast.Constant):
+            assert node.value not in rewrite.RULES, (node.lineno, node.value)
 
 
 def test_table_default_rows(capsys):
@@ -1241,6 +1245,82 @@ def test_wide_tof_is_an_input_error_naming_the_gate(capsys, tmp_path, command):
                     '{"gate": "tof", "controls": [0, 1, 2], "target": 3, "neg": [], "gates": 0}\n')
     code, _, err = run(capsys, command, str(path))
     assert code == 2 and err.startswith("error:") and "tof(0,1,2;3)" in err
+
+
+_WIDE_TOF = ('// rphase: {"gate": "tof", "controls": [0, 1, 2, 3], "target": 4, '
+             '"gates": 0, "neg": []}\n')
+_CLEAN_5 = ('// rphase: {"roles": ["primary", "primary", "primary", "primary", "primary", '
+            '"clean_ancilla"]}\n')
+
+
+def _wide_tof_file(tmp_path, roles=""):
+    """A 6-qubit file whose only gate is a 4-control tof on qubits 0-4."""
+    path = tmp_path / "wide6.qasm"
+    path.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[6];\n' + roles + _WIDE_TOF)
+    return path
+
+
+@pytest.mark.parametrize("roles, helper", [("", "clean"), ("", "dirty"), (_CLEAN_5, "dirty")],
+                         ids=["no-roles-clean", "no-roles-dirty", "clean-file-dirty-layout"])
+def test_verify_lowers_under_the_layout_roles(capsys, tmp_path, roles, helper):
+    """The chain goes on the helper --layout names, of the flavour it names,
+    whatever the file declares: a file without roles lowers onto it, and a
+    file's clean ancilla laid out as dirty gets a dirty chain."""
+    path = _wide_tof_file(tmp_path, roles)
+    layout = "ctrl,ctrl,ctrl,ctrl,target," + helper
+    code, out, err = run(capsys, "verify", str(path), "--layout", layout)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["exact"] is True and report["ancilla_ok"] is True
+
+
+def test_verify_checks_its_flags_before_it_lowers(capsys, tmp_path):
+    """--n is checked before the tof is lowered, so a mismatch is named
+    even on a file with no ancilla to lower onto."""
+    code, out, err = run(capsys, "verify", str(_wide_tof_file(tmp_path)), "--n", "9")
+    assert (code, out) == (2, "")
+    assert err == "error: --n 9 does not match layout with 5 controls\n"
+
+
+def test_verify_without_a_layout_needs_two_primary_qubits(capsys, tmp_path):
+    path = tmp_path / "one_primary.qasm"
+    path.write_text(emit_qasm(Circuit(2, [x(0)], (ROLE_PRIMARY, ROLE_CLEAN))))
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out, err) == (2, "", "error: cannot infer layout; pass --layout\n")
+
+
+def test_count_counts_a_wide_tof_as_its_lowering(capsys, tmp_path):
+    path = _wide_tof_file(tmp_path, _CLEAN_5)
+    code, out, err = run(capsys, "count", str(path))
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report == lower(parse_qasm(path.read_text())).count_resources().as_dict()
+    assert (report["t"], report["cnot"], report["h"]) == (23, 18, 10)
+    assert report["ancilla"] == {"count": 1, "type": "clean"}
+
+
+def test_rewrite_without_cancel_counts_a_wide_tof_as_its_lowering(capsys, tmp_path):
+    """No prop1 pair: the file is written back as it was, and both counts
+    are the lowering's."""
+    path = _wide_tof_file(tmp_path, _CLEAN_5)
+    code, out, err = run(capsys, "rewrite", str(path), "--rules", "prop1")
+    assert (code, err) == (0, "")
+    *text, last = out.splitlines(keepends=True)
+    report = json.loads(last)
+    assert "".join(text) == path.read_text()
+    assert report["before"] == report["after"] and report["before"]["t"] == 23
+
+
+@pytest.mark.parametrize("rules", ["cancel", "prop1,cancel"])
+def test_rewrite_refuses_a_wide_tof_it_cannot_lower(capsys, tmp_path, rules):
+    """prop1 replaces the pair, so only the before count meets the wide tof;
+    it is refused with the lowering's message, as under cancel alone."""
+    path = tmp_path / "no_ancilla.qasm"
+    path.write_text(emit_qasm(Circuit(5, [tof((0, 1, 2), 3), cx(3, 4), tof((0, 1, 2), 3)])))
+    code, out, err = run(capsys, "rewrite", str(path), "--rules", rules)
+    assert (code, out) == (2, "")
+    assert err == ("error: ancilla budget exceeded: lowering tof(0,1,2;3) needs 1 dirty "
+                   "ancillae, circuit offers 0\n")
 
 
 @pytest.mark.parametrize("value", ["ring", "bogus"])
